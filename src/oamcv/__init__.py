@@ -8,10 +8,10 @@ and Laguerre-Gaussian beam diagnostics.
 
 __version__ = "0.1.0"
 
-from .channels import apply_channel, apply_channel_multiplexed
-from .criteria import (CriteriaReport, classify, entanglement_death_eta, ppt_nu,
-                       ppt_nu_closed_form, ppt_nu_eigen, steering,
-                       steering_death_eta, steering_death_eta_ba_lossy)
+from .channels import apply_channel, apply_channel_grid, apply_channel_multiplexed
+from .criteria import (CriteriaArrays, CriteriaReport, classify, classify_many,
+                       entanglement_death_eta, ppt_nu, ppt_nu_closed_form, ppt_nu_eigen,
+                       steering, steering_death_eta, steering_death_eta_ba_lossy)
 from .errors import (InputError, NumericalError, ResolutionError, ToolkitError,
                      UnphysicalStateError)
 from .gaussian import (ChannelParams, CovarianceMatrix, Decibel, ModePair,
@@ -35,10 +35,10 @@ __all__ = [
     "ModePair", "Decibel", "ValidityReport", "make_tmss", "make_multiplexed",
     "db_to_linear", "linear_to_db", "validate", "symplectic_eigenvalues",
     # channels
-    "apply_channel", "apply_channel_multiplexed",
+    "apply_channel", "apply_channel_grid", "apply_channel_multiplexed",
     # criteria
-    "CriteriaReport", "ppt_nu", "ppt_nu_closed_form", "ppt_nu_eigen", "steering",
-    "classify", "entanglement_death_eta", "steering_death_eta",
+    "CriteriaReport", "CriteriaArrays", "ppt_nu", "ppt_nu_closed_form", "ppt_nu_eigen",
+    "steering", "classify", "classify_many", "entanglement_death_eta", "steering_death_eta",
     "steering_death_eta_ba_lossy",
     # tomography
     "VarianceSet", "SampleBatch", "ReconstructionWarning", "simulate_measurements",

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import UnphysicalStateError
+from .errors import InputError, UnphysicalStateError
 from .gaussian import (ChannelParams, CovarianceMatrix, ModePair, MultiplexedState,
                        as_cm, validate)
 
@@ -27,10 +27,7 @@ def apply_channel(cm, ch) -> CovarianceMatrix:
     cm = as_cm(cm)
     if not isinstance(ch, ChannelParams):
         ch = ChannelParams(*ch)
-    report = validate(cm)
-    if not report.ok:
-        raise UnphysicalStateError(
-            f"input state is unphysical (min symplectic eigenvalue {report.min_symplectic:.6g})")
+    _require_physical(cm)
     root_eta = math.sqrt(ch.eta)
     added = (1.0 - ch.eta) * (1.0 + ch.delta)
     out = np.array(cm.entries)
@@ -38,6 +35,37 @@ def apply_channel(cm, ch) -> CovarianceMatrix:
     out[:2, 2:] = root_eta * cm.entries[:2, 2:]
     out[2:, :2] = out[:2, 2:].T
     return CovarianceMatrix(out)
+
+
+def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
+    """apply_channel over a grid of eta at one delta, as an (N, 4, 4) stack.
+
+    Entry i equals apply_channel(cm, ChannelParams(etas[i], delta)).entries
+    bit for bit; the source is validated once for the whole grid, and eta and
+    delta obey the ChannelParams bounds.
+    """
+    cm = as_cm(cm)
+    etas = np.asarray(etas, dtype=float)
+    if etas.ndim != 1:
+        raise InputError(f"eta grid must be one-dimensional, got shape {etas.shape}")
+    outside = ~(np.isfinite(etas) & (etas >= 0.0) & (etas <= 1.0))
+    if outside.any():
+        raise InputError(f"eta must lie in [0, 1], got {float(etas[outside][0])!r}")
+    delta = ChannelParams(0.0, delta).delta
+    _require_physical(cm)
+    added = (1.0 - etas) * (1.0 + delta)
+    out = np.repeat(cm.entries[np.newaxis], len(etas), axis=0)
+    out[:, 2:, 2:] = etas[:, None, None] * cm.entries[2:, 2:] + added[:, None, None] * np.eye(2)
+    out[:, :2, 2:] = np.sqrt(etas)[:, None, None] * cm.entries[:2, 2:]
+    out[:, 2:, :2] = out[:, :2, 2:].swapaxes(1, 2)
+    return out
+
+
+def _require_physical(cm: CovarianceMatrix) -> None:
+    report = validate(cm)
+    if not report.ok:
+        raise UnphysicalStateError(
+            f"input state is unphysical (min symplectic eigenvalue {report.min_symplectic:.6g})")
 
 
 def apply_channel_multiplexed(ms: MultiplexedState, ch) -> MultiplexedState:

@@ -19,8 +19,9 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import __version__
-from .channels import apply_channel
-from .criteria import classify, entanglement_death_eta, steering_death_eta
+from .channels import apply_channel, apply_channel_grid
+from .criteria import (classify, classify_many, entanglement_death_eta,
+                       steering_death_eta)
 from .errors import InputError, NumericalError, ToolkitError
 from .gaussian import ChannelParams, SqueezingSpec, make_tmss, validate
 from .modes import (LGModeSpec, count_dark_stripes, lg_field, mode_image_filename,
@@ -52,6 +53,8 @@ PRESETS = {
 
 _CONFIG_KEYS = ("specs", "deltas", "eta_start", "eta_stop", "eta_step",
                 "charges", "out", "seed", "n_per_setting")
+# one source spec for every charge, as an alternative to per-charge specs
+_GLOBAL_SPEC_KEYS = ("v", "vp", "r")
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,8 @@ class SweepConfig:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SweepConfig":
-        unknown = set(d) - set(_CONFIG_KEYS) - {"v", "vp", "r"}
+        """Config from JSON-style fields: per-charge specs, or one global v/vp or r."""
+        unknown = set(d) - set(_CONFIG_KEYS) - set(_GLOBAL_SPEC_KEYS)
         if unknown:
             raise InputError(f"unknown config keys {sorted(unknown)}")
         kwargs = {k: d[k] for k in _CONFIG_KEYS if k in d}
@@ -142,13 +146,15 @@ class SweepConfig:
         if "charges" in kwargs:
             kwargs["charges"] = tuple(kwargs["charges"])
         if "specs" in kwargs:
-            if any(k in d for k in ("v", "vp", "r")):
+            if any(k in d for k in _GLOBAL_SPEC_KEYS):
                 raise InputError("give either per-charge specs or a global v/vp (or r), not both")
+            if not isinstance(kwargs["specs"], Mapping):
+                raise InputError(f"specs must map charges to specs, got {kwargs['specs']!r}")
             kwargs["specs"] = {int(l): SqueezingSpec.from_json_dict(s)
                                for l, s in kwargs["specs"].items()}
             if "charges" not in kwargs:
                 kwargs["charges"] = tuple(sorted(kwargs["specs"]))
-        elif any(k in d for k in ("v", "vp", "r")):
+        elif any(k in d for k in _GLOBAL_SPEC_KEYS):
             spec = _spec_from_options(d.get("v"), d.get("vp"), d.get("r"))
             charges = kwargs.get("charges", DEFAULT_CHARGES)
             kwargs["specs"] = {int(l): spec for l in charges}
@@ -180,20 +186,26 @@ def _fmt(x: float) -> str:
 def run_sweep(config: SweepConfig) -> list:
     """CSV rows of the criteria sweep, one per (l, delta, eta), sorted.
 
-    Returns the rows (header included) and writes them to config.out when set.
+    Each (l, delta) block is one stacked channel map and one classify_many
+    pass over the eta grid.  Returns the rows (header included) and writes
+    them to config.out when set.
     """
     rows = [SWEEP_HEADER]
     etas = eta_grid(config)
+    eta_text = [_fmt(eta) for eta in etas]
     for l in sorted(config.charges):
         source = make_tmss(config.specs[l])
         for delta in sorted(config.deltas):
-            for eta in etas:
-                report = classify(apply_channel(source, ChannelParams(eta, delta)))
-                rows.append(",".join([
-                    str(l), _fmt(eta), _fmt(delta), _fmt(report.nu),
-                    "true" if report.entangled else "false",
-                    _fmt(report.g_ab), _fmt(report.g_ba), report.steering_class,
-                ]))
+            sigmas = apply_channel_grid(source, etas, delta)
+            batched = classify_many(sigmas)
+            delta_text = _fmt(delta)
+            for eta_s, nu, entangled, g_ab, g_ba, cls in zip(
+                    eta_text, batched.nu.tolist(), batched.entangled.tolist(),
+                    batched.g_ab.tolist(), batched.g_ba.tolist(),
+                    batched.steering_class.tolist()):
+                # the same .9g text as _fmt, written inline on this hot loop
+                rows.append(f"{l},{eta_s},{delta_text},{nu:.9g},"
+                            f"{'true' if entangled else 'false'},{g_ab:.9g},{g_ba:.9g},{cls}")
     if config.out is not None:
         Path(config.out).write_text("\n".join(rows) + "\n")
     return rows
@@ -339,7 +351,7 @@ def _add_sweep_options(sp: argparse.ArgumentParser) -> None:
                     help="parameter bundle for one of the decoherence scans")
     sp.add_argument("--v", type=float, help=f"squeezed variance (default {DEFAULT_V})")
     sp.add_argument("--vp", type=float, help=f"anti-squeezed variance (default {DEFAULT_VP})")
-    sp.add_argument("--delta", type=_parse_floats, metavar="D[,D...]",
+    sp.add_argument("--delta", type=_parse_floats, dest="deltas", metavar="D[,D...]",
                     help="excess noise values in SNL units (default 0)")
     sp.add_argument("--eta-start", type=float, help="first transmission efficiency (default 0)")
     sp.add_argument("--eta-stop", type=float, help="last transmission efficiency (default 1)")
@@ -376,11 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> SweepConfig:
-    """Defaults, then preset, then config file, then explicit flags."""
-    merged: dict = {}
-    global_spec = None
-    if args.preset:
-        merged.update(PRESETS[args.preset])
+    """Defaults, then preset, then config file, then explicit flags.
+
+    The three layers are merged into one JSON-style dict that is parsed
+    once; a source given by flags replaces the file's global v/vp/r as a
+    whole.  Any malformed value is reported as an InputError.
+    """
+    merged = dict(PRESETS[args.preset]) if args.preset else {}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
@@ -388,37 +402,20 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
             raise InputError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise InputError(f"config file {args.config} must hold a JSON object")
-        unknown = set(loaded) - set(_CONFIG_KEYS) - {"v", "vp", "r"}
-        if unknown:
-            raise InputError(f"unknown config keys {sorted(unknown)}")
-        merged.update({k: loaded[k] for k in _CONFIG_KEYS if k in loaded})
-        if "deltas" in merged:
-            merged["deltas"] = tuple(merged["deltas"])
-        if "charges" in merged:
-            merged["charges"] = tuple(merged["charges"])
-        if "specs" in merged:
-            if any(k in loaded for k in ("v", "vp", "r")):
-                raise InputError("give either per-charge specs or a global v/vp (or r), not both")
-            merged["specs"] = {int(l): SqueezingSpec.from_json_dict(s)
-                               for l, s in merged["specs"].items()}
-        elif any(k in loaded for k in ("v", "vp", "r")):
-            global_spec = _spec_from_options(loaded.get("v"), loaded.get("vp"), loaded.get("r"))
-    for key in ("deltas", "eta_start", "eta_stop", "eta_step", "charges",
-                "seed", "n_per_setting", "out"):
-        flag = {"deltas": "delta"}.get(key, key)
-        value = getattr(args, flag, None)
-        if value is not None:
-            merged[key] = value
-    if args.v is not None or args.vp is not None:
-        global_spec = _spec_from_options(args.v, args.vp, None)
-        if "specs" in merged:
-            raise InputError("give either per-charge specs or a global v/vp, not both")
-    if global_spec is not None:
-        merged["specs"] = {int(l): global_spec
-                           for l in merged.get("charges", DEFAULT_CHARGES)}
-    if "specs" in merged and "charges" not in merged:
-        merged["charges"] = tuple(sorted(merged["specs"]))
-    return SweepConfig(**merged)
+        merged.update(loaded)
+    # every flag is stored under its config key; specs and r have no flag
+    flags = {key: value for key in (*_CONFIG_KEYS, *_GLOBAL_SPEC_KEYS)
+             if (value := getattr(args, key, None)) is not None}
+    if "v" in flags or "vp" in flags:
+        for key in _GLOBAL_SPEC_KEYS:
+            merged.pop(key, None)
+    merged.update(flags)
+    try:
+        return SweepConfig.from_json_dict(merged)
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed config value: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -451,7 +448,7 @@ def main(argv=None) -> int:
             else:
                 print(f"wrote {len(report['results'])} tomography entries to {config.out}")
         return EXIT_OK
-    except (InputError, TypeError, ValueError) as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

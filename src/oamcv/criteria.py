@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -167,6 +167,78 @@ def classify(cm) -> CriteriaReport:
     else:
         cls = "none"
     return CriteriaReport(nu=nu, entangled=nu < 1.0 - TOL_DECISION,
+                          g_ab=g_ab, g_ba=g_ba, steering_class=cls)
+
+
+class CriteriaArrays(NamedTuple):
+    """classify() of every state of a stack, one array per report field."""
+
+    nu: np.ndarray
+    entangled: np.ndarray
+    g_ab: np.ndarray
+    g_ba: np.ndarray
+    steering_class: np.ndarray
+
+
+def _steerability(det_marginal: np.ndarray, det_sigma: np.ndarray) -> np.ndarray:
+    # math.log per element: numpy's vectorised log may round differently in
+    # the last bit, and the values must equal those of steering()
+    logs = np.array([math.log(x) for x in (det_marginal / det_sigma).tolist()])
+    return np.maximum(0.0, 0.5 * logs)
+
+
+def classify_many(sigmas) -> CriteriaArrays:
+    """classify() of each matrix of an (N, 4, 4) stack, in one vectorised pass.
+
+    The invariants, both PPT routes with their agreement gate (1e-9 plus the
+    degeneracy allowance) and the steering determinant checks are evaluated
+    element-wise; every value equals the one classify() gives for that
+    state.  If any state fails a check, classify() is called on the first
+    such state, so the error raised is the scalar one.
+    """
+    raw = np.asarray(sigmas, dtype=float)
+    if raw.ndim != 3 or raw.shape[1:] != (4, 4):
+        raise InputError(f"expected a stack of 4x4 matrices, got shape {raw.shape}")
+    transposed = raw.swapaxes(1, 2)
+    malformed = ~np.isfinite(raw).all(axis=(1, 2)) | \
+        (np.abs(raw - transposed) > 1e-6).any(axis=(1, 2))
+    # malformed states fail below; the identity keeps the linear algebra finite
+    sigma = np.where(malformed[:, None, None], np.eye(4), (raw + transposed) / 2.0)
+    not_pd = np.linalg.eigvalsh(sigma)[:, 0] <= 0.0
+    det_a = np.linalg.det(sigma[:, :2, :2])
+    det_b = np.linalg.det(sigma[:, 2:, 2:])
+    det_c = np.linalg.det(sigma[:, :2, 2:])
+    det_sigma = np.linalg.det(sigma)
+    dt = det_a + det_b - 2.0 * det_c
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # closed form, as in ppt_nu_closed_form
+        disc = dt * dt - 4.0 * det_sigma
+        s = np.sqrt(np.maximum(disc, 0.0))
+        denominator = dt + s
+        nu = np.sqrt(np.maximum(2.0 * det_sigma / denominator, 0.0))
+        # resolution limit, as in _degeneracy_allowance
+        noise = 8.0 * eps * np.maximum(1.0, dt * dt)
+        ds = np.where(s * s <= noise, np.sqrt(noise), noise / (2.0 * s))
+        nu2 = np.maximum(2.0 * det_sigma / np.maximum(denominator, tiny), 0.0)
+        allowance = np.where(nu2 <= 0.0, np.sqrt(noise),
+                             4.0 * np.sqrt(nu2) * ds / (2.0 * denominator))
+    eigen = symplectic_eigenvalues(_PT @ sigma @ _PT)[:, 0]
+    failed = (malformed | not_pd
+              | (disc < -1e-9 * np.maximum(1.0, dt * dt))
+              | (denominator <= 0.0)
+              | (np.abs(nu - eigen) > 1e-9 * np.maximum(1.0, np.abs(nu)) + allowance)
+              | (det_sigma <= 0.0) | (det_a <= 0.0) | (det_b <= 0.0))
+    if failed.any():
+        first = int(np.argmax(failed))
+        classify(raw[first])
+        raise NumericalError(f"state {first} fails a batched check that classify() passes")
+    g_ab = _steerability(det_a, det_sigma)
+    g_ba = _steerability(det_b, det_sigma)
+    a, b = g_ab > TOL_DECISION, g_ba > TOL_DECISION
+    # STEERING_CLASSES order: both, A->B only, B->A only, neither
+    cls = np.array(STEERING_CLASSES)[2 * ~a + ~b]
+    return CriteriaArrays(nu=nu, entangled=nu < 1.0 - TOL_DECISION,
                           g_ab=g_ab, g_ba=g_ba, steering_class=cls)
 
 

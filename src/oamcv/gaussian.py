@@ -204,12 +204,13 @@ def symplectic_eigenvalues(matrix) -> np.ndarray:
     """The two symplectic eigenvalues of a 4x4 CM, ascending.
 
     These are the moduli of the eigenvalues of i*Omega*sigma, which come in
-    equal pairs; both equal 1 for the two-mode vacuum.
+    equal pairs; both equal 1 for the two-mode vacuum.  A stack of shape
+    (..., 4, 4) gives one ascending pair per matrix, shape (..., 2).
     """
     m = matrix.entries if isinstance(matrix, CovarianceMatrix) else np.asarray(matrix, dtype=float)
     ev = np.abs(np.linalg.eigvals(1j * OMEGA @ m))
-    ev.sort()
-    return ev[::2].copy()
+    ev.sort(axis=-1)
+    return ev[..., ::2].copy()
 
 
 @dataclass(frozen=True)

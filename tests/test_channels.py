@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oamcv.channels
 from oamcv import (ChannelParams, InputError, SqueezingSpec, UnphysicalStateError,
-                   apply_channel, apply_channel_multiplexed, make_multiplexed,
-                   make_tmss, validate)
+                   apply_channel, apply_channel_grid, apply_channel_multiplexed,
+                   make_multiplexed, make_tmss, validate)
 from conftest import V_REF, VP_REF, analytic_family_cm, deltas, etas, source_specs
 
 REF_SPEC = SqueezingSpec(V_REF, VP_REF)
@@ -97,6 +98,36 @@ class TestApplyChannel:
         out_hi = apply_channel(cm, ChannelParams(eta, hi)).entries
         assert out_hi[2, 2] >= out_lo[2, 2] - 1e-12
         assert out_hi[3, 3] >= out_lo[3, 3] - 1e-12
+
+
+class TestApplyChannelGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(source_specs(), st.lists(etas, min_size=1, max_size=20), deltas)
+    def test_equals_apply_channel_per_eta(self, spec, grid, delta):
+        cm = make_tmss(spec)
+        stack = apply_channel_grid(cm, grid, delta)
+        assert stack.shape == (len(grid), 4, 4)
+        for eta, entries in zip(grid, stack):
+            assert np.array_equal(entries, apply_channel(cm, ChannelParams(eta, delta)).entries)
+
+    def test_validates_the_source_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oamcv.channels, "validate",
+                            lambda cm: calls.append(cm) or validate(cm))
+        apply_channel_grid(make_tmss(REF_SPEC), np.linspace(0.0, 1.0, 50), 0.5)
+        assert len(calls) == 1
+
+    def test_rejects_invalid_inputs(self):
+        cm = make_tmss(REF_SPEC)
+        with pytest.raises(UnphysicalStateError):
+            apply_channel_grid(np.diag([0.5, 0.5, 0.5, 0.5]), [0.5])
+        for grid in ([0.5, 1.5], [-0.1], [math.nan]):
+            with pytest.raises(InputError):
+                apply_channel_grid(cm, grid)
+        with pytest.raises(InputError):
+            apply_channel_grid(cm, [[0.5]])
+        with pytest.raises(InputError):
+            apply_channel_grid(cm, [0.5], -0.5)
 
 
 class TestMultiplexedChannel:

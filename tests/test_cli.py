@@ -275,5 +275,27 @@ class TestMain:
             path.write_text(json.dumps(payload))
             assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_malformed_specs_is_config_error(self, tmp_path):
+        for payload in ({"specs": [1, 2]}, {"specs": {"x": {"r": 0.2}}}, {"specs": {"0": 5}}):
+            path = tmp_path / "specs.json"
+            path.write_text(json.dumps(payload))
+            assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_flag_source_replaces_file_source(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"r": 0.3}))
+        args = build_parser().parse_args(
+            ["sweep", "--config", str(path), "--v", "0.5", "--vp", "2.5", "--charges", "0"])
+        from oamcv.cli import _config_from_args
+        assert _config_from_args(args).specs == {0: SqueezingSpec(0.5, 2.5)}
+
+    def test_internal_fault_is_not_a_config_error(self, monkeypatch):
+        def broken(sigmas):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr("oamcv.cli.classify_many", broken)
+        with pytest.raises(ValueError, match="injected fault"):
+            main(["sweep", "--charges", "0", "--eta-step", "0.5"])
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == EXIT_IO

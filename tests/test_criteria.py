@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamcv import (ChannelParams, InputError, SqueezingSpec, UnphysicalStateError,
-                   apply_channel, classify, entanglement_death_eta, make_tmss,
-                   ppt_nu, ppt_nu_closed_form, ppt_nu_eigen, steering,
+                   apply_channel, classify, classify_many, entanglement_death_eta,
+                   make_tmss, ppt_nu, ppt_nu_closed_form, ppt_nu_eigen, steering,
                    steering_death_eta, steering_death_eta_ba_lossy,
                    symplectic_eigenvalues)
 from conftest import V_REF, VP_REF, deltas, etas, source_specs, squeezed_specs
@@ -24,6 +24,11 @@ STEERING_DEATH_BA_015 = 0.805462048
 STEERING_DEATH_BA_LOSSY = 0.7826245222350299
 NU_HALF_LOSS = 0.6407723527415286
 GAB_HALF_LOSS = 0.08146110759597645
+# product state whose partially transposed spectrum is nearly degenerate:
+# the two PPT routes differ by ~4e-8 here, accepted by the degeneracy allowance
+NEAR_DEGENERATE = np.diag([4.263414216490556, 4.263414216490556,
+                           4.263414216486129, 4.263414216486129])
+_PT = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
 def distributed(eta, delta, spec=REF_SPEC):
@@ -133,6 +138,65 @@ class TestClassify:
         first = classify(apply_channel(make_tmss(spec), ChannelParams(eta, delta)))
         second = classify(apply_channel(make_tmss(spec), ChannelParams(eta, delta)))
         assert (first.nu, first.g_ab, first.g_ba) == (second.nu, second.g_ab, second.g_ba)
+
+
+class TestClassifyMany:
+    @staticmethod
+    def assert_matches_classify(stack):
+        batched = classify_many(stack)
+        scalar = [classify(s) for s in stack]
+        assert batched.nu.tolist() == [r.nu for r in scalar]
+        assert batched.g_ab.tolist() == [r.g_ab for r in scalar]
+        assert batched.g_ba.tolist() == [r.g_ba for r in scalar]
+        assert batched.entangled.tolist() == [r.entangled for r in scalar]
+        assert batched.steering_class.tolist() == [r.steering_class for r in scalar]
+        return batched
+
+    def test_boundary_and_near_degenerate_states(self):
+        closed, eigen = ppt_nu_closed_form(NEAR_DEGENERATE), ppt_nu_eigen(NEAR_DEGENERATE)
+        assert abs(closed - eigen) > 1e-9 * closed  # the allowance is in use
+        batched = self.assert_matches_classify(
+            np.array([np.eye(4), NEAR_DEGENERATE, make_tmss(REF_SPEC).entries]))
+        assert batched.nu[0] == 1.0 and not batched.entangled[0]
+        assert batched.steering_class.tolist() == ["none", "none", "two-way"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(source_specs(), etas, deltas), min_size=1, max_size=12),
+           st.integers(0, 12), st.integers(0, 12))
+    def test_equals_classify_on_channel_outputs(self, points, at_vacuum, at_degenerate):
+        stack = [apply_channel(make_tmss(spec), ChannelParams(eta, delta)).entries
+                 for spec, eta, delta in points]
+        stack.insert(at_vacuum, np.eye(4))
+        stack.insert(at_degenerate, NEAR_DEGENERATE)
+        stack = np.array(stack)
+        batched = self.assert_matches_classify(stack)
+        # the stacked eigenvalue route agrees with the stacked closed form
+        nus = symplectic_eigenvalues(_PT @ stack @ _PT)
+        apart = nus[:, 1] - nus[:, 0] > 1e-6
+        assert np.all(np.abs(batched.nu - nus[:, 0])[apart] <= 1e-9)
+
+    def test_empty_stack(self):
+        assert classify_many(np.empty((0, 4, 4))).nu.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([-1.0, 1.0, 1.0, 1.0]),                  # not positive definite
+        np.zeros((4, 4)),                                 # singular
+        np.full((4, 4), np.nan),                          # not finite
+        np.eye(4) + np.triu(np.ones((4, 4)), 1),          # not symmetric
+    ])
+    def test_failing_state_raises_the_scalar_error(self, bad):
+        with pytest.raises(Exception) as scalar:
+            classify(bad)
+        good = make_tmss(REF_SPEC).entries
+        with pytest.raises(Exception) as batched:
+            classify_many(np.array([good, bad, good]))
+        assert type(batched.value) is type(scalar.value)
+        assert isinstance(batched.value, InputError)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(InputError):
+            classify_many(np.eye(4))
 
 
 class TestEntanglementDeath:

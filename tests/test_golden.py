@@ -1,0 +1,72 @@
+"""Golden outputs: SHA-256 of the command outputs for the presets.
+
+The hashes pin the exact bytes of the sweep CSVs, threshold JSON, one small
+tomography run and the modes images, so a refactor or a faster path that
+changes any output digit fails here.  An intended change to an output is
+re-pinned together with a note of its reason in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from oamcv.cli import EXIT_OK, main
+
+SWEEP = {
+    "fig2c": "f8b9e871fdaff18d3059d1f82f9b0400d7ab26beddd6a4e3f4953d810934be52",
+    "fig3": "4a36e4dbfed38ea0638f45a6bca1d68f42cdb74bb66149f13591e12616e6ee24",
+    "fig4": "6308e299853ca3290a4b208dc1d254f86df77a00c97416efc6d7a255916b3e29",
+}
+THRESHOLDS = {
+    "fig2c": "dc3121275b705a71613942e04aa21027839a0ab23648c6b0bfca18a08b6c5183",
+    "fig3": "10665874e7ea66e00fce27f8a846e6f49016e3b3664a2c506b373eb569b4ac5c",
+    "fig4": "2b4aef9d769eca0a700006265d1292a0fb9fb40f3b582ec43528855699c8f011",
+}
+TOMO = "4203c802edb689e2a1dda0c0daa7effc0036e406d954337893b3e30248f8830b"
+MODES = {
+    "mode_l-2_beam.pgm": "89e2cc6211e9783fbe5654bde4501befe6d37768722eb53faa3f4774b8c700f1",
+    "mode_l-2_tilted.pgm": "12fa7c817e13e4a902771c0f676eb1c490d39c86ddd3f8e74e98868a93b6a0c0",
+    "mode_l-1_beam.pgm": "3a11e9e7afc6ad2807a9658160e28f4b215510b5b871d7fda1adc823e273d2e0",
+    "mode_l-1_tilted.pgm": "0e21dc64b5cd530f7adc80588b857e82f91154f4c60e0a94dc1bc68f94b80c27",
+    "mode_l0_beam.pgm": "bc08f187415b0040fbe08dd858ee8eabba3c500857978c13abbc87c262acf376",
+    "mode_l0_tilted.pgm": "c30c631e5919ce1a8850e3e93ef0b7233893372c953761bc89d6fabe28e51191",
+    "mode_l1_beam.pgm": "3a11e9e7afc6ad2807a9658160e28f4b215510b5b871d7fda1adc823e273d2e0",
+    "mode_l1_tilted.pgm": "7cbbe53edb393586a32eabfcede066466bb59059dffe6d1bd0853119c5309f20",
+    "mode_l2_beam.pgm": "89e2cc6211e9783fbe5654bde4501befe6d37768722eb53faa3f4774b8c700f1",
+    "mode_l2_tilted.pgm": "cbd174562778863b9883cff1dc2a98a66ede6357cc1a6f9d7f313950076245fa",
+    "stripes.json": "9c31b09dc8ae343fa24b9772b3a1ec857e8b6d25e5aea39607a924671c1a356b",
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run(argv, capsys):
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("preset", sorted(SWEEP))
+def test_sweep_csv(preset, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    run(["sweep", "--preset", preset, "--out", str(out)], capsys)
+    assert sha256(out) == SWEEP[preset]
+
+
+@pytest.mark.parametrize("preset", sorted(THRESHOLDS))
+def test_thresholds_json(preset, tmp_path, capsys):
+    out = tmp_path / "thresholds.json"
+    run(["thresholds", "--preset", preset, "--out", str(out)], capsys)
+    assert sha256(out) == THRESHOLDS[preset]
+
+
+def test_tomo_json(tmp_path, capsys):
+    out = tmp_path / "tomo.json"
+    run(["tomo", "--eta-step", "0.5", "--n", "1000", "--out", str(out)], capsys)
+    assert sha256(out) == TOMO
+
+
+def test_modes_images(tmp_path, capsys):
+    run(["modes", "--charges=-2,-1,0,1,2", "--out", str(tmp_path)], capsys)
+    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == MODES
