@@ -5,6 +5,21 @@ the smallest symplectic eigenvalue nu of the partially transposed CM is
 below 1 (sufficient and necessary for 1x1-mode Gaussian states).  Steering
 is quantified in nats by g_ab = max(0, ln(det sigma_A / det sigma)/2) and
 its B->A counterpart; steering implies entanglement but not conversely.
+
+The sudden-death thresholds of a two-mode squeezed source sent through the
+probe channel are closed forms.  With a = (v + vp)/2 and s = (1 - v)(vp - 1),
+each correlation survives at eta iff p + q*eta > 0, linear in eta:
+
+    entanglement  (p, q) = (-(a - 1) delta, s + (a - 1) delta)
+    A->B steering (p, q) = (-a delta, (1 + delta) a - v vp)
+    B->A steering (p, q) = (-(1 + delta)(a - 1), a - v vp + (1 + delta)(a - 1))
+
+The entanglement line is the sign of the factor (a - 1)(b - 1) - c^2 of the
+separability gap 1 - Dt + det sigma (Simon, PRL 84, 2726 (2000)); the
+steering lines are det sigma_marginal > det sigma (Kogias et al., PRL 114,
+060403 (2015)).  A threshold is None when the correlation is already dead
+at eta = 1 or still alive at the bracket's lower end ETA_LO; otherwise it
+is the root -p/q.
 """
 
 from __future__ import annotations
@@ -15,17 +30,15 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .channels import apply_channel
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import (ChannelParams, as_cm, as_spec, make_tmss,
-                       symplectic_eigenvalues)
+from .gaussian import as_cm, as_spec, symplectic_eigenvalues
 
 TOL_DECISION = 1e-9
 STEERING_CLASSES = ("two-way", "one-way-AB", "one-way-BA", "none")
 
-BISECT_LO = 1e-6
-BISECT_XTOL = 1e-6
-BISECT_MAX_ITER = 200
+# lower end of the threshold bracket (0, 1]: a correlation still alive here
+# counts as never dying
+ETA_LO = 1e-6
 
 # partial transpose of the probe mode flips the sign of Y_Pr
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -47,17 +60,7 @@ def _pt_invariants(sigma: np.ndarray) -> tuple:
     return a + b - 2.0 * c, float(np.linalg.det(sigma))
 
 
-def ppt_nu_closed_form(cm) -> float:
-    """PPT nu from the symplectic-invariant formula.
-
-    nu^2 = (Dt - sqrt(Dt^2 - 4 det sigma))/2 with Dt = det A + det B - 2 det C,
-    evaluated through the conjugate form 2 det sigma / (Dt + sqrt(...)) so
-    strongly squeezed states do not lose the small root to cancellation.
-    A discriminant below -1e-9 (scaled) raises NumericalError; smaller
-    negative rounding residue is clamped to zero.
-    """
-    sigma = _pd_sigma(cm)
-    dt, det_sigma = _pt_invariants(sigma)
+def _closed_form_nu(dt: float, det_sigma: float) -> float:
     disc = dt * dt - 4.0 * det_sigma
     if disc < -1e-9 * max(1.0, dt * dt):
         raise NumericalError(f"PPT discriminant is negative beyond tolerance: {disc:.3g}")
@@ -67,13 +70,28 @@ def ppt_nu_closed_form(cm) -> float:
     return math.sqrt(max(2.0 * det_sigma / denominator, 0.0))
 
 
-def ppt_nu_eigen(cm) -> float:
-    """PPT nu from the eigenvalues of i*Omega*(P sigma P), the independent route."""
-    sigma = _pd_sigma(cm)
+def _eigen_nu(sigma: np.ndarray) -> float:
     return float(symplectic_eigenvalues(_PT @ sigma @ _PT)[0])
 
 
-def _degeneracy_allowance(cm) -> float:
+def ppt_nu_closed_form(cm) -> float:
+    """PPT nu from the symplectic-invariant formula.
+
+    nu^2 = (Dt - sqrt(Dt^2 - 4 det sigma))/2 with Dt = det A + det B - 2 det C,
+    evaluated through the conjugate form 2 det sigma / (Dt + sqrt(...)) so
+    strongly squeezed states do not lose the small root to cancellation.
+    A discriminant below -1e-9 (scaled) raises NumericalError; smaller
+    negative rounding residue is clamped to zero.
+    """
+    return _closed_form_nu(*_pt_invariants(_pd_sigma(cm)))
+
+
+def ppt_nu_eigen(cm) -> float:
+    """PPT nu from the eigenvalues of i*Omega*(P sigma P), the independent route."""
+    return _eigen_nu(_pd_sigma(cm))
+
+
+def _degeneracy_allowance(dt: float, det_sigma: float) -> float:
     """Resolution limit of the closed form near symplectic degeneracy.
 
     The discriminant Dt^2 - 4 det sigma carries an absolute rounding noise
@@ -82,8 +100,6 @@ def _degeneracy_allowance(cm) -> float:
     degeneracy this bound collapses to ~eps and the 1e-9 agreement gate
     stays fully strict.
     """
-    sigma = _pd_sigma(cm)
-    dt, det_sigma = _pt_invariants(sigma)
     noise = 8.0 * np.finfo(float).eps * max(1.0, dt * dt)
     s = math.sqrt(max(dt * dt - 4.0 * det_sigma, 0.0))
     ds = math.sqrt(noise) if s * s <= noise else noise / (2.0 * s)
@@ -99,14 +115,22 @@ def ppt_nu(cm) -> float:
     nu < 1 certifies entanglement, smaller nu means stronger entanglement.
     Computed by both the closed form and the eigenvalue route, which must
     agree within 1e-9 (plus the float resolution limit when the two
-    symplectic eigenvalues are nearly degenerate).
+    symplectic eigenvalues are nearly degenerate).  The closed-form value is
+    returned when the routes agree within 1e-9; when they agree only within
+    the resolution limit, the closed form has lost precision and the eigen
+    value is returned.
     """
-    closed = ppt_nu_closed_form(cm)
-    eigen = ppt_nu_eigen(cm)
-    if abs(closed - eigen) > 1e-9 * max(1.0, abs(closed)) + _degeneracy_allowance(cm):
+    sigma = _pd_sigma(cm)
+    dt, det_sigma = _pt_invariants(sigma)
+    closed = _closed_form_nu(dt, det_sigma)
+    eigen = _eigen_nu(sigma)
+    gap, strict = abs(closed - eigen), 1e-9 * max(1.0, abs(closed))
+    if gap <= strict:
+        return closed
+    if gap > strict + _degeneracy_allowance(dt, det_sigma):
         raise NumericalError(
             f"PPT computation paths disagree: closed form {closed!r} vs eigen {eigen!r}")
-    return closed
+    return eigen
 
 
 def steering(cm) -> tuple:
@@ -192,9 +216,10 @@ def classify_many(sigmas) -> CriteriaArrays:
 
     The invariants, both PPT routes with their agreement gate (1e-9 plus the
     degeneracy allowance) and the steering determinant checks are evaluated
-    element-wise; every value equals the one classify() gives for that
-    state.  If any state fails a check, classify() is called on the first
-    such state, so the error raised is the scalar one.
+    element-wise, and nu takes the eigen value where ppt_nu() does; every
+    value equals the one classify() gives for that state.  If any state
+    fails a check, classify() is called on the first such state, so the
+    error raised is the scalar one.
     """
     raw = np.asarray(sigmas, dtype=float)
     if raw.ndim != 3 or raw.shape[1:] != (4, 4):
@@ -216,7 +241,7 @@ def classify_many(sigmas) -> CriteriaArrays:
         disc = dt * dt - 4.0 * det_sigma
         s = np.sqrt(np.maximum(disc, 0.0))
         denominator = dt + s
-        nu = np.sqrt(np.maximum(2.0 * det_sigma / denominator, 0.0))
+        closed = np.sqrt(np.maximum(2.0 * det_sigma / denominator, 0.0))
         # resolution limit, as in _degeneracy_allowance
         noise = 8.0 * eps * np.maximum(1.0, dt * dt)
         ds = np.where(s * s <= noise, np.sqrt(noise), noise / (2.0 * s))
@@ -224,15 +249,17 @@ def classify_many(sigmas) -> CriteriaArrays:
         allowance = np.where(nu2 <= 0.0, np.sqrt(noise),
                              4.0 * np.sqrt(nu2) * ds / (2.0 * denominator))
     eigen = symplectic_eigenvalues(_PT @ sigma @ _PT)[:, 0]
+    gap, strict = np.abs(closed - eigen), 1e-9 * np.maximum(1.0, np.abs(closed))
     failed = (malformed | not_pd
               | (disc < -1e-9 * np.maximum(1.0, dt * dt))
               | (denominator <= 0.0)
-              | (np.abs(nu - eigen) > 1e-9 * np.maximum(1.0, np.abs(nu)) + allowance)
+              | (gap > strict + allowance)
               | (det_sigma <= 0.0) | (det_a <= 0.0) | (det_b <= 0.0))
     if failed.any():
         first = int(np.argmax(failed))
         classify(raw[first])
         raise NumericalError(f"state {first} fails a batched check that classify() passes")
+    nu = np.where(gap <= strict, closed, eigen)
     g_ab = _steerability(det_a, det_sigma)
     g_ba = _steerability(det_b, det_sigma)
     a, b = g_ab > TOL_DECISION, g_ba > TOL_DECISION
@@ -242,87 +269,65 @@ def classify_many(sigmas) -> CriteriaArrays:
                           g_ab=g_ab, g_ba=g_ba, steering_class=cls)
 
 
-def _bisect(f, lo: float, hi: float, flo: float) -> float:
-    """Root of a sign-changing f on [lo, hi] to |d eta| <= BISECT_XTOL."""
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo <= BISECT_XTOL:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _checked_delta(delta) -> float:
+    delta = float(delta)
+    if not math.isfinite(delta) or delta < 0.0:
+        raise InputError(f"delta must be >= 0, got {delta!r}")
+    return delta
 
 
-def _distributed(spec, delta: float, eta: float):
-    return apply_channel(make_tmss(spec), ChannelParams(eta, delta))
+def _death_eta(p: float, q: float) -> Optional[float]:
+    """Root -p/q of a correlation alive at eta iff p + q*eta > 0, or None.
 
-
-def _separability_gap(spec, delta: float, eta: float) -> float:
-    """1 - Dt + det sigma: positive where the distributed state is separable."""
-    dt, det_sigma = _pt_invariants(_distributed(spec, delta, eta).entries)
-    return 1.0 - dt + det_sigma
+    None when it is already dead at eta = 1 or still alive at ETA_LO.  Passing
+    both checks implies q > 0 (also in rounded arithmetic, since rounding is
+    monotone), so q = 0 never reaches the division.
+    """
+    if p + q <= 0.0 or p + q * ETA_LO > 0.0:
+        return None
+    return -p / q
 
 
 def entanglement_death_eta(spec, delta: float) -> Optional[float]:
     """Transmission efficiency where entanglement suddenly dies, or None.
 
-    Returns the smallest eta in (0, 1] with nu(eta) = 1, located by bisecting
-    the separability gap.  None means no transition inside the bracket:
+    Returns the eta in (0, 1] with nu(eta) = 1, the closed-form root
+    eta* = (a - 1) delta / (s + (a - 1) delta) of the entanglement line (see
+    the module docstring).  None means no transition inside the bracket:
     either the channel is purely lossy (entanglement survives to eta -> 0)
     or the source has no entanglement to lose.
     """
-    spec = as_spec(spec)
-    delta = float(delta)
-    if not math.isfinite(delta) or delta < 0.0:
-        raise InputError(f"delta must be >= 0, got {delta!r}")
-    f = lambda eta: _separability_gap(spec, delta, eta)
-    f_hi = f(1.0)
-    if f_hi >= 0.0:
-        return None
-    f_lo = f(BISECT_LO)
-    if f_lo < 0.0:
-        return None
-    return _bisect(f, BISECT_LO, 1.0, f_lo)
-
-
-def _signed_steerability(spec, delta: float, eta: float, direction: str) -> float:
-    sigma = _distributed(spec, delta, eta).entries
-    block = sigma[:2, :2] if direction == "AB" else sigma[2:, 2:]
-    return 0.5 * math.log(float(np.linalg.det(block)) / float(np.linalg.det(sigma)))
+    spec, delta = as_spec(spec), _checked_delta(delta)
+    a = 0.5 * (spec.v + spec.vp)
+    s = (1.0 - spec.v) * (spec.vp - 1.0)
+    return _death_eta(-(a - 1.0) * delta, s + (a - 1.0) * delta)
 
 
 def steering_death_eta(spec, delta: float, direction: str) -> Optional[float]:
     """Transmission efficiency where one steering direction dies, or None.
 
-    direction is "AB" (Alice steers Bob) or "BA".  None means no transition
-    inside (0, 1]: the direction either survives the whole bracket or never
-    steers at all.
+    direction is "AB" (Alice steers Bob) or "BA".  The closed-form roots are
+    eta* = a delta / ((1 + delta) a - v vp) for A->B and
+    (1 + delta)(a - 1) / (a - v vp + (1 + delta)(a - 1)) for B->A (see the
+    module docstring).  None means no transition inside (0, 1]: the
+    direction either survives the whole bracket or never steers at all.
     """
-    spec = as_spec(spec)
-    delta = float(delta)
-    if not math.isfinite(delta) or delta < 0.0:
-        raise InputError(f"delta must be >= 0, got {delta!r}")
-    if direction not in ("AB", "BA"):
-        raise InputError(f"direction must be 'AB' or 'BA', got {direction!r}")
-    h = lambda eta: _signed_steerability(spec, delta, eta, direction)
-    if h(1.0) <= 0.0:
-        return None
-    h_lo = h(BISECT_LO)
-    if h_lo >= 0.0:
-        return None
-    return _bisect(h, BISECT_LO, 1.0, h_lo)
+    spec, delta = as_spec(spec), _checked_delta(delta)
+    a, vvp = 0.5 * (spec.v + spec.vp), spec.v * spec.vp
+    if direction == "AB":
+        return _death_eta(-a * delta, (1.0 + delta) * a - vvp)
+    if direction == "BA":
+        return _death_eta(-(1.0 + delta) * (a - 1.0),
+                          a - vvp + (1.0 + delta) * (a - 1.0))
+    raise InputError(f"direction must be 'AB' or 'BA', got {direction!r}")
 
 
 def steering_death_eta_ba_lossy(spec) -> float:
     """Closed-form B->A steering boundary of a purely lossy channel.
 
     eta* = (v + vp - 2) / (2 (1 - v)(vp - 1)), valid for squeezed sources
-    with v < 1 < vp; cross-checks the bisection route at delta = 0.
+    with v < 1 < vp: the delta = 0 case of the B->A line, written in the
+    source variances.
     """
     spec = as_spec(spec)
     if spec.v >= 1.0 or spec.vp <= 1.0:

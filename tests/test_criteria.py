@@ -7,17 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oamcv.channels
+import oamcv.criteria
+import oamcv.gaussian
 from oamcv import (ChannelParams, InputError, SqueezingSpec, UnphysicalStateError,
                    apply_channel, classify, classify_many, entanglement_death_eta,
                    make_tmss, ppt_nu, ppt_nu_closed_form, ppt_nu_eigen, steering,
                    steering_death_eta, steering_death_eta_ba_lossy,
                    symplectic_eigenvalues)
+from oamcv.criteria import ETA_LO
 from conftest import V_REF, VP_REF, deltas, etas, source_specs, squeezed_specs
 
 REF_SPEC = SqueezingSpec(V_REF, VP_REF)
 
 # regression values frozen from an independent dense-scan + brentq oracle on
-# the eigenvalue route (xtol 1e-12); the bisection here resolves to 1e-6
+# the eigenvalue route (xtol 1e-12)
 DEATH_ETA = {0.15: 0.105060267, 0.5: 0.281254088, 1.0: 0.439029371}
 STEERING_DEATH_AB_015 = 0.489455685
 STEERING_DEATH_BA_015 = 0.805462048
@@ -25,7 +29,8 @@ STEERING_DEATH_BA_LOSSY = 0.7826245222350299
 NU_HALF_LOSS = 0.6407723527415286
 GAB_HALF_LOSS = 0.08146110759597645
 # product state whose partially transposed spectrum is nearly degenerate:
-# the two PPT routes differ by ~4e-8 here, accepted by the degeneracy allowance
+# the two PPT routes differ by ~4e-8 here, accepted by the degeneracy allowance;
+# the exact nu is the smaller diagonal entry
 NEAR_DEGENERATE = np.diag([4.263414216490556, 4.263414216490556,
                            4.263414216486129, 4.263414216486129])
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -33,6 +38,60 @@ _PT = np.diag([1.0, 1.0, 1.0, -1.0])
 
 def distributed(eta, delta, spec=REF_SPEC):
     return apply_channel(make_tmss(spec), ChannelParams(eta, delta))
+
+
+def separability_gap(spec, delta, eta):
+    """1 - Dt + det sigma of the distributed state: positive where it is separable."""
+    sigma = distributed(eta, delta, spec).entries
+    dt = (np.linalg.det(sigma[:2, :2]) + np.linalg.det(sigma[2:, 2:])
+          - 2.0 * np.linalg.det(sigma[:2, 2:]))
+    return 1.0 - dt + np.linalg.det(sigma)
+
+
+def _log_det_ratio(cm, block):
+    sigma = cm.entries
+    return math.log(np.linalg.det(sigma[block, block]) / np.linalg.det(sigma))
+
+
+# signed margin of each correlation in the full distributed state, positive
+# where it is alive: 1 - nu, and the steerability before steering() clamps it
+MARGIN = {
+    "entanglement": lambda cm: 1.0 - ppt_nu(cm),
+    "AB": lambda cm: _log_det_ratio(cm, slice(0, 2)),
+    "BA": lambda cm: _log_det_ratio(cm, slice(2, 4)),
+}
+# below this margin at a bracket end, the sign of a double-precision state
+# evaluation does not decide whether the correlation is alive there
+RESOLVED_MARGIN = 1e-8
+
+
+def bisected_death_eta(spec, delta, which, xtol=1e-9):
+    """Reference threshold: bisection over the distributed state built at each eta.
+
+    Returns (eta*, resolved).  eta* is None when the correlation is dead at
+    eta = 1 or still alive at ETA_LO, the same bracket rule as the closed
+    forms; resolved is False when the margin at either end is too small
+    for its sign to be trusted.
+    """
+    margin = lambda eta: MARGIN[which](distributed(eta, delta, spec))
+    at_hi, at_lo = margin(1.0), margin(ETA_LO)
+    resolved = min(abs(at_hi), abs(at_lo)) > RESOLVED_MARGIN
+    if at_hi <= 0.0 or at_lo > 0.0:
+        return None, resolved
+    dead, living = ETA_LO, 1.0
+    while living - dead > xtol:
+        mid = 0.5 * (dead + living)
+        if margin(mid) > 0.0:
+            living = mid
+        else:
+            dead = mid
+    return 0.5 * (dead + living), resolved
+
+
+def closed_death_eta(spec, delta, which):
+    if which == "entanglement":
+        return entanglement_death_eta(spec, delta)
+    return steering_death_eta(spec, delta, which)
 
 
 class TestPptNu:
@@ -67,6 +126,12 @@ class TestPptNu:
         m[0, 0] = -1.0
         with pytest.raises(InputError):
             ppt_nu(m)
+
+    def test_near_degenerate_returns_accurate_route(self):
+        # the closed form is off by ~4e-8 here; ppt_nu must not return it
+        exact = NEAR_DEGENERATE[2, 2]
+        assert ppt_nu(NEAR_DEGENERATE) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert classify_many(NEAR_DEGENERATE[None]).nu[0] == ppt_nu(NEAR_DEGENERATE)
 
 
 class TestSteering:
@@ -232,10 +297,9 @@ class TestEntanglementDeath:
     @settings(max_examples=60, deadline=None)
     @given(squeezed_specs(), deltas)
     def test_separability_gap_monotone_for_squeezed_family(self, spec, delta):
-        # premise of the bisection: one sign change on the bracket
-        from oamcv.criteria import _separability_gap
+        # premise of a single root: one sign change on the bracket
         grid = np.linspace(1e-6, 1.0, 80)
-        gaps = np.array([_separability_gap(spec, delta, e) for e in grid])
+        gaps = np.array([separability_gap(spec, delta, e) for e in grid])
         scale = max(1.0, np.abs(gaps).max())
         assert np.all(np.diff(gaps) <= 1e-9 * scale)
 
@@ -270,6 +334,51 @@ class TestSteeringDeath:
         bisected = steering_death_eta(spec, 0.0, "BA")
         if 1e-5 < closed < 1.0 - 1e-5:
             assert bisected == pytest.approx(closed, abs=2e-6)
+
+
+class TestClosedFormThresholds:
+    @settings(max_examples=150, deadline=None)
+    @given(source_specs(), deltas)
+    def test_match_bisection_oracle(self, spec, delta):
+        for which in MARGIN:
+            want, resolved = bisected_death_eta(spec, delta, which)
+            got = closed_death_eta(spec, delta, which)
+            if not resolved:
+                continue
+            if want is None:
+                assert got is None, which
+            else:
+                assert got == pytest.approx(want, abs=2e-6), which
+
+    @pytest.mark.parametrize("spec, delta, which", [
+        (SqueezingSpec(1.0, 2.0), 0.0, "entanglement"),  # s = 0
+        (SqueezingSpec(1.0, 1.0), 0.0, "AB"),            # (1 + delta) a = v vp
+        (SqueezingSpec(1.0, 1.0), 0.0, "BA"),
+    ])
+    def test_zero_slope_returns_none(self, spec, delta, which):
+        # the state sits on the boundary at every eta, where the oracle's
+        # sign is rounding noise, so only the closed form is checked
+        assert closed_death_eta(spec, delta, which) is None
+
+    def test_solvers_evaluate_no_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a threshold solver evaluated a state")
+
+        for module, name in [(oamcv.gaussian, "make_tmss"), (oamcv.channels, "apply_channel"),
+                             (oamcv.channels, "apply_channel_grid"),
+                             (oamcv.criteria, "symplectic_eigenvalues"),
+                             (oamcv.criteria, "ppt_nu"), (oamcv.criteria, "steering")]:
+            monkeypatch.setattr(module, name, refuse)
+        for name in ("apply_channel", "make_tmss"):
+            monkeypatch.setattr(oamcv.criteria, name, refuse, raising=False)
+        for delta, eta_star in DEATH_ETA.items():
+            assert entanglement_death_eta(REF_SPEC, delta) == pytest.approx(eta_star, abs=2e-6)
+        assert steering_death_eta(REF_SPEC, 0.15, "AB") == \
+            pytest.approx(STEERING_DEATH_AB_015, abs=2e-6)
+        assert steering_death_eta(REF_SPEC, 0.15, "BA") == \
+            pytest.approx(STEERING_DEATH_BA_015, abs=2e-6)
+        assert steering_death_eta(REF_SPEC, 0.0, "BA") == \
+            pytest.approx(STEERING_DEATH_BA_LOSSY, abs=2e-6)
 
 
 class TestMonotonicity:

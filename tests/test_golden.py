@@ -18,9 +18,9 @@ SWEEP = {
     "fig4": "6308e299853ca3290a4b208dc1d254f86df77a00c97416efc6d7a255916b3e29",
 }
 THRESHOLDS = {
-    "fig2c": "dc3121275b705a71613942e04aa21027839a0ab23648c6b0bfca18a08b6c5183",
-    "fig3": "10665874e7ea66e00fce27f8a846e6f49016e3b3664a2c506b373eb569b4ac5c",
-    "fig4": "2b4aef9d769eca0a700006265d1292a0fb9fb40f3b582ec43528855699c8f011",
+    "fig2c": "be0b17ad402e2aa0c3b528e0e223cf4d5bfb391bc4015c3d803499bd03999f86",
+    "fig3": "41753346393268beeec56fd6e72ad519d2f04e4fcda160a16f72717e94252fbc",
+    "fig4": "0bca16ae8ee33069b198e92543dcf0b57132fc76afc4d626148f84d2aa618589",
 }
 TOMO = "4203c802edb689e2a1dda0c0daa7effc0036e406d954337893b3e30248f8830b"
 MODES = {
