@@ -54,10 +54,11 @@ def _pd_sigma(cm) -> np.ndarray:
 
 
 def _pt_invariants(sigma: np.ndarray) -> tuple:
+    """(Dt, det sigma, det A, det B) with Dt = det A + det B - 2 det C."""
     a = float(np.linalg.det(sigma[:2, :2]))
     b = float(np.linalg.det(sigma[2:, 2:]))
     c = float(np.linalg.det(sigma[:2, 2:]))
-    return a + b - 2.0 * c, float(np.linalg.det(sigma))
+    return a + b - 2.0 * c, float(np.linalg.det(sigma)), a, b
 
 
 def _closed_form_nu(dt: float, det_sigma: float) -> float:
@@ -83,7 +84,8 @@ def ppt_nu_closed_form(cm) -> float:
     A discriminant below -1e-9 (scaled) raises NumericalError; smaller
     negative rounding residue is clamped to zero.
     """
-    return _closed_form_nu(*_pt_invariants(_pd_sigma(cm)))
+    dt, det_sigma, _, _ = _pt_invariants(_pd_sigma(cm))
+    return _closed_form_nu(dt, det_sigma)
 
 
 def ppt_nu_eigen(cm) -> float:
@@ -109,6 +111,18 @@ def _degeneracy_allowance(dt: float, det_sigma: float) -> float:
     return 4.0 * math.sqrt(nu2) * ds / (2.0 * (dt + s))
 
 
+def _checked_nu(sigma: np.ndarray, dt: float, det_sigma: float) -> float:
+    closed = _closed_form_nu(dt, det_sigma)
+    eigen = _eigen_nu(sigma)
+    gap, strict = abs(closed - eigen), 1e-9 * max(1.0, abs(closed))
+    if gap <= strict:
+        return closed
+    if gap > strict + _degeneracy_allowance(dt, det_sigma):
+        raise NumericalError(
+            f"PPT computation paths disagree: closed form {closed!r} vs eigen {eigen!r}")
+    return eigen
+
+
 def ppt_nu(cm) -> float:
     """Smallest symplectic eigenvalue of the partially transposed CM.
 
@@ -121,16 +135,16 @@ def ppt_nu(cm) -> float:
     value is returned.
     """
     sigma = _pd_sigma(cm)
-    dt, det_sigma = _pt_invariants(sigma)
-    closed = _closed_form_nu(dt, det_sigma)
-    eigen = _eigen_nu(sigma)
-    gap, strict = abs(closed - eigen), 1e-9 * max(1.0, abs(closed))
-    if gap <= strict:
-        return closed
-    if gap > strict + _degeneracy_allowance(dt, det_sigma):
-        raise NumericalError(
-            f"PPT computation paths disagree: closed form {closed!r} vs eigen {eigen!r}")
-    return eigen
+    dt, det_sigma, _, _ = _pt_invariants(sigma)
+    return _checked_nu(sigma, dt, det_sigma)
+
+
+def _steerabilities(det_a: float, det_b: float, det_sigma: float) -> tuple:
+    if det_sigma <= 0.0 or det_a <= 0.0 or det_b <= 0.0:
+        raise UnphysicalStateError(
+            f"state determinants must be positive, got det sigma = {det_sigma:.3g}")
+    return (max(0.0, 0.5 * math.log(det_a / det_sigma)),
+            max(0.0, 0.5 * math.log(det_b / det_sigma)))
 
 
 def steering(cm) -> tuple:
@@ -140,14 +154,9 @@ def steering(cm) -> tuple:
     the reverse; both vanish for product states.
     """
     sigma = as_cm(cm).entries
-    det_a = float(np.linalg.det(sigma[:2, :2]))
-    det_b = float(np.linalg.det(sigma[2:, 2:]))
-    det_sigma = float(np.linalg.det(sigma))
-    if det_sigma <= 0.0 or det_a <= 0.0 or det_b <= 0.0:
-        raise UnphysicalStateError(
-            f"state determinants must be positive, got det sigma = {det_sigma:.3g}")
-    return (max(0.0, 0.5 * math.log(det_a / det_sigma)),
-            max(0.0, 0.5 * math.log(det_b / det_sigma)))
+    return _steerabilities(float(np.linalg.det(sigma[:2, :2])),
+                           float(np.linalg.det(sigma[2:, 2:])),
+                           float(np.linalg.det(sigma)))
 
 
 @dataclass(frozen=True)
@@ -179,8 +188,10 @@ def classify(cm) -> CriteriaReport:
     margin of 1 counts as not entangled (conservative certification) and is
     marked as boundary by describe().
     """
-    nu = ppt_nu(cm)
-    g_ab, g_ba = steering(cm)
+    sigma = _pd_sigma(cm)
+    dt, det_sigma, det_a, det_b = _pt_invariants(sigma)
+    nu = _checked_nu(sigma, dt, det_sigma)
+    g_ab, g_ba = _steerabilities(det_a, det_b, det_sigma)
     a, b = g_ab > TOL_DECISION, g_ba > TOL_DECISION
     if a and b:
         cls = "two-way"

@@ -1,10 +1,15 @@
 """Command-line front end: config handling, runners, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oamcv
 from oamcv import InputError, SqueezingSpec, entanglement_death_eta
 from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, PRESETS,
                        SWEEP_HEADER, SweepConfig, build_parser, eta_grid, main,
@@ -193,6 +198,18 @@ class TestRunModes:
 
 
 class TestMain:
+    def test_import_leaves_scipy_unloaded(self):
+        # numpy is the only runtime dependency; a fresh interpreter shows
+        # whether importing the package pulls in scipy
+        src = str(Path(oamcv.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = ("import sys, oamcv, oamcv.cli; print(sorted(m for m in sys.modules "
+                  "if m == 'scipy' or m.startswith('scipy.')))")
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

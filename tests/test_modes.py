@@ -98,6 +98,20 @@ class TestTiltedLens:
         result = count_dark_stripes(tilted_lens_pattern(lg_field(LGModeSpec(0)), 2.0))
         assert result.count == 0 and result.axis_sign == 0 and not result.indeterminate
 
+    @pytest.mark.parametrize("width,height,extent", [(512, 512, 6.0), (160, 128, 5.0)])
+    @pytest.mark.parametrize("astigmatism", [1.0, 2.0, 3.0])
+    def test_gaussian_far_field_closed_form(self, width, height, extent, astigmatism):
+        # the l = 0 field sqrt(2/pi) exp(-r^2) behind exp(i a (x^2 - y^2))
+        # transforms to 2 pi/(1 + a^2) exp(-|k|^2/(2 (1 + a^2))) in intensity
+        field = lg_field(LGModeSpec(0), width=width, height=height, extent=extent)
+        pattern = tilted_lens_pattern(field, astigmatism)
+        k = np.linspace(-pattern.extent, pattern.extent, pattern.width)
+        spread = 1.0 + astigmatism ** 2
+        expected = 2.0 * math.pi / spread * np.exp(
+            -(k[:, None] ** 2 + k[None, :] ** 2) / (2.0 * spread))
+        assert pattern.values.shape == (max(width, height),) * 2
+        assert np.abs(pattern.values - expected).max() <= 1e-10 * expected.max()
+
     def test_attenuation_scales_intensity_not_count(self):
         field = lg_field(LGModeSpec(2))
         dimmed = FieldGrid(field.width, field.height, field.extent, 0.3 * field.values)
