@@ -304,6 +304,8 @@ def run_modes(charges, astigmatism: float = DEFAULT_ASTIGMATISM, out_dir=".",
     charges = tuple(charges)
     if not charges:
         raise InputError("charges list must not be empty")
+    if len(set(charges)) != len(charges):
+        raise InputError(f"charges must be distinct, got {charges}")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     results = []

@@ -2,11 +2,13 @@
 
 Grid coordinates are measured in beam-waist units (the waist is 1 in grid
 coordinates whatever physical waist the spec records), with pixels centered
-symmetrically on the optical axis.  The tilted lens is modeled as a pure
-astigmatic phase followed by a far-field Fourier transform, evaluated as a
-dense DFT onto a k-space window sized from the beam; its output pattern
-shows |l| dark stripes whose diagonal orientation gives the sign of the
-topological charge.
+symmetrically on the optical axis.  Fields are synthesized without
+trigonometry, from an integer power of x + i y and a separable Gaussian.
+The tilted lens is modeled as a pure astigmatic phase followed by a
+far-field Fourier transform onto a k-space window sized from the beam,
+evaluated as a real DFT folded about the mirror-symmetric axes; its output
+pattern shows |l| dark stripes whose diagonal orientation gives the sign of
+the topological charge.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ def lg_field(spec, width: int = 512, height: int = 512, extent: float = 6.0) -> 
     The amplitude is proportional to (sqrt(2) r/w)^{|l|} exp(-r^2/w^2)
     exp(i l phi) with the analytic normalization 2/(pi w^2 |l|!), so the
     discrete power equals 1 up to quadrature error.  extent is the grid
-    half-width in waist units.
+    half-width in waist units.  The field is built without trigonometry:
+    r^{|l|} exp(i l phi) is the integer power (x + i sign(l) y)^{|l|}, and
+    exp(-r^2) the outer product exp(-y^2) (x) exp(-x^2).
     """
     spec = spec if isinstance(spec, LGModeSpec) else LGModeSpec(spec)
     width, height = int(width), int(height)
@@ -146,23 +150,81 @@ def lg_field(spec, width: int = 512, height: int = 512, extent: float = 6.0) -> 
     _check_resolution(width, height, extent)
     x = (np.arange(width) - (width - 1) / 2.0) * (2.0 * extent / width)
     y = (np.arange(height) - (height - 1) / 2.0) * (2.0 * extent / height)
-    xg, yg = np.meshgrid(x, y)
-    r = np.hypot(xg, yg)
-    phi = np.arctan2(yg, xg)
-    norm = math.sqrt(2.0 / (math.pi * math.factorial(abs(spec.l))))
-    amp = norm * (math.sqrt(2.0) * r) ** abs(spec.l) * np.exp(-r * r) \
-        * np.exp(1j * spec.l * phi)
+    order = abs(spec.l)
+    norm = math.sqrt(2.0 / (math.pi * math.factorial(order))) * math.sqrt(2.0) ** order
+    amp = x + 1j * math.copysign(1.0, spec.l) * y[:, None]
+    np.power(amp, order, out=amp)
+    # real factors scale the float view, two multiplies per value instead of four
+    parts = amp.view(float).reshape(height, width, 2)
+    parts *= (norm * np.exp(-y * y))[:, None, None]
+    parts *= np.exp(-x * x)[:, None]
     return FieldGrid(width, height, extent, amp)
+
+
+def _k_window(m: int, kmax: float) -> np.ndarray:
+    """m far-field samples over [-kmax, kmax], exactly mirror-symmetric about 0."""
+    return (np.arange(m) - (m - 1) / 2.0) * (2.0 * kmax / (m - 1))
+
+
+def _half_phasors(k: np.ndarray, t: np.ndarray) -> tuple:
+    """cos(k t) on the k >= 0, t >= 0 quarter; sin(k t) without its t = 0 column."""
+    kt = np.outer(k[len(k) // 2:], t[len(t) // 2:])
+    return np.cos(kt), np.sin(kt[:, len(t) % 2:])
+
+
+def _fold(z: np.ndarray) -> tuple:
+    """Even and odd parts of z's rows about its middle row, on the upper half.
+
+    The center row of an odd length is kept once, in the even part.
+    """
+    half, center = divmod(len(z), 2)
+    upper, mirror = z[half + center:], z[half - 1::-1]
+    even = np.empty((half + center, *z.shape[1:]))
+    even[:center] = z[half:half + center]
+    np.add(upper, mirror, out=even[center:])
+    return even, upper - mirror
+
+
+def _half_dft(z: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """sum_t exp(-i k t) z[t] over z's rows for k >= 0, as cos and sin parts.
+
+    t is mirror-symmetric, so the sum is cos(k t) times the even part of z
+    minus i sin(k t) times its odd part, each over t >= 0 only; at -k the
+    sine term changes sign.  Returns the transposed (columns of z, 2 mk)
+    array [cos part | sin part].
+    """
+    even, odd = _fold(z)
+    mk = len(cos)
+    out = np.empty((z.shape[1], 2 * mk))
+    np.matmul(even.T, cos.T, out=out[:, :mk])
+    np.matmul(odd.T, sin.T, out=out[:, mk:])
+    return out
+
+
+def _rms_radius(field: FieldGrid) -> float:
+    """Power-weighted rms distance from the axis, from the row and column marginals."""
+    weights = field.intensity()
+    total = weights.sum()
+    if total <= 0.0:
+        raise InputError("field carries no power")
+    y2, x2 = field.y ** 2, field.x ** 2
+    return math.sqrt(float(weights.sum(axis=1) @ y2 + weights.sum(axis=0) @ x2) / total)
 
 
 def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     """Far-field intensity after the astigmatic phase exp(i a (x^2 - y^2)/w^2).
 
-    The k-space window k = linspace(-kmax, kmax, m), m = max(width, height),
-    is sized from the beam's rms radius so the lobe structure stays well
-    resolved.  The transform onto that window is a dense DFT, two matrix
-    products exp(-i k y^T) . chirped . exp(-i x k^T); a square grid has
-    x = y and uses one phasor matrix for both axes.
+    The k-space window k = (arange(m) - (m - 1)/2) 2 kmax/(m - 1),
+    m = max(width, height), is sized from the beam's rms radius so the lobe
+    structure stays well resolved.  The transform onto that window is the
+    DFT exp(-i k y^T) . chirped . exp(-i x k^T), evaluated as a folded real
+    DFT: x, y and k are exactly mirror-symmetric, so cos(k t) is even and
+    sin(k t) odd in both k and t.  Each axis transform splits its input
+    into even and odd parts along t and takes two real GEMMs, cos times the
+    even part and sin times the odd part (complex data viewed as float),
+    with only the k >= 0, t >= 0 quarter of the phasors; the k < 0 half is
+    the same sums with the sine terms' sign flipped.  A square grid uses one
+    (cos, sin) pair for both axes.
     """
     if not isinstance(field, FieldGrid):
         raise InputError(f"expected FieldGrid, got {type(field).__name__}")
@@ -170,22 +232,47 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     if not math.isfinite(astigmatism) or astigmatism <= 0.0:
         raise InputError(f"astigmatism strength must be positive, got {astigmatism!r}")
     _check_resolution(field.width, field.height, field.extent)
-    weights = field.intensity()
-    total = weights.sum()
-    if total <= 0.0:
-        raise InputError("field carries no power")
-    x, y = field.x, field.y
-    xg, yg = np.meshgrid(x, y)
-    r_rms = math.sqrt(float(np.sum(weights * (xg * xg + yg * yg))) / total)
-    kmax = 2.0 * (astigmatism + 1.0) * (r_rms + 2.0)
-    chirped = field.values * np.outer(np.exp(-1j * astigmatism * y * y),
-                                      np.exp(1j * astigmatism * x * x))
+    kmax = 2.0 * (astigmatism + 1.0) * (_rms_radius(field) + 2.0)
     m = max(field.width, field.height)
-    k = np.linspace(-kmax, kmax, m)
-    rows = np.exp(-1j * np.outer(k, y))
-    cols = rows.T if field.width == field.height else np.exp(-1j * np.outer(x, k))
-    out = rows @ chirped @ cols
-    return IntensityGrid(m, m, kmax, np.abs(out * field.dx * field.dy) ** 2)
+    k = _k_window(m, kmax)
+    x, y = field.x, field.y
+    cos_y, sin_y = _half_phasors(k, y)
+    cos_x, sin_x = (cos_y, sin_y) if field.width == field.height else _half_phasors(k, x)
+    chirped = field.values * (field.dx * field.dy * np.exp(-1j * astigmatism * y * y))[:, None]
+    chirped *= np.exp(1j * astigmatism * x * x)
+    # each stage's input is dropped once transformed, which keeps the peak
+    # memory at about three grid-sized buffers
+    # along y: rows (x, re/im), columns (cos | sin part in y, ky >= 0)
+    along_y = _half_dft(chirped.view(float), cos_y, sin_y)
+    del chirped
+    # along x: rows (re/im, y part, ky), columns (x part, kx >= 0)
+    mk = len(cos_y)
+    parts = _half_dft(along_y.reshape(field.width, -1), cos_x, sin_x).reshape(2, 2, mk, 2, mk)
+    del along_y
+    # (re, im) stacks over (ky, kx): u, v take cos(kx x), p, q sin(kx x);
+    # u, p take cos(ky y), v, q sin(ky y).  Quadrant (+, +) is a - i c,
+    # (-, -) is a + i c, (+, -) is b - i d and (-, +) is b + i d.
+    u, v = parts[:, 0, :, 0], parts[:, 1, :, 0]
+    p, q = parts[:, 0, :, 1], parts[:, 1, :, 1]
+    b, d = u + q, v - p
+    a = np.subtract(u, q, out=u)
+    c = np.add(p, v, out=p)
+    lo = m // 2
+    out = np.empty((m, m))
+    # flipping a quadrant and dropping its k = 0 line gives the k < 0 side
+    out[lo:, lo:] = _squared_modulus(a[0] + c[1], a[1] - c[0])
+    out[:lo, :lo] = _squared_modulus(a[0] - c[1], a[1] + c[0])[::-1, ::-1][:lo, :lo]
+    out[lo:, :lo] = _squared_modulus(b[0] + d[1], b[1] - d[0])[:, ::-1][:, :lo]
+    out[:lo, lo:] = _squared_modulus(b[0] - d[1], b[1] + d[0])[::-1][:lo]
+    return IntensityGrid(m, m, kmax, out)
+
+
+def _squared_modulus(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re^2 + im^2, computed in place in re and im."""
+    re *= re
+    im *= im
+    re += im
+    return re
 
 
 @dataclass(frozen=True)
@@ -203,12 +290,17 @@ class StripeCount:
     indeterminate: bool
 
 
-def _diagonal_profile(intensity: np.ndarray, row_step: int) -> np.ndarray:
-    """Bilinear profile through the intensity centroid along one diagonal."""
+def _centroid(intensity: np.ndarray) -> tuple:
+    """Intensity-weighted (row, column) center in pixel units."""
     h, w = intensity.shape
     total = intensity.sum()
-    cy = float(intensity.sum(axis=1) @ np.arange(h)) / total
-    cx = float(intensity.sum(axis=0) @ np.arange(w)) / total
+    return (float(intensity.sum(axis=1) @ np.arange(h)) / total,
+            float(intensity.sum(axis=0) @ np.arange(w)) / total)
+
+
+def _diagonal_profile(intensity: np.ndarray, row_step: int, cy: float, cx: float) -> np.ndarray:
+    """Bilinear profile through (cy, cx) along one diagonal."""
+    h, w = intensity.shape
     half = min(h, w) / 2.0 - 2.0
     t = np.linspace(-half, half, 4 * max(h, w))
     ys = cy + t * row_step / math.sqrt(2.0)
@@ -250,8 +342,9 @@ def count_dark_stripes(intensity) -> StripeCount:
     peak = float(arr.max())
     if peak <= 0.0 or peak < MIN_CONTRAST * float(arr.mean()):
         return StripeCount(0, 0, True)
-    profile_main = _diagonal_profile(arr, +1)
-    profile_anti = _diagonal_profile(arr, -1)
+    center = _centroid(arr)
+    profile_main = _diagonal_profile(arr, +1, *center)
+    profile_anti = _diagonal_profile(arr, -1, *center)
     count_main = _count_dips(profile_main, peak)
     count_anti = _count_dips(profile_anti, peak)
     if count_main == count_anti == 0:

@@ -196,6 +196,11 @@ class TestRunModes:
         with pytest.raises(InputError):
             run_modes((), out_dir=tmp_path)
 
+    def test_duplicate_charges_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="distinct"):
+            run_modes((1, 1), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMain:
     def test_import_leaves_scipy_unloaded(self):
@@ -273,6 +278,12 @@ class TestMain:
                      "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
         assert "numerical error" in capsys.readouterr().err
+
+    def test_modes_duplicate_charges_is_config_error(self, tmp_path, capsys):
+        code = main(["modes", "--charges=1,1", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "distinct" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_modes_main(self, tmp_path, capsys):
         code = main(["modes", "--charges", "0,1", "--out", str(tmp_path), "--depth", "8"])

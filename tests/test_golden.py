@@ -36,6 +36,27 @@ MODES = {
     "mode_l2_tilted.pgm": "cbd174562778863b9883cff1dc2a98a66ede6357cc1a6f9d7f313950076245fa",
     "stripes.json": "9c31b09dc8ae343fa24b9772b3a1ec857e8b6d25e5aea39607a924671c1a356b",
 }
+# higher charges at an off-default astigmatism, recorded in 16 and 8 bits
+MODES_HIGH_CHARGE = {
+    16: {
+        "mode_l-5_beam.pgm": "9d4a022a81390486ec864cad6263c832635feee69d65ae6d60e15dbab746c8c4",
+        "mode_l-5_tilted.pgm": "f602b3c0817f4b226bb1ff46e5a04c6319344858976ab976a51911c99c3b4439",
+        "mode_l3_beam.pgm": "1d6241262fff9613d9fed6d639b847da95a5cc868e563e98a8db514e48a5fb0d",
+        "mode_l3_tilted.pgm": "7bd40d9457cd65360b0bcc3dd7dfc0df57d03e142f89d3ce1ffc3d14b65bbade",
+        "mode_l5_beam.pgm": "9d4a022a81390486ec864cad6263c832635feee69d65ae6d60e15dbab746c8c4",
+        "mode_l5_tilted.pgm": "1e45d424f0bc828e4e70b32d6677f6b45cffc4d7641674e28fde7f424b3abe53",
+        "stripes.json": "dc9ce3e94d5a2a9eee2ec4deeac85759f4d368623dff92a6e86cbea283cdf15a",
+    },
+    8: {
+        "mode_l-5_beam.pgm": "d56099eb8fce3ba12ee355c3d1c18569ef64896c6f1544757c22d6766467c2e9",
+        "mode_l-5_tilted.pgm": "06d3568b01fe979c77846804792e00496b0a290444d76cc947ff061e074b5081",
+        "mode_l3_beam.pgm": "44ccadbcda6bfd951cc91227cc8cbc526d0b9b884102daf9aefcf369b28e4c84",
+        "mode_l3_tilted.pgm": "699c0ac282bdf04d90d75ba78edda1df8de54d1dc5b3a58040048e3838c04fbc",
+        "mode_l5_beam.pgm": "d56099eb8fce3ba12ee355c3d1c18569ef64896c6f1544757c22d6766467c2e9",
+        "mode_l5_tilted.pgm": "7cf7b4404c028c3b912e419f24c252779bb09ea05f26cadba980e439de7770a6",
+        "stripes.json": "dc9ce3e94d5a2a9eee2ec4deeac85759f4d368623dff92a6e86cbea283cdf15a",
+    },
+}
 
 
 def sha256(path) -> str:
@@ -70,3 +91,10 @@ def test_tomo_json(tmp_path, capsys):
 def test_modes_images(tmp_path, capsys):
     run(["modes", "--charges=-2,-1,0,1,2", "--out", str(tmp_path)], capsys)
     assert {p.name: sha256(p) for p in tmp_path.iterdir()} == MODES
+
+
+@pytest.mark.parametrize("depth", sorted(MODES_HIGH_CHARGE))
+def test_modes_images_high_charge(depth, tmp_path, capsys):
+    run(["modes", "--charges=-5,3,5", "--astigmatism", "2.9", "--depth", str(depth),
+         "--out", str(tmp_path)], capsys)
+    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == MODES_HIGH_CHARGE[depth]

@@ -7,7 +7,37 @@ import pytest
 
 from oamcv import (FieldGrid, InputError, LGModeSpec, ResolutionError,
                    count_dark_stripes, lg_field, tilted_lens_pattern, write_pgm)
-from oamcv.modes import mode_image_filename
+from oamcv.modes import _k_window, mode_image_filename
+
+# grids with even, odd and mixed-parity sides: (width, height, extent)
+GRIDS = [(512, 512, 6.0), (257, 257, 6.0), (255, 256, 6.0), (300, 301, 6.0),
+         (160, 128, 5.0), (128, 200, 5.0)]
+
+
+def reference_lg_field(l, width, height, extent):
+    """The polar LG formula on a meshgrid: r^|l| and exp(i l phi) from hypot/arctan2."""
+    x = (np.arange(width) - (width - 1) / 2.0) * (2.0 * extent / width)
+    y = (np.arange(height) - (height - 1) / 2.0) * (2.0 * extent / height)
+    xg, yg = np.meshgrid(x, y)
+    r = np.hypot(xg, yg)
+    phi = np.arctan2(yg, xg)
+    norm = math.sqrt(2.0 / (math.pi * math.factorial(abs(l))))
+    return norm * (math.sqrt(2.0) * r) ** abs(l) * np.exp(-r * r) * np.exp(1j * l * phi)
+
+
+def reference_far_field(field, astigmatism):
+    """kmax from the meshgrid rms radius, intensity from the dense complex DFT product
+    exp(-i k y^T) . chirped . exp(-i x k^T) on the window k = _k_window(m, kmax)."""
+    x, y = field.x, field.y
+    xg, yg = np.meshgrid(x, y)
+    weights = field.intensity()
+    r_rms = math.sqrt(float(np.sum(weights * (xg * xg + yg * yg))) / weights.sum())
+    kmax = 2.0 * (astigmatism + 1.0) * (r_rms + 2.0)
+    k = _k_window(max(field.width, field.height), kmax)
+    chirped = field.values * np.outer(np.exp(-1j * astigmatism * y * y),
+                                      np.exp(1j * astigmatism * x * x))
+    out = np.exp(-1j * np.outer(k, y)) @ chirped @ np.exp(-1j * np.outer(x, k))
+    return kmax, np.abs(out * field.dx * field.dy) ** 2
 
 
 class TestLGModeSpec:
@@ -68,6 +98,20 @@ class TestLgField:
     def test_accepts_bare_charge(self):
         assert np.array_equal(lg_field(2).values, lg_field(LGModeSpec(2)).values)
 
+    @pytest.mark.parametrize("width,height,extent", GRIDS)
+    @pytest.mark.parametrize("l", [-16, -5, -1, 0, 1, 2, 7, 16])
+    def test_matches_polar_reference(self, l, width, height, extent):
+        field = lg_field(LGModeSpec(l), width=width, height=height, extent=extent)
+        expected = reference_lg_field(l, width, height, extent)
+        assert np.abs(field.values - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("width,height,extent", GRIDS)
+    def test_grids_mirror_symmetric(self, width, height, extent):
+        # the folded far field pairs t with -t bit for bit
+        field = lg_field(LGModeSpec(1), width=width, height=height, extent=extent)
+        assert np.array_equal(field.x[::-1], -field.x)
+        assert np.array_equal(field.y[::-1], -field.y)
+
     def test_values_frozen(self):
         field = lg_field(LGModeSpec(0))
         with pytest.raises(ValueError):
@@ -98,7 +142,8 @@ class TestTiltedLens:
         result = count_dark_stripes(tilted_lens_pattern(lg_field(LGModeSpec(0)), 2.0))
         assert result.count == 0 and result.axis_sign == 0 and not result.indeterminate
 
-    @pytest.mark.parametrize("width,height,extent", [(512, 512, 6.0), (160, 128, 5.0)])
+    @pytest.mark.parametrize("width,height,extent", [(512, 512, 6.0), (160, 128, 5.0),
+                                                     (257, 257, 6.0), (255, 256, 6.0)])
     @pytest.mark.parametrize("astigmatism", [1.0, 2.0, 3.0])
     def test_gaussian_far_field_closed_form(self, width, height, extent, astigmatism):
         # the l = 0 field sqrt(2/pi) exp(-r^2) behind exp(i a (x^2 - y^2))
@@ -111,6 +156,39 @@ class TestTiltedLens:
             -(k[:, None] ** 2 + k[None, :] ** 2) / (2.0 * spread))
         assert pattern.values.shape == (max(width, height),) * 2
         assert np.abs(pattern.values - expected).max() <= 1e-10 * expected.max()
+
+    @pytest.mark.parametrize("width,height,extent", GRIDS)
+    @pytest.mark.parametrize("l,astigmatism", [(-5, 1.7), (0, 2.9), (2, 1.0), (3, 3.0)])
+    def test_matches_dense_dft_reference(self, l, astigmatism, width, height, extent):
+        field = lg_field(LGModeSpec(l), width=width, height=height, extent=extent)
+        pattern = tilted_lens_pattern(field, astigmatism)
+        kmax, expected = reference_far_field(field, astigmatism)
+        assert pattern.extent == pytest.approx(kmax, rel=1e-12)
+        assert pattern.values.shape == expected.shape
+        assert np.abs(pattern.values - expected).max() <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("width,height,extent", GRIDS)
+    def test_asymmetric_field_matches_dense_dft_reference(self, width, height, extent):
+        # LG modes have inversion parity, so their patterns are centro-symmetric;
+        # an off-axis admixture breaks every symmetry of the data, not of the grid
+        lg = lg_field(LGModeSpec(1), width=width, height=height, extent=extent)
+        x, y = lg.x, lg.y
+        shifted = np.exp(-(x[None, :] - 0.7) ** 2 - (y[:, None] + 0.3) ** 2 + 0.4j * x[None, :])
+        field = FieldGrid(width, height, extent, lg.values + 0.5 * shifted)
+        pattern = tilted_lens_pattern(field, 1.7)
+        kmax, expected = reference_far_field(field, 1.7)
+        assert pattern.extent == pytest.approx(kmax, rel=1e-12)
+        assert np.abs(pattern.values - expected).max() <= 1e-12 * expected.max()
+        flipped = expected[::-1, ::-1]
+        assert np.abs(flipped - expected).max() > 1e-3 * expected.max()
+
+    @pytest.mark.parametrize("m", [2, 3, 128, 255, 256, 257, 300, 301, 512])
+    @pytest.mark.parametrize("kmax", [0.1, 7.3, 29.999999999999996, 41.17, 123.456])
+    def test_k_window_mirror_symmetric(self, m, kmax):
+        k = _k_window(m, kmax)
+        assert np.array_equal(k[::-1], -k)
+        assert k[-1] == pytest.approx(kmax, rel=1e-15)
+        assert np.abs(k - np.linspace(-kmax, kmax, m)).max() <= 4 * np.spacing(kmax)
 
     def test_attenuation_scales_intensity_not_count(self):
         field = lg_field(LGModeSpec(2))
