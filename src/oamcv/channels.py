@@ -8,8 +8,6 @@ conjugate block stays with Alice untouched.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InputError, UnphysicalStateError
@@ -22,27 +20,21 @@ def apply_channel(cm, ch) -> CovarianceMatrix:
 
     Cross correlations scale by sqrt(eta).  For a symmetric two-mode squeezed
     input this yields V_b = eta*(v + vp)/2 + (1 - eta)(1 + delta) and
-    V_c = sqrt(eta)*(vp - v)/2 exactly, with V_a unchanged.
+    V_c = sqrt(eta)*(vp - v)/2 exactly, with V_a unchanged.  This is the
+    one-row case of apply_channel_grid.
     """
     cm = as_cm(cm)
     if not isinstance(ch, ChannelParams):
         ch = ChannelParams(*ch)
-    _require_physical(cm)
-    root_eta = math.sqrt(ch.eta)
-    added = (1.0 - ch.eta) * (1.0 + ch.delta)
-    out = np.array(cm.entries)
-    out[2:, 2:] = ch.eta * cm.entries[2:, 2:] + added * np.eye(2)
-    out[:2, 2:] = root_eta * cm.entries[:2, 2:]
-    out[2:, :2] = out[:2, 2:].T
-    return CovarianceMatrix(out)
+    return CovarianceMatrix(apply_channel_grid(cm, [ch.eta], ch.delta)[0])
 
 
 def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
     """apply_channel over a grid of eta at one delta, as an (N, 4, 4) stack.
 
-    Entry i equals apply_channel(cm, ChannelParams(etas[i], delta)).entries
-    bit for bit; the source is validated once for the whole grid, and eta and
-    delta obey the ChannelParams bounds.
+    Entry i is the entries of apply_channel(cm, ChannelParams(etas[i], delta));
+    the source is validated once for the whole grid, and eta and delta obey
+    the ChannelParams bounds.
     """
     cm = as_cm(cm)
     etas = np.asarray(etas, dtype=float)
@@ -52,20 +44,16 @@ def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
     if outside.any():
         raise InputError(f"eta must lie in [0, 1], got {float(etas[outside][0])!r}")
     delta = ChannelParams(0.0, delta).delta
-    _require_physical(cm)
+    report = validate(cm)
+    if not report.ok:
+        raise UnphysicalStateError(
+            f"input state is unphysical (min symplectic eigenvalue {report.min_symplectic:.6g})")
     added = (1.0 - etas) * (1.0 + delta)
     out = np.repeat(cm.entries[np.newaxis], len(etas), axis=0)
     out[:, 2:, 2:] = etas[:, None, None] * cm.entries[2:, 2:] + added[:, None, None] * np.eye(2)
     out[:, :2, 2:] = np.sqrt(etas)[:, None, None] * cm.entries[:2, 2:]
     out[:, 2:, :2] = out[:, :2, 2:].swapaxes(1, 2)
     return out
-
-
-def _require_physical(cm: CovarianceMatrix) -> None:
-    report = validate(cm)
-    if not report.ok:
-        raise UnphysicalStateError(
-            f"input state is unphysical (min symplectic eigenvalue {report.min_symplectic:.6g})")
 
 
 def apply_channel_multiplexed(ms: MultiplexedState, ch) -> MultiplexedState:

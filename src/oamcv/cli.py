@@ -19,11 +19,11 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import __version__
-from .channels import apply_channel, apply_channel_grid
+from .channels import apply_channel_grid
 from .criteria import (classify, classify_many, entanglement_death_eta,
                        steering_death_eta)
 from .errors import InputError, NumericalError, ToolkitError
-from .gaussian import ChannelParams, SqueezingSpec, make_tmss, validate
+from .gaussian import CovarianceMatrix, SqueezingSpec, make_tmss, validate
 from .modes import (LGModeSpec, count_dark_stripes, lg_field, mode_image_filename,
                     tilted_lens_pattern, write_pgm)
 from .tomography import (SETTINGS, ReconstructionWarning, expected_variances,
@@ -244,17 +244,22 @@ def _criteria_or_error(cm) -> tuple:
 def run_tomo(config: SweepConfig) -> dict:
     """Simulate-measure-reconstruct-classify at every (l, delta, eta) point.
 
+    The true states and their criteria of each (l, delta) block come from
+    one stacked channel map and one classify_many pass, as in run_sweep.
     Each entry reports the analytic variances and criteria next to the
     reconstructed ones, the per-entry reconstruction errors, and the
     sub-seed that makes the point individually reproducible.
     """
     results = []
     point = 0
+    etas = eta_grid(config)
     for l in sorted(config.charges):
         source = make_tmss(config.specs[l])
         for delta in sorted(config.deltas):
-            for eta in eta_grid(config):
-                true_cm = apply_channel(source, ChannelParams(eta, delta))
+            true_sigmas = apply_channel_grid(source, etas, delta)
+            true_criteria = classify_many(true_sigmas)
+            for i, eta in enumerate(etas):
+                true_cm = CovarianceMatrix(true_sigmas[i])
                 run_seed = int(np.random.SeedSequence([config.seed, point])
                                .generate_state(1, np.uint64)[0])
                 point += 1
@@ -273,7 +278,7 @@ def run_tomo(config: SweepConfig) -> dict:
                     "seed": run_seed,
                     "true": {
                         "variances_db": {s: truth.db(s) for s in SETTINGS},
-                        "criteria": classify(true_cm).to_json_dict(),
+                        "criteria": true_criteria.report(i).to_json_dict(),
                     },
                     "reconstructed": {
                         "variances_db": {s: measured.db(s) for s in SETTINGS},

@@ -6,6 +6,12 @@ below 1 (sufficient and necessary for 1x1-mode Gaussian states).  Steering
 is quantified in nats by g_ab = max(0, ln(det sigma_A / det sigma)/2) and
 its B->A counterpart; steering implies entanglement but not conversely.
 
+The criteria have one implementation, vectorised over an (N, 4, 4) stack:
+classify_many runs it on a stack, and the other entry points on a stack of
+one.  The first failing state raises the error of its first failing check,
+in the order malformed, not positive definite, PPT discriminant, PPT
+denominator, route agreement, determinants.
+
 The sudden-death thresholds of a two-mode squeezed source sent through the
 probe channel are closed forms.  With a = (v + vp)/2 and s = (1 - v)(vp - 1),
 each correlation survives at eta iff p + q*eta > 0, linear in eta:
@@ -45,34 +51,108 @@ _PT = np.diag([1.0, 1.0, 1.0, -1.0])
 _PT.flags.writeable = False
 
 
-def _pd_sigma(cm) -> np.ndarray:
-    """Entries of a structurally valid (symmetric positive-definite) CM."""
-    sigma = as_cm(cm).entries
-    if float(np.linalg.eigvalsh(sigma)[0]) <= 0.0:
-        raise InputError("covariance matrix must be positive definite")
-    return sigma
+def _well_formed(raw: np.ndarray) -> tuple:
+    """Symmetrized stack and the malformed check (not finite, or asymmetric beyond 1e-6).
+
+    The error of a malformed state is the one as_cm, the owner of these
+    checks, raises; its matrix becomes the identity to keep the rest finite.
+    """
+    transposed = raw.swapaxes(1, 2)
+    malformed = ~np.isfinite(raw).all(axis=(1, 2)) | \
+        (np.abs(raw - transposed) > 1e-6).any(axis=(1, 2))
+    sigma = np.where(malformed[:, None, None], np.eye(4), (raw + transposed) / 2.0)
+    return sigma, (malformed, lambda i: as_cm(raw[i]))
 
 
-def _pt_invariants(sigma: np.ndarray) -> tuple:
-    """(Dt, det sigma, det A, det B) with Dt = det A + det B - 2 det C."""
-    a = float(np.linalg.det(sigma[:2, :2]))
-    b = float(np.linalg.det(sigma[2:, 2:]))
-    c = float(np.linalg.det(sigma[:2, 2:]))
-    return a + b - 2.0 * c, float(np.linalg.det(sigma)), a, b
+def _not_pd(sigma: np.ndarray) -> tuple:
+    """The positive-definiteness check of each state."""
+    return (np.linalg.eigvalsh(sigma)[:, 0] <= 0.0,
+            lambda i: InputError("covariance matrix must be positive definite"))
 
 
-def _closed_form_nu(dt: float, det_sigma: float) -> float:
-    disc = dt * dt - 4.0 * det_sigma
-    if disc < -1e-9 * max(1.0, dt * dt):
-        raise NumericalError(f"PPT discriminant is negative beyond tolerance: {disc:.3g}")
-    denominator = dt + math.sqrt(max(disc, 0.0))
-    if denominator <= 0.0:
-        raise NumericalError(f"degenerate PPT invariants (Dt = {dt!r})")
-    return math.sqrt(max(2.0 * det_sigma / denominator, 0.0))
+def _invariants(sigma: np.ndarray) -> tuple:
+    """(Dt, det sigma, det A, det B) of each state, with Dt = det A + det B - 2 det C."""
+    det_a = np.linalg.det(sigma[:, :2, :2])
+    det_b = np.linalg.det(sigma[:, 2:, 2:])
+    det_c = np.linalg.det(sigma[:, :2, 2:])
+    return det_a + det_b - 2.0 * det_c, np.linalg.det(sigma), det_a, det_b
 
 
-def _eigen_nu(sigma: np.ndarray) -> float:
-    return float(symplectic_eigenvalues(_PT @ sigma @ _PT)[0])
+def _closed_form(dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
+    """Closed-form nu of each state, sqrt(discriminant), denominator, and their checks."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = dt * dt - 4.0 * det_sigma
+        s = np.sqrt(np.maximum(disc, 0.0))
+        denominator = dt + s
+        nu = np.sqrt(np.maximum(2.0 * det_sigma / denominator, 0.0))
+    checks = [
+        (disc < -1e-9 * np.maximum(1.0, dt * dt), lambda i: NumericalError(
+            f"PPT discriminant is negative beyond tolerance: {float(disc[i]):.3g}")),
+        (denominator <= 0.0, lambda i: NumericalError(
+            f"degenerate PPT invariants (Dt = {float(dt[i])!r})")),
+    ]
+    return nu, s, denominator, checks
+
+
+def _allowance(dt, det_sigma, s, denominator) -> np.ndarray:
+    """Degeneracy allowance: the closed form's resolution limit near symplectic degeneracy.
+
+    The discriminant Dt^2 - 4 det sigma carries an absolute rounding noise
+    of order eps * Dt^2; once the true discriminant falls below that, the
+    small root is only determined to ~sqrt(eps) * scale.  Away from
+    degeneracy this bound collapses to ~eps and the 1e-9 agreement gate
+    stays fully strict.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        noise = 8.0 * np.finfo(float).eps * np.maximum(1.0, dt * dt)
+        ds = np.where(s * s <= noise, np.sqrt(noise), noise / (2.0 * s))
+        nu2 = np.maximum(2.0 * det_sigma / np.maximum(denominator, np.finfo(float).tiny), 0.0)
+        return np.where(nu2 <= 0.0, np.sqrt(noise),
+                        4.0 * np.sqrt(nu2) * ds / (2.0 * denominator))
+
+
+def _eigen_route(sigma: np.ndarray) -> np.ndarray:
+    """PPT nu of each state from the eigenvalues of i*Omega*(P sigma P)."""
+    return symplectic_eigenvalues(_PT @ sigma @ _PT)[:, 0]
+
+
+def _ppt_nu(sigma: np.ndarray, dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
+    """PPT nu of each state as ppt_nu() takes it, with both routes' checks and the gate's."""
+    closed, s, denominator, checks = _closed_form(dt, det_sigma)
+    eigen = _eigen_route(sigma)
+    gap, strict = np.abs(closed - eigen), 1e-9 * np.maximum(1.0, np.abs(closed))
+    disagree = gap > strict + _allowance(dt, det_sigma, s, denominator)
+    checks.append((disagree, lambda i: NumericalError(
+        f"PPT computation paths disagree: closed form {float(closed[i])!r} "
+        f"vs eigen {float(eigen[i])!r}")))
+    return np.where(gap <= strict, closed, eigen), checks
+
+
+def _determinants_check(det_sigma, det_a, det_b) -> tuple:
+    """The check that det sigma and both marginal determinants are positive."""
+    return ((det_sigma <= 0.0) | (det_a <= 0.0) | (det_b <= 0.0),
+            lambda i: UnphysicalStateError(
+                f"state determinants must be positive, got det sigma = {float(det_sigma[i]):.3g}"))
+
+
+def _steerability(det_marginal: np.ndarray, det_sigma: np.ndarray) -> np.ndarray:
+    # math.log per element: numpy's vectorised log may round differently in
+    # the last bit, and the tomo JSON prints these values in full
+    logs = np.array([math.log(x) for x in (det_marginal / det_sigma).tolist()])
+    return np.maximum(0.0, 0.5 * logs)
+
+
+def _raise_first_failure(checks: list) -> None:
+    """Raise the error of the first state that fails any check.
+
+    checks holds (mask, error) pairs in check order, and error(i) gives the
+    exception of state i (the malformed check's raises as_cm's own), so a
+    state failing several checks gets its first one's error.
+    """
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise next(error(first) for mask, error in checks if mask[first])
 
 
 def ppt_nu_closed_form(cm) -> float:
@@ -84,43 +164,18 @@ def ppt_nu_closed_form(cm) -> float:
     A discriminant below -1e-9 (scaled) raises NumericalError; smaller
     negative rounding residue is clamped to zero.
     """
-    dt, det_sigma, _, _ = _pt_invariants(_pd_sigma(cm))
-    return _closed_form_nu(dt, det_sigma)
+    sigma = as_cm(cm).entries[None]
+    dt, det_sigma, _, _ = _invariants(sigma)
+    nu, _, _, checks = _closed_form(dt, det_sigma)
+    _raise_first_failure([_not_pd(sigma), *checks])
+    return float(nu[0])
 
 
 def ppt_nu_eigen(cm) -> float:
     """PPT nu from the eigenvalues of i*Omega*(P sigma P), the independent route."""
-    return _eigen_nu(_pd_sigma(cm))
-
-
-def _degeneracy_allowance(dt: float, det_sigma: float) -> float:
-    """Resolution limit of the closed form near symplectic degeneracy.
-
-    The discriminant Dt^2 - 4 det sigma carries an absolute rounding noise
-    of order eps * Dt^2; once the true discriminant falls below that, the
-    small root is only determined to ~sqrt(eps) * scale.  Away from
-    degeneracy this bound collapses to ~eps and the 1e-9 agreement gate
-    stays fully strict.
-    """
-    noise = 8.0 * np.finfo(float).eps * max(1.0, dt * dt)
-    s = math.sqrt(max(dt * dt - 4.0 * det_sigma, 0.0))
-    ds = math.sqrt(noise) if s * s <= noise else noise / (2.0 * s)
-    nu2 = max(2.0 * det_sigma / max(dt + s, np.finfo(float).tiny), 0.0)
-    if nu2 <= 0.0:
-        return math.sqrt(noise)
-    return 4.0 * math.sqrt(nu2) * ds / (2.0 * (dt + s))
-
-
-def _checked_nu(sigma: np.ndarray, dt: float, det_sigma: float) -> float:
-    closed = _closed_form_nu(dt, det_sigma)
-    eigen = _eigen_nu(sigma)
-    gap, strict = abs(closed - eigen), 1e-9 * max(1.0, abs(closed))
-    if gap <= strict:
-        return closed
-    if gap > strict + _degeneracy_allowance(dt, det_sigma):
-        raise NumericalError(
-            f"PPT computation paths disagree: closed form {closed!r} vs eigen {eigen!r}")
-    return eigen
+    sigma = as_cm(cm).entries[None]
+    _raise_first_failure([_not_pd(sigma)])
+    return float(_eigen_route(sigma)[0])
 
 
 def ppt_nu(cm) -> float:
@@ -134,17 +189,11 @@ def ppt_nu(cm) -> float:
     the resolution limit, the closed form has lost precision and the eigen
     value is returned.
     """
-    sigma = _pd_sigma(cm)
-    dt, det_sigma, _, _ = _pt_invariants(sigma)
-    return _checked_nu(sigma, dt, det_sigma)
-
-
-def _steerabilities(det_a: float, det_b: float, det_sigma: float) -> tuple:
-    if det_sigma <= 0.0 or det_a <= 0.0 or det_b <= 0.0:
-        raise UnphysicalStateError(
-            f"state determinants must be positive, got det sigma = {det_sigma:.3g}")
-    return (max(0.0, 0.5 * math.log(det_a / det_sigma)),
-            max(0.0, 0.5 * math.log(det_b / det_sigma)))
+    sigma = as_cm(cm).entries[None]
+    dt, det_sigma, _, _ = _invariants(sigma)
+    nu, checks = _ppt_nu(sigma, dt, det_sigma)
+    _raise_first_failure([_not_pd(sigma), *checks])
+    return float(nu[0])
 
 
 def steering(cm) -> tuple:
@@ -153,10 +202,10 @@ def steering(cm) -> tuple:
     g_ab > 0 means Alice (conjugate side) can steer Bob's state, g_ba > 0
     the reverse; both vanish for product states.
     """
-    sigma = as_cm(cm).entries
-    return _steerabilities(float(np.linalg.det(sigma[:2, :2])),
-                           float(np.linalg.det(sigma[2:, 2:])),
-                           float(np.linalg.det(sigma)))
+    sigma = as_cm(cm).entries[None]
+    _, det_sigma, det_a, det_b = _invariants(sigma)
+    _raise_first_failure([_determinants_check(det_sigma, det_a, det_b)])
+    return float(_steerability(det_a, det_sigma)[0]), float(_steerability(det_b, det_sigma)[0])
 
 
 @dataclass(frozen=True)
@@ -182,27 +231,13 @@ class CriteriaReport:
 
 
 def classify(cm) -> CriteriaReport:
-    """Bundle PPT and steering into one report.
+    """Bundle PPT and steering into one report: classify_many of a stack of one.
 
     Strict inequalities are decided with tolerance 1e-9: a nu within that
     margin of 1 counts as not entangled (conservative certification) and is
     marked as boundary by describe().
     """
-    sigma = _pd_sigma(cm)
-    dt, det_sigma, det_a, det_b = _pt_invariants(sigma)
-    nu = _checked_nu(sigma, dt, det_sigma)
-    g_ab, g_ba = _steerabilities(det_a, det_b, det_sigma)
-    a, b = g_ab > TOL_DECISION, g_ba > TOL_DECISION
-    if a and b:
-        cls = "two-way"
-    elif a:
-        cls = "one-way-AB"
-    elif b:
-        cls = "one-way-BA"
-    else:
-        cls = "none"
-    return CriteriaReport(nu=nu, entangled=nu < 1.0 - TOL_DECISION,
-                          g_ab=g_ab, g_ba=g_ba, steering_class=cls)
+    return classify_many(as_cm(cm).entries[None]).report(0)
 
 
 class CriteriaArrays(NamedTuple):
@@ -214,63 +249,29 @@ class CriteriaArrays(NamedTuple):
     g_ba: np.ndarray
     steering_class: np.ndarray
 
-
-def _steerability(det_marginal: np.ndarray, det_sigma: np.ndarray) -> np.ndarray:
-    # math.log per element: numpy's vectorised log may round differently in
-    # the last bit, and the values must equal those of steering()
-    logs = np.array([math.log(x) for x in (det_marginal / det_sigma).tolist()])
-    return np.maximum(0.0, 0.5 * logs)
+    def report(self, i: int) -> CriteriaReport:
+        """The CriteriaReport of state i, in Python scalars."""
+        return CriteriaReport(*(column[i].item() for column in self))
 
 
 def classify_many(sigmas) -> CriteriaArrays:
-    """classify() of each matrix of an (N, 4, 4) stack, in one vectorised pass.
+    """The criteria of each matrix of an (N, 4, 4) stack, in one vectorised pass.
 
     The invariants, both PPT routes with their agreement gate (1e-9 plus the
     degeneracy allowance) and the steering determinant checks are evaluated
-    element-wise, and nu takes the eigen value where ppt_nu() does; every
-    value equals the one classify() gives for that state.  If any state
-    fails a check, classify() is called on the first such state, so the
-    error raised is the scalar one.
+    element-wise; classify() of one state is this pass on a stack of one,
+    and every value equals the one it gives for that state.  If any state
+    fails a check, the first such state raises the error classify() raises
+    for it.
     """
     raw = np.asarray(sigmas, dtype=float)
     if raw.ndim != 3 or raw.shape[1:] != (4, 4):
         raise InputError(f"expected a stack of 4x4 matrices, got shape {raw.shape}")
-    transposed = raw.swapaxes(1, 2)
-    malformed = ~np.isfinite(raw).all(axis=(1, 2)) | \
-        (np.abs(raw - transposed) > 1e-6).any(axis=(1, 2))
-    # malformed states fail below; the identity keeps the linear algebra finite
-    sigma = np.where(malformed[:, None, None], np.eye(4), (raw + transposed) / 2.0)
-    not_pd = np.linalg.eigvalsh(sigma)[:, 0] <= 0.0
-    det_a = np.linalg.det(sigma[:, :2, :2])
-    det_b = np.linalg.det(sigma[:, 2:, 2:])
-    det_c = np.linalg.det(sigma[:, :2, 2:])
-    det_sigma = np.linalg.det(sigma)
-    dt = det_a + det_b - 2.0 * det_c
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # closed form, as in ppt_nu_closed_form
-        disc = dt * dt - 4.0 * det_sigma
-        s = np.sqrt(np.maximum(disc, 0.0))
-        denominator = dt + s
-        closed = np.sqrt(np.maximum(2.0 * det_sigma / denominator, 0.0))
-        # resolution limit, as in _degeneracy_allowance
-        noise = 8.0 * eps * np.maximum(1.0, dt * dt)
-        ds = np.where(s * s <= noise, np.sqrt(noise), noise / (2.0 * s))
-        nu2 = np.maximum(2.0 * det_sigma / np.maximum(denominator, tiny), 0.0)
-        allowance = np.where(nu2 <= 0.0, np.sqrt(noise),
-                             4.0 * np.sqrt(nu2) * ds / (2.0 * denominator))
-    eigen = symplectic_eigenvalues(_PT @ sigma @ _PT)[:, 0]
-    gap, strict = np.abs(closed - eigen), 1e-9 * np.maximum(1.0, np.abs(closed))
-    failed = (malformed | not_pd
-              | (disc < -1e-9 * np.maximum(1.0, dt * dt))
-              | (denominator <= 0.0)
-              | (gap > strict + allowance)
-              | (det_sigma <= 0.0) | (det_a <= 0.0) | (det_b <= 0.0))
-    if failed.any():
-        first = int(np.argmax(failed))
-        classify(raw[first])
-        raise NumericalError(f"state {first} fails a batched check that classify() passes")
-    nu = np.where(gap <= strict, closed, eigen)
+    sigma, malformed = _well_formed(raw)
+    dt, det_sigma, det_a, det_b = _invariants(sigma)
+    nu, ppt_checks = _ppt_nu(sigma, dt, det_sigma)
+    _raise_first_failure([malformed, _not_pd(sigma), *ppt_checks,
+                          _determinants_check(det_sigma, det_a, det_b)])
     g_ab = _steerability(det_a, det_sigma)
     g_ba = _steerability(det_b, det_sigma)
     a, b = g_ab > TOL_DECISION, g_ba > TOL_DECISION

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 import oamcv.channels
 import oamcv.criteria
 import oamcv.gaussian
-from oamcv import (ChannelParams, InputError, SqueezingSpec, UnphysicalStateError,
-                   apply_channel, classify, classify_many, entanglement_death_eta,
-                   make_tmss, ppt_nu, ppt_nu_closed_form, ppt_nu_eigen, steering,
-                   steering_death_eta, steering_death_eta_ba_lossy,
-                   symplectic_eigenvalues)
-from oamcv.criteria import ETA_LO
+from oamcv import (ChannelParams, InputError, NumericalError, SqueezingSpec,
+                   UnphysicalStateError, apply_channel, classify, classify_many,
+                   entanglement_death_eta, make_tmss, ppt_nu, ppt_nu_closed_form,
+                   ppt_nu_eigen, steering, steering_death_eta,
+                   steering_death_eta_ba_lossy, symplectic_eigenvalues)
+from oamcv.criteria import ETA_LO, STEERING_CLASSES
 from conftest import V_REF, VP_REF, deltas, etas, source_specs, squeezed_specs
 
 REF_SPEC = SqueezingSpec(V_REF, VP_REF)
@@ -86,6 +86,33 @@ def bisected_death_eta(spec, delta, which, xtol=1e-9):
         else:
             dead = mid
     return 0.5 * (dead + living), resolved
+
+
+def reference_classify(sigma):
+    """Per-state reference of classify(), one state and one formula at a time.
+
+    The invariants from np.linalg.det per block, the closed form through
+    math.sqrt, the eigen route on the 4x4 matrix, the agreement gate with
+    the degeneracy allowance, and math.log steerabilities.  Returns
+    (nu, entangled, g_ab, g_ba, steering_class).
+    """
+    det_a, det_b, det_c, det_sigma = (float(np.linalg.det(m)) for m in (
+        sigma[:2, :2], sigma[2:, 2:], sigma[:2, 2:], sigma))
+    dt = det_a + det_b - 2.0 * det_c
+    s = math.sqrt(max(dt * dt - 4.0 * det_sigma, 0.0))
+    closed = math.sqrt(max(2.0 * det_sigma / (dt + s), 0.0))
+    eigen = float(symplectic_eigenvalues(_PT @ sigma @ _PT)[0])
+    noise = 8.0 * np.finfo(float).eps * max(1.0, dt * dt)
+    ds = math.sqrt(noise) if s * s <= noise else noise / (2.0 * s)
+    nu2 = max(2.0 * det_sigma / max(dt + s, np.finfo(float).tiny), 0.0)
+    allowance = math.sqrt(noise) if nu2 <= 0.0 else 4.0 * math.sqrt(nu2) * ds / (2.0 * (dt + s))
+    gap, strict = abs(closed - eigen), 1e-9 * max(1.0, abs(closed))
+    assert gap <= strict + allowance
+    nu = closed if gap <= strict else eigen
+    g_ab = max(0.0, 0.5 * math.log(det_a / det_sigma))
+    g_ba = max(0.0, 0.5 * math.log(det_b / det_sigma))
+    cls = STEERING_CLASSES[2 * (g_ab <= 1e-9) + (g_ba <= 1e-9)]
+    return nu, nu < 1.0 - 1e-9, g_ab, g_ba, cls
 
 
 def closed_death_eta(spec, delta, which):
@@ -205,9 +232,15 @@ class TestClassify:
         assert (first.nu, first.g_ab, first.g_ba) == (second.nu, second.g_ab, second.g_ba)
 
 
+# a distributed state whose probe variance sigma[2, 2] differs from the
+# source's, so a patch can pick it out of a stack
+TARGET = apply_channel(make_tmss(REF_SPEC), ChannelParams(0.5, 0.15)).entries
+
+
 class TestClassifyMany:
     @staticmethod
     def assert_matches_classify(stack):
+        # stack independence: a state's values do not depend on its neighbours
         batched = classify_many(stack)
         scalar = [classify(s) for s in stack]
         assert batched.nu.tolist() == [r.nu for r in scalar]
@@ -217,11 +250,32 @@ class TestClassifyMany:
         assert batched.steering_class.tolist() == [r.steering_class for r in scalar]
         return batched
 
+    @staticmethod
+    def assert_matches_reference(stack, batched):
+        assert list(zip(*(column.tolist() for column in batched))) == \
+            [reference_classify(s) for s in stack]
+
+    @staticmethod
+    def assert_same_error(bad, exc_type):
+        """classify(bad) and classify_many([good, bad, good]) raise the same error."""
+        with pytest.raises(exc_type) as scalar:
+            classify(bad)
+        good = make_tmss(REF_SPEC).entries
+        with pytest.raises(exc_type) as batched:
+            classify_many(np.array([good, bad, good]))
+        assert type(batched.value) is type(scalar.value)
+        assert str(batched.value) == str(scalar.value)
+        # under numpy 2 the repr of an array element reads np.float64(...)
+        assert "np.float64(" not in str(scalar.value)
+        return str(scalar.value)
+
     def test_boundary_and_near_degenerate_states(self):
         closed, eigen = ppt_nu_closed_form(NEAR_DEGENERATE), ppt_nu_eigen(NEAR_DEGENERATE)
         assert abs(closed - eigen) > 1e-9 * closed  # the allowance is in use
-        batched = self.assert_matches_classify(
-            np.array([np.eye(4), NEAR_DEGENERATE, make_tmss(REF_SPEC).entries]))
+        stack = np.array([np.eye(4), NEAR_DEGENERATE, make_tmss(REF_SPEC).entries])
+        batched = self.assert_matches_classify(stack)
+        self.assert_matches_reference(stack, batched)
+        assert batched.nu[1] == eigen
         assert batched.nu[0] == 1.0 and not batched.entangled[0]
         assert batched.steering_class.tolist() == ["none", "none", "two-way"]
 
@@ -235,6 +289,7 @@ class TestClassifyMany:
         stack.insert(at_degenerate, NEAR_DEGENERATE)
         stack = np.array(stack)
         batched = self.assert_matches_classify(stack)
+        self.assert_matches_reference(stack, batched)
         # the stacked eigenvalue route agrees with the stacked closed form
         nus = symplectic_eigenvalues(_PT @ stack @ _PT)
         apart = nus[:, 1] - nus[:, 0] > 1e-6
@@ -250,14 +305,41 @@ class TestClassifyMany:
         np.eye(4) + np.triu(np.ones((4, 4)), 1),          # not symmetric
     ])
     def test_failing_state_raises_the_scalar_error(self, bad):
-        with pytest.raises(Exception) as scalar:
-            classify(bad)
-        good = make_tmss(REF_SPEC).entries
-        with pytest.raises(Exception) as batched:
-            classify_many(np.array([good, bad, good]))
-        assert type(batched.value) is type(scalar.value)
-        assert isinstance(batched.value, InputError)
-        assert str(batched.value) == str(scalar.value)
+        self.assert_same_error(bad, InputError)
+
+    def test_underflowing_determinants_raise_the_scalar_error(self):
+        # positive definite, but every determinant underflows to 0, so Dt = 0
+        bad = np.diag([1e-200] * 4)
+        assert self.assert_same_error(bad, NumericalError) == \
+            "degenerate PPT invariants (Dt = 0.0)"
+
+    def test_route_disagreement_raises_the_scalar_error(self, monkeypatch):
+        real = oamcv.criteria.symplectic_eigenvalues
+        monkeypatch.setattr(oamcv.criteria, "symplectic_eigenvalues",
+                            lambda m: real(m) + 1e-6 * (m[:, 2:3, 2] == TARGET[2, 2]))
+        text = self.assert_same_error(TARGET, NumericalError)
+        assert text.startswith("PPT computation paths disagree: closed form ")
+        with pytest.raises(NumericalError) as scalar:
+            ppt_nu(TARGET)
+        assert str(scalar.value) == text
+
+    @pytest.mark.parametrize("transform, exc_type, prefix", [
+        # det sigma = Dt^2 makes the discriminant -3 Dt^2
+        (lambda dt, det_sigma, det_a, det_b: (dt, dt * dt, det_a, det_b),
+         NumericalError, "PPT discriminant is negative beyond tolerance: "),
+        (lambda dt, det_sigma, det_a, det_b: (dt, det_sigma, -det_a, det_b),
+         UnphysicalStateError, "state determinants must be positive, got det sigma = "),
+    ])
+    def test_patched_invariants_raise_the_scalar_error(self, monkeypatch, transform,
+                                                       exc_type, prefix):
+        real = oamcv.criteria._invariants
+
+        def patched(sigma):
+            values, hit = real(sigma), sigma[:, 2, 2] == TARGET[2, 2]
+            return tuple(np.where(hit, new, old) for new, old in zip(transform(*values), values))
+
+        monkeypatch.setattr(oamcv.criteria, "_invariants", patched)
+        assert self.assert_same_error(TARGET, exc_type).startswith(prefix)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(InputError):
