@@ -8,6 +8,7 @@ rows come out sorted by (l, delta, eta) and JSON key order is fixed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -57,6 +58,23 @@ _CONFIG_KEYS = ("specs", "deltas", "eta_start", "eta_stop", "eta_step",
 _GLOBAL_SPEC_KEYS = ("v", "vp", "r")
 
 
+def _checked_charges(charges) -> tuple:
+    """Charges as a tuple of ints: iterable, non-empty, integers but not bool, distinct."""
+    try:
+        charges = tuple(charges)
+    except TypeError as exc:
+        raise InputError(f"charges must be a list of integers, got {charges!r}") from exc
+    if not charges:
+        raise InputError("charges list must not be empty")
+    for l in charges:
+        if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
+            raise InputError(f"charges must be integers, got {l!r}")
+    charges = tuple(int(l) for l in charges)
+    if len(set(charges)) != len(charges):
+        raise InputError(f"charges must be distinct, got {charges}")
+    return charges
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Parameters of one sweep, threshold, or tomography run."""
@@ -72,18 +90,7 @@ class SweepConfig:
     n_per_setting: int = DEFAULT_N_PER_SETTING
 
     def __post_init__(self):
-        try:
-            charges = tuple(self.charges)
-        except TypeError as exc:
-            raise InputError(f"charges must be a list of integers, got {self.charges!r}") from exc
-        if not charges:
-            raise InputError("charges list must not be empty")
-        for l in charges:
-            if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
-                raise InputError(f"charges must be integers, got {l!r}")
-        charges = tuple(int(l) for l in charges)
-        if len(set(charges)) != len(charges):
-            raise InputError(f"charges must be distinct, got {charges}")
+        charges = _checked_charges(self.charges)
         specs = dict(self.specs) if self.specs else \
             {l: SqueezingSpec(DEFAULT_V, DEFAULT_VP) for l in charges}
         specs = {int(l): (s if isinstance(s, SqueezingSpec) else SqueezingSpec(*s))
@@ -141,10 +148,6 @@ class SweepConfig:
         if unknown:
             raise InputError(f"unknown config keys {sorted(unknown)}")
         kwargs = {k: d[k] for k in _CONFIG_KEYS if k in d}
-        if "deltas" in kwargs:
-            kwargs["deltas"] = tuple(kwargs["deltas"])
-        if "charges" in kwargs:
-            kwargs["charges"] = tuple(kwargs["charges"])
         if "specs" in kwargs:
             if any(k in d for k in _GLOBAL_SPEC_KEYS):
                 raise InputError("give either per-charge specs or a global v/vp (or r), not both")
@@ -155,22 +158,18 @@ class SweepConfig:
             if "charges" not in kwargs:
                 kwargs["charges"] = tuple(sorted(kwargs["specs"]))
         elif any(k in d for k in _GLOBAL_SPEC_KEYS):
-            spec = _spec_from_options(d.get("v"), d.get("vp"), d.get("r"))
-            charges = kwargs.get("charges", DEFAULT_CHARGES)
-            kwargs["specs"] = {int(l): spec for l in charges}
+            # resolved from the keys present: a null value goes to the spec, which rejects it
+            if "r" in d:
+                if "v" in d or "vp" in d:
+                    raise InputError("give either r or the (v, vp) pair, not both")
+                spec = SqueezingSpec.from_r(d["r"])
+            elif "v" not in d or "vp" not in d:
+                raise InputError("v and vp must be given together")
+            else:
+                spec = SqueezingSpec(d["v"], d["vp"])
+            charges = _checked_charges(kwargs.get("charges", DEFAULT_CHARGES))
+            kwargs["specs"] = {l: spec for l in charges}
         return cls(**kwargs)
-
-
-def _spec_from_options(v, vp, r) -> SqueezingSpec:
-    if r is not None:
-        if v is not None or vp is not None:
-            raise InputError("give either r or the (v, vp) pair, not both")
-        return SqueezingSpec.from_r(r)
-    if (v is None) != (vp is None):
-        raise InputError("v and vp must be given together")
-    if v is None:
-        return SqueezingSpec(DEFAULT_V, DEFAULT_VP)
-    return SqueezingSpec(v, vp)
 
 
 def eta_grid(config: SweepConfig) -> list:
@@ -183,6 +182,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _render(result) -> str:
+    """The output text of a result, for its file and for stdout: CSV rows or JSON."""
+    if isinstance(result, list):
+        return "\n".join(result) + "\n"
+    return json.dumps(result, indent=2) + "\n"
+
+
+def _truth_blocks(config: SweepConfig, etas: list):
+    """(l, delta, channel outputs over etas, their classify_many) per block, sorted."""
+    for l in sorted(config.charges):
+        source = make_tmss(config.specs[l])
+        for delta in sorted(config.deltas):
+            sigmas = apply_channel_grid(source, etas, delta)
+            yield l, delta, sigmas, classify_many(sigmas)
+
+
 def run_sweep(config: SweepConfig) -> list:
     """CSV rows of the criteria sweep, one per (l, delta, eta), sorted.
 
@@ -193,21 +208,17 @@ def run_sweep(config: SweepConfig) -> list:
     rows = [SWEEP_HEADER]
     etas = eta_grid(config)
     eta_text = [_fmt(eta) for eta in etas]
-    for l in sorted(config.charges):
-        source = make_tmss(config.specs[l])
-        for delta in sorted(config.deltas):
-            sigmas = apply_channel_grid(source, etas, delta)
-            batched = classify_many(sigmas)
-            delta_text = _fmt(delta)
-            for eta_s, nu, entangled, g_ab, g_ba, cls in zip(
-                    eta_text, batched.nu.tolist(), batched.entangled.tolist(),
-                    batched.g_ab.tolist(), batched.g_ba.tolist(),
-                    batched.steering_class.tolist()):
-                # the same .9g text as _fmt, written inline on this hot loop
-                rows.append(f"{l},{eta_s},{delta_text},{nu:.9g},"
-                            f"{'true' if entangled else 'false'},{g_ab:.9g},{g_ba:.9g},{cls}")
+    for l, delta, _, batched in _truth_blocks(config, etas):
+        delta_text = _fmt(delta)
+        for eta_s, nu, entangled, g_ab, g_ba, cls in zip(
+                eta_text, batched.nu.tolist(), batched.entangled.tolist(),
+                batched.g_ab.tolist(), batched.g_ba.tolist(),
+                batched.steering_class.tolist()):
+            # the same .9g text as _fmt, written inline on this hot loop
+            rows.append(f"{l},{eta_s},{delta_text},{nu:.9g},"
+                        f"{'true' if entangled else 'false'},{g_ab:.9g},{g_ba:.9g},{cls}")
     if config.out is not None:
-        Path(config.out).write_text("\n".join(rows) + "\n")
+        Path(config.out).write_text(_render(rows))
     return rows
 
 
@@ -230,7 +241,7 @@ def run_thresholds(config: SweepConfig) -> dict:
             })
     report = {"results": results}
     if config.out is not None:
-        Path(config.out).write_text(json.dumps(report, indent=2) + "\n")
+        Path(config.out).write_text(_render(report))
     return report
 
 
@@ -253,48 +264,44 @@ def run_tomo(config: SweepConfig) -> dict:
     results = []
     point = 0
     etas = eta_grid(config)
-    for l in sorted(config.charges):
-        source = make_tmss(config.specs[l])
-        for delta in sorted(config.deltas):
-            true_sigmas = apply_channel_grid(source, etas, delta)
-            true_criteria = classify_many(true_sigmas)
-            for i, eta in enumerate(etas):
-                true_cm = CovarianceMatrix(true_sigmas[i])
-                run_seed = int(np.random.SeedSequence([config.seed, point])
-                               .generate_state(1, np.uint64)[0])
-                point += 1
-                batches = simulate_measurements(true_cm, config.n_per_setting, run_seed)
-                measured = variances_from_batches(batches)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ReconstructionWarning)
-                    rec_cm = reconstruct_cm(measured)
-                truth = expected_variances(true_cm)
-                rec_criteria, rec_error = _criteria_or_error(rec_cm)
-                entry_errors = rec_cm.entries - true_cm.entries
-                entry = {
-                    "l": l,
-                    "eta": eta,
-                    "delta": delta,
-                    "seed": run_seed,
-                    "true": {
-                        "variances_db": {s: truth.db(s) for s in SETTINGS},
-                        "criteria": true_criteria.report(i).to_json_dict(),
-                    },
-                    "reconstructed": {
-                        "variances_db": {s: measured.db(s) for s in SETTINGS},
-                        "stderr_db": {s: measured.stderr(s) for s in SETTINGS},
-                        "criteria": rec_criteria,
-                        "physical": validate(rec_cm).ok,
-                        "entry_errors": entry_errors.tolist(),
-                        "max_abs_entry_error": float(np.max(np.abs(entry_errors))),
-                    },
-                }
-                if rec_error is not None:
-                    entry["reconstructed"]["criteria_error"] = rec_error
-                results.append(entry)
+    for l, delta, true_sigmas, true_criteria in _truth_blocks(config, etas):
+        for i, eta in enumerate(etas):
+            true_cm = CovarianceMatrix(true_sigmas[i])
+            run_seed = int(np.random.SeedSequence([config.seed, point])
+                           .generate_state(1, np.uint64)[0])
+            point += 1
+            batches = simulate_measurements(true_cm, config.n_per_setting, run_seed)
+            measured = variances_from_batches(batches)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ReconstructionWarning)
+                rec_cm = reconstruct_cm(measured)
+            truth = expected_variances(true_cm)
+            rec_criteria, rec_error = _criteria_or_error(rec_cm)
+            entry_errors = rec_cm.entries - true_cm.entries
+            entry = {
+                "l": l,
+                "eta": eta,
+                "delta": delta,
+                "seed": run_seed,
+                "true": {
+                    "variances_db": {s: truth.db(s) for s in SETTINGS},
+                    "criteria": true_criteria.report(i).to_json_dict(),
+                },
+                "reconstructed": {
+                    "variances_db": {s: measured.db(s) for s in SETTINGS},
+                    "stderr_db": {s: measured.stderr(s) for s in SETTINGS},
+                    "criteria": rec_criteria,
+                    "physical": validate(rec_cm).ok,
+                    "entry_errors": entry_errors.tolist(),
+                    "max_abs_entry_error": float(np.max(np.abs(entry_errors))),
+                },
+            }
+            if rec_error is not None:
+                entry["reconstructed"]["criteria_error"] = rec_error
+            results.append(entry)
     report = {"n_per_setting": config.n_per_setting, "results": results}
     if config.out is not None:
-        Path(config.out).write_text(json.dumps(report, indent=2) + "\n")
+        Path(config.out).write_text(_render(report))
     return report
 
 
@@ -304,52 +311,47 @@ def run_modes(charges, astigmatism: float = DEFAULT_ASTIGMATISM, out_dir=".",
 
     Writes mode_l{l}_beam.pgm and mode_l{l}_tilted.pgm plus a stripes.json
     summary into out_dir.  A stripe count that does not equal |l| for these
-    synthesized inputs indicates a numerical fault and raises.
+    synthesized inputs indicates a numerical fault and raises.  Every charge
+    is checked before the first file is written.
     """
-    charges = tuple(charges)
-    if not charges:
-        raise InputError("charges list must not be empty")
-    if len(set(charges)) != len(charges):
-        raise InputError(f"charges must be distinct, got {charges}")
+    specs = [LGModeSpec(l) for l in _checked_charges(charges)]
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     results = []
-    for l in charges:
-        field_grid = lg_field(LGModeSpec(l))
+    for spec in specs:
+        field_grid = lg_field(spec)
         pattern = tilted_lens_pattern(field_grid, astigmatism)
-        beam_file = out_path / mode_image_filename(l, "beam")
-        tilted_file = out_path / mode_image_filename(l, "tilted")
+        beam_file = out_path / mode_image_filename(spec.l, "beam")
+        tilted_file = out_path / mode_image_filename(spec.l, "tilted")
         write_pgm(beam_file, field_grid.intensity(), bit_depth=bit_depth)
         write_pgm(tilted_file, pattern, bit_depth=bit_depth)
         stripes = count_dark_stripes(pattern)
-        if stripes.indeterminate or stripes.count != abs(int(l)):
+        if stripes.indeterminate or stripes.count != abs(spec.l):
             raise NumericalError(
-                f"stripe count {stripes.count} does not match |l| = {abs(int(l))} "
+                f"stripe count {stripes.count} does not match |l| = {abs(spec.l)} "
                 f"at astigmatism {astigmatism}")
         results.append({
-            "l": int(l),
+            "l": spec.l,
             "stripes": stripes.count,
             "axis_sign": stripes.axis_sign,
             "beam_image": beam_file.name,
             "tilted_image": tilted_file.name,
         })
     report = {"astigmatism": float(astigmatism), "results": results}
-    (out_path / "stripes.json").write_text(json.dumps(report, indent=2) + "\n")
+    (out_path / "stripes.json").write_text(_render(report))
     return report
 
 
-def _parse_floats(text: str) -> tuple:
+def _parse_list(kind, noun: str, text: str) -> tuple:
+    """The comma-separated values of a flag, each converted by kind; empty parts are skipped."""
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
+        return tuple(kind(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
 
 
-def _parse_ints(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+_parse_floats = functools.partial(_parse_list, float, "numbers")
+_parse_ints = functools.partial(_parse_list, int, "integers")
 
 
 def _add_sweep_options(sp: argparse.ArgumentParser) -> None:
@@ -377,12 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="OAM-multiplexed continuous-variable entanglement toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sp = sub.add_parser("sweep", help="criteria vs transmission efficiency, CSV output")
-    _add_sweep_options(sp)
-    sp = sub.add_parser("thresholds", help="sudden-death transmission thresholds, JSON output")
-    _add_sweep_options(sp)
-    sp = sub.add_parser("tomo", help="tomography round trips over the grid, JSON output")
-    _add_sweep_options(sp)
+    for name, text in (("sweep", "criteria vs transmission efficiency, CSV output"),
+                       ("thresholds", "sudden-death transmission thresholds, JSON output"),
+                       ("tomo", "tomography round trips over the grid, JSON output")):
+        _add_sweep_options(sub.add_parser(name, help=text))
     sp = sub.add_parser("modes", help="beam and tilted-lens images with stripe counts")
     sp.add_argument("--charges", type=_parse_ints, default=DEFAULT_CHARGES,
                     metavar="L[,L...]", help="topological charges (default 0,1,2)")
@@ -436,24 +436,16 @@ def main(argv=None) -> int:
                       f"(axis {entry['axis_sign']:+d}) -> {entry['tilted_image']}")
             return EXIT_OK
         config = _config_from_args(args)
-        if args.command == "sweep":
-            rows = run_sweep(config)
-            if config.out is None:
-                print("\n".join(rows))
-            else:
-                print(f"wrote {len(rows) - 1} rows to {config.out}")
-        elif args.command == "thresholds":
-            report = run_thresholds(config)
-            if config.out is None:
-                print(json.dumps(report, indent=2))
-            else:
-                print(f"wrote {len(report['results'])} threshold entries to {config.out}")
-        elif args.command == "tomo":
-            report = run_tomo(config)
-            if config.out is None:
-                print(json.dumps(report, indent=2))
-            else:
-                print(f"wrote {len(report['results'])} tomography entries to {config.out}")
+        # looked up per call: the runners are module globals a tracer may rebind
+        run, noun = {"sweep": (run_sweep, "rows"),
+                     "thresholds": (run_thresholds, "threshold entries"),
+                     "tomo": (run_tomo, "tomography entries")}[args.command]
+        result = run(config)
+        if config.out is None:
+            print(_render(result), end="")
+        else:
+            count = len(result) - 1 if isinstance(result, list) else len(result["results"])
+            print(f"wrote {count} {noun} to {config.out}")
         return EXIT_OK
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,8 +9,8 @@ its B->A counterpart; steering implies entanglement but not conversely.
 The criteria have one implementation, vectorised over an (N, 4, 4) stack:
 classify_many runs it on a stack, and the other entry points on a stack of
 one.  The first failing state raises the error of its first failing check,
-in the order malformed, not positive definite, PPT discriminant, PPT
-denominator, route agreement, determinants.
+in the order malformed, not positive definite, invariants not finite, PPT
+discriminant, PPT denominator, route agreement, determinants.
 
 The sudden-death thresholds of a two-mode squeezed source sent through the
 probe channel are closed forms.  With a = (v + vp)/2 and s = (1 - v)(vp - 1),
@@ -76,6 +76,14 @@ def _invariants(sigma: np.ndarray) -> tuple:
     det_b = np.linalg.det(sigma[:, 2:, 2:])
     det_c = np.linalg.det(sigma[:, :2, 2:])
     return det_a + det_b - 2.0 * det_c, np.linalg.det(sigma), det_a, det_b
+
+
+def _finite_check(dt, det_sigma, det_a, det_b) -> tuple:
+    """The check that every invariant is finite; the later checks compare False on NaN."""
+    finite = np.isfinite(dt) & np.isfinite(det_sigma) & np.isfinite(det_a) & np.isfinite(det_b)
+    return (~finite, lambda i: NumericalError(
+        f"state invariants are not finite (Dt = {float(dt[i])!r}, "
+        f"det sigma = {float(det_sigma[i])!r})"))
 
 
 def _closed_form(dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
@@ -165,16 +173,16 @@ def ppt_nu_closed_form(cm) -> float:
     negative rounding residue is clamped to zero.
     """
     sigma = as_cm(cm).entries[None]
-    dt, det_sigma, _, _ = _invariants(sigma)
+    dt, det_sigma, det_a, det_b = _invariants(sigma)
     nu, _, _, checks = _closed_form(dt, det_sigma)
-    _raise_first_failure([_not_pd(sigma), *checks])
+    _raise_first_failure([_not_pd(sigma), _finite_check(dt, det_sigma, det_a, det_b), *checks])
     return float(nu[0])
 
 
 def ppt_nu_eigen(cm) -> float:
     """PPT nu from the eigenvalues of i*Omega*(P sigma P), the independent route."""
     sigma = as_cm(cm).entries[None]
-    _raise_first_failure([_not_pd(sigma)])
+    _raise_first_failure([_not_pd(sigma), _finite_check(*_invariants(sigma))])
     return float(_eigen_route(sigma)[0])
 
 
@@ -190,9 +198,9 @@ def ppt_nu(cm) -> float:
     value is returned.
     """
     sigma = as_cm(cm).entries[None]
-    dt, det_sigma, _, _ = _invariants(sigma)
+    dt, det_sigma, det_a, det_b = _invariants(sigma)
     nu, checks = _ppt_nu(sigma, dt, det_sigma)
-    _raise_first_failure([_not_pd(sigma), *checks])
+    _raise_first_failure([_not_pd(sigma), _finite_check(dt, det_sigma, det_a, det_b), *checks])
     return float(nu[0])
 
 
@@ -203,8 +211,9 @@ def steering(cm) -> tuple:
     the reverse; both vanish for product states.
     """
     sigma = as_cm(cm).entries[None]
-    _, det_sigma, det_a, det_b = _invariants(sigma)
-    _raise_first_failure([_determinants_check(det_sigma, det_a, det_b)])
+    dt, det_sigma, det_a, det_b = _invariants(sigma)
+    _raise_first_failure([_finite_check(dt, det_sigma, det_a, det_b),
+                          _determinants_check(det_sigma, det_a, det_b)])
     return float(_steerability(det_a, det_sigma)[0]), float(_steerability(det_b, det_sigma)[0])
 
 
@@ -270,8 +279,8 @@ def classify_many(sigmas) -> CriteriaArrays:
     sigma, malformed = _well_formed(raw)
     dt, det_sigma, det_a, det_b = _invariants(sigma)
     nu, ppt_checks = _ppt_nu(sigma, dt, det_sigma)
-    _raise_first_failure([malformed, _not_pd(sigma), *ppt_checks,
-                          _determinants_check(det_sigma, det_a, det_b)])
+    _raise_first_failure([malformed, _not_pd(sigma), _finite_check(dt, det_sigma, det_a, det_b),
+                          *ppt_checks, _determinants_check(det_sigma, det_a, det_b)])
     g_ab = _steerability(det_a, det_sigma)
     g_ba = _steerability(det_b, det_sigma)
     a, b = g_ab > TOL_DECISION, g_ba > TOL_DECISION

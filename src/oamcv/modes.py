@@ -1,9 +1,9 @@
 """Laguerre-Gaussian transverse modes and the tilted-lens charge diagnostic.
 
 Grid coordinates are measured in beam-waist units (the waist is 1 in grid
-coordinates whatever physical waist the spec records), with pixels centered
-symmetrically on the optical axis.  Fields are synthesized without
-trigonometry, from an integer power of x + i y and a separable Gaussian.
+coordinates), with pixels centered symmetrically on the optical axis.
+Fields are synthesized without trigonometry, from an integer power of
+x + i y and a separable Gaussian.
 The tilted lens is modeled as a pure astigmatic phase followed by a
 far-field Fourier transform onto a k-space window sized from the beam,
 evaluated as a real DFT folded about the mirror-symmetric axes; its output
@@ -32,10 +32,9 @@ MIN_CONTRAST = 2.0
 
 @dataclass(frozen=True)
 class LGModeSpec:
-    """Topological charge and waist of a p = 0 Laguerre-Gaussian mode."""
+    """Topological charge of a p = 0 Laguerre-Gaussian mode."""
 
     l: int
-    w: float = 1.0
 
     def __post_init__(self):
         if isinstance(self.l, bool) or not isinstance(self.l, (int, np.integer)):
@@ -43,11 +42,7 @@ class LGModeSpec:
         if abs(self.l) > MAX_ABS_CHARGE:
             raise ResolutionError(
                 f"|l| = {abs(self.l)} exceeds the grid-resolution guard of {MAX_ABS_CHARGE}")
-        w = float(self.w)
-        if not math.isfinite(w) or w <= 0.0:
-            raise InputError(f"beam waist must be positive, got {self.w!r}")
         object.__setattr__(self, "l", int(self.l))
-        object.__setattr__(self, "w", w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +130,10 @@ def _check_resolution(width: int, height: int, extent: float) -> None:
 def lg_field(spec, width: int = 512, height: int = 512, extent: float = 6.0) -> FieldGrid:
     """Synthesize a unit-power p = 0 Laguerre-Gaussian field.
 
-    The amplitude is proportional to (sqrt(2) r/w)^{|l|} exp(-r^2/w^2)
-    exp(i l phi) with the analytic normalization 2/(pi w^2 |l|!), so the
-    discrete power equals 1 up to quadrature error.  extent is the grid
-    half-width in waist units.  The field is built without trigonometry:
+    With r in waist units, the amplitude is proportional to
+    (sqrt(2) r)^{|l|} exp(-r^2) exp(i l phi) with the analytic normalization
+    2/(pi |l|!), so the discrete power equals 1 up to quadrature error.
+    extent is the grid half-width in waist units.  The field is built without trigonometry:
     r^{|l|} exp(i l phi) is the integer power (x + i sign(l) y)^{|l|}, and
     exp(-r^2) the outer product exp(-y^2) (x) exp(-x^2).
     """

@@ -23,8 +23,6 @@ from .gaussian import CovarianceMatrix, as_cm, validate
 
 SETTINGS = ("Xc", "Yc", "Xp", "Yp", "Xdiff", "Ysum")
 
-_SINGLE_INDEX = {"Xc": 0, "Yc": 1, "Xp": 2, "Yp": 3}
-
 # 0 dB reference of each setting (two vacuum modes enter the joint ones)
 SNL_REFERENCE = {"Xc": 1.0, "Yc": 1.0, "Xp": 1.0, "Yp": 1.0, "Xdiff": 2.0, "Ysum": 2.0}
 
@@ -35,17 +33,28 @@ class ReconstructionWarning(UserWarning):
     """The reconstructed matrix is not a physical Gaussian state."""
 
 
+def _variances(cm: CovarianceMatrix) -> tuple:
+    """Absolute variances of the six settings of a state, in SETTINGS order."""
+    s = cm.entries
+    return (float(s[0, 0]), float(s[1, 1]), float(s[2, 2]), float(s[3, 3]),
+            float(s[2, 2] + s[0, 0] - 2.0 * s[0, 2]), float(s[3, 3] + s[1, 1] + 2.0 * s[1, 3]))
+
+
+def _positive_variances(cm: CovarianceMatrix) -> tuple:
+    """The six variances of a state, each checked positive."""
+    variances = _variances(cm)
+    for setting, var in zip(SETTINGS, variances):
+        if var <= 0.0:
+            raise NumericalError(f"variance of {setting} is not positive: {var!r}")
+    return variances
+
+
 def setting_variance(cm, setting: str) -> float:
     """Absolute (SNL-unnormalized) variance of one measurement setting."""
-    s = as_cm(cm).entries
-    if setting in _SINGLE_INDEX:
-        i = _SINGLE_INDEX[setting]
-        return float(s[i, i])
-    if setting == "Xdiff":
-        return float(s[2, 2] + s[0, 0] - 2.0 * s[0, 2])
-    if setting == "Ysum":
-        return float(s[3, 3] + s[1, 1] + 2.0 * s[1, 3])
-    raise InputError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
+    cm = as_cm(cm)
+    if setting not in SETTINGS:
+        raise InputError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
+    return _variances(cm)[SETTINGS.index(setting)]
 
 
 @dataclass(frozen=True)
@@ -127,12 +136,10 @@ def simulate_measurements(cm, n_per_setting: int, seed) -> tuple:
     n = int(n_per_setting)
     if n < 2:
         raise InputError(f"n_per_setting must be >= 2, got {n_per_setting!r}")
+    variances = _positive_variances(cm)
     child_seeds = np.random.SeedSequence(seed).generate_state(len(SETTINGS), np.uint64)
     batches = []
-    for setting, child in zip(SETTINGS, child_seeds):
-        true_var = setting_variance(cm, setting)
-        if true_var <= 0.0:
-            raise NumericalError(f"true variance of {setting} is not positive: {true_var!r}")
+    for setting, true_var, child in zip(SETTINGS, variances, child_seeds):
         rng = np.random.default_rng(int(child))
         batches.append(SampleBatch(setting, rng.normal(0.0, math.sqrt(true_var), n), int(child)))
     return tuple(batches)
@@ -168,14 +175,9 @@ def variances_from_batches(batches: Iterable[SampleBatch]) -> VarianceSet:
 
 def expected_variances(cm) -> VarianceSet:
     """Noise-free VarianceSet computed directly from the CM, no sampling."""
-    cm = as_cm(cm)
-    dbs = []
-    for setting in SETTINGS:
-        true_var = setting_variance(cm, setting)
-        if true_var <= 0.0:
-            raise NumericalError(f"variance of {setting} is not positive: {true_var!r}")
-        dbs.append(10.0 * math.log10(true_var / SNL_REFERENCE[setting]))
-    return VarianceSet(*dbs)
+    variances = _positive_variances(as_cm(cm))
+    return VarianceSet(*(10.0 * math.log10(var / SNL_REFERENCE[setting])
+                         for setting, var in zip(SETTINGS, variances)))
 
 
 def covariance_from_sum(var_sum: float, var_i: float, var_j: float) -> float:

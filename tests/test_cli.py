@@ -201,6 +201,16 @@ class TestRunModes:
             run_modes((1, 1), out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("charges", [5, (0, True), (0, 1.0), (0, "1")])
+    def test_charges_checked_as_in_sweep_config(self, charges, tmp_path):
+        with pytest.raises(InputError) as config_error:
+            SweepConfig(charges=charges)
+        out = tmp_path / "images"
+        with pytest.raises(InputError) as modes_error:
+            run_modes(charges, out_dir=out)
+        assert str(modes_error.value) == str(config_error.value)
+        assert not out.exists()
+
 
 class TestMain:
     def test_import_leaves_scipy_unloaded(self):
@@ -230,6 +240,21 @@ class TestMain:
                      "--eta-stop", "--eta-step", "--charges", "--seed", "--n",
                      "--out", "--preset"):
             assert flag in out
+
+    @pytest.mark.parametrize("argv, noun", [
+        (["sweep", "--preset", "fig3", "--charges", "0,1"], "rows"),
+        (["thresholds", "--preset", "fig4"], "threshold entries"),
+        (["tomo", "--charges", "0", "--eta-step", "0.5", "--n", "200"], "tomography entries"),
+    ])
+    def test_stdout_is_the_out_file(self, argv, noun, tmp_path, capsys):
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert printed.encode() == out.read_bytes()
+        count = len(printed.splitlines()) - 1 if argv[0] == "sweep" else \
+            len(json.loads(printed)["results"])
+        assert capsys.readouterr().out == f"wrote {count} {noun} to {out}\n"
 
     def test_sweep_to_stdout(self, capsys):
         code = main(["sweep", "--charges", "0", "--eta-start", "1",
@@ -285,6 +310,19 @@ class TestMain:
         assert "distinct" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_modes_bad_charge_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "images"
+        assert main(["modes", "--charges=0,17", "--out", str(out)]) == EXIT_CONFIG
+        assert "exceeds the grid-resolution guard" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_source_is_numerical_error(self, capsys):
+        # every determinant of the source overflows to inf
+        code = main(["sweep", "--v", "1e-200", "--vp", "1e200", "--charges", "0"])
+        assert code == EXIT_NUMERICAL
+        assert "invariants are not finite" in capsys.readouterr().err
+
     def test_modes_main(self, tmp_path, capsys):
         code = main(["modes", "--charges", "0,1", "--out", str(tmp_path), "--depth", "8"])
         assert code == EXIT_OK
@@ -298,7 +336,8 @@ class TestMain:
 
     def test_wrongly_typed_config_values(self, tmp_path):
         for payload in ({"eta_start": "zero"}, {"charges": 5}, {"deltas": [None]},
-                        {"v": "x", "vp": 2.0}):
+                        {"v": "x", "vp": 2.0}, {"v": None, "vp": None}, {"r": None},
+                        {"r": 0.3, "v": None}):
             path = tmp_path / "typed.json"
             path.write_text(json.dumps(payload))
             assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG

@@ -313,6 +313,18 @@ class TestClassifyMany:
         assert self.assert_same_error(bad, NumericalError) == \
             "degenerate PPT invariants (Dt = 0.0)"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_invariants_raise_the_scalar_error(self):
+        # positive definite, but every determinant overflows to inf, so the
+        # closed form is NaN, which no comparison of the later checks catches
+        bad = np.diag([1e200] * 4)
+        text = self.assert_same_error(bad, NumericalError)
+        assert text == "state invariants are not finite (Dt = inf, det sigma = inf)"
+        for entry_point in (ppt_nu, ppt_nu_closed_form, ppt_nu_eigen, steering):
+            with pytest.raises(NumericalError) as scalar:
+                entry_point(bad)
+            assert str(scalar.value) == text
+
     def test_route_disagreement_raises_the_scalar_error(self, monkeypatch):
         real = oamcv.criteria.symplectic_eigenvalues
         monkeypatch.setattr(oamcv.criteria, "symplectic_eigenvalues",

@@ -45,13 +45,11 @@ class TestLGModeSpec:
         with pytest.raises(ResolutionError):
             LGModeSpec(17)
         with pytest.raises(InputError):
-            LGModeSpec(1, w=0.0)
-        with pytest.raises(InputError):
             LGModeSpec(1.5)
 
     def test_defaults(self):
         spec = LGModeSpec(-2)
-        assert spec.l == -2 and spec.w == 1.0
+        assert spec.l == -2
 
 
 class TestLgField:
