@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, UnphysicalStateError
-from .gaussian import (ChannelParams, CovarianceMatrix, ModePair, MultiplexedState,
-                       as_cm, validate)
+from .gaussian import (ChannelParams, CovarianceMatrix, ModePair, MultiplexedState, _finite_check,
+                       _invariants, _raise_first_failure, as_cm, checked_delta, validate)
 
 
 def apply_channel(cm, ch) -> CovarianceMatrix:
@@ -33,8 +33,8 @@ def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
     """apply_channel over a grid of eta at one delta, as an (N, 4, 4) stack.
 
     Entry i is the entries of apply_channel(cm, ChannelParams(etas[i], delta));
-    the source is validated once for the whole grid, and eta and delta obey
-    the ChannelParams bounds.
+    the source is checked once for the whole grid (finite invariants, then
+    validate()), and eta and delta obey the ChannelParams bounds.
     """
     cm = as_cm(cm)
     etas = np.asarray(etas, dtype=float)
@@ -43,7 +43,8 @@ def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
     outside = ~(np.isfinite(etas) & (etas >= 0.0) & (etas <= 1.0))
     if outside.any():
         raise InputError(f"eta must lie in [0, 1], got {float(etas[outside][0])!r}")
-    delta = ChannelParams(0.0, delta).delta
+    delta = checked_delta(delta)
+    _raise_first_failure([_finite_check(*_invariants(cm.entries[None]))])
     report = validate(cm)
     if not report.ok:
         raise UnphysicalStateError(

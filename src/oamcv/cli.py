@@ -24,7 +24,7 @@ from .channels import apply_channel_grid
 from .criteria import (classify, classify_many, entanglement_death_eta,
                        steering_death_eta)
 from .errors import InputError, NumericalError, ToolkitError
-from .gaussian import CovarianceMatrix, SqueezingSpec, make_tmss, validate
+from .gaussian import CovarianceMatrix, SqueezingSpec, checked_delta, make_tmss, validate
 from .modes import (LGModeSpec, count_dark_stripes, lg_field, mode_image_filename,
                     tilted_lens_pattern, write_pgm)
 from .tomography import (SETTINGS, ReconstructionWarning, expected_variances,
@@ -107,9 +107,7 @@ class SweepConfig:
             raise InputError(f"non-numeric sweep parameter: {exc}") from exc
         if not deltas:
             raise InputError("deltas list must not be empty")
-        for d in deltas:
-            if not math.isfinite(d) or d < 0.0:
-                raise InputError(f"excess noise must be >= 0, got {d!r}")
+        deltas = tuple(checked_delta(d) for d in deltas)
         if not (0.0 <= start <= stop <= 1.0):
             raise InputError(f"eta grid [{start}, {stop}] must lie within [0, 1]")
         if not math.isfinite(step) or step <= 0.0:

@@ -9,8 +9,9 @@ its B->A counterpart; steering implies entanglement but not conversely.
 The criteria have one implementation, vectorised over an (N, 4, 4) stack:
 classify_many runs it on a stack, and the other entry points on a stack of
 one.  The first failing state raises the error of its first failing check,
-in the order malformed, not positive definite, invariants not finite, PPT
-discriminant, PPT denominator, route agreement, determinants.
+in the order malformed, not PD (a NaN eigen route), invariants not finite,
+PPT discriminant overflowing, then negative, PPT denominator, route agreement,
+determinants.
 
 The sudden-death thresholds of a two-mode squeezed source sent through the
 probe channel are closed forms.  With a = (v + vp)/2 and s = (1 - v)(vp - 1),
@@ -37,7 +38,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import as_cm, as_spec, symplectic_eigenvalues
+from .gaussian import (_finite_check, _invariants, _raise_first_failure, as_cm, as_spec,
+                       checked_delta, symplectic_eigenvalues)
 
 TOL_DECISION = 1e-9
 STEERING_CLASSES = ("two-way", "one-way-AB", "one-way-BA", "none")
@@ -64,36 +66,33 @@ def _well_formed(raw: np.ndarray) -> tuple:
     return sigma, (malformed, lambda i: as_cm(raw[i]))
 
 
-def _not_pd(sigma: np.ndarray) -> tuple:
-    """The positive-definiteness check of each state."""
-    return (np.linalg.eigvalsh(sigma)[:, 0] <= 0.0,
-            lambda i: InputError("covariance matrix must be positive definite"))
+def _eigen_route(sigma: np.ndarray) -> np.ndarray:
+    """PPT nu of each state from symplectic_eigenvalues of P sigma P; NaN if not PD."""
+    return symplectic_eigenvalues(_PT @ sigma @ _PT)[:, 0]
 
 
-def _invariants(sigma: np.ndarray) -> tuple:
-    """(Dt, det sigma, det A, det B) of each state, with Dt = det A + det B - 2 det C."""
-    det_a = np.linalg.det(sigma[:, :2, :2])
-    det_b = np.linalg.det(sigma[:, 2:, 2:])
-    det_c = np.linalg.det(sigma[:, :2, 2:])
-    return det_a + det_b - 2.0 * det_c, np.linalg.det(sigma), det_a, det_b
+def _not_pd(eigen: np.ndarray) -> tuple:
+    """The positive-definiteness check of each state, read from its eigen route."""
+    return np.isnan(eigen), lambda i: InputError("covariance matrix must be positive definite")
 
 
-def _finite_check(dt, det_sigma, det_a, det_b) -> tuple:
-    """The check that every invariant is finite; the later checks compare False on NaN."""
-    finite = np.isfinite(dt) & np.isfinite(det_sigma) & np.isfinite(det_a) & np.isfinite(det_b)
-    return (~finite, lambda i: NumericalError(
-        f"state invariants are not finite (Dt = {float(dt[i])!r}, "
-        f"det sigma = {float(det_sigma[i])!r})"))
+@np.errstate(all="ignore")
+def _discriminant(dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
+    """Dt^2 - 4 det sigma of each state, and the check that it is finite (Dt^2 can overflow)."""
+    disc = dt * dt - 4.0 * det_sigma
+    return disc, (~np.isfinite(disc), lambda i: NumericalError(
+        f"PPT discriminant overflows (Dt = {float(dt[i])!r}, det sigma = {float(det_sigma[i])!r})"))
 
 
+@np.errstate(all="ignore")
 def _closed_form(dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
     """Closed-form nu of each state, sqrt(discriminant), denominator, and their checks."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = dt * dt - 4.0 * det_sigma
-        s = np.sqrt(np.maximum(disc, 0.0))
-        denominator = dt + s
-        nu = np.sqrt(np.maximum(2.0 * det_sigma / denominator, 0.0))
+    disc, finite_disc = _discriminant(dt, det_sigma)
+    s = np.sqrt(np.maximum(disc, 0.0))
+    denominator = dt + s
+    nu = np.sqrt(np.maximum(2.0 * det_sigma / denominator, 0.0))
     checks = [
+        finite_disc,
         (disc < -1e-9 * np.maximum(1.0, dt * dt), lambda i: NumericalError(
             f"PPT discriminant is negative beyond tolerance: {float(disc[i]):.3g}")),
         (denominator <= 0.0, lambda i: NumericalError(
@@ -111,7 +110,7 @@ def _allowance(dt, det_sigma, s, denominator) -> np.ndarray:
     degeneracy this bound collapses to ~eps and the 1e-9 agreement gate
     stays fully strict.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         noise = 8.0 * np.finfo(float).eps * np.maximum(1.0, dt * dt)
         ds = np.where(s * s <= noise, np.sqrt(noise), noise / (2.0 * s))
         nu2 = np.maximum(2.0 * det_sigma / np.maximum(denominator, np.finfo(float).tiny), 0.0)
@@ -119,21 +118,16 @@ def _allowance(dt, det_sigma, s, denominator) -> np.ndarray:
                         4.0 * np.sqrt(nu2) * ds / (2.0 * denominator))
 
 
-def _eigen_route(sigma: np.ndarray) -> np.ndarray:
-    """PPT nu of each state from the eigenvalues of i*Omega*(P sigma P)."""
-    return symplectic_eigenvalues(_PT @ sigma @ _PT)[:, 0]
-
-
 def _ppt_nu(sigma: np.ndarray, dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
-    """PPT nu of each state as ppt_nu() takes it, with both routes' checks and the gate's."""
+    """ppt_nu() of each state and its eigen route, with the closed form's checks and the gate's."""
     closed, s, denominator, checks = _closed_form(dt, det_sigma)
     eigen = _eigen_route(sigma)
     gap, strict = np.abs(closed - eigen), 1e-9 * np.maximum(1.0, np.abs(closed))
-    disagree = gap > strict + _allowance(dt, det_sigma, s, denominator)
+    disagree = ~(gap <= strict + _allowance(dt, det_sigma, s, denominator))  # NaN fails the gate
     checks.append((disagree, lambda i: NumericalError(
         f"PPT computation paths disagree: closed form {float(closed[i])!r} "
         f"vs eigen {float(eigen[i])!r}")))
-    return np.where(gap <= strict, closed, eigen), checks
+    return np.where(gap <= strict, closed, eigen), eigen, checks
 
 
 def _determinants_check(det_sigma, det_a, det_b) -> tuple:
@@ -150,19 +144,6 @@ def _steerability(det_marginal: np.ndarray, det_sigma: np.ndarray) -> np.ndarray
     return np.maximum(0.0, 0.5 * logs)
 
 
-def _raise_first_failure(checks: list) -> None:
-    """Raise the error of the first state that fails any check.
-
-    checks holds (mask, error) pairs in check order, and error(i) gives the
-    exception of state i (the malformed check's raises as_cm's own), so a
-    state failing several checks gets its first one's error.
-    """
-    failed = np.logical_or.reduce([mask for mask, _ in checks])
-    if failed.any():
-        first = int(np.argmax(failed))
-        raise next(error(first) for mask, error in checks if mask[first])
-
-
 def ppt_nu_closed_form(cm) -> float:
     """PPT nu from the symplectic-invariant formula.
 
@@ -173,17 +154,19 @@ def ppt_nu_closed_form(cm) -> float:
     negative rounding residue is clamped to zero.
     """
     sigma = as_cm(cm).entries[None]
-    dt, det_sigma, det_a, det_b = _invariants(sigma)
-    nu, _, _, checks = _closed_form(dt, det_sigma)
-    _raise_first_failure([_not_pd(sigma), _finite_check(dt, det_sigma, det_a, det_b), *checks])
+    invariants = _invariants(sigma)
+    nu, _, _, checks = _closed_form(*invariants[:2])
+    _raise_first_failure([_not_pd(_eigen_route(sigma)), _finite_check(*invariants), *checks])
     return float(nu[0])
 
 
 def ppt_nu_eigen(cm) -> float:
-    """PPT nu from the eigenvalues of i*Omega*(P sigma P), the independent route."""
+    """PPT nu from symplectic_eigenvalues of P sigma P, the independent route."""
     sigma = as_cm(cm).entries[None]
-    _raise_first_failure([_not_pd(sigma), _finite_check(*_invariants(sigma))])
-    return float(_eigen_route(sigma)[0])
+    invariants, eigen = _invariants(sigma), _eigen_route(sigma)
+    _raise_first_failure([_not_pd(eigen), _finite_check(*invariants),
+                          _discriminant(*invariants[:2])[1]])
+    return float(eigen[0])
 
 
 def ppt_nu(cm) -> float:
@@ -199,8 +182,8 @@ def ppt_nu(cm) -> float:
     """
     sigma = as_cm(cm).entries[None]
     dt, det_sigma, det_a, det_b = _invariants(sigma)
-    nu, checks = _ppt_nu(sigma, dt, det_sigma)
-    _raise_first_failure([_not_pd(sigma), _finite_check(dt, det_sigma, det_a, det_b), *checks])
+    nu, eigen, checks = _ppt_nu(sigma, dt, det_sigma)
+    _raise_first_failure([_not_pd(eigen), _finite_check(dt, det_sigma, det_a, det_b), *checks])
     return float(nu[0])
 
 
@@ -211,8 +194,8 @@ def steering(cm) -> tuple:
     the reverse; both vanish for product states.
     """
     sigma = as_cm(cm).entries[None]
-    dt, det_sigma, det_a, det_b = _invariants(sigma)
-    _raise_first_failure([_finite_check(dt, det_sigma, det_a, det_b),
+    dt, det_sigma, det_a, det_b = invariants = _invariants(sigma)
+    _raise_first_failure([_finite_check(*invariants), _discriminant(dt, det_sigma)[1],
                           _determinants_check(det_sigma, det_a, det_b)])
     return float(_steerability(det_a, det_sigma)[0]), float(_steerability(det_b, det_sigma)[0])
 
@@ -278,8 +261,8 @@ def classify_many(sigmas) -> CriteriaArrays:
         raise InputError(f"expected a stack of 4x4 matrices, got shape {raw.shape}")
     sigma, malformed = _well_formed(raw)
     dt, det_sigma, det_a, det_b = _invariants(sigma)
-    nu, ppt_checks = _ppt_nu(sigma, dt, det_sigma)
-    _raise_first_failure([malformed, _not_pd(sigma), _finite_check(dt, det_sigma, det_a, det_b),
+    nu, eigen, ppt_checks = _ppt_nu(sigma, dt, det_sigma)
+    _raise_first_failure([malformed, _not_pd(eigen), _finite_check(dt, det_sigma, det_a, det_b),
                           *ppt_checks, _determinants_check(det_sigma, det_a, det_b)])
     g_ab = _steerability(det_a, det_sigma)
     g_ba = _steerability(det_b, det_sigma)
@@ -288,13 +271,6 @@ def classify_many(sigmas) -> CriteriaArrays:
     cls = np.array(STEERING_CLASSES)[2 * ~a + ~b]
     return CriteriaArrays(nu=nu, entangled=nu < 1.0 - TOL_DECISION,
                           g_ab=g_ab, g_ba=g_ba, steering_class=cls)
-
-
-def _checked_delta(delta) -> float:
-    delta = float(delta)
-    if not math.isfinite(delta) or delta < 0.0:
-        raise InputError(f"delta must be >= 0, got {delta!r}")
-    return delta
 
 
 def _death_eta(p: float, q: float) -> Optional[float]:
@@ -318,7 +294,7 @@ def entanglement_death_eta(spec, delta: float) -> Optional[float]:
     either the channel is purely lossy (entanglement survives to eta -> 0)
     or the source has no entanglement to lose.
     """
-    spec, delta = as_spec(spec), _checked_delta(delta)
+    spec, delta = as_spec(spec), checked_delta(delta)
     a = 0.5 * (spec.v + spec.vp)
     s = (1.0 - spec.v) * (spec.vp - 1.0)
     return _death_eta(-(a - 1.0) * delta, s + (a - 1.0) * delta)
@@ -333,7 +309,7 @@ def steering_death_eta(spec, delta: float, direction: str) -> Optional[float]:
     module docstring).  None means no transition inside (0, 1]: the
     direction either survives the whole bracket or never steers at all.
     """
-    spec, delta = as_spec(spec), _checked_delta(delta)
+    spec, delta = as_spec(spec), checked_delta(delta)
     a, vvp = 0.5 * (spec.v + spec.vp), spec.v * spec.vp
     if direction == "AB":
         return _death_eta(-a * delta, (1.0 + delta) * a - vvp)

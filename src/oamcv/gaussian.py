@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import InputError, UnphysicalStateError
+from .errors import InputError, NumericalError, UnphysicalStateError
 
 MODE_ORDER = ("Xc", "Yc", "Xp", "Yp")
 
@@ -52,10 +52,7 @@ class Decibel:
 
 def db_to_linear(x) -> float:
     """Linear power ratio 10^(x/10) of a Decibel or plain dB float."""
-    value = x.value if isinstance(x, Decibel) else float(x)
-    if not math.isfinite(value):
-        raise InputError(f"dB value must be finite, got {x!r}")
-    return 10.0 ** (value / 10.0)
+    return (x if isinstance(x, Decibel) else Decibel(x)).linear
 
 
 def linear_to_db(v) -> Decibel:
@@ -129,13 +126,21 @@ class ChannelParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        eta, delta = float(self.eta), float(self.delta)
+        eta = float(self.eta)
         if not math.isfinite(eta) or not 0.0 <= eta <= 1.0:
             raise InputError(f"eta must lie in [0, 1], got {self.eta!r}")
-        if not math.isfinite(delta) or delta < 0.0:
-            raise InputError(f"delta must be >= 0, got {self.delta!r}")
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta", checked_delta(self.delta))
+
+
+def checked_delta(delta) -> float:
+    """Excess noise delta as a float; anything but a finite number >= 0 is an InputError."""
+    try:
+        if math.isfinite(value := float(delta)) and value >= 0.0:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"delta must be >= 0, got {delta!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,16 +206,51 @@ def as_spec(obj) -> SqueezingSpec:
 
 
 def symplectic_eigenvalues(matrix) -> np.ndarray:
-    """The two symplectic eigenvalues of a 4x4 CM, ascending.
+    """The two symplectic eigenvalues of a 4x4 CM, ascending; (nan, nan) if it is not PD.
 
-    These are the moduli of the eigenvalues of i*Omega*sigma, which come in
-    equal pairs; both equal 1 for the two-mode vacuum.  A stack of shape
-    (..., 4, 4) gives one ascending pair per matrix, shape (..., 2).
+    With sigma = L L^T (Cholesky), i L^T Omega L is Hermitian and similar to
+    i Omega sigma, so its eigenvalues are -nu2, -nu1, nu1, nu2 (Williamson
+    1936).  A stack of shape (..., 4, 4) gives one pair per matrix, (..., 2).
     """
     m = matrix.entries if isinstance(matrix, CovarianceMatrix) else np.asarray(matrix, dtype=float)
-    ev = np.abs(np.linalg.eigvals(1j * OMEGA @ m))
-    ev.sort(axis=-1)
-    return ev[..., ::2].copy()
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:  # one matrix that is not PD fails the whole stack
+        if m.ndim == 2:
+            return np.full(2, np.nan)
+        nus = [symplectic_eigenvalues(x) for x in m.reshape(-1, 4, 4)]
+        return np.array(nus).reshape(*m.shape[:-2], 2)
+    return np.linalg.eigvalsh(1j * (chol.swapaxes(-1, -2) @ OMEGA @ chol))[..., 2:]
+
+
+@np.errstate(all="ignore")
+def _invariants(sigma: np.ndarray) -> tuple:
+    """(Dt, det sigma, det A, det B) per state, Dt = det A + det B - 2 det C; silent overflow."""
+    det_a = np.linalg.det(sigma[:, :2, :2])
+    det_b = np.linalg.det(sigma[:, 2:, 2:])
+    det_c = np.linalg.det(sigma[:, :2, 2:])
+    return det_a + det_b - 2.0 * det_c, np.linalg.det(sigma), det_a, det_b
+
+
+def _finite_check(dt, det_sigma, det_a, det_b) -> tuple:
+    """The check that every invariant is finite; the later checks compare False on NaN."""
+    finite = np.isfinite(dt) & np.isfinite(det_sigma) & np.isfinite(det_a) & np.isfinite(det_b)
+    return (~finite, lambda i: NumericalError(
+        f"state invariants are not finite (Dt = {float(dt[i])!r}, "
+        f"det sigma = {float(det_sigma[i])!r})"))
+
+
+def _raise_first_failure(checks: list) -> None:
+    """Raise the error of the first state that fails any check.
+
+    checks holds (mask, error) pairs in check order, and error(i) gives the
+    exception of state i (the malformed check's raises as_cm's own), so a
+    state failing several checks gets its first one's error.
+    """
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise next(error(first) for mask, error in checks if mask[first])
 
 
 @dataclass(frozen=True)
@@ -228,10 +268,10 @@ class ValidityReport:
 
 
 def validate(candidate) -> ValidityReport:
-    """Check symmetry (tol 1e-9) and the uncertainty bound (tol 1e-6).
+    """Check symmetry (tol 1e-9), and physicality: PD plus the uncertainty bound (tol 1e-6).
 
     Accepts a CovarianceMatrix or any real 4x4 array and always returns a
-    report; the physicality verdict is min symplectic eigenvalue >= 1 - tol.
+    report; min_symplectic is nan for a matrix that is not PD, so it is unphysical.
     """
     m = candidate.entries if isinstance(candidate, CovarianceMatrix) else np.asarray(candidate, dtype=float)
     if m.shape != (4, 4):

@@ -27,6 +27,7 @@ SETTINGS = ("Xc", "Yc", "Xp", "Yp", "Xdiff", "Ysum")
 SNL_REFERENCE = {"Xc": 1.0, "Yc": 1.0, "Xp": 1.0, "Yp": 1.0, "Xdiff": 2.0, "Ysum": 2.0}
 
 _DB_PER_LN = 10.0 / math.log(10.0)
+_DB_FIELDS = tuple(setting.lower() + "_db" for setting in SETTINGS)
 
 
 class ReconstructionWarning(UserWarning):
@@ -49,12 +50,17 @@ def _positive_variances(cm: CovarianceMatrix) -> tuple:
     return variances
 
 
+def _setting_index(setting) -> int:
+    """Position of a setting in SETTINGS; only its exact names are accepted."""
+    if not isinstance(setting, str) or setting not in SETTINGS:
+        raise InputError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
+    return SETTINGS.index(setting)
+
+
 def setting_variance(cm, setting: str) -> float:
     """Absolute (SNL-unnormalized) variance of one measurement setting."""
     cm = as_cm(cm)
-    if setting not in SETTINGS:
-        raise InputError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
-    return _variances(cm)[SETTINGS.index(setting)]
+    return _variances(cm)[_setting_index(setting)]
 
 
 @dataclass(frozen=True)
@@ -70,11 +76,10 @@ class VarianceSet:
     stderr_db: Optional[tuple] = None
 
     def __post_init__(self):
-        values = [float(getattr(self, name)) for name in
-                  ("xc_db", "yc_db", "xp_db", "yp_db", "xdiff_db", "ysum_db")]
+        values = [float(getattr(self, name)) for name in _DB_FIELDS]
         if not all(math.isfinite(v) for v in values):
             raise InputError(f"variances must be finite dB values, got {values}")
-        for name, v in zip(("xc_db", "yc_db", "xp_db", "yp_db", "xdiff_db", "ysum_db"), values):
+        for name, v in zip(_DB_FIELDS, values):
             object.__setattr__(self, name, v)
         if self.stderr_db is not None:
             se = tuple(float(x) for x in self.stderr_db)
@@ -83,19 +88,15 @@ class VarianceSet:
             object.__setattr__(self, "stderr_db", se)
 
     def db(self, setting: str) -> float:
-        try:
-            return getattr(self, setting.lower() + "_db")
-        except AttributeError:
-            raise InputError(f"unknown setting {setting!r}, expected one of {SETTINGS}") from None
+        return getattr(self, _DB_FIELDS[_setting_index(setting)])
 
     def stderr(self, setting: str) -> Optional[float]:
-        if self.stderr_db is None:
-            return None
-        return self.stderr_db[SETTINGS.index(setting)]
+        index = _setting_index(setting)
+        return None if self.stderr_db is None else self.stderr_db[index]
 
     def absolute_variance(self, setting: str) -> float:
         """Variance in absolute units: the dB value de-normalized by its SNL."""
-        return SNL_REFERENCE[setting] * 10.0 ** (self.db(setting) / 10.0)
+        return 10.0 ** (self.db(setting) / 10.0) * SNL_REFERENCE[setting]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +108,7 @@ class SampleBatch:
     seed: int
 
     def __post_init__(self):
-        if self.setting not in SETTINGS:
-            raise InputError(f"unknown setting {self.setting!r}, expected one of {SETTINGS}")
+        _setting_index(self.setting)
         samples = np.array(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 2:
             raise InputError("a batch needs at least 2 scalar samples")

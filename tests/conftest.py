@@ -6,9 +6,27 @@ import numpy as np
 from hypothesis import strategies as st
 
 from oamcv import SqueezingSpec
+from oamcv.gaussian import OMEGA
 
 # reference source of the experiments: -3.3 dB / 6.1 dB correlations
 V_REF, VP_REF = 0.47, 4.11
+
+# symmetric matrices that are not positive definite, although the moduli of
+# the eigenvalues of i*Omega*sigma look physical (2.0 and 1.41 at the least)
+INDEFINITE = (np.diag([-2.0] * 4),
+              np.array([[1.0, 0.0, 3.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                        [3.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+
+
+def eigvals_symplectic(m):
+    """Third reference for symplectic spectra: moduli of the eigenvalues of i*Omega*sigma.
+
+    A general (non-Hermitian) eigensolver that never tests positive
+    definiteness; on a PD matrix each modulus appears twice, ascending pairs.
+    """
+    ev = np.abs(np.linalg.eigvals(1j * OMEGA @ m))
+    ev.sort(axis=-1)
+    return ev[..., ::2]
 
 
 def analytic_family_cm(v, vp, eta, delta):

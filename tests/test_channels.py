@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oamcv.channels
-from oamcv import (ChannelParams, InputError, SqueezingSpec, UnphysicalStateError,
-                   apply_channel, apply_channel_grid, apply_channel_multiplexed,
-                   make_multiplexed, make_tmss, validate)
-from conftest import V_REF, VP_REF, analytic_family_cm, deltas, etas, source_specs
+from oamcv import (ChannelParams, InputError, NumericalError, SqueezingSpec,
+                   UnphysicalStateError, apply_channel, apply_channel_grid,
+                   apply_channel_multiplexed, make_multiplexed, make_tmss, validate)
+from conftest import INDEFINITE, V_REF, VP_REF, analytic_family_cm, deltas, etas, source_specs
 
 REF_SPEC = SqueezingSpec(V_REF, VP_REF)
 
@@ -128,6 +128,17 @@ class TestApplyChannelGrid:
             apply_channel_grid(cm, [[0.5]])
         with pytest.raises(InputError):
             apply_channel_grid(cm, [0.5], -0.5)
+
+    @pytest.mark.parametrize("m", INDEFINITE)
+    def test_rejects_indefinite_source(self, m):
+        with pytest.raises(UnphysicalStateError, match=r"min symplectic eigenvalue nan"):
+            apply_channel_grid(m, [0.0, 0.5, 1.0])
+
+    def test_source_invariants_are_checked_before_validate(self, monkeypatch):
+        # every determinant of this source overflows; validate never runs
+        monkeypatch.setattr(oamcv.channels, "validate", None)
+        with pytest.raises(NumericalError, match=r"^state invariants are not finite"):
+            apply_channel_grid(make_tmss(SqueezingSpec(1e-200, 1e200)), [0.5])
 
 
 class TestMultiplexedChannel:

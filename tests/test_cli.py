@@ -316,12 +316,33 @@ class TestMain:
         assert "exceeds the grid-resolution guard" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_source_is_numerical_error(self, capsys):
         # every determinant of the source overflows to inf
         code = main(["sweep", "--v", "1e-200", "--vp", "1e200", "--charges", "0"])
         assert code == EXIT_NUMERICAL
         assert "invariants are not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("v, vp, code, err", [
+        # the source's determinants overflow: the finiteness check, exit 3
+        ("1e-200", "1e200", EXIT_NUMERICAL,
+         "numerical error: state invariants are not finite (Dt = inf, det sigma = 0.0)\n"),
+        # finite invariants, but singular in floating point: not PD, exit 2
+        ("1e-100", "1e100", EXIT_CONFIG,
+         "config error: input state is unphysical (min symplectic eigenvalue nan)\n"),
+    ])
+    def test_degenerate_source_stderr_is_one_line(self, v, vp, code, err):
+        # a fresh interpreter, so a numpy RuntimeWarning would reach stderr
+        src = str(Path(oamcv.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "oamcv.cli", "sweep", "--v", v,
+                                 "--vp", vp, "--charges", "0"], env=env,
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stdout, result.stderr) == (code, "", err)
+
+    def test_negative_delta_is_config_error(self, capsys):
+        assert main(["sweep", "--delta", "0.1,-0.5", "--charges", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: delta must be >= 0, got -0.5\n"
 
     def test_modes_main(self, tmp_path, capsys):
         code = main(["modes", "--charges", "0,1", "--out", str(tmp_path), "--depth", "8"])

@@ -16,7 +16,8 @@ from oamcv import (ChannelParams, InputError, NumericalError, SqueezingSpec,
                    ppt_nu_eigen, steering, steering_death_eta,
                    steering_death_eta_ba_lossy, symplectic_eigenvalues)
 from oamcv.criteria import ETA_LO, STEERING_CLASSES
-from conftest import V_REF, VP_REF, deltas, etas, source_specs, squeezed_specs
+from conftest import (V_REF, VP_REF, analytic_family_cm, deltas, eigvals_symplectic, etas,
+                      source_specs, squeezed_specs)
 
 REF_SPEC = SqueezingSpec(V_REF, VP_REF)
 
@@ -313,7 +314,6 @@ class TestClassifyMany:
         assert self.assert_same_error(bad, NumericalError) == \
             "degenerate PPT invariants (Dt = 0.0)"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_invariants_raise_the_scalar_error(self):
         # positive definite, but every determinant overflows to inf, so the
         # closed form is NaN, which no comparison of the later checks catches
@@ -324,6 +324,33 @@ class TestClassifyMany:
             with pytest.raises(NumericalError) as scalar:
                 entry_point(bad)
             assert str(scalar.value) == text
+
+    @pytest.mark.parametrize("bad", [
+        np.diag([1e100, 1e100, 1e54, 1e54]),  # Dt^2 - 4 det sigma = inf - inf
+        np.diag([1e80, 1e80, 1e20, 1e20]),    # Dt^2 = inf, so the closed form would read 0
+    ])
+    def test_overflowing_discriminant_raises_the_scalar_error(self, bad):
+        # positive definite with finite invariants, but the discriminant overflows
+        text = self.assert_same_error(bad, NumericalError)
+        assert text.startswith("PPT discriminant overflows (Dt = ")
+        for entry_point in (ppt_nu, ppt_nu_closed_form, ppt_nu_eigen, steering):
+            with pytest.raises(NumericalError) as scalar:
+                entry_point(bad)
+            assert str(scalar.value) == text
+
+    def test_gate_fails_closed_on_a_nan_route(self, monkeypatch):
+        # with the discriminant check switched off, the NaN closed form of an
+        # overflowing state reaches the agreement gate, which must reject it
+        real = oamcv.criteria._discriminant
+
+        def unchecked(dt, det_sigma):
+            disc, (mask, error) = real(dt, det_sigma)
+            return disc, (np.zeros_like(mask), error)
+
+        monkeypatch.setattr(oamcv.criteria, "_discriminant", unchecked)
+        bad = np.diag([1e100, 1e100, 1e54, 1e54])
+        text = self.assert_same_error(bad, NumericalError)
+        assert text == "PPT computation paths disagree: closed form nan vs eigen 1e+54"
 
     def test_route_disagreement_raises_the_scalar_error(self, monkeypatch):
         real = oamcv.criteria.symplectic_eigenvalues
@@ -356,6 +383,33 @@ class TestClassifyMany:
     def test_rejects_wrong_shape(self):
         with pytest.raises(InputError):
             classify_many(np.eye(4))
+
+
+class TestEigenRouteReference:
+    """The Cholesky-Hermitian route against the general eigensolver on i*Omega*sigma."""
+
+    @staticmethod
+    def channel_outputs(n=2000, seed=20260):
+        rng = np.random.default_rng(seed)
+        r, m = rng.uniform(0.0, 2.0, n), rng.uniform(1.0, 4.0, n)
+        eta, delta = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 3.0, n)
+        return np.array([analytic_family_cm(mi * math.exp(-2.0 * ri), mi * math.exp(2.0 * ri),
+                                            e, d) for ri, mi, e, d in zip(r, m, eta, delta)])
+
+    def test_agrees_with_eigvals_on_channel_outputs(self):
+        # guard: the two routes agree on every physical channel output
+        stack = self.channel_outputs()
+        for sigmas in (stack, _PT @ stack @ _PT):
+            nus, reference = symplectic_eigenvalues(sigmas), eigvals_symplectic(sigmas)
+            assert np.all(np.abs(nus - reference) <= 1e-12 * reference)
+
+    def test_agrees_with_eigvals_near_degeneracy(self):
+        # the agreement is a guard (it holds for eigvals too); the exact last
+        # digit is the Hermitian route's, where eigvals is 3 ulp off
+        for sigma in (NEAR_DEGENERATE, _PT @ NEAR_DEGENERATE @ _PT):
+            nus, reference = symplectic_eigenvalues(sigma), eigvals_symplectic(sigma)
+            assert np.all(np.abs(nus - reference) <= 1e-12 * reference)
+        assert ppt_nu_eigen(NEAR_DEGENERATE) == NEAR_DEGENERATE[2, 2]
 
 
 class TestEntanglementDeath:

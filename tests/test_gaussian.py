@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oamcv import (CovarianceMatrix, Decibel, InputError, MultiplexedState,
-                   SqueezingSpec, UnphysicalStateError, db_to_linear, linear_to_db,
-                   make_multiplexed, make_tmss, symplectic_eigenvalues, validate)
-from conftest import V_REF, VP_REF, source_specs
+from oamcv import (ChannelParams, CovarianceMatrix, Decibel, InputError, MultiplexedState,
+                   SqueezingSpec, UnphysicalStateError, apply_channel_grid, db_to_linear,
+                   entanglement_death_eta, linear_to_db, make_multiplexed, make_tmss,
+                   steering_death_eta, symplectic_eigenvalues, validate)
+from oamcv.cli import SweepConfig
+from oamcv.gaussian import checked_delta
+from conftest import INDEFINITE, V_REF, VP_REF, source_specs
 
 
 class TestSqueezingSpec:
@@ -164,6 +167,79 @@ class TestValidate:
         m[3, 3] = float("nan")
         report = validate(m)
         assert not report.ok
+
+    @pytest.mark.parametrize("m", INDEFINITE)
+    def test_indefinite_is_unphysical(self, m):
+        report = validate(m)
+        assert report.symmetric and not report.physical and not report.ok
+        assert math.isnan(report.min_symplectic)
+
+
+class TestSymplecticEigenvalues:
+    def test_not_pd_gives_nan_pair(self):
+        for m in INDEFINITE + (np.zeros((4, 4)),):
+            assert np.isnan(symplectic_eigenvalues(m)).all()
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_mixed_stack_is_nan_only_at_its_indefinite_entry(self, at):
+        good = [make_tmss(SqueezingSpec.from_r(r)).entries + 0.1 * r * np.eye(4)
+                for r in (0.0, 0.3, 0.7, 1.5)]
+        stack = np.array(good[:at] + [INDEFINITE[1]] + good[at:])
+        nus = symplectic_eigenvalues(stack)
+        assert nus.shape == (5, 2)
+        assert np.isnan(nus[at]).all()
+        others = np.delete(nus, at, axis=0)
+        assert not np.isnan(others).any()
+        for entries, pair in zip(good, others):
+            assert np.array_equal(pair, symplectic_eigenvalues(entries))
+
+    def test_stack_equals_scalar_calls_bit_for_bit(self):
+        # guard: the all-PD stack takes the batched route, one Cholesky call
+        stack = np.array([make_tmss(SqueezingSpec(0.1 * k + 0.3, 5.0)).entries
+                          for k in range(7)])
+        nus = symplectic_eigenvalues(stack.reshape(7, 1, 4, 4))
+        assert nus.shape == (7, 1, 2)
+        for entries, pair in zip(stack, nus[:, 0]):
+            assert np.array_equal(pair, symplectic_eigenvalues(entries))
+
+    def test_nested_mixed_stack_keeps_its_shape(self):
+        stack = np.array([[np.eye(4), -np.eye(4)], [2.0 * np.eye(4), np.eye(4)]])
+        nus = symplectic_eigenvalues(stack)
+        assert nus.shape == (2, 2, 2)
+        assert np.isnan(nus[0, 1]).all()
+        assert np.allclose(nus[[0, 1, 1], [0, 0, 1]], [[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]],
+                           rtol=1e-14, atol=0.0)
+
+
+class TestCheckedDelta:
+    GRID_SOURCE = make_tmss(SqueezingSpec(V_REF, VP_REF))
+
+    # -0.1, nan and inf are guards (every owner already gave this text); the
+    # non-numbers raised TypeError or ValueError, or were accepted
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, None, "x", [0.5]])
+    def test_every_owner_raises_the_same_input_error(self, bad):
+        entry_points = (checked_delta, lambda d: ChannelParams(0.5, d),
+                        lambda d: apply_channel_grid(self.GRID_SOURCE, [0.5], d),
+                        lambda d: entanglement_death_eta((V_REF, VP_REF), d),
+                        lambda d: steering_death_eta((V_REF, VP_REF), d, "AB"))
+        texts = set()
+        for entry_point in entry_points:
+            with pytest.raises(InputError) as exc:
+                entry_point(bad)
+            texts.add(str(exc.value))
+        assert texts == {f"delta must be >= 0, got {bad!r}"}
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+    def test_sweep_config_uses_the_same_rule(self, bad):
+        with pytest.raises(InputError, match=r"^delta must be >= 0, got "):
+            SweepConfig(deltas=(0.0, bad))
+
+    def test_accepts_numbers_as_floats(self):
+        # guard: what converts to a finite float >= 0 is still accepted
+        for good, value in ((0, 0.0), (0.15, 0.15), (np.float64(1.0), 1.0), ("0.5", 0.5)):
+            result = checked_delta(good)
+            assert type(result) is float and result == value
+            assert ChannelParams(0.5, good).delta == value
 
 
 class TestDecibel:

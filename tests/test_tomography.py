@@ -13,7 +13,7 @@ from oamcv import (ChannelParams, InputError, ReconstructionWarning, SampleBatch
                    write_batch_csv, write_variances_csv)
 from oamcv.tomography import (SETTINGS, SNL_REFERENCE, covariance_from_difference,
                               covariance_from_sum, setting_variance)
-from conftest import V_REF, VP_REF, source_specs
+from conftest import INDEFINITE, V_REF, VP_REF, source_specs
 
 REF_CM = make_tmss(SqueezingSpec(V_REF, VP_REF))
 
@@ -68,6 +68,11 @@ class TestSimulateMeasurements:
             simulate_measurements(REF_CM, 1, seed=0)
         with pytest.raises(UnphysicalStateError):
             simulate_measurements(np.diag([0.5, 0.5, 0.5, 0.5]), 100, seed=0)
+
+    @pytest.mark.parametrize("m", INDEFINITE)
+    def test_rejects_indefinite_state(self, m):
+        with pytest.raises(UnphysicalStateError, match=r"min symplectic nan"):
+            simulate_measurements(m, 100, seed=0)
 
 
 class TestVariancesFromBatches:
@@ -142,6 +147,14 @@ class TestReconstruct:
         vs = VarianceSet(0.0, 0.0, 0.0, 0.0, -10.0, 0.0)
         with pytest.warns(ReconstructionWarning):
             reconstruct_cm(vs)
+
+    def test_indefinite_reconstruction_warns(self):
+        # Var(Xp - Xc) = 8 with unit single variances puts cov(Xc, Xp) at -3:
+        # the X block [[1, -3], [-3, 1]] is indefinite
+        vs = VarianceSet(0.0, 0.0, 0.0, 0.0, 10.0 * math.log10(4.0), 0.0)
+        with pytest.warns(ReconstructionWarning, match=r"min symplectic nan"):
+            cm = reconstruct_cm(vs)
+        assert cm.entries[0, 2] == pytest.approx(-3.0, abs=1e-12)
 
     def test_full_scale_round_trip(self):
         # entrywise agreement within 3 standard errors at n = 1e5, >= 95/100 seeds
@@ -227,6 +240,26 @@ class TestVarianceSet:
     def test_rejects_bad_stderr(self):
         with pytest.raises(InputError):
             VarianceSet(0, 0, 0, 0, 0, 0, stderr_db=(1.0, 2.0))
+
+    @pytest.mark.parametrize("name", ["bogus", "stderr", "xc", "XC", "xc_db", "", None, 0])
+    def test_every_setting_lookup_rejects_inexact_names(self, name):
+        vs = VarianceSet(0, 0, 0, 0, 0, 0, stderr_db=(0.1,) * 6)
+        text = f"unknown setting {name!r}, expected one of {SETTINGS}"
+        lookups = (vs.db, vs.stderr, vs.absolute_variance,
+                   VarianceSet(0, 0, 0, 0, 0, 0).stderr,
+                   lambda s: setting_variance(REF_CM, s),
+                   lambda s: SampleBatch(s, [0.1, -0.1], 0))
+        for lookup in lookups:
+            with pytest.raises(InputError) as exc:
+                lookup(name)
+            assert str(exc.value) == text
+
+    def test_setting_lookups_follow_settings_order(self):
+        # guard: exact names still find their values
+        vs = VarianceSet(1, 2, 3, 4, 5, 6, stderr_db=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+        assert [vs.db(s) for s in SETTINGS] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert [vs.stderr(s) for s in SETTINGS] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        assert VarianceSet(0, 0, 0, 0, 0, 0).stderr("Ysum") is None
 
     def test_absolute_variance_uses_snl(self):
         vs = VarianceSet(0, 0, 0, 0, 0, 0)
