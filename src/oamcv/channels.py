@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InputError, UnphysicalStateError
 from .gaussian import (ChannelParams, CovarianceMatrix, ModePair, MultiplexedState, _finite_check,
-                       _invariants, _raise_first_failure, as_cm, checked_delta, validate)
+                       _invariants, as_cm, checked_delta, checked_eta, validate)
 
 
 def apply_channel(cm, ch) -> CovarianceMatrix:
@@ -34,17 +34,17 @@ def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
 
     Entry i is the entries of apply_channel(cm, ChannelParams(etas[i], delta));
     the source is checked once for the whole grid (finite invariants, then
-    validate()), and eta and delta obey the ChannelParams bounds.
+    validate()), and eta and delta obey the ChannelParams rules.
     """
     cm = as_cm(cm)
-    etas = np.asarray(etas, dtype=float)
-    if etas.ndim != 1:
-        raise InputError(f"eta grid must be one-dimensional, got shape {etas.shape}")
-    outside = ~(np.isfinite(etas) & (etas >= 0.0) & (etas <= 1.0))
-    if outside.any():
-        raise InputError(f"eta must lie in [0, 1], got {float(etas[outside][0])!r}")
+    grid = np.asarray(etas, dtype=object)
+    if grid.ndim != 1:
+        raise InputError(f"eta grid must be one-dimensional, got shape {grid.shape}")
+    etas = np.array([checked_eta(eta) for eta in grid.tolist()], dtype=float)
     delta = checked_delta(delta)
-    _raise_first_failure([_finite_check(*_invariants(cm.entries[None]))])
+    infinite, error = _finite_check(*_invariants(cm.entries[None]))
+    if infinite[0]:
+        raise error(0)
     report = validate(cm)
     if not report.ok:
         raise UnphysicalStateError(

@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
@@ -21,14 +20,14 @@ import numpy as np
 
 from . import __version__
 from .channels import apply_channel_grid
-from .criteria import (classify, classify_many, entanglement_death_eta,
-                       steering_death_eta)
-from .errors import InputError, NumericalError, ToolkitError
-from .gaussian import CovarianceMatrix, SqueezingSpec, checked_delta, make_tmss, validate
+from .criteria import _criteria, classify_many, entanglement_death_eta, steering_death_eta
+from .errors import InputError, NumericalError
+from .gaussian import (SqueezingSpec, _physical, checked_delta, make_tmss,
+                       symplectic_eigenvalues)
 from .modes import (LGModeSpec, count_dark_stripes, lg_field, mode_image_filename,
                     tilted_lens_pattern, write_pgm)
-from .tomography import (SETTINGS, ReconstructionWarning, expected_variances,
-                         reconstruct_cm, simulate_measurements, variances_from_batches)
+from .tomography import (SETTINGS, _reconstruct, _to_db, _variances, simulate_measurements,
+                         variances_from_batches)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -243,60 +242,44 @@ def run_thresholds(config: SweepConfig) -> dict:
     return report
 
 
-def _criteria_or_error(cm) -> tuple:
-    try:
-        return classify(cm).to_json_dict(), None
-    except ToolkitError as exc:
-        return None, str(exc)
-
-
 def run_tomo(config: SweepConfig) -> dict:
     """Simulate-measure-reconstruct-classify at every (l, delta, eta) point.
 
-    The true states and their criteria of each (l, delta) block come from
-    one stacked channel map and one classify_many pass, as in run_sweep.
-    Each entry reports the analytic variances and criteria next to the
-    reconstructed ones, the per-entry reconstruction errors, and the
-    sub-seed that makes the point individually reproducible.
+    Only sampling runs per point, from a sub-seed that makes the point
+    reproducible on its own.  The rest of an (l, delta) block is one stacked
+    pass: true states and criteria as in run_sweep, then the reconstructions,
+    their physicality, and their criteria or the error text of each failing one.
     """
     results = []
-    point = 0
     etas = eta_grid(config)
     for l, delta, true_sigmas, true_criteria in _truth_blocks(config, etas):
-        for i, eta in enumerate(etas):
-            true_cm = CovarianceMatrix(true_sigmas[i])
-            run_seed = int(np.random.SeedSequence([config.seed, point])
-                           .generate_state(1, np.uint64)[0])
-            point += 1
-            batches = simulate_measurements(true_cm, config.n_per_setting, run_seed)
-            measured = variances_from_batches(batches)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ReconstructionWarning)
-                rec_cm = reconstruct_cm(measured)
-            truth = expected_variances(true_cm)
-            rec_criteria, rec_error = _criteria_or_error(rec_cm)
-            entry_errors = rec_cm.entries - true_cm.entries
-            entry = {
-                "l": l,
-                "eta": eta,
-                "delta": delta,
-                "seed": run_seed,
-                "true": {
-                    "variances_db": {s: truth.db(s) for s in SETTINGS},
-                    "criteria": true_criteria.report(i).to_json_dict(),
-                },
+        # a point's sub-seed comes from its index in the whole run
+        seeds = [int(np.random.SeedSequence([config.seed, len(results) + i])
+                     .generate_state(1, np.uint64)[0]) for i in range(len(etas))]
+        measured = [variances_from_batches(simulate_measurements(sigma, config.n_per_setting, seed))
+                    for sigma, seed in zip(true_sigmas, seeds)]
+        rec_sigmas = _reconstruct(measured)
+        physical = _physical(symplectic_eigenvalues(rec_sigmas)[:, 0]).tolist()
+        rec_criteria, rec_errors = _criteria(rec_sigmas)
+        entry_errors = rec_sigmas - true_sigmas
+        max_errors = np.abs(entry_errors).max(axis=(1, 2)).tolist()
+        truths = _variances(true_sigmas).tolist()
+        for i, (eta, seed, vs) in enumerate(zip(etas, seeds, measured)):
+            error = rec_errors.get(i)
+            results.append({
+                "l": l, "eta": eta, "delta": delta, "seed": seed,
+                "true": {"variances_db": dict(zip(SETTINGS, _to_db(truths[i]))),
+                         "criteria": true_criteria.report(i).to_json_dict()},
                 "reconstructed": {
-                    "variances_db": {s: measured.db(s) for s in SETTINGS},
-                    "stderr_db": {s: measured.stderr(s) for s in SETTINGS},
-                    "criteria": rec_criteria,
-                    "physical": validate(rec_cm).ok,
-                    "entry_errors": entry_errors.tolist(),
-                    "max_abs_entry_error": float(np.max(np.abs(entry_errors))),
+                    "variances_db": {s: vs.db(s) for s in SETTINGS},
+                    "stderr_db": {s: vs.stderr(s) for s in SETTINGS},
+                    "criteria": None if error else rec_criteria.report(i).to_json_dict(),
+                    "physical": physical[i],
+                    "entry_errors": entry_errors[i].tolist(),
+                    "max_abs_entry_error": max_errors[i],
+                    **({"criteria_error": str(error)} if error else {}),
                 },
-            }
-            if rec_error is not None:
-                entry["reconstructed"]["criteria_error"] = rec_error
-            results.append(entry)
+            })
     report = {"n_per_setting": config.n_per_setting, "results": results}
     if config.out is not None:
         Path(config.out).write_text(_render(report))

@@ -8,10 +8,10 @@ its B->A counterpart; steering implies entanglement but not conversely.
 
 The criteria have one implementation, vectorised over an (N, 4, 4) stack:
 classify_many runs it on a stack, and the other entry points on a stack of
-one.  The first failing state raises the error of its first failing check,
-in the order malformed, not PD (a NaN eigen route), invariants not finite,
-PPT discriminant overflowing, then negative, PPT denominator, route agreement,
-determinants.
+one.  Each failing state gets the error of its first failing check, in the
+order malformed, not PD (a NaN eigen route), invariants not finite, PPT
+discriminant overflowing, then negative, PPT denominator, route agreement,
+determinants; classify_many raises the first failing state's.
 
 The sudden-death thresholds of a two-mode squeezed source sent through the
 probe channel are closed forms.  With a = (v + vp)/2 and s = (1 - v)(vp - 1),
@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import (_finite_check, _invariants, _raise_first_failure, as_cm, as_spec,
+from .gaussian import (_failures, _finite_check, _invariants, _well_formed, as_cm, as_spec,
                        checked_delta, symplectic_eigenvalues)
 
 TOL_DECISION = 1e-9
@@ -51,29 +51,6 @@ ETA_LO = 1e-6
 # partial transpose of the probe mode flips the sign of Y_Pr
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
 _PT.flags.writeable = False
-
-
-def _well_formed(raw: np.ndarray) -> tuple:
-    """Symmetrized stack and the malformed check (not finite, or asymmetric beyond 1e-6).
-
-    The error of a malformed state is the one as_cm, the owner of these
-    checks, raises; its matrix becomes the identity to keep the rest finite.
-    """
-    transposed = raw.swapaxes(1, 2)
-    malformed = ~np.isfinite(raw).all(axis=(1, 2)) | \
-        (np.abs(raw - transposed) > 1e-6).any(axis=(1, 2))
-    sigma = np.where(malformed[:, None, None], np.eye(4), (raw + transposed) / 2.0)
-    return sigma, (malformed, lambda i: as_cm(raw[i]))
-
-
-def _eigen_route(sigma: np.ndarray) -> np.ndarray:
-    """PPT nu of each state from symplectic_eigenvalues of P sigma P; NaN if not PD."""
-    return symplectic_eigenvalues(_PT @ sigma @ _PT)[:, 0]
-
-
-def _not_pd(eigen: np.ndarray) -> tuple:
-    """The positive-definiteness check of each state, read from its eigen route."""
-    return np.isnan(eigen), lambda i: InputError("covariance matrix must be positive definite")
 
 
 @np.errstate(all="ignore")
@@ -118,30 +95,41 @@ def _allowance(dt, det_sigma, s, denominator) -> np.ndarray:
                         4.0 * np.sqrt(nu2) * ds / (2.0 * denominator))
 
 
-def _ppt_nu(sigma: np.ndarray, dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
-    """ppt_nu() of each state and its eigen route, with the closed form's checks and the gate's."""
-    closed, s, denominator, checks = _closed_form(dt, det_sigma)
-    eigen = _eigen_route(sigma)
+def _ppt_nu(sigma: np.ndarray, invariants: tuple) -> tuple:
+    """PPT nu of each state by route ("nu", "closed", "eigen"), and the PPT checks in order."""
+    dt, det_sigma = invariants[:2]
+    closed, s, denominator, closed_checks = _closed_form(dt, det_sigma)
+    # the eigen route, symplectic_eigenvalues of P sigma P, is NaN if sigma is not PD
+    eigen = symplectic_eigenvalues(_PT @ sigma @ _PT)[:, 0]
     gap, strict = np.abs(closed - eigen), 1e-9 * np.maximum(1.0, np.abs(closed))
     disagree = ~(gap <= strict + _allowance(dt, det_sigma, s, denominator))  # NaN fails the gate
-    checks.append((disagree, lambda i: NumericalError(
-        f"PPT computation paths disagree: closed form {float(closed[i])!r} "
-        f"vs eigen {float(eigen[i])!r}")))
-    return np.where(gap <= strict, closed, eigen), eigen, checks
+    not_pd = np.isnan(eigen), lambda i: UnphysicalStateError(
+        "covariance matrix must be positive definite")
+    checks = [not_pd, _finite_check(*invariants), *closed_checks,
+              (disagree, lambda i: NumericalError(
+                  f"PPT computation paths disagree: closed form {float(closed[i])!r} "
+                  f"vs eigen {float(eigen[i])!r}"))]
+    return {"nu": np.where(gap <= strict, closed, eigen), "closed": closed, "eigen": eigen}, checks
 
 
-def _determinants_check(det_sigma, det_a, det_b) -> tuple:
-    """The check that det sigma and both marginal determinants are positive."""
-    return ((det_sigma <= 0.0) | (det_a <= 0.0) | (det_b <= 0.0),
-            lambda i: UnphysicalStateError(
-                f"state determinants must be positive, got det sigma = {float(det_sigma[i]):.3g}"))
+def _ppt_route(cm, route: str, reads: int) -> float:
+    """One matrix's PPT nu by one route, after the first `reads` PPT checks."""
+    sigma = as_cm(cm).entries[None]
+    routes, checks = _ppt_nu(sigma, _invariants(sigma))
+    for error in _failures(checks[:reads]).values():
+        raise error
+    return float(routes[route][0])
 
 
-def _steerability(det_marginal: np.ndarray, det_sigma: np.ndarray) -> np.ndarray:
+@np.errstate(all="ignore")
+def _steerability(det_marginal: np.ndarray, det_sigma: np.ndarray, failures: dict) -> np.ndarray:
+    """g of each state, NaN for those in failures, whose ratio math.log may reject."""
+    ratios = (det_marginal / det_sigma).tolist()
+    for i in failures:
+        ratios[i] = math.nan
     # math.log per element: numpy's vectorised log may round differently in
     # the last bit, and the tomo JSON prints these values in full
-    logs = np.array([math.log(x) for x in (det_marginal / det_sigma).tolist()])
-    return np.maximum(0.0, 0.5 * logs)
+    return np.maximum(0.0, 0.5 * np.array([math.log(x) for x in ratios]))
 
 
 def ppt_nu_closed_form(cm) -> float:
@@ -153,20 +141,12 @@ def ppt_nu_closed_form(cm) -> float:
     A discriminant below -1e-9 (scaled) raises NumericalError; smaller
     negative rounding residue is clamped to zero.
     """
-    sigma = as_cm(cm).entries[None]
-    invariants = _invariants(sigma)
-    nu, _, _, checks = _closed_form(*invariants[:2])
-    _raise_first_failure([_not_pd(_eigen_route(sigma)), _finite_check(*invariants), *checks])
-    return float(nu[0])
+    return _ppt_route(cm, "closed", 5)  # not PD, invariants, its own three
 
 
 def ppt_nu_eigen(cm) -> float:
     """PPT nu from symplectic_eigenvalues of P sigma P, the independent route."""
-    sigma = as_cm(cm).entries[None]
-    invariants, eigen = _invariants(sigma), _eigen_route(sigma)
-    _raise_first_failure([_not_pd(eigen), _finite_check(*invariants),
-                          _discriminant(*invariants[:2])[1]])
-    return float(eigen[0])
+    return _ppt_route(cm, "eigen", 3)  # not PD, invariants, discriminant overflow
 
 
 def ppt_nu(cm) -> float:
@@ -180,24 +160,17 @@ def ppt_nu(cm) -> float:
     the resolution limit, the closed form has lost precision and the eigen
     value is returned.
     """
-    sigma = as_cm(cm).entries[None]
-    dt, det_sigma, det_a, det_b = _invariants(sigma)
-    nu, eigen, checks = _ppt_nu(sigma, dt, det_sigma)
-    _raise_first_failure([_not_pd(eigen), _finite_check(dt, det_sigma, det_a, det_b), *checks])
-    return float(nu[0])
+    return _ppt_route(cm, "nu", 6)
 
 
 def steering(cm) -> tuple:
-    """Gaussian steerabilities (g_ab, g_ba) in nats.
+    """Gaussian steerabilities (g_ab, g_ba) in nats, from classify() and its checks.
 
     g_ab > 0 means Alice (conjugate side) can steer Bob's state, g_ba > 0
     the reverse; both vanish for product states.
     """
-    sigma = as_cm(cm).entries[None]
-    dt, det_sigma, det_a, det_b = invariants = _invariants(sigma)
-    _raise_first_failure([_finite_check(*invariants), _discriminant(dt, det_sigma)[1],
-                          _determinants_check(det_sigma, det_a, det_b)])
-    return float(_steerability(det_a, det_sigma)[0]), float(_steerability(det_b, det_sigma)[0])
+    report = classify(cm)
+    return report.g_ab, report.g_ba
 
 
 @dataclass(frozen=True)
@@ -246,31 +219,42 @@ class CriteriaArrays(NamedTuple):
         return CriteriaReport(*(column[i].item() for column in self))
 
 
-def classify_many(sigmas) -> CriteriaArrays:
-    """The criteria of each matrix of an (N, 4, 4) stack, in one vectorised pass.
+def _criteria(sigmas) -> tuple:
+    """classify_many's arrays of a stack, and {i: error} of each state failing a check.
 
-    The invariants, both PPT routes with their agreement gate (1e-9 plus the
-    degeneracy allowance) and the steering determinant checks are evaluated
-    element-wise; classify() of one state is this pass on a stack of one,
-    and every value equals the one it gives for that state.  If any state
-    fails a check, the first such state raises the error classify() raises
-    for it.
+    A failing state's values are meaningless; its g are NaN.
     """
     raw = np.asarray(sigmas, dtype=float)
     if raw.ndim != 3 or raw.shape[1:] != (4, 4):
         raise InputError(f"expected a stack of 4x4 matrices, got shape {raw.shape}")
     sigma, malformed = _well_formed(raw)
-    dt, det_sigma, det_a, det_b = _invariants(sigma)
-    nu, eigen, ppt_checks = _ppt_nu(sigma, dt, det_sigma)
-    _raise_first_failure([malformed, _not_pd(eigen), _finite_check(dt, det_sigma, det_a, det_b),
-                          *ppt_checks, _determinants_check(det_sigma, det_a, det_b)])
-    g_ab = _steerability(det_a, det_sigma)
-    g_ba = _steerability(det_b, det_sigma)
+    invariants = dt, det_sigma, det_a, det_b = _invariants(sigma)
+    routes, ppt_checks = _ppt_nu(sigma, invariants)
+    nu = routes["nu"]
+    determinants = ((det_sigma <= 0.0) | (det_a <= 0.0) | (det_b <= 0.0),
+                    lambda i: UnphysicalStateError(f"state determinants must be positive, "
+                                                   f"got det sigma = {float(det_sigma[i]):.3g}"))
+    failures = _failures([malformed, *ppt_checks, determinants])
+    g_ab, g_ba = (_steerability(det, det_sigma, failures) for det in (det_a, det_b))
     a, b = g_ab > TOL_DECISION, g_ba > TOL_DECISION
     # STEERING_CLASSES order: both, A->B only, B->A only, neither
     cls = np.array(STEERING_CLASSES)[2 * ~a + ~b]
     return CriteriaArrays(nu=nu, entangled=nu < 1.0 - TOL_DECISION,
-                          g_ab=g_ab, g_ba=g_ba, steering_class=cls)
+                          g_ab=g_ab, g_ba=g_ba, steering_class=cls), failures
+
+
+def classify_many(sigmas) -> CriteriaArrays:
+    """The criteria of each matrix of an (N, 4, 4) stack, in one vectorised pass.
+
+    The invariants, both PPT routes with their agreement gate (1e-9 plus the
+    degeneracy allowance) and the steering determinant checks are evaluated
+    element-wise; classify() of one state is this pass on a stack of one.
+    The first failing state raises the error classify() raises for it.
+    """
+    arrays, failures = _criteria(sigmas)
+    for error in failures.values():
+        raise error
+    return arrays
 
 
 def _death_eta(p: float, q: float) -> Optional[float]:

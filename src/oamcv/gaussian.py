@@ -126,11 +126,18 @@ class ChannelParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        eta = float(self.eta)
-        if not math.isfinite(eta) or not 0.0 <= eta <= 1.0:
-            raise InputError(f"eta must lie in [0, 1], got {self.eta!r}")
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", checked_eta(self.eta))
         object.__setattr__(self, "delta", checked_delta(self.delta))
+
+
+def checked_eta(eta) -> float:
+    """Transmission eta as a float; anything but a number in [0, 1] is an InputError."""
+    try:
+        if 0.0 <= (value := float(eta)) <= 1.0:  # False for NaN
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"eta must lie in [0, 1], got {eta!r}")
 
 
 def checked_delta(delta) -> float:
@@ -159,12 +166,10 @@ class CovarianceMatrix:
         m = np.array(self.entries, dtype=float)
         if m.shape != (4, 4):
             raise InputError(f"covariance matrix must be 4x4, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InputError("covariance matrix entries must be finite")
-        defect = float(np.max(np.abs(m - m.T)))
-        if defect > 1e-6:
-            raise InputError(f"matrix is not symmetric (max |s_ij - s_ji| = {defect:.3g})")
-        m = (m + m.T) / 2.0
+        sigma, (malformed, error) = _well_formed(m[None])
+        if malformed[0]:
+            raise error(0)
+        m = sigma[0]
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -224,6 +229,20 @@ def symplectic_eigenvalues(matrix) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
+def _well_formed(raw: np.ndarray) -> tuple:
+    """Symmetrized stack and the malformed check (entries not finite, asymmetry beyond 1e-6)."""
+    transposed = raw.swapaxes(1, 2)
+    finite = np.isfinite(raw).all(axis=(1, 2))
+    defect = np.abs(raw - transposed).max(axis=(1, 2))
+    malformed = ~finite | (defect > 1e-6)
+    # the identity in place of a malformed matrix keeps the later stages finite
+    sigma = np.where(malformed[:, None, None], np.eye(4), (raw + transposed) / 2.0)
+    return sigma, (malformed, lambda i: InputError(
+        f"matrix is not symmetric (max |s_ij - s_ji| = {float(defect[i]):.3g})" if finite[i]
+        else "covariance matrix entries must be finite"))
+
+
+@np.errstate(all="ignore")
 def _invariants(sigma: np.ndarray) -> tuple:
     """(Dt, det sigma, det A, det B) per state, Dt = det A + det B - 2 det C; silent overflow."""
     det_a = np.linalg.det(sigma[:, :2, :2])
@@ -240,17 +259,11 @@ def _finite_check(dt, det_sigma, det_a, det_b) -> tuple:
         f"det sigma = {float(det_sigma[i])!r})"))
 
 
-def _raise_first_failure(checks: list) -> None:
-    """Raise the error of the first state that fails any check.
-
-    checks holds (mask, error) pairs in check order, and error(i) gives the
-    exception of state i (the malformed check's raises as_cm's own), so a
-    state failing several checks gets its first one's error.
-    """
-    failed = np.logical_or.reduce([mask for mask, _ in checks])
-    if failed.any():
-        first = int(np.argmax(failed))
-        raise next(error(first) for mask, error in checks if mask[first])
+def _failures(checks: list) -> dict:
+    """{i: error(i) of its first failing (mask, error) check} for each failing state i, in order."""
+    masks = np.array([mask for mask, _ in checks])
+    first = masks.argmax(axis=0)
+    return {i: checks[first[i]][1](i) for i in np.flatnonzero(masks.any(axis=0)).tolist()}
 
 
 @dataclass(frozen=True)
@@ -280,7 +293,12 @@ def validate(candidate) -> ValidityReport:
         return ValidityReport(math.inf, math.nan, False, False)
     defect = float(np.max(np.abs(m - m.T)))
     nu_min = float(symplectic_eigenvalues((m + m.T) / 2.0)[0])
-    return ValidityReport(defect, nu_min, defect <= SYMMETRY_TOL, nu_min >= 1.0 - PHYSICALITY_TOL)
+    return ValidityReport(defect, nu_min, defect <= SYMMETRY_TOL, _physical(nu_min))
+
+
+def _physical(nu_min):
+    """The uncertainty bound on smallest symplectic eigenvalue(s); NaN (not PD) fails it."""
+    return nu_min >= 1.0 - PHYSICALITY_TOL
 
 
 def make_tmss(spec) -> CovarianceMatrix:
@@ -290,9 +308,8 @@ def make_tmss(spec) -> CovarianceMatrix:
     X quadratures correlated, Y quadratures anti-correlated, sigma_A = sigma_B.
     """
     spec = as_spec(spec)
-    if spec.v <= 0.0 or spec.vp <= 0.0 or spec.v * spec.vp < 1.0 - PHYSICALITY_TOL:
-        raise UnphysicalStateError(
-            f"spec (v={spec.v!r}, vp={spec.vp!r}) does not describe a physical state")
+    # run the constructor's rules again, on fields that may have been overwritten
+    spec = SqueezingSpec(spec.v, spec.vp)
     va = (spec.v + spec.vp) / 2.0
     vc = (spec.vp - spec.v) / 2.0
     return CovarianceMatrix(np.block([[va * _I2, vc * _Z2],

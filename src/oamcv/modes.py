@@ -110,13 +110,22 @@ class IntensityGrid:
         values = np.array(self.values, dtype=float)
         if values.shape != (int(self.height), int(self.width)):
             raise InputError(f"values shape {values.shape} does not match grid")
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-            raise InputError("intensity values must be finite and nonnegative")
+        _intensity_values(values)
         values.flags.writeable = False
         object.__setattr__(self, "width", int(self.width))
         object.__setattr__(self, "height", int(self.height))
         object.__setattr__(self, "extent", float(self.extent))
         object.__setattr__(self, "values", values)
+
+
+def _intensity_values(intensity) -> np.ndarray:
+    """The values of an IntensityGrid, checked when it was built, or of an array, checked here."""
+    if isinstance(intensity, IntensityGrid):
+        return intensity.values
+    values = np.asarray(intensity, dtype=float)
+    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+        raise InputError("intensity values must be finite and nonnegative")
+    return values
 
 
 def _check_resolution(width: int, height: int, extent: float) -> None:
@@ -329,11 +338,9 @@ def count_dark_stripes(intensity) -> StripeCount:
     and fixes the orientation sign.  Inputs without 2:1 peak-to-mean
     contrast are flagged indeterminate.
     """
-    arr = intensity.values if isinstance(intensity, IntensityGrid) else np.asarray(intensity, dtype=float)
+    arr = _intensity_values(intensity)
     if arr.ndim != 2 or min(arr.shape) < 8:
         raise InputError(f"intensity must be a 2-D grid of at least 8x8 pixels, got {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise InputError("intensity values must be finite and nonnegative")
     peak = float(arr.max())
     if peak <= 0.0 or peak < MIN_CONTRAST * float(arr.mean()):
         return StripeCount(0, 0, True)
@@ -363,11 +370,9 @@ def write_pgm(path, intensity, bit_depth: int = 16) -> None:
 
     16-bit samples are stored big-endian as the netpbm format requires.
     """
-    arr = intensity.values if isinstance(intensity, IntensityGrid) else np.asarray(intensity, dtype=float)
+    arr = _intensity_values(intensity)
     if arr.ndim != 2:
         raise InputError(f"intensity must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise InputError("intensity values must be finite and nonnegative")
     if bit_depth == 8:
         maxval, dtype = 255, np.dtype(np.uint8)
     elif bit_depth == 16:

@@ -34,16 +34,23 @@ class ReconstructionWarning(UserWarning):
     """The reconstructed matrix is not a physical Gaussian state."""
 
 
-def _variances(cm: CovarianceMatrix) -> tuple:
-    """Absolute variances of the six settings of a state, in SETTINGS order."""
-    s = cm.entries
-    return (float(s[0, 0]), float(s[1, 1]), float(s[2, 2]), float(s[3, 3]),
-            float(s[2, 2] + s[0, 0] - 2.0 * s[0, 2]), float(s[3, 3] + s[1, 1] + 2.0 * s[1, 3]))
+def _variances(sigmas: np.ndarray) -> np.ndarray:
+    """Absolute variances of the six settings of each state of a (..., 4, 4) stack, (..., 6)."""
+    s = sigmas
+    return np.stack([s[..., 0, 0], s[..., 1, 1], s[..., 2, 2], s[..., 3, 3],
+                     s[..., 2, 2] + s[..., 0, 0] - 2.0 * s[..., 0, 2],
+                     s[..., 3, 3] + s[..., 1, 1] + 2.0 * s[..., 1, 3]], axis=-1)
 
 
-def _positive_variances(cm: CovarianceMatrix) -> tuple:
+def _to_db(variances) -> list:
+    """The six absolute variances of a state in dB of each setting's SNL, by math.log10."""
+    return [10.0 * math.log10(var / SNL_REFERENCE[setting])
+            for setting, var in zip(SETTINGS, variances)]
+
+
+def _positive_variances(cm: CovarianceMatrix) -> list:
     """The six variances of a state, each checked positive."""
-    variances = _variances(cm)
+    variances = _variances(cm.entries).tolist()
     for setting, var in zip(SETTINGS, variances):
         if var <= 0.0:
             raise NumericalError(f"variance of {setting} is not positive: {var!r}")
@@ -59,8 +66,7 @@ def _setting_index(setting) -> int:
 
 def setting_variance(cm, setting: str) -> float:
     """Absolute (SNL-unnormalized) variance of one measurement setting."""
-    cm = as_cm(cm)
-    return _variances(cm)[_setting_index(setting)]
+    return float(_variances(as_cm(cm).entries)[_setting_index(setting)])
 
 
 @dataclass(frozen=True)
@@ -162,22 +168,20 @@ def variances_from_batches(batches: Iterable[SampleBatch]) -> VarianceSet:
     missing = set(SETTINGS) - set(by_setting)
     if missing:
         raise InputError(f"missing batches for settings {sorted(missing)}")
-    dbs, errs = [], []
+    variances, errs = [], []
     for setting in SETTINGS:
         batch = by_setting[setting]
         var = float(np.var(batch.samples, ddof=1))
         if var <= 0.0:
             raise InputError(f"degenerate batch for {setting!r}: sample variance is zero")
-        dbs.append(10.0 * math.log10(var / SNL_REFERENCE[setting]))
+        variances.append(var)
         errs.append(_DB_PER_LN * math.sqrt(2.0 / (batch.samples.size - 1)))
-    return VarianceSet(*dbs, stderr_db=tuple(errs))
+    return VarianceSet(*_to_db(variances), stderr_db=tuple(errs))
 
 
 def expected_variances(cm) -> VarianceSet:
     """Noise-free VarianceSet computed directly from the CM, no sampling."""
-    variances = _positive_variances(as_cm(cm))
-    return VarianceSet(*(10.0 * math.log10(var / SNL_REFERENCE[setting])
-                         for setting, var in zip(SETTINGS, variances)))
+    return VarianceSet(*_to_db(_positive_variances(as_cm(cm))))
 
 
 def covariance_from_sum(var_sum: float, var_i: float, var_j: float) -> float:
@@ -190,25 +194,32 @@ def covariance_from_difference(var_diff: float, var_i: float, var_j: float) -> f
     return -0.5 * (var_diff - var_i - var_j)
 
 
-def reconstruct_cm(vs: VarianceSet) -> CovarianceMatrix:
-    """Covariance matrix from the six measured variances.
+def _reconstruct(variance_sets) -> np.ndarray:
+    """reconstruct_cm's matrix of each VarianceSet, as an (N, 4, 4) stack.
 
-    The diagonal comes from the linearized single-mode variances; the X-X
-    covariance from the difference form and the Y-Y covariance from the sum
-    form, with joint variances de-normalized from the two-mode SNL first.
-    The unmeasured X-Y cross terms are structurally zero.  A result that
-    fails the physicality check is reported with a ReconstructionWarning
+    The diagonal holds the single-mode variances, X-X and Y-Y covariances come
+    from the difference and sum forms of the joint variances (de-normalized
+    from the two-mode SNL first), and the unmeasured X-Y terms are zero.
+    """
+    # absolute_variance per element, whose scalar 10.0 ** the outputs depend on
+    xc, yc, xp, yp, xdiff, ysum = np.array(
+        [[vs.absolute_variance(s) for s in SETTINGS] for vs in variance_sets]).reshape(-1, 6).T
+    m = np.zeros((len(xc), 4, 4))
+    m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 3, 3] = xc, yc, xp, yp
+    m[:, 0, 2] = m[:, 2, 0] = covariance_from_difference(xdiff, xp, xc)
+    m[:, 1, 3] = m[:, 3, 1] = covariance_from_sum(ysum, yp, yc)
+    return m
+
+
+def reconstruct_cm(vs: VarianceSet) -> CovarianceMatrix:
+    """Covariance matrix from the six measured variances: _reconstruct of one.
+
+    A result that fails validate() is reported with a ReconstructionWarning
     rather than an error, since measured data may be marginally unphysical.
     """
     if not isinstance(vs, VarianceSet):
         raise InputError(f"expected VarianceSet, got {type(vs).__name__}")
-    xc, yc = vs.absolute_variance("Xc"), vs.absolute_variance("Yc")
-    xp, yp = vs.absolute_variance("Xp"), vs.absolute_variance("Yp")
-    m = np.zeros((4, 4))
-    m[0, 0], m[1, 1], m[2, 2], m[3, 3] = xc, yc, xp, yp
-    m[0, 2] = m[2, 0] = covariance_from_difference(vs.absolute_variance("Xdiff"), xp, xc)
-    m[1, 3] = m[3, 1] = covariance_from_sum(vs.absolute_variance("Ysum"), yp, yc)
-    cm = CovarianceMatrix(m)
+    cm = CovarianceMatrix(_reconstruct([vs])[0])
     report = validate(cm)
     if not report.ok:
         warnings.warn(

@@ -4,16 +4,20 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oamcv
-from oamcv import InputError, SqueezingSpec, entanglement_death_eta
+from oamcv import (ChannelParams, InputError, ReconstructionWarning, SqueezingSpec, ToolkitError,
+                   apply_channel, classify, entanglement_death_eta, expected_variances, make_tmss,
+                   reconstruct_cm, simulate_measurements, validate, variances_from_batches)
 from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, PRESETS,
                        SWEEP_HEADER, SweepConfig, build_parser, eta_grid, main,
                        run_modes, run_sweep, run_thresholds, run_tomo)
+from oamcv.tomography import SETTINGS
 from conftest import V_REF, VP_REF
 
 
@@ -162,6 +166,41 @@ class TestRunTomo:
         assert entry["reconstructed"]["max_abs_entry_error"] < 0.05
         rec = np.array(entry["reconstructed"]["entry_errors"]) + np.eye(4)
         assert np.allclose(rec, np.eye(4), atol=0.05)
+
+    def test_every_entry_equals_the_scalar_chain(self):
+        # three samples per setting: many reconstructions are unphysical, most
+        # of those not PD; the scalar chain per point is the reference
+        config = small_config(deltas=(0.0, 1.0), eta_step=0.1, seed=3, n_per_setting=3)
+        kinds = set()
+        for entry in run_tomo(config)["results"]:
+            true_cm = apply_channel(make_tmss(config.specs[entry["l"]]),
+                                    ChannelParams(entry["eta"], entry["delta"]))
+            measured = variances_from_batches(
+                simulate_measurements(true_cm, config.n_per_setting, entry["seed"]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ReconstructionWarning)
+                rec_cm = reconstruct_cm(measured)
+            try:
+                criteria, error = classify(rec_cm).to_json_dict(), None
+            except ToolkitError as exc:
+                criteria, error = None, str(exc)
+            truth = expected_variances(true_cm)
+            errors = rec_cm.entries - true_cm.entries
+            assert entry["true"] == {"variances_db": {s: truth.db(s) for s in SETTINGS},
+                                     "criteria": classify(true_cm).to_json_dict()}
+            expected = {
+                "variances_db": {s: measured.db(s) for s in SETTINGS},
+                "stderr_db": {s: measured.stderr(s) for s in SETTINGS},
+                "criteria": criteria,
+                "physical": validate(rec_cm).ok,
+                "entry_errors": errors.tolist(),
+                "max_abs_entry_error": float(np.max(np.abs(errors))),
+            }
+            if error is not None:
+                expected["criteria_error"] = error
+            assert json.dumps(entry["reconstructed"]) == json.dumps(expected)
+            kinds.add((error is None, expected["physical"]))
+        assert kinds == {(False, False), (True, False), (True, True)}
 
     def test_deterministic(self):
         config = small_config(charges=(0,), eta_start=0.5, eta_stop=0.5, n_per_setting=2000)

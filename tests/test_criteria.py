@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oamcv.channels
 import oamcv.criteria
 import oamcv.gaussian
-from oamcv import (ChannelParams, InputError, NumericalError, SqueezingSpec,
+from oamcv import (ChannelParams, InputError, NumericalError, SqueezingSpec, ToolkitError,
                    UnphysicalStateError, apply_channel, classify, classify_many,
                    entanglement_death_eta, make_tmss, ppt_nu, ppt_nu_closed_form,
                    ppt_nu_eigen, steering, steering_death_eta,
@@ -182,6 +182,20 @@ class TestSteering:
         with pytest.raises(UnphysicalStateError):
             steering(np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("bad", [
+        np.zeros((4, 4)),
+        np.diag([1e-200] * 4),                  # degenerate PPT invariants
+        np.diag([1e200] * 4),                   # invariants not finite
+        np.diag([1e100, 1e100, 1e54, 1e54]),    # discriminant overflows
+    ])
+    def test_raises_the_error_classify_raises(self, bad):
+        # steering reads classify's one check list
+        with pytest.raises(ToolkitError) as expected:
+            classify(bad)
+        with pytest.raises(type(expected.value)) as got:
+            steering(bad)
+        assert str(got.value) == str(expected.value)
+
     @settings(max_examples=150, deadline=None)
     @given(source_specs())
     def test_symmetric_source_steers_equally(self, spec):
@@ -195,6 +209,18 @@ class TestSteering:
         g_ab, g_ba = steering(cm)
         if g_ab > 1e-12 or g_ba > 1e-12:
             assert ppt_nu(cm) < 1.0
+
+
+class TestNotPositiveDefinite:
+    # steering() returned (0.0, 0.0) for both: its own check list had no PD check
+    @pytest.mark.parametrize("bad", [np.diag([-2.0] * 4), np.diag([-1.0, -1.0, 1.0, 1.0])])
+    def test_every_entry_point_raises(self, bad):
+        entry_points = (ppt_nu, ppt_nu_closed_form, ppt_nu_eigen, steering, classify,
+                        lambda m: classify_many(m[None]))
+        for entry_point in entry_points:
+            with pytest.raises(UnphysicalStateError,
+                               match=r"^covariance matrix must be positive definite$"):
+                entry_point(bad)
 
 
 class TestClassify:

@@ -9,11 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oamcv import (ChannelParams, CovarianceMatrix, Decibel, InputError, MultiplexedState,
-                   SqueezingSpec, UnphysicalStateError, apply_channel_grid, db_to_linear,
-                   entanglement_death_eta, linear_to_db, make_multiplexed, make_tmss,
-                   steering_death_eta, symplectic_eigenvalues, validate)
+                   SqueezingSpec, UnphysicalStateError, apply_channel, apply_channel_grid,
+                   db_to_linear, entanglement_death_eta, linear_to_db, make_multiplexed,
+                   make_tmss, steering_death_eta, symplectic_eigenvalues, validate)
 from oamcv.cli import SweepConfig
-from oamcv.gaussian import checked_delta
+from oamcv.gaussian import checked_delta, checked_eta
 from conftest import INDEFINITE, V_REF, VP_REF, source_specs
 
 
@@ -240,6 +240,33 @@ class TestCheckedDelta:
             result = checked_delta(good)
             assert type(result) is float and result == value
             assert ChannelParams(0.5, good).delta == value
+
+
+class TestCheckedEta:
+    GRID_SOURCE = make_tmss(SqueezingSpec(V_REF, VP_REF))
+
+    # -0.1, 1.5, nan and inf are guards; None and "x" raised TypeError or
+    # ValueError from ChannelParams, and the grid read None as nan
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf, None, "x"])
+    def test_every_owner_raises_the_same_input_error(self, bad):
+        entry_points = (checked_eta, ChannelParams,
+                        lambda e: apply_channel(self.GRID_SOURCE, (e, 0.0)),
+                        lambda e: apply_channel_grid(self.GRID_SOURCE, [0.5, e]))
+        texts = set()
+        for entry_point in entry_points:
+            with pytest.raises(InputError) as exc:
+                entry_point(bad)
+            texts.add(str(exc.value))
+        assert texts == {f"eta must lie in [0, 1], got {bad!r}"}
+
+    def test_accepts_numbers_as_floats(self):
+        # guard: what converts to a float in [0, 1] is still accepted
+        for good, value in ((0, 0.0), (1, 1.0), (0.25, 0.25), (np.float64(0.5), 0.5), ("0.5", 0.5)):
+            result = checked_eta(good)
+            assert type(result) is float and result == value
+            assert ChannelParams(good).eta == value
+        grid = apply_channel_grid(self.GRID_SOURCE, np.array([0.0, 0.5, 1.0]))
+        assert np.array_equal(grid[2], self.GRID_SOURCE.entries)
 
 
 class TestDecibel:

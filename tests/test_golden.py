@@ -23,6 +23,9 @@ THRESHOLDS = {
     "fig4": "0bca16ae8ee33069b198e92543dcf0b57132fc76afc4d626148f84d2aa618589",
 }
 TOMO = "4203c802edb689e2a1dda0c0daa7effc0036e406d954337893b3e30248f8830b"
+# three samples per setting: of the 84 reconstructions 61 are not positive
+# definite (criteria_error), 18 are unphysical with criteria, 5 are physical
+TOMO_ERRORS = "beb1ea888b3ba46f6382ad898bf7d368715f24305db523416c04a6ca4ddaf9ba"
 MODES = {
     "mode_l-2_beam.pgm": "89e2cc6211e9783fbe5654bde4501befe6d37768722eb53faa3f4774b8c700f1",
     "mode_l-2_tilted.pgm": "12fa7c817e13e4a902771c0f676eb1c490d39c86ddd3f8e74e98868a93b6a0c0",
@@ -86,6 +89,13 @@ def test_tomo_json(tmp_path, capsys):
     out = tmp_path / "tomo.json"
     run(["tomo", "--eta-step", "0.5", "--n", "1000", "--out", str(out)], capsys)
     assert sha256(out) == TOMO
+
+
+def test_tomo_json_failing_reconstructions(tmp_path, capsys):
+    out = tmp_path / "tomo.json"
+    run(["tomo", "--charges", "0,1", "--delta", "0,1", "--eta-step", "0.05", "--n", "3",
+         "--seed", "3", "--out", str(out)], capsys)
+    assert sha256(out) == TOMO_ERRORS
 
 
 def test_modes_images(tmp_path, capsys):

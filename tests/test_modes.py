@@ -7,7 +7,7 @@ import pytest
 
 from oamcv import (FieldGrid, InputError, LGModeSpec, ResolutionError,
                    count_dark_stripes, lg_field, tilted_lens_pattern, write_pgm)
-from oamcv.modes import _k_window, mode_image_filename
+from oamcv.modes import IntensityGrid, _k_window, mode_image_filename
 
 # grids with even, odd and mixed-parity sides: (width, height, extent)
 GRIDS = [(512, 512, 6.0), (257, 257, 6.0), (255, 256, 6.0), (300, 301, 6.0),
@@ -227,6 +227,29 @@ class TestCountDarkStripes:
             count_dark_stripes(np.ones((4, 4)))
         with pytest.raises(InputError):
             count_dark_stripes(-np.ones((64, 64)))
+
+
+class TestIntensityRule:
+    @pytest.mark.parametrize("bad", [np.full((8, 8), np.nan), -np.ones((8, 8))])
+    def test_raw_arrays_are_checked(self, bad, tmp_path):
+        entry_points = (count_dark_stripes, lambda a: write_pgm(tmp_path / "x.pgm", a),
+                        lambda a: IntensityGrid(8, 8, 1.0, a))
+        for entry_point in entry_points:
+            with pytest.raises(InputError,
+                               match=r"^intensity values must be finite and nonnegative$"):
+                entry_point(bad)
+
+    def test_grid_values_are_not_scanned_again(self, monkeypatch, tmp_path):
+        pattern = tilted_lens_pattern(lg_field(LGModeSpec(2), 128, 128, 4.0), 2.0)
+        scans = []
+        real = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda *args: scans.append(1) or real(*args))
+        count_dark_stripes(pattern)
+        write_pgm(tmp_path / "grid.pgm", pattern)
+        assert scans == []
+        count_dark_stripes(pattern.values)
+        write_pgm(tmp_path / "raw.pgm", pattern.values)
+        assert len(scans) == 2
 
 
 class TestPgm:
