@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -22,12 +22,12 @@ from . import __version__
 from .channels import apply_channel_grid
 from .criteria import _criteria, classify_many, entanglement_death_eta, steering_death_eta
 from .errors import InputError, NumericalError
-from .gaussian import (SqueezingSpec, _physical, checked_delta, make_tmss,
-                       symplectic_eigenvalues)
+from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
+                       checked_delta, make_tmss, symplectic_eigenvalues)
 from .modes import (LGModeSpec, count_dark_stripes, lg_field, mode_image_filename,
                     tilted_lens_pattern, write_pgm)
-from .tomography import (SETTINGS, _reconstruct, _to_db, _variances, simulate_measurements,
-                         variances_from_batches)
+from .tomography import (SETTINGS, _reconstruct, _to_db, _variances, checked_sampling,
+                         simulate_measurements, variances_from_batches)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,19 +58,10 @@ _GLOBAL_SPEC_KEYS = ("v", "vp", "r")
 
 
 def _checked_charges(charges) -> tuple:
-    """Charges as a tuple of ints: iterable, non-empty, integers but not bool, distinct."""
-    try:
-        charges = tuple(charges)
-    except TypeError as exc:
-        raise InputError(f"charges must be a list of integers, got {charges!r}") from exc
+    """The charges of a command: checked_charges, and at least one."""
+    charges = checked_charges(charges)
     if not charges:
         raise InputError("charges list must not be empty")
-    for l in charges:
-        if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
-            raise InputError(f"charges must be integers, got {l!r}")
-    charges = tuple(int(l) for l in charges)
-    if len(set(charges)) != len(charges):
-        raise InputError(f"charges must be distinct, got {charges}")
     return charges
 
 
@@ -90,19 +81,15 @@ class SweepConfig:
 
     def __post_init__(self):
         charges = _checked_charges(self.charges)
-        specs = dict(self.specs) if self.specs else \
-            {l: SqueezingSpec(DEFAULT_V, DEFAULT_VP) for l in charges}
-        specs = {int(l): (s if isinstance(s, SqueezingSpec) else SqueezingSpec(*s))
-                 for l, s in specs.items()}
-        missing = set(charges) - set(specs)
-        if missing:
+        specs = self.specs or {l: (DEFAULT_V, DEFAULT_VP) for l in charges}
+        specs = dict(zip(checked_charges(specs), map(as_spec, specs.values())))
+        if missing := set(charges) - set(specs):
             raise InputError(f"no squeezing spec for charges {sorted(missing)}")
         try:
-            deltas = tuple(float(d) for d in self.deltas)
+            deltas = tuple(self.deltas)
             start, stop = float(self.eta_start), float(self.eta_stop)
             step = float(self.eta_step)
-            n = int(self.n_per_setting)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"non-numeric sweep parameter: {exc}") from exc
         if not deltas:
             raise InputError("deltas list must not be empty")
@@ -111,61 +98,38 @@ class SweepConfig:
             raise InputError(f"eta grid [{start}, {stop}] must lie within [0, 1]")
         if not math.isfinite(step) or step <= 0.0:
             raise InputError(f"eta step must be positive, got {step!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise InputError(f"seed must be an integer, got {self.seed!r}")
-        if n < 2:
-            raise InputError(f"n_per_setting must be >= 2, got {self.n_per_setting!r}")
-        object.__setattr__(self, "specs", specs)
-        object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "eta_start", start)
-        object.__setattr__(self, "eta_stop", stop)
-        object.__setattr__(self, "eta_step", step)
-        object.__setattr__(self, "charges", charges)
-        object.__setattr__(self, "out", None if self.out is None else str(self.out))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n_per_setting", n)
+        n, seed = checked_sampling(self.n_per_setting, self.seed)
+        checked = dict(specs=specs, deltas=deltas, eta_start=start, eta_stop=stop, eta_step=step,
+                       charges=charges, out=None if self.out is None else str(self.out),
+                       seed=seed, n_per_setting=n)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
-        return {
-            "specs": {str(l): self.specs[l].to_json_dict() for l in sorted(self.specs)},
-            "deltas": list(self.deltas),
-            "eta_start": self.eta_start,
-            "eta_stop": self.eta_stop,
-            "eta_step": self.eta_step,
-            "charges": list(self.charges),
-            "out": self.out,
-            "seed": self.seed,
-            "n_per_setting": self.n_per_setting,
-        }
+        # the fields in their order, with lists for tuples and text charge keys
+        return {**asdict(self), "deltas": list(self.deltas), "charges": list(self.charges),
+                "specs": {str(l): self.specs[l].to_json_dict() for l in sorted(self.specs)}}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SweepConfig":
         """Config from JSON-style fields: per-charge specs, or one global v/vp or r."""
-        unknown = set(d) - set(_CONFIG_KEYS) - set(_GLOBAL_SPEC_KEYS)
-        if unknown:
+        if unknown := set(d) - set(_CONFIG_KEYS) - set(_GLOBAL_SPEC_KEYS):
             raise InputError(f"unknown config keys {sorted(unknown)}")
         kwargs = {k: d[k] for k in _CONFIG_KEYS if k in d}
-        if "specs" in kwargs:
-            if any(k in d for k in _GLOBAL_SPEC_KEYS):
+        # the global keys present are one spec's JSON: a null value goes to the spec
+        if shorthand := {k: d[k] for k in _GLOBAL_SPEC_KEYS if k in d}:
+            if "specs" in kwargs:
                 raise InputError("give either per-charge specs or a global v/vp (or r), not both")
-            if not isinstance(kwargs["specs"], Mapping):
-                raise InputError(f"specs must map charges to specs, got {kwargs['specs']!r}")
-            kwargs["specs"] = {int(l): SqueezingSpec.from_json_dict(s)
-                               for l, s in kwargs["specs"].items()}
-            if "charges" not in kwargs:
-                kwargs["charges"] = tuple(sorted(kwargs["specs"]))
-        elif any(k in d for k in _GLOBAL_SPEC_KEYS):
-            # resolved from the keys present: a null value goes to the spec, which rejects it
-            if "r" in d:
-                if "v" in d or "vp" in d:
-                    raise InputError("give either r or the (v, vp) pair, not both")
-                spec = SqueezingSpec.from_r(d["r"])
-            elif "v" not in d or "vp" not in d:
-                raise InputError("v and vp must be given together")
-            else:
-                spec = SqueezingSpec(d["v"], d["vp"])
+            spec = SqueezingSpec.from_json_dict(shorthand)
             charges = _checked_charges(kwargs.get("charges", DEFAULT_CHARGES))
             kwargs["specs"] = {l: spec for l in charges}
+        elif "specs" in kwargs:
+            specs = kwargs["specs"]
+            if not isinstance(specs, Mapping):
+                raise InputError(f"specs must map charges to specs, got {specs!r}")
+            kwargs["specs"] = dict(zip(charges_from_keys(specs),
+                                       map(SqueezingSpec.from_json_dict, specs.values())))
+            kwargs.setdefault("charges", tuple(sorted(kwargs["specs"])))
         return cls(**kwargs)
 
 
@@ -376,11 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> SweepConfig:
-    """Defaults, then preset, then config file, then explicit flags.
+    """Defaults, then preset, then config file, then explicit flags, in one dict parsed once.
 
-    The three layers are merged into one JSON-style dict that is parsed
-    once; a source given by flags replaces the file's global v/vp/r as a
-    whole.  Any malformed value is reported as an InputError.
+    A source given by flags replaces the file's global v/vp/r as a whole.
+    The parsers report every malformed value as an InputError.
     """
     merged = dict(PRESETS[args.preset]) if args.preset else {}
     if args.config:
@@ -398,12 +361,7 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
         for key in _GLOBAL_SPEC_KEYS:
             merged.pop(key, None)
     merged.update(flags)
-    try:
-        return SweepConfig.from_json_dict(merged)
-    except InputError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed config value: {exc}") from exc
+    return SweepConfig.from_json_dict(merged)
 
 
 def main(argv=None) -> int:

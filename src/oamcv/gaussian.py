@@ -9,9 +9,10 @@ kept by Alice, the probe mode is the one sent through the channel to Bob.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class SqueezingSpec:
     def __post_init__(self):
         try:
             v, vp = float(self.v), float(self.vp)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"variances must be numbers, got ({self.v!r}, {self.vp!r})") from exc
         if not (math.isfinite(v) and math.isfinite(vp)) or v <= 0.0 or vp <= 0.0:
             raise InputError(
@@ -93,25 +94,23 @@ class SqueezingSpec:
 
     @classmethod
     def from_r(cls, r: float) -> "SqueezingSpec":
-        """Pure-state spec with v = e^{-2r}, vp = e^{2r} for squeezing parameter r >= 0."""
-        r = float(r)
-        if not math.isfinite(r) or r < 0.0:
-            raise InputError(f"squeezing parameter must be >= 0, got {r!r}")
-        return cls(v=math.exp(-2.0 * r), vp=math.exp(2.0 * r))
+        """Pure-state spec v = e^{-2r}, vp = e^{2r}; r must be a number >= 0 with finite e^{2r}."""
+        try:
+            if (value := float(r)) >= 0.0:  # False for NaN; an infinite r fails in cls
+                return cls(v=math.exp(-2.0 * value), vp=math.exp(2.0 * value))
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise InputError(f"squeezing parameter must be >= 0 with finite e^(2r), got {r!r}")
 
     def to_json_dict(self) -> dict:
         return {"v": self.v, "vp": self.vp}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "SqueezingSpec":
-        if "r" in d:
-            extra = set(d) - {"r"}
-            if extra:
-                raise InputError(f"spec with 'r' cannot also have {sorted(extra)}")
-            return cls.from_r(d["r"])
-        if set(d) != {"v", "vp"}:
-            raise InputError(f"spec needs keys v and vp (or r), got {sorted(d)}")
-        return cls(v=d["v"], vp=d["vp"])
+        """Spec from an object with keys v and vp, or r alone; anything else is an InputError."""
+        if not isinstance(d, Mapping) or set(d) not in ({"v", "vp"}, {"r"}):
+            raise InputError(f"spec needs keys v and vp, or r alone, got {d!r}")
+        return cls.from_r(d["r"]) if "r" in d else cls(v=d["v"], vp=d["vp"])
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def checked_eta(eta) -> float:
     try:
         if 0.0 <= (value := float(eta)) <= 1.0:  # False for NaN
             return value
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"eta must lie in [0, 1], got {eta!r}")
 
@@ -145,9 +144,34 @@ def checked_delta(delta) -> float:
     try:
         if math.isfinite(value := float(delta)) and value >= 0.0:
             return value
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"delta must be >= 0, got {delta!r}")
+
+
+def is_integer(x) -> bool:
+    """True for an int or numpy integer, but not for a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def checked_charges(charges) -> tuple:
+    """The charge rule: an iterable of integers (not bool), none repeated, as a tuple of ints."""
+    try:
+        charges = tuple(charges)
+    except TypeError as exc:
+        raise InputError(f"charges must be a list of integers, got {charges!r}") from exc
+    if bad := [l for l in charges if not is_integer(l)]:
+        raise InputError(f"charges must be integers, got {bad[0]!r}")
+    charges = tuple(map(int, charges))
+    if len(set(charges)) != len(charges):
+        raise InputError(f"charges must be distinct, got {charges}")
+    return charges
+
+
+def charges_from_keys(keys) -> tuple:
+    """checked_charges of JSON keys; text of up to 18 digits is read by int(): "1", "01" repeat."""
+    return checked_charges(int(key) if isinstance(key, str) and re.fullmatch(r"-?\d{1,18}", key)
+                           else key for key in keys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +187,10 @@ class CovarianceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
+        try:
+            m = np.array(self.entries, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"covariance matrix entries must be numbers: {exc}") from exc
         if m.shape != (4, 4):
             raise InputError(f"covariance matrix must be 4x4, got shape {m.shape}")
         sigma, (malformed, error) = _well_formed(m[None])
@@ -193,11 +220,11 @@ class CovarianceMatrix:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "CovarianceMatrix":
-        if set(d) != {"order", "matrix"}:
-            raise InputError(f"covariance JSON needs keys order and matrix, got {sorted(d)}")
-        if tuple(d["order"]) != MODE_ORDER:
+        if not isinstance(d, Mapping) or set(d) != {"order", "matrix"}:
+            raise InputError(f"covariance JSON needs keys order and matrix, got {d!r}")
+        if not isinstance(d["order"], (list, tuple)) or tuple(d["order"]) != MODE_ORDER:
             raise InputError(f"unsupported mode order {d['order']!r}, expected {list(MODE_ORDER)}")
-        return cls(np.array(d["matrix"], dtype=float))
+        return cls(d["matrix"])
 
 
 def as_cm(obj) -> CovarianceMatrix:
@@ -329,13 +356,15 @@ class MultiplexedState:
 
     The probe mode of entry l carries charge l and the conjugate carries -l
     (OAM conservation with an l = 0 pump).  Entries are mutually independent;
-    no cross-charge correlations are ever stored.
+    no cross-charge correlations are ever stored.  Charges: see checked_charges.
     """
 
     pairs: Mapping[int, ModePair]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", MappingProxyType(dict(self.pairs)))
+        items = list(self.pairs.items() if isinstance(self.pairs, Mapping) else self.pairs)
+        pairs = dict(zip(checked_charges(l for l, _ in items), (pair for _, pair in items)))
+        object.__setattr__(self, "pairs", MappingProxyType(pairs))
 
     @property
     def charges(self) -> tuple:
@@ -359,30 +388,21 @@ class MultiplexedState:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "MultiplexedState":
-        if set(d) != {"pairs"}:
-            raise InputError(f"multiplexed JSON needs the single key 'pairs', got {sorted(d)}")
-        pairs = {}
-        for key, entry in d["pairs"].items():
-            pairs[int(key)] = ModePair(SqueezingSpec.from_json_dict(entry["spec"]),
-                                       CovarianceMatrix.from_json_dict(entry["cm"]))
-        return cls(pairs)
+        """State from {"pairs": {l: {"spec": ..., "cm": ...}}}; anything else is an InputError."""
+        pairs = d.get("pairs") if isinstance(d, Mapping) and set(d) == {"pairs"} else None
+        if not isinstance(pairs, Mapping) or not all(
+                isinstance(e, Mapping) and set(e) == {"spec", "cm"} for e in pairs.values()):
+            raise InputError(f"multiplexed JSON needs 'pairs' of {{spec, cm}} objects, got {d!r}")
+        return cls(zip(charges_from_keys(pairs), (
+            ModePair(SqueezingSpec.from_json_dict(e["spec"]),
+                     CovarianceMatrix.from_json_dict(e["cm"])) for e in pairs.values())))
 
 
 def make_multiplexed(specs) -> MultiplexedState:
     """Build one two-mode squeezed state per topological charge.
 
-    specs is a mapping {l: SqueezingSpec} or an iterable of (l, spec) pairs;
-    duplicate or non-integer charges are rejected.  Each entry's matrix is
-    exactly make_tmss of its spec.
+    specs is a mapping {l: SqueezingSpec} or an iterable of (l, spec) pairs, with
+    charges as checked_charges takes them.  Each matrix is exactly make_tmss of its spec.
     """
-    items: Iterable = specs.items() if isinstance(specs, Mapping) else specs
-    pairs = {}
-    for l, spec in items:
-        if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
-            raise InputError(f"topological charge must be an integer, got {l!r}")
-        l = int(l)
-        if l in pairs:
-            raise InputError(f"duplicate topological charge {l}")
-        spec = as_spec(spec)
-        pairs[l] = ModePair(spec, make_tmss(spec))
-    return MultiplexedState(pairs)
+    items = specs.items() if isinstance(specs, Mapping) else specs
+    return MultiplexedState((l, ModePair(as_spec(s), make_tmss(s))) for l, s in items)

@@ -13,12 +13,14 @@ the topological charge.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, ResolutionError
+from .gaussian import checked_charges
 
 MAX_ABS_CHARGE = 16
 MIN_PIXELS_PER_WAIST = 8
@@ -37,12 +39,11 @@ class LGModeSpec:
     l: int
 
     def __post_init__(self):
-        if isinstance(self.l, bool) or not isinstance(self.l, (int, np.integer)):
-            raise InputError(f"topological charge must be an integer, got {self.l!r}")
-        if abs(self.l) > MAX_ABS_CHARGE:
+        (l,) = checked_charges((self.l,))
+        if abs(l) > MAX_ABS_CHARGE:
             raise ResolutionError(
-                f"|l| = {abs(self.l)} exceeds the grid-resolution guard of {MAX_ABS_CHARGE}")
-        object.__setattr__(self, "l", int(self.l))
+                f"|l| = {abs(l)} exceeds the grid-resolution guard of {MAX_ABS_CHARGE}")
+        object.__setattr__(self, "l", l)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,11 +56,7 @@ class FieldGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        width, height = int(self.width), int(self.height)
-        extent = float(self.extent)
-        if width < 2 or height < 2 or not math.isfinite(extent) or extent <= 0.0:
-            raise InputError(f"bad grid geometry ({self.width!r} x {self.height!r}, "
-                             f"extent {self.extent!r})")
+        width, height, extent = _checked_geometry(self.width, self.height, self.extent)
         values = np.array(self.values, dtype=complex)
         if values.shape != (height, width):
             raise InputError(f"values shape {values.shape} does not match "
@@ -82,19 +79,39 @@ class FieldGrid:
 
     @property
     def x(self) -> np.ndarray:
-        return (np.arange(self.width) - (self.width - 1) / 2.0) * self.dx
+        return _pixel_axis(self.width, self.extent)
 
     @property
     def y(self) -> np.ndarray:
-        return (np.arange(self.height) - (self.height - 1) / 2.0) * self.dy
+        return _pixel_axis(self.height, self.extent)
 
     @property
     def power(self) -> float:
         """Total power, sum of |amplitude|^2 times pixel area."""
-        return float(np.sum(np.abs(self.values) ** 2) * self.dx * self.dy)
+        return float(np.sum(self.intensity()) * self.dx * self.dy)
 
     def intensity(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
+        return self._intensity
+
+    @functools.cached_property
+    def _intensity(self) -> np.ndarray:
+        """|amplitude|^2 per pixel, computed once per grid, read-only."""
+        intensity = np.abs(self.values) ** 2
+        intensity.flags.writeable = False
+        return intensity
+
+
+def _checked_geometry(width, height, extent) -> tuple:
+    """(width, height, extent) of a pixel grid: at least 2 x 2 pixels, extent finite and > 0."""
+    width, height, extent = int(width), int(height), float(extent)
+    if width < 2 or height < 2 or not math.isfinite(extent) or extent <= 0.0:
+        raise InputError(f"bad grid geometry ({width!r} x {height!r}, extent {extent!r})")
+    return width, height, extent
+
+
+def _pixel_axis(n: int, extent: float) -> np.ndarray:
+    """Centers of n pixels spanning [-extent, extent]."""
+    return (np.arange(n) - (n - 1) / 2.0) * (2.0 * extent / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +164,9 @@ def lg_field(spec, width: int = 512, height: int = 512, extent: float = 6.0) -> 
     exp(-r^2) the outer product exp(-y^2) (x) exp(-x^2).
     """
     spec = spec if isinstance(spec, LGModeSpec) else LGModeSpec(spec)
-    width, height = int(width), int(height)
-    extent = float(extent)
-    if width < 2 or height < 2 or not math.isfinite(extent) or extent <= 0.0:
-        raise InputError(f"bad grid request ({width} x {height}, extent {extent!r})")
+    width, height, extent = _checked_geometry(width, height, extent)
     _check_resolution(width, height, extent)
-    x = (np.arange(width) - (width - 1) / 2.0) * (2.0 * extent / width)
-    y = (np.arange(height) - (height - 1) / 2.0) * (2.0 * extent / height)
+    x, y = _pixel_axis(width, extent), _pixel_axis(height, extent)
     order = abs(spec.l)
     norm = math.sqrt(2.0 / (math.pi * math.factorial(order))) * math.sqrt(2.0) ** order
     amp = x + 1j * math.copysign(1.0, spec.l) * y[:, None]

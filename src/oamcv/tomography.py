@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import CovarianceMatrix, as_cm, validate
+from .gaussian import CovarianceMatrix, as_cm, db_to_linear, is_integer, linear_to_db, validate
 
 SETTINGS = ("Xc", "Yc", "Xp", "Yp", "Xdiff", "Ysum")
 
@@ -43,8 +43,8 @@ def _variances(sigmas: np.ndarray) -> np.ndarray:
 
 
 def _to_db(variances) -> list:
-    """The six absolute variances of a state in dB of each setting's SNL, by math.log10."""
-    return [10.0 * math.log10(var / SNL_REFERENCE[setting])
+    """The six absolute variances of a state in dB of each setting's SNL."""
+    return [linear_to_db(var / SNL_REFERENCE[setting]).value
             for setting, var in zip(SETTINGS, variances)]
 
 
@@ -102,7 +102,7 @@ class VarianceSet:
 
     def absolute_variance(self, setting: str) -> float:
         """Variance in absolute units: the dB value de-normalized by its SNL."""
-        return 10.0 ** (self.db(setting) / 10.0) * SNL_REFERENCE[setting]
+        return db_to_linear(self.db(setting)) * SNL_REFERENCE[setting]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +125,15 @@ class SampleBatch:
         object.__setattr__(self, "seed", int(self.seed))
 
 
+def checked_sampling(n_per_setting, seed) -> tuple:
+    """(n, seed) as ints: n an integer >= 2 and seed one >= 0, neither a bool; else InputError."""
+    if not is_integer(n_per_setting) or n_per_setting < 2:
+        raise InputError(f"n_per_setting must be an integer >= 2, got {n_per_setting!r}")
+    if not is_integer(seed) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(n_per_setting), int(seed)
+
+
 def simulate_measurements(cm, n_per_setting: int, seed) -> tuple:
     """Draw the six measurement batches for a state, one per setting.
 
@@ -139,9 +148,7 @@ def simulate_measurements(cm, n_per_setting: int, seed) -> tuple:
     if not report.ok:
         raise UnphysicalStateError(
             f"cannot simulate an unphysical state (min symplectic {report.min_symplectic:.6g})")
-    n = int(n_per_setting)
-    if n < 2:
-        raise InputError(f"n_per_setting must be >= 2, got {n_per_setting!r}")
+    n, seed = checked_sampling(n_per_setting, seed)
     variances = _positive_variances(cm)
     child_seeds = np.random.SeedSequence(seed).generate_state(len(SETTINGS), np.uint64)
     batches = []
@@ -239,24 +246,25 @@ def write_variances_csv(vs: VarianceSet, path) -> None:
 
 
 def read_variances_csv(path) -> VarianceSet:
-    """Read a VarianceSet written by write_variances_csv."""
+    """Read a VarianceSet written by write_variances_csv; any other content is an InputError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["setting", "db", "stderr_db"]:
             raise InputError(f"bad variance CSV header {header!r}")
-        rows = {row[0]: row for row in reader if row}
-    missing = set(SETTINGS) - set(rows)
-    if missing:
-        raise InputError(f"variance CSV is missing settings {sorted(missing)}")
-    dbs = [float(rows[s][1]) for s in SETTINGS]
-    raw_errs = [rows[s][2] for s in SETTINGS]
-    if all(e == "" for e in raw_errs):
-        errs = None
-    elif any(e == "" for e in raw_errs):
+        rows = [row for row in reader if row]
+    by_setting = {row[0]: row for row in rows if len(row) == 3}
+    # six rows covering the six settings: no row short, long, repeated or unknown
+    if len(rows) != len(SETTINGS) or set(by_setting) != set(SETTINGS):
+        raise InputError(f"variance CSV needs a 3-field row per setting {SETTINGS}, got {rows}")
+    raw_errs = [by_setting[s][2] for s in SETTINGS]
+    if "" in raw_errs and any(raw_errs):
         raise InputError("stderr_db must be given for all settings or none")
-    else:
-        errs = tuple(float(e) for e in raw_errs)
+    try:
+        dbs = [float(by_setting[s][1]) for s in SETTINGS]
+        errs = tuple(map(float, raw_errs)) if any(raw_errs) else None
+    except ValueError as exc:
+        raise InputError(f"variance CSV values must be numbers: {exc}") from exc
     return VarianceSet(*dbs, stderr_db=errs)
 
 

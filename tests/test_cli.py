@@ -9,16 +9,133 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oamcv
-from oamcv import (ChannelParams, InputError, ReconstructionWarning, SqueezingSpec, ToolkitError,
-                   apply_channel, classify, entanglement_death_eta, expected_variances, make_tmss,
+from oamcv import (ChannelParams, InputError, LGModeSpec, MultiplexedState,
+                   ReconstructionWarning, SqueezingSpec, ToolkitError, apply_channel, classify,
+                   entanglement_death_eta, expected_variances, make_multiplexed, make_tmss,
                    reconstruct_cm, simulate_measurements, validate, variances_from_batches)
 from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, PRESETS,
                        SWEEP_HEADER, SweepConfig, build_parser, eta_grid, main,
                        run_modes, run_sweep, run_thresholds, run_tomo)
 from oamcv.tomography import SETTINGS
 from conftest import V_REF, VP_REF
+
+
+SPEC = SqueezingSpec(V_REF, VP_REF)
+SPEC_JSON = SPEC.to_json_dict()
+PAIR_JSON = {"spec": SPEC_JSON, "cm": make_tmss(SPEC).to_json_dict()}
+
+# kind of bad charges: (Python values, JSON object keys, error text)
+BAD_CHARGES = {
+    "bool": ([0, True], ["0", "true"], "charges must be integers"),
+    "float": ([0, 1.5], ["0", "1.5"], "charges must be integers"),
+    "text": ([0, "1"], ["0", "x"], "charges must be integers"),
+    "repeated": ([1, 1], ["1", "01"], "charges must be distinct"),
+}
+
+
+def _charge_entry_points(tmp_path):
+    """Every entry point that takes charges, fed a list of Python charges."""
+    return {
+        "SweepConfig": lambda ls: SweepConfig(charges=ls),
+        "SweepConfig.specs": lambda ls: SweepConfig(specs=dict.fromkeys(ls, SPEC), charges=(0,)),
+        "SweepConfig.from_json_dict": lambda ls: SweepConfig.from_json_dict({"charges": ls}),
+        "run_modes": lambda ls: run_modes(ls, out_dir=tmp_path / "images"),
+        "LGModeSpec": lambda ls: [LGModeSpec(l) for l in ls],
+        "make_multiplexed": lambda ls: make_multiplexed([(l, SPEC) for l in ls]),
+    }
+
+
+# fed JSON object keys, which are text
+KEY_ENTRY_POINTS = {
+    "SweepConfig.from_json_dict": lambda keys: SweepConfig.from_json_dict(
+        {"specs": dict.fromkeys(keys, SPEC_JSON)}),
+    "MultiplexedState.from_json_dict": lambda keys: MultiplexedState.from_json_dict(
+        {"pairs": dict.fromkeys(keys, PAIR_JSON)}),
+}
+
+
+class TestChargeRule:
+    """gaussian.checked_charges is the one charge rule behind every entry point."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_CHARGES))
+    def test_python_entry_points(self, kind, tmp_path):
+        charges, _, text = BAD_CHARGES[kind]
+        errors = {}
+        for name, entry_point in _charge_entry_points(tmp_path).items():
+            # a mapping key or a single charge cannot hold a repeat
+            if kind == "repeated" and name in ("SweepConfig.specs", "LGModeSpec"):
+                continue
+            with pytest.raises(InputError, match=text) as error:
+                entry_point(charges)
+            errors[name] = str(error.value)
+        assert len(set(errors.values())) == 1, errors
+        assert not (tmp_path / "images").exists()
+
+    @pytest.mark.parametrize("kind", sorted(BAD_CHARGES))
+    @pytest.mark.parametrize("entry_point", sorted(KEY_ENTRY_POINTS))
+    def test_json_keys(self, entry_point, kind):
+        _, keys, text = BAD_CHARGES[kind]
+        with pytest.raises(InputError, match=text):
+            KEY_ENTRY_POINTS[entry_point](keys)
+
+    @pytest.mark.parametrize("key", ["+1", " 2", "2 ", "1_0", "1e0", "", "-", "--1", "0x1"])
+    @pytest.mark.parametrize("entry_point", sorted(KEY_ENTRY_POINTS))
+    def test_key_must_be_decimal_text(self, entry_point, key):
+        with pytest.raises(InputError, match="charges must be integers"):
+            KEY_ENTRY_POINTS[entry_point]([key])
+
+    @pytest.mark.parametrize("entry_point", sorted(KEY_ENTRY_POINTS))
+    def test_long_digit_keys_are_not_charges(self, entry_point):
+        # int() refuses text beyond 4300 digits with a plain ValueError
+        for digits in (19, 5000):
+            with pytest.raises(InputError, match="charges must be integers"):
+                KEY_ENTRY_POINTS[entry_point](["1" * digits])
+
+    @pytest.mark.parametrize("entry_point", sorted(KEY_ENTRY_POINTS))
+    def test_keys_read_as_integers(self, entry_point):
+        result = KEY_ENTRY_POINTS[entry_point](["-3", "0", "12"])
+        assert sorted(result.specs if entry_point.startswith("Sweep") else result.charges) \
+            == [-3, 0, 12]
+
+    def test_one_spec_per_charge_key(self):
+        # a float key equal to no integer used to become charge 1 and replace its spec
+        with pytest.raises(InputError, match="charges must be integers, got 1.7"):
+            SweepConfig(specs={1: SPEC, 1.7: SqueezingSpec(0.9, 2.0)}, charges=(1,))
+
+    def test_numpy_integers_accepted(self):
+        config = SweepConfig(charges=np.array([2, -1]), specs={np.int64(2): SPEC, -1: SPEC})
+        assert config.charges == (2, -1) and set(config.specs) == {2, -1}
+        assert all(type(l) is int for l in (*config.charges, *config.specs))
+
+
+# values of every JSON type and the awkward numbers
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.just(float("nan")), st.just(float("inf")),
+    st.floats(-10.0, -1e-3), st.floats(1e-3, 0.999), st.integers(-3, 3),
+    st.integers(10 ** 300, 10 ** 400), st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2))
+SPEC_PAYLOADS = st.one_of(ODD_VALUES, st.dictionaries(
+    st.sampled_from(["v", "vp", "r"]), st.one_of(ODD_VALUES, st.floats(0.2, 5.0)), max_size=3))
+CONFIG_VALUES = {
+    "specs": st.one_of(ODD_VALUES, st.dictionaries(
+        st.sampled_from(["0", "1", "01", "-1", "x", "1.5", "true"]), SPEC_PAYLOADS, max_size=3)),
+    "charges": st.one_of(ODD_VALUES, st.lists(st.one_of(st.integers(-3, 3), ODD_VALUES),
+                                              max_size=3)),
+    "deltas": st.one_of(ODD_VALUES, st.lists(ODD_VALUES, max_size=3)),
+}
+
+
+@st.composite
+def config_payloads(draw):
+    """JSON-style configs whose values are drawn from ODD_VALUES, key by key."""
+    keys = draw(st.sets(st.sampled_from(["specs", "deltas", "eta_start", "eta_stop", "eta_step",
+                                         "charges", "out", "seed", "n_per_setting",
+                                         "v", "vp", "r"]), max_size=5))
+    return {key: draw(CONFIG_VALUES.get(key, ODD_VALUES)) for key in sorted(keys)}
 
 
 def small_config(**overrides):
@@ -69,6 +186,46 @@ class TestSweepConfig:
     def test_rejects_missing_spec(self):
         with pytest.raises(InputError):
             small_config(specs={0: SqueezingSpec(V_REF, VP_REF)}, charges=(0, 5))
+
+    @settings(max_examples=400, deadline=None)
+    @given(config_payloads())
+    def test_from_json_dict_raises_only_input_error(self, payload):
+        # guards the CLI, which turns no other exception of config parsing into exit 2
+        try:
+            config = SweepConfig.from_json_dict(payload)
+        except InputError:
+            return
+        assert isinstance(config, SweepConfig)
+
+    @pytest.mark.parametrize("payload", [{"r": None}, {"r": "x"}, {"r": 400}, {"r": -0.1},
+                                         {"specs": {"x": {"r": 0.2}}}, {"specs": {"0": 5}},
+                                         {"specs": {"0": {"r": "a"}}}, {"v": 0.5},
+                                         {"r": 0.3, "vp": 2.0}, {"specs": {"0": SPEC_JSON}, "r": 1}])
+    def test_wrongly_typed_payloads_are_input_errors(self, payload):
+        with pytest.raises(InputError):
+            SweepConfig.from_json_dict(payload)
+
+    def test_shorthand_is_one_spec_json(self):
+        for shorthand in ({"r": 0.3}, {"v": 0.5, "vp": 2.5}):
+            config = SweepConfig.from_json_dict({**shorthand, "charges": [0, 4]})
+            assert config.specs == dict.fromkeys((0, 4), SqueezingSpec.from_json_dict(shorthand))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", True), ("seed", 1.0), ("seed", "3"), ("seed", None),
+        ("n_per_setting", 2.7), ("n_per_setting", True), ("n_per_setting", 1),
+        ("n_per_setting", "100"), ("n_per_setting", 1e5)])
+    def test_seed_and_sample_count_rules(self, field, value):
+        text = "seed must be a non-negative integer" if field == "seed" else \
+            "n_per_setting must be an integer >= 2"
+        with pytest.raises(InputError, match=text):
+            small_config(**{field: value})
+        with pytest.raises(InputError, match=text):
+            SweepConfig.from_json_dict({field: value})
+
+    def test_numpy_seed_and_sample_count(self):
+        config = small_config(seed=np.uint64(5), n_per_setting=np.int32(2))
+        assert (config.seed, config.n_per_setting) == (5, 2)
+        assert type(config.seed) is int and type(config.n_per_setting) is int
 
     def test_eta_grid_values(self):
         assert eta_grid(small_config(eta_step=0.3)) == [0.0, 0.3, 0.6, 0.9]
@@ -423,6 +580,36 @@ class TestMain:
         monkeypatch.setattr("oamcv.cli.classify_many", broken)
         with pytest.raises(ValueError, match="injected fault"):
             main(["sweep", "--charges", "0", "--eta-step", "0.5"])
+
+    def test_injected_parse_fault_is_not_a_config_error(self, monkeypatch):
+        # a plain ValueError inside config parsing is a program fault, not bad input
+        def broken(charges):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr("oamcv.cli.checked_charges", broken)
+        with pytest.raises(ValueError, match="injected fault") as error:
+            main(["sweep", "--charges", "0", "--eta-step", "0.5"])
+        assert not isinstance(error.value, InputError)
+
+    @pytest.mark.parametrize("payload, err", [
+        ({"specs": {"1": {"r": 0.2}, "01": {"v": 0.9, "vp": 2.0}}},
+         "config error: charges must be distinct, got (1, 1)\n"),
+        ({"r": 400}, "config error: squeezing parameter must be >= 0 with finite e^(2r), "
+                     "got 400\n"),
+        ({"n_per_setting": 2.7}, "config error: n_per_setting must be an integer >= 2, got 2.7\n"),
+    ])
+    def test_bad_config_exits_2(self, payload, err, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, capsys):
+        code = main(["tomo", "--seed", "-1", "--charges", "0", "--eta-step", "0.5", "--n", "10"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: seed must be a non-negative integer, got -1\n"
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "absent.json")]) == EXIT_IO

@@ -48,6 +48,19 @@ class TestSqueezingSpec:
         with pytest.raises(InputError):
             SqueezingSpec.from_json_dict({"v": 0.5, "vp": 2.5, "r": 0.1})
 
+    @pytest.mark.parametrize("r", [None, "x", [0.1], -0.1, float("nan"), float("inf"), 400,
+                                   10 ** 400])
+    def test_from_r_rejects_non_numbers_and_overflow(self, r):
+        # e^(2r) overflows a float from r ~ 355 on
+        with pytest.raises(InputError, match="squeezing parameter must be >= 0"):
+            SqueezingSpec.from_r(r)
+
+    @pytest.mark.parametrize("d", [None, 5, [0.5, 2.5], "r", {"v": 0.5}, {"r": 0.1, "vp": 2.0},
+                                   {"v": 0.5, "vp": 2.5, "x": 1}, {}])
+    def test_from_json_dict_needs_v_and_vp_or_r(self, d):
+        with pytest.raises(InputError, match="spec needs keys v and vp, or r alone"):
+            SqueezingSpec.from_json_dict(d)
+
 
 class TestMakeTmss:
     def test_reference_source(self):
@@ -118,6 +131,16 @@ class TestCovarianceMatrix:
         bad[0, 0] = float("inf")
         with pytest.raises(InputError):
             CovarianceMatrix(bad)
+
+    @pytest.mark.parametrize("d", [
+        None, [], {"order": ["Xc", "Yc", "Xp", "Yp"]}, {"order": 5, "matrix": np.eye(4).tolist()},
+        {"order": ["Xc", "Yc", "Xp", "Yp"], "matrix": "ab"},
+        {"order": ["Xc", "Yc", "Xp", "Yp"], "matrix": [[1.0, 2.0], [3.0]]},
+        {"order": ["Xc", "Yc", "Xp", "Yp"], "matrix": {"a": 1}},
+        {"order": ["Xc", "Yc", "Xp", "Yp"], "matrix": [[10 ** 400] * 4] * 4}])
+    def test_from_json_dict_raises_input_error(self, d):
+        with pytest.raises(InputError):
+            CovarianceMatrix.from_json_dict(d)
 
     def test_entries_are_frozen(self):
         cm = make_tmss(SqueezingSpec(V_REF, VP_REF))
@@ -336,6 +359,23 @@ class TestMultiplexed:
         ms = make_multiplexed({0: SqueezingSpec(V_REF, VP_REF)})
         with pytest.raises(TypeError):
             ms.pairs[3] = None
+
+    def test_charges_checked(self):
+        with pytest.raises(InputError, match="charges must be integers, got True"):
+            MultiplexedState({True: None})
+        with pytest.raises(InputError, match="charges must be distinct"):
+            MultiplexedState([(1, None), (np.int64(1), None)])
+
+    @pytest.mark.parametrize("d", [
+        None, {}, {"pairs": []}, {"pairs": {"0": 5}}, {"pairs": {"0": {"spec": {"r": 0.1}}}},
+        {"pairs": {"0": {"spec": {"r": 0.1}, "cm": None}}}, {"pairs": {}, "extra": 1},
+        {"pairs": {"0": {"spec": {"r": 0.1}, "cm": {"order": ["Xc", "Yc", "Xp", "Yp"],
+                                                     "matrix": "ab"}}}},
+        {"pairs": {"x": {"spec": {"r": 0.1}, "cm": make_tmss(SqueezingSpec.from_r(0.1))
+                                                     .to_json_dict()}}}])
+    def test_from_json_dict_raises_input_error(self, d):
+        with pytest.raises(InputError):
+            MultiplexedState.from_json_dict(d)
 
     def test_json_round_trip(self):
         ms = make_multiplexed({-1: SqueezingSpec(V_REF, VP_REF), 1: SqueezingSpec.from_r(0.3)})

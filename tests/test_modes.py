@@ -47,6 +47,11 @@ class TestLGModeSpec:
         with pytest.raises(InputError):
             LGModeSpec(1.5)
 
+    @pytest.mark.parametrize("l", [True, 1.0, "1", None])
+    def test_charge_rule(self, l):
+        with pytest.raises(InputError, match="charges must be integers"):
+            LGModeSpec(l)
+
     def test_defaults(self):
         spec = LGModeSpec(-2)
         assert spec.l == -2
@@ -114,6 +119,30 @@ class TestLgField:
         field = lg_field(LGModeSpec(0))
         with pytest.raises(ValueError):
             field.values[0, 0] = 1.0
+
+    def test_intensity_computed_once_and_frozen(self):
+        field = lg_field(LGModeSpec(2), 128, 128, 4.0)
+        tilted_lens_pattern(field, 2.0)  # reads it for the rms radius
+        intensity = field.intensity()
+        assert intensity is field.intensity()
+        assert np.array_equal(intensity, np.abs(field.values) ** 2)
+        assert field.power == float(np.sum(intensity) * field.dx * field.dy)
+        with pytest.raises(ValueError):
+            intensity[0, 0] = 1.0
+
+    @pytest.mark.parametrize("width, height, extent", [(1, 64, 4.0), (64, 0, 4.0),
+                                                       (64, 64, 0.0), (64, 64, float("nan"))])
+    def test_one_grid_geometry_rule(self, width, height, extent):
+        with pytest.raises(InputError, match=r"^bad grid geometry") as synthesized:
+            lg_field(1, width, height, extent)
+        with pytest.raises(InputError, match=r"^bad grid geometry") as given:
+            FieldGrid(width, height, extent, np.ones((max(height, 1), max(width, 1))))
+        assert str(synthesized.value) == str(given.value)
+
+    def test_axes_match_lg_field_grid(self):
+        field = lg_field(0, 160, 128, 5.0)
+        assert np.array_equal(field.x, (np.arange(160) - 79.5) * (10.0 / 160))
+        assert np.array_equal(field.y, (np.arange(128) - 63.5) * (10.0 / 128))
 
 
 class TestTiltedLens:

@@ -69,6 +69,24 @@ class TestSimulateMeasurements:
         with pytest.raises(UnphysicalStateError):
             simulate_measurements(np.diag([0.5, 0.5, 0.5, 0.5]), 100, seed=0)
 
+    @pytest.mark.parametrize("n, seed, text", [
+        (2.7, 0, "n_per_setting must be an integer >= 2"),
+        (True, 0, "n_per_setting must be an integer >= 2"),
+        (1, 0, "n_per_setting must be an integer >= 2"),
+        (100, -1, "seed must be a non-negative integer"),
+        (100, True, "seed must be a non-negative integer"),
+        (100, 1.5, "seed must be a non-negative integer"),
+        (100, None, "seed must be a non-negative integer"),
+    ])
+    def test_sampling_rule(self, n, seed, text):
+        with pytest.raises(InputError, match=text):
+            simulate_measurements(REF_CM, n, seed)
+
+    def test_numpy_integer_sampling_parameters(self):
+        batches = simulate_measurements(REF_CM, np.int64(50), np.uint64(3))
+        assert [b.samples.tolist() for b in batches] == \
+            [b.samples.tolist() for b in simulate_measurements(REF_CM, 50, 3)]
+
     @pytest.mark.parametrize("m", INDEFINITE)
     def test_rejects_indefinite_state(self, m):
         with pytest.raises(UnphysicalStateError, match=r"min symplectic nan"):
@@ -219,6 +237,25 @@ class TestCsv:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("setting,value\nXc,1.0\n")
+        with pytest.raises(InputError):
+            read_variances_csv(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda rows: rows.__setitem__(1, "Xc,loud,0.1"),            # non-numeric db
+        lambda rows: rows.__setitem__(2, "Yc,x"),                   # non-numeric stderr
+        lambda rows: rows.__setitem__(1, "Xc,1.0"),                 # short row
+        lambda rows: rows.__setitem__(1, "Xc,1.0,0.1,9"),           # long row
+        lambda rows: rows.insert(3, rows[1].replace("Xc,", "Xc,0")),  # repeated setting
+        lambda rows: rows.append("Zz,1.0,0.1"),                     # unknown setting
+        lambda rows: rows.__delitem__(4),                           # missing setting
+        lambda rows: rows.__setitem__(3, "Xp,1.0,"),                # stderr not all or none
+    ])
+    def test_malformed_variance_csv_raises_input_error(self, change, tmp_path):
+        path = tmp_path / "variances.csv"
+        write_variances_csv(variances_from_batches(simulate_measurements(REF_CM, 100, 8)), path)
+        rows = path.read_text().splitlines()
+        change(rows)
+        path.write_text("\n".join(rows) + "\n")
         with pytest.raises(InputError):
             read_variances_csv(path)
 
