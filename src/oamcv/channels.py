@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InputError, UnphysicalStateError
 from .gaussian import (ChannelParams, CovarianceMatrix, ModePair, MultiplexedState, _finite_check,
-                       _invariants, as_cm, checked_delta, checked_eta, validate)
+                       _from_pair, _invariants, as_cm, checked_delta, checked_eta, validate)
 
 
 def apply_channel(cm, ch) -> CovarianceMatrix:
@@ -23,9 +23,7 @@ def apply_channel(cm, ch) -> CovarianceMatrix:
     V_c = sqrt(eta)*(vp - v)/2 exactly, with V_a unchanged.  This is the
     one-row case of apply_channel_grid.
     """
-    cm = as_cm(cm)
-    if not isinstance(ch, ChannelParams):
-        ch = ChannelParams(*ch)
+    ch = _from_pair(ChannelParams, ch, "a channel must be a ChannelParams or an (eta, delta) pair")
     return CovarianceMatrix(apply_channel_grid(cm, [ch.eta], ch.delta)[0])
 
 

@@ -23,9 +23,9 @@ from .channels import apply_channel_grid
 from .criteria import _criteria, classify_many, entanglement_death_eta, steering_death_eta
 from .errors import InputError, NumericalError
 from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
-                       checked_delta, make_tmss, symplectic_eigenvalues)
-from .modes import (LGModeSpec, count_dark_stripes, lg_field, mode_image_filename,
-                    tilted_lens_pattern, write_pgm)
+                       checked_delta, checked_eta, make_tmss, real_or_nan, symplectic_eigenvalues)
+from .modes import (LGModeSpec, checked_astigmatism, count_dark_stripes, lg_field,
+                    mode_image_filename, tilted_lens_pattern, write_pgm)
 from .tomography import (SETTINGS, _reconstruct, _to_db, _variances, checked_sampling,
                          simulate_measurements, variances_from_batches)
 
@@ -85,19 +85,14 @@ class SweepConfig:
         specs = dict(zip(checked_charges(specs), map(as_spec, specs.values())))
         if missing := set(charges) - set(specs):
             raise InputError(f"no squeezing spec for charges {sorted(missing)}")
-        try:
-            deltas = tuple(self.deltas)
-            start, stop = float(self.eta_start), float(self.eta_stop)
-            step = float(self.eta_step)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"non-numeric sweep parameter: {exc}") from exc
-        if not deltas:
-            raise InputError("deltas list must not be empty")
-        deltas = tuple(checked_delta(d) for d in deltas)
-        if not (0.0 <= start <= stop <= 1.0):
-            raise InputError(f"eta grid [{start}, {stop}] must lie within [0, 1]")
-        if not math.isfinite(step) or step <= 0.0:
-            raise InputError(f"eta step must be positive, got {step!r}")
+        if not isinstance(self.deltas, (list, tuple)) or not self.deltas:
+            raise InputError(f"deltas must be a non-empty list of numbers, got {self.deltas!r}")
+        deltas = tuple(checked_delta(d) for d in self.deltas)
+        start, stop = checked_eta(self.eta_start), checked_eta(self.eta_stop)
+        if start > stop:
+            raise InputError(f"eta grid start {start} must not exceed its stop {stop}")
+        if not math.isfinite(step := real_or_nan(self.eta_step)) or step <= 0.0:
+            raise InputError(f"eta step must be positive, got {self.eta_step!r}")
         n, seed = checked_sampling(self.n_per_setting, self.seed)
         checked = dict(specs=specs, deltas=deltas, eta_start=start, eta_stop=stop, eta_step=step,
                        charges=charges, out=None if self.out is None else str(self.out),
@@ -135,12 +130,8 @@ class SweepConfig:
 
 def eta_grid(config: SweepConfig) -> list:
     """Transmission grid start, start+step, ... capped at stop."""
-    count = int(math.floor((config.eta_stop - config.eta_start) / config.eta_step + 1e-9)) + 1
+    count = math.floor((config.eta_stop - config.eta_start) / config.eta_step + 1e-9) + 1
     return [round(config.eta_start + i * config.eta_step, 10) for i in range(count)]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
 
 
 def _render(result) -> str:
@@ -168,14 +159,13 @@ def run_sweep(config: SweepConfig) -> list:
     """
     rows = [SWEEP_HEADER]
     etas = eta_grid(config)
-    eta_text = [_fmt(eta) for eta in etas]
+    eta_text = [f"{eta:.9g}" for eta in etas]
     for l, delta, _, batched in _truth_blocks(config, etas):
-        delta_text = _fmt(delta)
+        delta_text = f"{delta:.9g}"
         for eta_s, nu, entangled, g_ab, g_ba, cls in zip(
                 eta_text, batched.nu.tolist(), batched.entangled.tolist(),
                 batched.g_ab.tolist(), batched.g_ba.tolist(),
                 batched.steering_class.tolist()):
-            # the same .9g text as _fmt, written inline on this hot loop
             rows.append(f"{l},{eta_s},{delta_text},{nu:.9g},"
                         f"{'true' if entangled else 'false'},{g_ab:.9g},{g_ba:.9g},{cls}")
     if config.out is not None:
@@ -257,9 +247,10 @@ def run_modes(charges, astigmatism: float = DEFAULT_ASTIGMATISM, out_dir=".",
     Writes mode_l{l}_beam.pgm and mode_l{l}_tilted.pgm plus a stripes.json
     summary into out_dir.  A stripe count that does not equal |l| for these
     synthesized inputs indicates a numerical fault and raises.  Every charge
-    is checked before the first file is written.
+    and the astigmatism are checked before the first file is written.
     """
     specs = [LGModeSpec(l) for l in _checked_charges(charges)]
+    astigmatism = checked_astigmatism(astigmatism)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     results = []
@@ -282,7 +273,7 @@ def run_modes(charges, astigmatism: float = DEFAULT_ASTIGMATISM, out_dir=".",
             "beam_image": beam_file.name,
             "tilted_image": tilted_file.name,
         })
-    report = {"astigmatism": float(astigmatism), "results": results}
+    report = {"astigmatism": astigmatism, "results": results}
     (out_path / "stripes.json").write_text(_render(report))
     return report
 

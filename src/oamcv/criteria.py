@@ -53,7 +53,6 @@ _PT = np.diag([1.0, 1.0, 1.0, -1.0])
 _PT.flags.writeable = False
 
 
-@np.errstate(all="ignore")
 def _discriminant(dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
     """Dt^2 - 4 det sigma of each state, and the check that it is finite (Dt^2 can overflow)."""
     disc = dt * dt - 4.0 * det_sigma
@@ -61,7 +60,6 @@ def _discriminant(dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
         f"PPT discriminant overflows (Dt = {float(dt[i])!r}, det sigma = {float(det_sigma[i])!r})"))
 
 
-@np.errstate(all="ignore")
 def _closed_form(dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
     """Closed-form nu of each state, sqrt(discriminant), denominator, and their checks."""
     disc, finite_disc = _discriminant(dt, det_sigma)
@@ -87,14 +85,14 @@ def _allowance(dt, det_sigma, s, denominator) -> np.ndarray:
     degeneracy this bound collapses to ~eps and the 1e-9 agreement gate
     stays fully strict.
     """
-    with np.errstate(all="ignore"):
-        noise = 8.0 * np.finfo(float).eps * np.maximum(1.0, dt * dt)
-        ds = np.where(s * s <= noise, np.sqrt(noise), noise / (2.0 * s))
-        nu2 = np.maximum(2.0 * det_sigma / np.maximum(denominator, np.finfo(float).tiny), 0.0)
-        return np.where(nu2 <= 0.0, np.sqrt(noise),
-                        4.0 * np.sqrt(nu2) * ds / (2.0 * denominator))
+    noise = 8.0 * np.finfo(float).eps * np.maximum(1.0, dt * dt)
+    ds = np.where(s * s <= noise, np.sqrt(noise), noise / (2.0 * s))
+    nu2 = np.maximum(2.0 * det_sigma / np.maximum(denominator, np.finfo(float).tiny), 0.0)
+    return np.where(nu2 <= 0.0, np.sqrt(noise), 4.0 * np.sqrt(nu2) * ds / (2.0 * denominator))
 
 
+# the one error state of the PPT pass: its checks report overflow and NaN
+@np.errstate(all="ignore")
 def _ppt_nu(sigma: np.ndarray, invariants: tuple) -> tuple:
     """PPT nu of each state by route ("nu", "closed", "eigen"), and the PPT checks in order."""
     dt, det_sigma = invariants[:2]

@@ -34,6 +34,26 @@ _I2 = np.eye(2)
 _Z2 = np.diag([1.0, -1.0])
 
 
+def is_integer(x) -> bool:
+    """True for an int or numpy integer, but not for a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def real_or_nan(x) -> float:
+    """The number rule: an int, float or numpy real (not a bool) as a float; anything else NaN.
+
+    Text, None, bools and containers are not numbers, and an int beyond
+    float range is +-inf.  Every range test of a caller's number is False
+    on NaN, so each owner rejects a non-number with its own error text.
+    """
+    if not (isinstance(x, (float, np.floating)) or is_integer(x)):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:  # an int beyond float range
+        return math.inf if x > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class Decibel:
     """A value in dB relative to the applicable shot-noise level."""
@@ -41,7 +61,7 @@ class Decibel:
     value: float
 
     def __post_init__(self):
-        value = float(self.value)
+        value = real_or_nan(self.value)
         if not math.isfinite(value):
             raise InputError(f"dB value must be finite, got {self.value!r}")
         object.__setattr__(self, "value", value)
@@ -58,10 +78,10 @@ def db_to_linear(x) -> float:
 
 def linear_to_db(v) -> Decibel:
     """dB value of a positive linear ratio; exact inverse of db_to_linear."""
-    v = float(v)
-    if not math.isfinite(v) or v <= 0.0:
+    value = real_or_nan(v)
+    if not math.isfinite(value) or value <= 0.0:
         raise InputError(f"linear value must be positive and finite, got {v!r}")
-    return Decibel(10.0 * math.log10(v))
+    return Decibel(10.0 * math.log10(value))
 
 
 @dataclass(frozen=True)
@@ -77,10 +97,7 @@ class SqueezingSpec:
     vp: float
 
     def __post_init__(self):
-        try:
-            v, vp = float(self.v), float(self.vp)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"variances must be numbers, got ({self.v!r}, {self.vp!r})") from exc
+        v, vp = real_or_nan(self.v), real_or_nan(self.vp)
         if not (math.isfinite(v) and math.isfinite(vp)) or v <= 0.0 or vp <= 0.0:
             raise InputError(
                 f"variances must be positive and finite, got ({self.v!r}, {self.vp!r})")
@@ -95,11 +112,9 @@ class SqueezingSpec:
     @classmethod
     def from_r(cls, r: float) -> "SqueezingSpec":
         """Pure-state spec v = e^{-2r}, vp = e^{2r}; r must be a number >= 0 with finite e^{2r}."""
-        try:
-            if (value := float(r)) >= 0.0:  # False for NaN; an infinite r fails in cls
-                return cls(v=math.exp(-2.0 * value), vp=math.exp(2.0 * value))
-        except (TypeError, ValueError, OverflowError):
-            pass
+        # math.exp is finite up to exactly log(max float), and 2r is exact
+        if 0.0 <= (value := real_or_nan(r)) <= math.log(np.finfo(float).max) / 2.0:
+            return cls(v=math.exp(-2.0 * value), vp=math.exp(2.0 * value))
         raise InputError(f"squeezing parameter must be >= 0 with finite e^(2r), got {r!r}")
 
     def to_json_dict(self) -> dict:
@@ -131,32 +146,23 @@ class ChannelParams:
 
 def checked_eta(eta) -> float:
     """Transmission eta as a float; anything but a number in [0, 1] is an InputError."""
-    try:
-        if 0.0 <= (value := float(eta)) <= 1.0:  # False for NaN
-            return value
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if 0.0 <= (value := real_or_nan(eta)) <= 1.0:  # False for NaN
+        return value
     raise InputError(f"eta must lie in [0, 1], got {eta!r}")
 
 
 def checked_delta(delta) -> float:
     """Excess noise delta as a float; anything but a finite number >= 0 is an InputError."""
-    try:
-        if math.isfinite(value := float(delta)) and value >= 0.0:
-            return value
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if math.isfinite(value := real_or_nan(delta)) and value >= 0.0:
+        return value
     raise InputError(f"delta must be >= 0, got {delta!r}")
 
 
-def is_integer(x) -> bool:
-    """True for an int or numpy integer, but not for a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def checked_charges(charges) -> tuple:
-    """The charge rule: an iterable of integers (not bool), none repeated, as a tuple of ints."""
+    """The charge rule: an iterable of integers (not bool, not text), none repeated, as ints."""
     try:
+        if isinstance(charges, (str, bytes)):  # not read one character at a time
+            raise TypeError
         charges = tuple(charges)
     except TypeError as exc:
         raise InputError(f"charges must be a list of integers, got {charges!r}") from exc
@@ -232,9 +238,18 @@ def as_cm(obj) -> CovarianceMatrix:
     return obj if isinstance(obj, CovarianceMatrix) else CovarianceMatrix(obj)
 
 
+def _from_pair(cls, obj, text: str):
+    """obj if it is a cls, cls(*obj) of a list or tuple pair; anything else is an InputError."""
+    if isinstance(obj, cls):
+        return obj
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        return cls(*obj)
+    raise InputError(f"{text}, got {obj!r}")
+
+
 def as_spec(obj) -> SqueezingSpec:
     """Coerce a SqueezingSpec or a (v, vp) pair into a SqueezingSpec."""
-    return obj if isinstance(obj, SqueezingSpec) else SqueezingSpec(*obj)
+    return _from_pair(SqueezingSpec, obj, "a source spec must be a SqueezingSpec or a (v, vp) pair")
 
 
 def symplectic_eigenvalues(matrix) -> np.ndarray:
@@ -248,10 +263,13 @@ def symplectic_eigenvalues(matrix) -> np.ndarray:
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:  # one matrix that is not PD fails the whole stack
-        if m.ndim == 2:
-            return np.full(2, np.nan)
-        nus = [symplectic_eigenvalues(x) for x in m.reshape(-1, 4, 4)]
-        return np.array(nus).reshape(*m.shape[:-2], 2)
+        flat = m.reshape(-1, 4, 4)
+        if len(flat) == 1:
+            return np.full((*m.shape[:-2], 2), np.nan)
+        # retry each half: k matrices that are not PD cost O(k log N) calls
+        half = len(flat) // 2
+        nus = (symplectic_eigenvalues(flat[:half]), symplectic_eigenvalues(flat[half:]))
+        return np.concatenate(nus).reshape(*m.shape[:-2], 2)
     return np.linalg.eigvalsh(1j * (chol.swapaxes(-1, -2) @ OMEGA @ chol))[..., 2:]
 
 

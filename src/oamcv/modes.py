@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResolutionError
-from .gaussian import checked_charges
+from .gaussian import checked_charges, is_integer, real_or_nan
 
 MAX_ABS_CHARGE = 16
 MIN_PIXELS_PER_WAIST = 8
@@ -103,10 +103,11 @@ class FieldGrid:
 
 def _checked_geometry(width, height, extent) -> tuple:
     """(width, height, extent) of a pixel grid: at least 2 x 2 pixels, extent finite and > 0."""
-    width, height, extent = int(width), int(height), float(extent)
-    if width < 2 or height < 2 or not math.isfinite(extent) or extent <= 0.0:
+    value = real_or_nan(extent)
+    if not (is_integer(width) and is_integer(height) and min(width, height) >= 2
+            and math.isfinite(value) and value > 0.0):
         raise InputError(f"bad grid geometry ({width!r} x {height!r}, extent {extent!r})")
-    return width, height, extent
+    return int(width), int(height), value
 
 
 def _pixel_axis(n: int, extent: float) -> np.ndarray:
@@ -124,14 +125,15 @@ class IntensityGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        width, height, extent = _checked_geometry(self.width, self.height, self.extent)
         values = np.array(self.values, dtype=float)
-        if values.shape != (int(self.height), int(self.width)):
+        if values.shape != (height, width):
             raise InputError(f"values shape {values.shape} does not match grid")
         _intensity_values(values)
         values.flags.writeable = False
-        object.__setattr__(self, "width", int(self.width))
-        object.__setattr__(self, "height", int(self.height))
-        object.__setattr__(self, "extent", float(self.extent))
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "values", values)
 
 
@@ -228,6 +230,13 @@ def _rms_radius(field: FieldGrid) -> float:
     return math.sqrt(float(weights.sum(axis=1) @ y2 + weights.sum(axis=0) @ x2) / total)
 
 
+def checked_astigmatism(astigmatism) -> float:
+    """Astigmatic phase strength as a float; anything but a finite number > 0 is an InputError."""
+    if math.isfinite(value := real_or_nan(astigmatism)) and value > 0.0:
+        return value
+    raise InputError(f"astigmatism strength must be positive, got {astigmatism!r}")
+
+
 def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     """Far-field intensity after the astigmatic phase exp(i a (x^2 - y^2)/w^2).
 
@@ -245,9 +254,7 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     """
     if not isinstance(field, FieldGrid):
         raise InputError(f"expected FieldGrid, got {type(field).__name__}")
-    astigmatism = float(astigmatism)
-    if not math.isfinite(astigmatism) or astigmatism <= 0.0:
-        raise InputError(f"astigmatism strength must be positive, got {astigmatism!r}")
+    astigmatism = checked_astigmatism(astigmatism)
     _check_resolution(field.width, field.height, field.extent)
     kmax = 2.0 * (astigmatism + 1.0) * (_rms_radius(field) + 2.0)
     m = max(field.width, field.height)
@@ -375,7 +382,7 @@ def count_dark_stripes(intensity) -> StripeCount:
 
 def mode_image_filename(l: int, stage: str) -> str:
     """Canonical image file name for a charge and processing stage."""
-    return f"mode_l{int(l)}_{stage}.pgm"
+    return f"mode_l{checked_charges((l,))[0]}_{stage}.pgm"
 
 
 def write_pgm(path, intensity, bit_depth: int = 16) -> None:

@@ -19,7 +19,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import CovarianceMatrix, as_cm, db_to_linear, is_integer, linear_to_db, validate
+from .gaussian import (CovarianceMatrix, as_cm, db_to_linear, is_integer, linear_to_db,
+                       real_or_nan, validate)
 
 SETTINGS = ("Xc", "Yc", "Xp", "Yp", "Xdiff", "Ysum")
 
@@ -82,15 +83,17 @@ class VarianceSet:
     stderr_db: Optional[tuple] = None
 
     def __post_init__(self):
-        values = [float(getattr(self, name)) for name in _DB_FIELDS]
+        raw = [getattr(self, name) for name in _DB_FIELDS]
+        values = [real_or_nan(v) for v in raw]
         if not all(math.isfinite(v) for v in values):
-            raise InputError(f"variances must be finite dB values, got {values}")
+            raise InputError(f"variances must be finite dB values, got {raw}")
         for name, v in zip(_DB_FIELDS, values):
             object.__setattr__(self, name, v)
         if self.stderr_db is not None:
-            se = tuple(float(x) for x in self.stderr_db)
+            se = self.stderr_db
+            se = tuple(map(real_or_nan, se)) if isinstance(se, (list, tuple)) else ()
             if len(se) != len(SETTINGS) or not all(math.isfinite(x) and x >= 0 for x in se):
-                raise InputError("stderr_db must be six finite nonnegative dB values")
+                raise InputError("stderr_db must be a list of six finite nonnegative dB values")
             object.__setattr__(self, "stderr_db", se)
 
     def db(self, setting: str) -> float:
@@ -122,16 +125,21 @@ class SampleBatch:
             raise InputError("samples must be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", checked_seed(self.seed))
+
+
+def checked_seed(seed) -> int:
+    """A seed as an int: an integer >= 0, not a bool; else InputError."""
+    if not is_integer(seed) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def checked_sampling(n_per_setting, seed) -> tuple:
-    """(n, seed) as ints: n an integer >= 2 and seed one >= 0, neither a bool; else InputError."""
+    """(n, seed) as ints: n an integer >= 2, not a bool, and checked_seed(seed); else InputError."""
     if not is_integer(n_per_setting) or n_per_setting < 2:
         raise InputError(f"n_per_setting must be an integer >= 2, got {n_per_setting!r}")
-    if not is_integer(seed) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(n_per_setting), int(seed)
+    return int(n_per_setting), checked_seed(seed)
 
 
 def simulate_measurements(cm, n_per_setting: int, seed) -> tuple:

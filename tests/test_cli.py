@@ -114,6 +114,9 @@ class TestChargeRule:
 
 # values of every JSON type and the awkward numbers
 ODD_VALUES = st.one_of(
+    # digit text, also in place of a list, and bools inside lists: none of them numbers
+    st.sampled_from(["0.5", "05"]), st.text("0123456789", min_size=1, max_size=3),
+    st.lists(st.booleans(), min_size=1, max_size=3),
     st.none(), st.booleans(), st.text(max_size=4), st.just(float("nan")), st.just(float("inf")),
     st.floats(-10.0, -1e-3), st.floats(1e-3, 0.999), st.integers(-3, 3),
     st.integers(10 ** 300, 10 ** 400), st.lists(st.integers(-2, 2), max_size=3),
@@ -196,6 +199,17 @@ class TestSweepConfig:
         except InputError:
             return
         assert isinstance(config, SweepConfig)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["deltas", "eta_start", "eta_stop", "eta_step", "charges", "seed",
+                            "n_per_setting", "v", "r"]),
+           st.one_of(st.sampled_from(["0.5", "05", "1"]), st.text("0123456789.", max_size=4),
+                     st.booleans(), st.lists(st.booleans(), min_size=1, max_size=3)))
+    def test_text_and_bools_are_never_numbers(self, key, value):
+        # digit text, a bool or a list of bools in any numeric field, or text for a list
+        payload = {key: value, "vp": 4.0} if key == "v" else {key: value}
+        with pytest.raises(InputError):
+            SweepConfig.from_json_dict(payload)
 
     @pytest.mark.parametrize("payload", [{"r": None}, {"r": "x"}, {"r": 400}, {"r": -0.1},
                                          {"specs": {"x": {"r": 0.2}}}, {"specs": {"0": 5}},
@@ -597,6 +611,10 @@ class TestMain:
         ({"r": 400}, "config error: squeezing parameter must be >= 0 with finite e^(2r), "
                      "got 400\n"),
         ({"n_per_setting": 2.7}, "config error: n_per_setting must be an integer >= 2, got 2.7\n"),
+        ({"deltas": "05"}, "config error: deltas must be a non-empty list of numbers, got '05'\n"),
+        ({"eta_step": True}, "config error: eta step must be positive, got True\n"),
+        ({"v": "0.5", "vp": 4},
+         "config error: variances must be positive and finite, got ('0.5', 4)\n"),
     ])
     def test_bad_config_exits_2(self, payload, err, tmp_path, capsys):
         path = tmp_path / "config.json"

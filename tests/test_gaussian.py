@@ -233,13 +233,32 @@ class TestSymplecticEigenvalues:
         assert np.allclose(nus[[0, 1, 1], [0, 0, 1]], [[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]],
                            rtol=1e-14, atol=0.0)
 
+    def test_halving_retry_equals_one_matrix_calls(self, monkeypatch):
+        # a failing stack is split in halves, so three matrices that are not PD
+        # among 101 cost O(k log N) factorisations instead of 101
+        stack = apply_channel_grid(make_tmss(SqueezingSpec(V_REF, VP_REF)),
+                                   np.linspace(0.0, 1.0, 101), 0.1)
+        bad = [0, 50, 100]
+        stack[bad] = INDEFINITE[1]
+        real = np.linalg.cholesky
+        sizes = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: sizes.append(m.size // 16) or real(m))
+        nus = symplectic_eigenvalues(stack)
+        monkeypatch.undo()
+        assert sizes[0] == 101
+        assert len(sizes) <= 1 + 2 * len(bad) * math.ceil(math.log2(len(stack)))
+        assert np.flatnonzero(np.isnan(nus).any(axis=1)).tolist() == bad
+        assert np.isnan(nus[bad]).all()
+        singles = np.array([symplectic_eigenvalues(m) for m in stack])
+        assert np.array_equal(nus, singles, equal_nan=True)
+
 
 class TestCheckedDelta:
     GRID_SOURCE = make_tmss(SqueezingSpec(V_REF, VP_REF))
 
     # -0.1, nan and inf are guards (every owner already gave this text); the
     # non-numbers raised TypeError or ValueError, or were accepted
-    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, None, "x", [0.5]])
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, None, "x", [0.5], "0.5"])
     def test_every_owner_raises_the_same_input_error(self, bad):
         entry_points = (checked_delta, lambda d: ChannelParams(0.5, d),
                         lambda d: apply_channel_grid(self.GRID_SOURCE, [0.5], d),
@@ -259,7 +278,7 @@ class TestCheckedDelta:
 
     def test_accepts_numbers_as_floats(self):
         # guard: what converts to a finite float >= 0 is still accepted
-        for good, value in ((0, 0.0), (0.15, 0.15), (np.float64(1.0), 1.0), ("0.5", 0.5)):
+        for good, value in ((0, 0.0), (0.15, 0.15), (np.float64(1.0), 1.0)):
             result = checked_delta(good)
             assert type(result) is float and result == value
             assert ChannelParams(0.5, good).delta == value
@@ -270,7 +289,7 @@ class TestCheckedEta:
 
     # -0.1, 1.5, nan and inf are guards; None and "x" raised TypeError or
     # ValueError from ChannelParams, and the grid read None as nan
-    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf, None, "x"])
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan, math.inf, None, "x", "0.5"])
     def test_every_owner_raises_the_same_input_error(self, bad):
         entry_points = (checked_eta, ChannelParams,
                         lambda e: apply_channel(self.GRID_SOURCE, (e, 0.0)),
@@ -284,7 +303,7 @@ class TestCheckedEta:
 
     def test_accepts_numbers_as_floats(self):
         # guard: what converts to a float in [0, 1] is still accepted
-        for good, value in ((0, 0.0), (1, 1.0), (0.25, 0.25), (np.float64(0.5), 0.5), ("0.5", 0.5)):
+        for good, value in ((0, 0.0), (1, 1.0), (0.25, 0.25), (np.float64(0.5), 0.5)):
             result = checked_eta(good)
             assert type(result) is float and result == value
             assert ChannelParams(good).eta == value

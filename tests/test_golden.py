@@ -7,9 +7,17 @@ re-pinned together with a note of its reason in CHANGES.md.
 """
 
 import hashlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import oamcv
 from oamcv.cli import EXIT_OK, main
 
 SWEEP = {
@@ -108,3 +116,71 @@ def test_modes_images_high_charge(depth, tmp_path, capsys):
     run(["modes", "--charges=-5,3,5", "--astigmatism", "2.9", "--depth", str(depth),
          "--out", str(tmp_path)], capsys)
     assert {p.name: sha256(p) for p in tmp_path.iterdir()} == MODES_HIGH_CHARGE[depth]
+
+
+# the golden commands once more in a fresh interpreter, on the generic
+# OpenBLAS kernels and without numpy's AVX2/AVX-512 dispatch
+KERNEL_ENV = {"OPENBLAS_CORETYPE": "Nehalem", "OPENBLAS_NUM_THREADS": "1",
+              "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+
+# runs the commands given as JSON in argv[1], then writes the exit codes, the
+# active OpenBLAS core and thread count and numpy's CPU features to argv[2]
+KERNEL_CHILD = """
+import ctypes, glob, json, os, sys
+import numpy
+from oamcv.cli import main
+
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+base = os.path.dirname(os.path.dirname(numpy.__file__))
+libs = glob.glob(os.path.join(base, "numpy.libs", "*openblas*"))
+libs += glob.glob(os.path.join(base, "numpy", ".dylibs", "*openblas*"))
+core = threads = None
+for lib in map(ctypes.CDLL, libs):
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
+        corename = getattr(lib, prefix + "get_corename" + suffix, None)
+        if corename is not None:
+            num_threads = getattr(lib, prefix + "get_num_threads" + suffix)
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            num_threads.argtypes, num_threads.restype = [], ctypes.c_int
+            core, threads = corename().decode(), num_threads()
+with open(sys.argv[2], "w") as fh:
+    json.dump({"codes": codes, "core": core, "threads": threads,
+               "features": cpu_features()}, fh)
+"""
+
+
+def cpu_features() -> dict:
+    """numpy's runtime CPU feature flags."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return dict(__cpu_features__)
+
+
+def test_golden_hashes_on_generic_cpu_kernels(tmp_path):
+    sweep, tomo, modes = tmp_path / "sweep.csv", tmp_path / "tomo.json", tmp_path / "modes"
+    commands = [["sweep", "--preset", "fig3", "--out", str(sweep)],
+                ["tomo", "--eta-step", "0.5", "--n", "1000", "--out", str(tomo)],
+                ["modes", "--charges=-5,3,5", "--astigmatism", "2.9", "--out", str(modes)]]
+    report = tmp_path / "report.json"
+    src = str(Path(oamcv.__file__).resolve().parents[1])
+    env = {**os.environ, **KERNEL_ENV,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = inspect.getsource(cpu_features) + KERNEL_CHILD
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(commands), str(report)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(report.read_text())
+    assert facts["codes"] == [EXIT_OK] * 3
+    assert sha256(sweep) == SWEEP["fig3"]
+    assert sha256(tomo) == TOMO
+    assert {p.name: sha256(p) for p in modes.iterdir()} == MODES_HIGH_CHARGE[16]
+    # a variable that changed nothing makes this pass no proof for those kernels
+    if facts["core"] != KERNEL_ENV["OPENBLAS_CORETYPE"]:
+        warnings.warn(f"OPENBLAS_CORETYPE had no effect: active core {facts['core']!r}")
+    if facts["threads"] != 1:
+        warnings.warn(f"OPENBLAS_NUM_THREADS had no effect: {facts['threads']!r} threads")
+    disabled = KERNEL_ENV["NPY_DISABLE_CPU_FEATURES"].split()
+    if not any(cpu_features().get(name) and not facts["features"].get(name) for name in disabled):
+        warnings.warn(f"NPY_DISABLE_CPU_FEATURES had no effect: none of {disabled} was enabled")
