@@ -22,7 +22,7 @@ from .modes import (FieldGrid, IntensityGrid, LGModeSpec, StripeCount,
                     count_dark_stripes, lg_field, tilted_lens_pattern, write_pgm)
 from .tomography import (ReconstructionWarning, SampleBatch, VarianceSet,
                          expected_variances, read_variances_csv, reconstruct_cm,
-                         simulate_measurements, variances_from_batches,
+                         sampled_variances, simulate_measurements, variances_from_batches,
                          write_batch_csv, write_variances_csv)
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "steering_death_eta_ba_lossy",
     # tomography
     "VarianceSet", "SampleBatch", "ReconstructionWarning", "simulate_measurements",
-    "variances_from_batches", "reconstruct_cm", "expected_variances",
+    "variances_from_batches", "sampled_variances", "reconstruct_cm", "expected_variances",
     "write_variances_csv", "read_variances_csv", "write_batch_csv",
     # modes
     "LGModeSpec", "FieldGrid", "IntensityGrid", "StripeCount", "lg_field",

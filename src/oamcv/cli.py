@@ -27,7 +27,7 @@ from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, che
 from .modes import (LGModeSpec, checked_astigmatism, count_dark_stripes, lg_field,
                     mode_image_filename, tilted_lens_pattern, write_pgm)
 from .tomography import (SETTINGS, _reconstruct, _to_db, _variances, checked_sampling,
-                         simulate_measurements, variances_from_batches)
+                         sampled_variances)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,6 +81,8 @@ class SweepConfig:
 
     def __post_init__(self):
         charges = _checked_charges(self.charges)
+        if not isinstance(self.specs, Mapping):
+            raise InputError(f"specs must map charges to specs, got {self.specs!r}")
         specs = self.specs or {l: (DEFAULT_V, DEFAULT_VP) for l in charges}
         specs = dict(zip(checked_charges(specs), map(as_spec, specs.values())))
         if missing := set(charges) - set(specs):
@@ -118,10 +120,7 @@ class SweepConfig:
             spec = SqueezingSpec.from_json_dict(shorthand)
             charges = _checked_charges(kwargs.get("charges", DEFAULT_CHARGES))
             kwargs["specs"] = {l: spec for l in charges}
-        elif "specs" in kwargs:
-            specs = kwargs["specs"]
-            if not isinstance(specs, Mapping):
-                raise InputError(f"specs must map charges to specs, got {specs!r}")
+        elif isinstance(specs := kwargs.get("specs"), Mapping):
             kwargs["specs"] = dict(zip(charges_from_keys(specs),
                                        map(SqueezingSpec.from_json_dict, specs.values())))
             kwargs.setdefault("charges", tuple(sorted(kwargs["specs"])))
@@ -199,10 +198,11 @@ def run_thresholds(config: SweepConfig) -> dict:
 def run_tomo(config: SweepConfig) -> dict:
     """Simulate-measure-reconstruct-classify at every (l, delta, eta) point.
 
-    Only sampling runs per point, from a sub-seed that makes the point
-    reproducible on its own.  The rest of an (l, delta) block is one stacked
-    pass: true states and criteria as in run_sweep, then the reconstructions,
-    their physicality, and their criteria or the error text of each failing one.
+    Only the draws run per point: sampled_variances from a sub-seed that
+    makes the point reproducible on its own.  The rest of an (l, delta) block
+    is one stacked pass: true states and criteria as in run_sweep, then the
+    reconstructions, their physicality, and their criteria or the error text
+    of each failing one.
     """
     results = []
     etas = eta_grid(config)
@@ -210,8 +210,7 @@ def run_tomo(config: SweepConfig) -> dict:
         # a point's sub-seed comes from its index in the whole run
         seeds = [int(np.random.SeedSequence([config.seed, len(results) + i])
                      .generate_state(1, np.uint64)[0]) for i in range(len(etas))]
-        measured = [variances_from_batches(simulate_measurements(sigma, config.n_per_setting, seed))
-                    for sigma, seed in zip(true_sigmas, seeds)]
+        measured = sampled_variances(true_sigmas, config.n_per_setting, seeds)
         rec_sigmas = _reconstruct(measured)
         physical = _physical(symplectic_eigenvalues(rec_sigmas)[:, 0]).tolist()
         rec_criteria, rec_errors = _criteria(rec_sigmas)

@@ -100,7 +100,11 @@ def _ppt_nu(sigma: np.ndarray, invariants: tuple) -> tuple:
     # the eigen route, symplectic_eigenvalues of P sigma P, is NaN if sigma is not PD
     eigen = symplectic_eigenvalues(_PT @ sigma @ _PT)[:, 0]
     gap, strict = np.abs(closed - eigen), 1e-9 * np.maximum(1.0, np.abs(closed))
-    disagree = ~(gap <= strict + _allowance(dt, det_sigma, s, denominator))  # NaN fails the gate
+    disagree = ~(gap <= strict)  # NaN fails the gate
+    wide = np.flatnonzero(disagree)  # the allowance is needed only past the strict gate
+    if wide.size:
+        allowance = _allowance(dt[wide], det_sigma[wide], s[wide], denominator[wide])
+        disagree[wide] = ~(gap[wide] <= strict[wide] + allowance)
     not_pd = np.isnan(eigen), lambda i: UnphysicalStateError(
         "covariance matrix must be positive definite")
     checks = [not_pd, _finite_check(*invariants), *closed_checks,

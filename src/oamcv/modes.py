@@ -24,6 +24,8 @@ from .gaussian import checked_charges, is_integer, real_or_nan
 
 MAX_ABS_CHARGE = 16
 MIN_PIXELS_PER_WAIST = 8
+# largest side of a pixel grid, which bounds the square far-field grid too
+MAX_GRID_SIDE = 4096
 
 # stripe detection: lobes must rise above the shoulder fraction of the peak,
 # dark stripes dip below the dark fraction, and patterns need 2:1 contrast
@@ -102,10 +104,10 @@ class FieldGrid:
 
 
 def _checked_geometry(width, height, extent) -> tuple:
-    """(width, height, extent) of a pixel grid: at least 2 x 2 pixels, extent finite and > 0."""
+    """(width, height, extent): 2 to MAX_GRID_SIDE pixels a side, extent finite and > 0."""
     value = real_or_nan(extent)
     if not (is_integer(width) and is_integer(height) and min(width, height) >= 2
-            and math.isfinite(value) and value > 0.0):
+            and max(width, height) <= MAX_GRID_SIDE and math.isfinite(value) and value > 0.0):
         raise InputError(f"bad grid geometry ({width!r} x {height!r}, extent {extent!r})")
     return int(width), int(height), value
 

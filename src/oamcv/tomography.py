@@ -19,8 +19,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, as_cm, db_to_linear, is_integer, linear_to_db,
-                       real_or_nan, validate)
+from .gaussian import (CovarianceMatrix, _physical, _well_formed, as_cm, db_to_linear, is_integer,
+                       linear_to_db, real_or_nan, symplectic_eigenvalues, validate)
 
 SETTINGS = ("Xc", "Yc", "Xp", "Yp", "Xdiff", "Ysum")
 
@@ -49,13 +49,25 @@ def _to_db(variances) -> list:
             for setting, var in zip(SETTINGS, variances)]
 
 
-def _positive_variances(cm: CovarianceMatrix) -> list:
-    """The six variances of a state, each checked positive."""
-    variances = _variances(cm.entries).tolist()
-    for setting, var in zip(SETTINGS, variances):
-        if var <= 0.0:
-            raise NumericalError(f"variance of {setting} is not positive: {var!r}")
+def _positive_variances(sigmas: np.ndarray) -> np.ndarray:
+    """The six variances of each state of a (..., 4, 4) stack, each checked positive."""
+    variances = _variances(sigmas)
+    bad = ~(variances > 0.0)
+    if bad.any():
+        index = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NumericalError(
+            f"variance of {SETTINGS[index[-1]]} is not positive: {float(variances[index])!r}")
     return variances
+
+
+def _child_seeds(seed: int) -> list:
+    """The integer seeds of a state's six per-setting generators, derived from its seed."""
+    return np.random.SeedSequence(seed).generate_state(len(SETTINGS), np.uint64).tolist()
+
+
+def _stderr_db(n: int) -> float:
+    """dB standard error of a sample variance of n Gaussian draws: Var(s^2) = 2 sigma^4/(n - 1)."""
+    return _DB_PER_LN * math.sqrt(2.0 / (n - 1))
 
 
 def _setting_index(setting) -> int:
@@ -157,12 +169,11 @@ def simulate_measurements(cm, n_per_setting: int, seed) -> tuple:
         raise UnphysicalStateError(
             f"cannot simulate an unphysical state (min symplectic {report.min_symplectic:.6g})")
     n, seed = checked_sampling(n_per_setting, seed)
-    variances = _positive_variances(cm)
-    child_seeds = np.random.SeedSequence(seed).generate_state(len(SETTINGS), np.uint64)
+    variances = _positive_variances(cm.entries).tolist()
     batches = []
-    for setting, true_var, child in zip(SETTINGS, variances, child_seeds):
-        rng = np.random.default_rng(int(child))
-        batches.append(SampleBatch(setting, rng.normal(0.0, math.sqrt(true_var), n), int(child)))
+    for setting, true_var, child in zip(SETTINGS, variances, _child_seeds(seed)):
+        rng = np.random.default_rng(child)
+        batches.append(SampleBatch(setting, rng.normal(0.0, math.sqrt(true_var), n), child))
     return tuple(batches)
 
 
@@ -190,13 +201,55 @@ def variances_from_batches(batches: Iterable[SampleBatch]) -> VarianceSet:
         if var <= 0.0:
             raise InputError(f"degenerate batch for {setting!r}: sample variance is zero")
         variances.append(var)
-        errs.append(_DB_PER_LN * math.sqrt(2.0 / (batch.samples.size - 1)))
+        errs.append(_stderr_db(batch.samples.size))
     return VarianceSet(*_to_db(variances), stderr_db=tuple(errs))
+
+
+def sampled_variances(sigmas, n_per_setting: int, seeds) -> list:
+    """The measured VarianceSet of each state of an (N, 4, 4) stack, one seed per state.
+
+    run_tomo's draw.  For n Gaussian draws, (n - 1) s^2 / sigma^2 is exactly
+    chi^2(n - 1) (Cochran's theorem), so each setting's sample variance is one
+    Gamma((n - 1)/2) draw scaled by sigma^2 / ((n - 1)/2): the law of
+    variances_from_batches(simulate_measurements(sigma, n, seed)), at a cost
+    that does not grow with n.  A state's generators are seeded from the
+    per-setting child seeds simulate_measurements uses, so each state is
+    reproducible from its own seed; the draws differ from the sample path's.
+    Standard errors are those of variances_from_batches.
+    """
+    try:
+        raw = np.array(sigmas, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"covariance matrix entries must be numbers: {exc}") from exc
+    if raw.ndim != 3 or raw.shape[1:] != (4, 4):
+        raise InputError(f"states must be an (N, 4, 4) stack, got shape {raw.shape}")
+    n, _ = checked_sampling(n_per_setting, 0)  # the seeds are checked one by one
+    seeds = [checked_seed(seed) for seed in seeds]
+    if len(seeds) != len(raw):
+        raise InputError(f"{len(raw)} states need {len(raw)} seeds, got {len(seeds)}")
+    sigmas, (malformed, error) = _well_formed(raw)
+    if malformed.any():
+        raise error(int(np.argmax(malformed)))
+    nu_min = symplectic_eigenvalues(sigmas)[:, 0]
+    if not (physical := _physical(nu_min)).all():
+        i = int(np.argmin(physical))
+        raise UnphysicalStateError(
+            f"cannot simulate an unphysical state (min symplectic {nu_min[i]:.6g}, state {i})")
+    shape = (n - 1) / 2.0
+    errs = (_stderr_db(n),) * len(SETTINGS)
+    measured = []
+    for variances, seed in zip(_positive_variances(sigmas).tolist(), seeds):
+        draws = [np.random.default_rng(child).standard_gamma(shape) * var / shape
+                 for var, child in zip(variances, _child_seeds(seed))]
+        if not all(draw > 0.0 for draw in draws):
+            raise NumericalError(f"a sampled variance is not positive: {draws!r} (seed {seed})")
+        measured.append(VarianceSet(*_to_db(draws), stderr_db=errs))
+    return measured
 
 
 def expected_variances(cm) -> VarianceSet:
     """Noise-free VarianceSet computed directly from the CM, no sampling."""
-    return VarianceSet(*_to_db(_positive_variances(as_cm(cm))))
+    return VarianceSet(*_to_db(_positive_variances(as_cm(cm).entries).tolist()))
 
 
 def covariance_from_sum(var_sum: float, var_i: float, var_j: float) -> float:

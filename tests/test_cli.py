@@ -16,7 +16,7 @@ import oamcv
 from oamcv import (ChannelParams, InputError, LGModeSpec, MultiplexedState,
                    ReconstructionWarning, SqueezingSpec, ToolkitError, apply_channel, classify,
                    entanglement_death_eta, expected_variances, make_multiplexed, make_tmss,
-                   reconstruct_cm, simulate_measurements, validate, variances_from_batches)
+                   reconstruct_cm, sampled_variances, validate)
 from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, PRESETS,
                        SWEEP_HEADER, SweepConfig, build_parser, eta_grid, main,
                        run_modes, run_sweep, run_thresholds, run_tomo)
@@ -346,8 +346,8 @@ class TestRunTomo:
         for entry in run_tomo(config)["results"]:
             true_cm = apply_channel(make_tmss(config.specs[entry["l"]]),
                                     ChannelParams(entry["eta"], entry["delta"]))
-            measured = variances_from_batches(
-                simulate_measurements(true_cm, config.n_per_setting, entry["seed"]))
+            measured = sampled_variances(true_cm.entries[None], config.n_per_setting,
+                                         [entry["seed"]])[0]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ReconstructionWarning)
                 rec_cm = reconstruct_cm(measured)
@@ -372,6 +372,19 @@ class TestRunTomo:
             assert json.dumps(entry["reconstructed"]) == json.dumps(expected)
             kinds.add((error is None, expected["physical"]))
         assert kinds == {(False, False), (True, False), (True, True)}
+
+    def test_builds_no_samples(self, monkeypatch):
+        # guard: tomo draws each sample variance, never a sample batch
+        config = small_config(deltas=(0.0, 1.0), n_per_setting=100_000)
+        expected = run_tomo(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_tomo must not build samples")
+
+        for module in (oamcv, oamcv.tomography, oamcv.cli):
+            for name in ("SampleBatch", "simulate_measurements", "variances_from_batches"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert json.dumps(run_tomo(config)) == json.dumps(expected)
 
     def test_deterministic(self):
         config = small_config(charges=(0,), eta_start=0.5, eta_stop=0.5, n_per_setting=2000)

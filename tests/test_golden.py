@@ -30,10 +30,10 @@ THRESHOLDS = {
     "fig3": "41753346393268beeec56fd6e72ad519d2f04e4fcda160a16f72717e94252fbc",
     "fig4": "0bca16ae8ee33069b198e92543dcf0b57132fc76afc4d626148f84d2aa618589",
 }
-TOMO = "4203c802edb689e2a1dda0c0daa7effc0036e406d954337893b3e30248f8830b"
-# three samples per setting: of the 84 reconstructions 61 are not positive
-# definite (criteria_error), 18 are unphysical with criteria, 5 are physical
-TOMO_ERRORS = "beb1ea888b3ba46f6382ad898bf7d368715f24305db523416c04a6ca4ddaf9ba"
+TOMO = "2fe4f3f4b483b098d30e14f3969f3d8a452d8f9ad894e92ed8ede6fadf6f964f"
+# three samples per setting: of the 84 reconstructions 56 are not positive
+# definite (criteria_error), 26 are unphysical with criteria, 2 are physical
+TOMO_ERRORS = "1af3bfd105e09a01993e7c085ab5dbc14e7f87b8744260edb9b2cc95a7371236"
 MODES = {
     "mode_l-2_beam.pgm": "89e2cc6211e9783fbe5654bde4501befe6d37768722eb53faa3f4774b8c700f1",
     "mode_l-2_tilted.pgm": "12fa7c817e13e4a902771c0f676eb1c490d39c86ddd3f8e74e98868a93b6a0c0",

@@ -7,7 +7,7 @@ import pytest
 
 from oamcv import (FieldGrid, InputError, LGModeSpec, ResolutionError,
                    count_dark_stripes, lg_field, tilted_lens_pattern, write_pgm)
-from oamcv.modes import IntensityGrid, _k_window, mode_image_filename
+from oamcv.modes import MAX_GRID_SIDE, IntensityGrid, _k_window, mode_image_filename
 
 # grids with even, odd and mixed-parity sides: (width, height, extent)
 GRIDS = [(512, 512, 6.0), (257, 257, 6.0), (255, 256, 6.0), (300, 301, 6.0),
@@ -131,13 +131,20 @@ class TestLgField:
             intensity[0, 0] = 1.0
 
     @pytest.mark.parametrize("width, height, extent", [(1, 64, 4.0), (64, 0, 4.0),
-                                                       (64, 64, 0.0), (64, 64, float("nan"))])
+                                                       (64, 64, 0.0), (64, 64, float("nan")),
+                                                       (10 ** 20, 64, 3.0), (64, 4097, 3.0)])
     def test_one_grid_geometry_rule(self, width, height, extent):
+        # the geometry is checked before any array is built or read
         with pytest.raises(InputError, match=r"^bad grid geometry") as synthesized:
             lg_field(1, width, height, extent)
         with pytest.raises(InputError, match=r"^bad grid geometry") as given:
-            FieldGrid(width, height, extent, np.ones((max(height, 1), max(width, 1))))
+            FieldGrid(width, height, extent, np.ones((2, 2)))
         assert str(synthesized.value) == str(given.value)
+
+    def test_largest_grid_side_is_accepted(self):
+        # guard: the bound is inclusive
+        grid = FieldGrid(MAX_GRID_SIDE, 2, 1.0, np.ones((2, MAX_GRID_SIDE)))
+        assert (grid.width, grid.height) == (MAX_GRID_SIDE, 2)
 
     def test_axes_match_lg_field_grid(self):
         field = lg_field(0, 160, 128, 5.0)

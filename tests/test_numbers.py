@@ -130,6 +130,15 @@ class TestLists:
         assert str(channel.value) == \
             f"a channel must be a ChannelParams or an (eta, delta) pair, got {pair!r}"
 
+    @pytest.mark.parametrize("specs", [[0, 1], None, "01", ((0, (0.5, 3.0)),)])
+    def test_specs_must_map_charges_to_specs(self, specs):
+        # one owner of the rule for both the constructor and the JSON parser
+        for build in (lambda: SweepConfig(specs=specs, charges=(0,)),
+                      lambda: SweepConfig.from_json_dict({"specs": specs, "charges": [0]})):
+            with pytest.raises(InputError) as exc:
+                build()
+            assert str(exc.value) == f"specs must map charges to specs, got {specs!r}"
+
     def test_pairs_and_numpy_reals_are_accepted(self):
         # guard: lists, tuples and numpy numbers are still read as before
         config = SweepConfig(specs={0: [0.5, np.float32(3.0)]}, charges=(0,),

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from oamcv import (ChannelParams, InputError, ReconstructionWarning, SampleBatch,
                    SqueezingSpec, UnphysicalStateError, VarianceSet, apply_channel,
                    expected_variances, make_tmss, read_variances_csv,
-                   reconstruct_cm, simulate_measurements, variances_from_batches,
-                   write_batch_csv, write_variances_csv)
+                   reconstruct_cm, sampled_variances, simulate_measurements,
+                   variances_from_batches, write_batch_csv, write_variances_csv)
+from oamcv.cli import SweepConfig, run_tomo
 from oamcv.tomography import (SETTINGS, SNL_REFERENCE, covariance_from_difference,
                               covariance_from_sum, setting_variance)
 from conftest import INDEFINITE, V_REF, VP_REF, source_specs
@@ -124,6 +125,103 @@ class TestVariancesFromBatches:
             variances_from_batches(batches[:5])
         with pytest.raises(InputError):
             variances_from_batches(list(batches) + [batches[0]])
+
+
+def ratios(measured, cm) -> np.ndarray:
+    """s^2 / sigma^2 of each VarianceSet and setting, (N, 6)."""
+    truth = [setting_variance(cm, s) for s in SETTINGS]
+    return np.array([[vs.absolute_variance(s) for s in SETTINGS] for vs in measured]) / truth
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: largest gap between the empirical CDFs."""
+    points = np.concatenate([a, b])
+    cdf_a = np.searchsorted(np.sort(a), points, side="right") / len(a)
+    cdf_b = np.searchsorted(np.sort(b), points, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+class TestSampledVariances:
+    N, N_SEEDS = 5, 4000
+    CM = apply_channel(REF_CM, ChannelParams(0.7, 0.3))
+
+    def stack(self, count: int) -> np.ndarray:
+        return np.broadcast_to(self.CM.entries, (count, 4, 4))
+
+    @pytest.fixture(scope="class")
+    def drawn(self) -> np.ndarray:
+        """s^2 / sigma^2 of the drawn variances over seeds 0 ... N_SEEDS - 1."""
+        return ratios(sampled_variances(self.stack(self.N_SEEDS), self.N, range(self.N_SEEDS)),
+                      self.CM)
+
+    def test_first_two_moments_follow_chi_squared(self, drawn):
+        # (n - 1) s^2 / sigma^2 ~ chi^2(k), k = n - 1: s^2 / sigma^2 has mean 1,
+        # variance 2/k and fourth central moment 12 (k + 4) / k^3
+        k = self.N - 1
+        var, mu4 = 2.0 / k, 12.0 * (k + 4) / k ** 3
+        se_mean = math.sqrt(var / self.N_SEEDS)
+        se_var = math.sqrt((mu4 - var ** 2) / self.N_SEEDS)
+        assert np.all(np.abs(drawn.mean(axis=0) - 1.0) < 4 * se_mean)
+        assert np.all(np.abs(drawn.var(axis=0, ddof=1) - var) < 4 * se_var)
+
+    def test_same_law_as_the_samples(self, drawn):
+        # the sample path on other seeds, whose generators share no stream with the draws
+        sampled = ratios([variances_from_batches(simulate_measurements(self.CM, self.N, seed))
+                          for seed in range(self.N_SEEDS, 2 * self.N_SEEDS)], self.CM)
+        critical = 1.63 * math.sqrt(2.0 / self.N_SEEDS)  # 1% level
+        for column in range(len(SETTINGS)):
+            assert ks_statistic(drawn[:, column], sampled[:, column]) < critical
+
+    def test_stderr_of_the_sample_path(self):
+        sample_path = variances_from_batches(simulate_measurements(self.CM, 1000, 3))
+        assert sampled_variances(self.stack(1), 1000, [3])[0].stderr_db == sample_path.stderr_db
+
+    def test_each_state_reproducible_from_its_seed(self):
+        seeds = [11, 0, 2 ** 64 - 1]
+        stack = np.array([REF_CM.entries, self.CM.entries, np.eye(4)])
+        measured = sampled_variances(stack, 1000, seeds)
+        for sigma, seed, vs in zip(stack, seeds, measured):
+            assert sampled_variances(sigma[None], 1000, [seed]) == [vs]
+        # the recipe: one Gamma((n - 1)/2) draw per setting from the child seeds
+        children = np.random.SeedSequence(11).generate_state(len(SETTINGS), np.uint64)
+        for setting, child in zip(SETTINGS, children):
+            draw = np.random.default_rng(int(child)).standard_gamma(499.5) \
+                * setting_variance(REF_CM, setting) / 499.5
+            assert measured[0].db(setting) == 10 * math.log10(draw / SNL_REFERENCE[setting])
+
+    def test_tomo_point_reproducible_from_its_recorded_seed(self):
+        config = SweepConfig(charges=(1,), deltas=(0.5,), eta_step=0.25, n_per_setting=50)
+        for entry in run_tomo(config)["results"]:
+            cm = apply_channel(make_tmss(config.specs[1]), ChannelParams(entry["eta"], 0.5))
+            vs = sampled_variances(cm.entries[None], 50, [entry["seed"]])[0]
+            assert entry["reconstructed"]["variances_db"] == {s: vs.db(s) for s in SETTINGS}
+
+    @pytest.mark.parametrize("bad", [*INDEFINITE, np.diag([0.5, 0.5, 0.5, 0.5])])
+    def test_rejects_state_not_pd_or_unphysical(self, bad):
+        with pytest.raises(UnphysicalStateError, match=r"state 1\)$"):
+            sampled_variances(np.array([REF_CM.entries, bad, REF_CM.entries]), 100, [0, 1, 2])
+
+    @pytest.mark.parametrize("n, seed, text", [
+        (2.7, 0, "n_per_setting must be an integer >= 2"),
+        (1, 0, "n_per_setting must be an integer >= 2"),
+        (100, -1, "seed must be a non-negative integer"),
+        (100, None, "seed must be a non-negative integer"),
+    ])
+    def test_sampling_rule_on_n_and_every_seed(self, n, seed, text):
+        with pytest.raises(InputError, match=text):
+            sampled_variances(self.stack(2), n, [0, seed])
+
+    @pytest.mark.parametrize("sigmas, seeds, text", [
+        (np.eye(4), [0], r"\(N, 4, 4\) stack"),
+        ([[["a"] * 4] * 4], [0], "must be numbers"),
+        (np.ones((1, 4, 4)) * np.nan, [0], "must be finite"),
+        (np.array([[[1.0, 0.5, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]), [0],
+         "not symmetric"),
+        (np.array([np.eye(4)] * 2), [0], "2 states need 2 seeds"),
+    ])
+    def test_rejects_bad_stacks(self, sigmas, seeds, text):
+        with pytest.raises(InputError, match=text):
+            sampled_variances(sigmas, 100, seeds)
 
 
 class TestReconstruct:
