@@ -19,7 +19,7 @@ from .gaussian import (ChannelParams, CovarianceMatrix, Decibel, ModePair,
                        linear_to_db, make_multiplexed, make_tmss,
                        symplectic_eigenvalues, validate)
 from .modes import (FieldGrid, IntensityGrid, LGModeSpec, StripeCount,
-                    count_dark_stripes, lg_field, tilted_lens_pattern, write_pgm)
+                    count_dark_stripes, lg_field, lg_images, tilted_lens_pattern, write_pgm)
 from .tomography import (ReconstructionWarning, SampleBatch, VarianceSet,
                          expected_variances, read_variances_csv, reconstruct_cm,
                          sampled_variances, simulate_measurements, variances_from_batches,
@@ -45,6 +45,6 @@ __all__ = [
     "variances_from_batches", "sampled_variances", "reconstruct_cm", "expected_variances",
     "write_variances_csv", "read_variances_csv", "write_batch_csv",
     # modes
-    "LGModeSpec", "FieldGrid", "IntensityGrid", "StripeCount", "lg_field",
+    "LGModeSpec", "FieldGrid", "IntensityGrid", "StripeCount", "lg_field", "lg_images",
     "tilted_lens_pattern", "count_dark_stripes", "write_pgm",
 ]

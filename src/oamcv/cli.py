@@ -24,8 +24,8 @@ from .criteria import _criteria, classify_many, entanglement_death_eta, steering
 from .errors import InputError, NumericalError
 from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
                        checked_delta, checked_eta, make_tmss, real_or_nan, symplectic_eigenvalues)
-from .modes import (LGModeSpec, checked_astigmatism, count_dark_stripes, lg_field,
-                    mode_image_filename, tilted_lens_pattern, write_pgm)
+from .modes import (LGModeSpec, checked_astigmatism, count_dark_stripes, lg_images,
+                    mode_image_filename, write_pgm)
 from .tomography import (SETTINGS, _reconstruct, _to_db, _variances, checked_sampling,
                          sampled_variances)
 
@@ -254,11 +254,10 @@ def run_modes(charges, astigmatism: float = DEFAULT_ASTIGMATISM, out_dir=".",
     out_path.mkdir(parents=True, exist_ok=True)
     results = []
     for spec in specs:
-        field_grid = lg_field(spec)
-        pattern = tilted_lens_pattern(field_grid, astigmatism)
+        beam, pattern = lg_images(spec, astigmatism)
         beam_file = out_path / mode_image_filename(spec.l, "beam")
         tilted_file = out_path / mode_image_filename(spec.l, "tilted")
-        write_pgm(beam_file, field_grid.intensity(), bit_depth=bit_depth)
+        write_pgm(beam_file, beam, bit_depth=bit_depth)
         write_pgm(tilted_file, pattern, bit_depth=bit_depth)
         stripes = count_dark_stripes(pattern)
         if stripes.indeterminate or stripes.count != abs(spec.l):

@@ -8,14 +8,21 @@ The tilted lens is modeled as a pure astigmatic phase followed by a
 far-field Fourier transform onto a k-space window sized from the beam,
 evaluated as a real DFT folded about the mirror-symmetric axes; its output
 pattern shows |l| dark stripes whose diagonal orientation gives the sign of
-the topological charge.
+the topological charge.  The diagnostic follows Vaity, Banerji and Singh,
+Phys. Lett. A 377, 1154 (2013).
+
+lg_field plus tilted_lens_pattern is the general path: any FieldGrid can be
+transformed.  lg_images, which run_modes calls, renders the same beam and
+pattern from the rank-(|l| + 1) separable form of a p = 0 mode, through
+1-D transforms of |l| + 1 factors per axis, and never builds the complex
+field.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -50,16 +57,20 @@ class LGModeSpec:
 
 @dataclass(frozen=True, eq=False)
 class FieldGrid:
-    """Complex transverse field sampled at pixel centers over [-extent, extent]."""
+    """Complex transverse field sampled at pixel centers over [-extent, extent].
+
+    values is copied, unless _owned marks an array this module has just built.
+    """
 
     width: int
     height: int
     extent: float
     values: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         width, height, extent = _checked_geometry(self.width, self.height, self.extent)
-        values = np.array(self.values, dtype=complex)
+        values = (np.asarray if _owned else np.array)(self.values, dtype=complex)
         if values.shape != (height, width):
             raise InputError(f"values shape {values.shape} does not match "
                              f"(height, width) = ({height}, {width})")
@@ -119,16 +130,22 @@ def _pixel_axis(n: int, extent: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IntensityGrid:
-    """Far-field |amplitude|^2; extent is the k-space half-width (1/waist units)."""
+    """|amplitude|^2 at pixel centers over [-extent, extent].
+
+    extent is the half-width in waist units for a beam and in 1/waist units
+    for a far field.  values is copied, unless _owned marks an array this
+    module has just built; either way it is checked finite and nonnegative.
+    """
 
     width: int
     height: int
     extent: float
     values: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         width, height, extent = _checked_geometry(self.width, self.height, self.extent)
-        values = np.array(self.values, dtype=float)
+        values = (np.asarray if _owned else np.array)(self.values, dtype=float)
         if values.shape != (height, width):
             raise InputError(f"values shape {values.shape} does not match grid")
         _intensity_values(values)
@@ -167,19 +184,29 @@ def lg_field(spec, width: int = 512, height: int = 512, extent: float = 6.0) -> 
     r^{|l|} exp(i l phi) is the integer power (x + i sign(l) y)^{|l|}, and
     exp(-r^2) the outer product exp(-y^2) (x) exp(-x^2).
     """
-    spec = spec if isinstance(spec, LGModeSpec) else LGModeSpec(spec)
-    width, height, extent = _checked_geometry(width, height, extent)
-    _check_resolution(width, height, extent)
+    spec, width, height, extent = _checked_mode(spec, width, height, extent)
     x, y = _pixel_axis(width, extent), _pixel_axis(height, extent)
     order = abs(spec.l)
-    norm = math.sqrt(2.0 / (math.pi * math.factorial(order))) * math.sqrt(2.0) ** order
     amp = x + 1j * math.copysign(1.0, spec.l) * y[:, None]
     np.power(amp, order, out=amp)
     # real factors scale the float view, two multiplies per value instead of four
     parts = amp.view(float).reshape(height, width, 2)
-    parts *= (norm * np.exp(-y * y))[:, None, None]
+    parts *= (_lg_norm(order) * np.exp(-y * y))[:, None, None]
     parts *= np.exp(-x * x)[:, None]
-    return FieldGrid(width, height, extent, amp)
+    return FieldGrid(width, height, extent, amp, _owned=True)
+
+
+def _checked_mode(spec, width, height, extent) -> tuple:
+    """(spec, width, height, extent) of an LG mode grid: charge, geometry, then resolution."""
+    spec = spec if isinstance(spec, LGModeSpec) else LGModeSpec(spec)
+    width, height, extent = _checked_geometry(width, height, extent)
+    _check_resolution(width, height, extent)
+    return spec, width, height, extent
+
+
+def _lg_norm(order: int) -> float:
+    """Amplitude scale sqrt(2/(pi n!)) sqrt(2)^n of the unit-power p = 0 mode of order n = |l|."""
+    return math.sqrt(2.0 / (math.pi * math.factorial(order))) * math.sqrt(2.0) ** order
 
 
 def _k_window(m: int, kmax: float) -> np.ndarray:
@@ -206,6 +233,12 @@ def _fold(z: np.ndarray) -> tuple:
     return even, upper - mirror
 
 
+def _axis_phasors(k: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """_half_phasors(k, x) and _half_phasors(k, y); a square grid computes one pair."""
+    along_y = _half_phasors(k, y)
+    return (along_y if len(x) == len(y) else _half_phasors(k, x)), along_y
+
+
 def _half_dft(z: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """sum_t exp(-i k t) z[t] over z's rows for k >= 0, as cos and sin parts.
 
@@ -222,14 +255,17 @@ def _half_dft(z: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rms_radius(field: FieldGrid) -> float:
-    """Power-weighted rms distance from the axis, from the row and column marginals."""
-    weights = field.intensity()
+def _rms_radius(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Intensity-weighted rms distance from the axis, from the row and column marginals."""
     total = weights.sum()
     if total <= 0.0:
         raise InputError("field carries no power")
-    y2, x2 = field.y ** 2, field.x ** 2
-    return math.sqrt(float(weights.sum(axis=1) @ y2 + weights.sum(axis=0) @ x2) / total)
+    return math.sqrt(float(weights.sum(axis=1) @ y ** 2 + weights.sum(axis=0) @ x ** 2) / total)
+
+
+def _k_max(astigmatism: float, rms_radius: float) -> float:
+    """Half-width of the far-field window, wide enough to resolve the lobes."""
+    return 2.0 * (astigmatism + 1.0) * (rms_radius + 2.0)
 
 
 def checked_astigmatism(astigmatism) -> float:
@@ -258,12 +294,10 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
         raise InputError(f"expected FieldGrid, got {type(field).__name__}")
     astigmatism = checked_astigmatism(astigmatism)
     _check_resolution(field.width, field.height, field.extent)
-    kmax = 2.0 * (astigmatism + 1.0) * (_rms_radius(field) + 2.0)
-    m = max(field.width, field.height)
-    k = _k_window(m, kmax)
     x, y = field.x, field.y
-    cos_y, sin_y = _half_phasors(k, y)
-    cos_x, sin_x = (cos_y, sin_y) if field.width == field.height else _half_phasors(k, x)
+    kmax = _k_max(astigmatism, _rms_radius(field.intensity(), x, y))
+    m = max(field.width, field.height)
+    (cos_x, sin_x), (cos_y, sin_y) = _axis_phasors(_k_window(m, kmax), x, y)
     chirped = field.values * (field.dx * field.dy * np.exp(-1j * astigmatism * y * y))[:, None]
     chirped *= np.exp(1j * astigmatism * x * x)
     # each stage's input is dropped once transformed, which keeps the peak
@@ -275,6 +309,66 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     mk = len(cos_y)
     parts = _half_dft(along_y.reshape(field.width, -1), cos_x, sin_x).reshape(2, 2, mk, 2, mk)
     del along_y
+    return IntensityGrid(m, m, kmax, _quadrants(parts, m), _owned=True)
+
+
+def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
+              extent: float = 6.0) -> tuple:
+    """(beam, pattern): the intensity of lg_field(spec, width, height, extent)
+    and its tilted_lens_pattern(..., astigmatism), without building the field.
+
+    With n = |l| and s = sign(l), (x + i s y)^n = sum_j C(n, j) x^j (i s y)^(n-j),
+    and the Gaussian and the astigmatic chirp are separable, so the chirped
+    field is a sum of n + 1 outer products g_j(y) f_j(x) and its far field
+    the rank-(n + 1) product G^T F of their 1-D transforms, each the folded
+    real DFT of tilted_lens_pattern on the same window.  The beam is the real
+    norm^2 (x^2 + y^2)^n exp(-2 x^2) exp(-2 y^2), the sum of n + 1
+    nonnegative outer products C(n, j) x^2j exp(-2 x^2) y^2(n-j) exp(-2 y^2);
+    the window is sized from its rms radius.  Charge, grid and astigmatism
+    follow the rules of lg_field and tilted_lens_pattern.  beam.extent is
+    the grid half-width, pattern.extent the k-space half-width.
+    """
+    spec, width, height, extent = _checked_mode(spec, width, height, extent)
+    astigmatism = checked_astigmatism(astigmatism)
+    x, y = _pixel_axis(width, extent), _pixel_axis(height, extent)
+    order = abs(spec.l)
+    norm = _lg_norm(order)
+    powers = np.arange(order + 1)
+    binomial = np.array([math.comb(order, j) for j in range(order + 1)], dtype=float)
+    # column j holds x^j exp(-x^2) and y^(n-j) exp(-y^2)
+    amp_x = x[:, None] ** powers * np.exp(-x * x)[:, None]
+    amp_y = y[:, None] ** powers[::-1] * np.exp(-y * y)[:, None]
+    beam = (norm * norm * amp_y * amp_y) @ (binomial * amp_x * amp_x).T
+    kmax = _k_max(astigmatism, _rms_radius(beam, x, y))
+    m = max(width, height)
+    (cos_x, sin_x), (cos_y, sin_y) = _axis_phasors(_k_window(m, kmax), x, y)
+    # the chirped field is sum_j g_j(y) f_j(x): f_j takes C(n, j) and the x
+    # chirp, g_j takes (i s)^(n-j), the norm, the pixel area and the y chirp
+    unit = [(1j * math.copysign(1.0, spec.l)) ** p for p in range(order, -1, -1)]
+    f = binomial * amp_x * np.exp(1j * astigmatism * x * x)[:, None]
+    g = (np.array(unit) * (norm * (2.0 * extent / width) * (2.0 * extent / height))
+         * amp_y * np.exp(-1j * astigmatism * y * y)[:, None])
+    # rows (j, re/im), columns (cos | sin part, k >= 0)
+    f_k = _half_dft(f.view(float), cos_x, sin_x)
+    g_k = _half_dft(g.view(float), cos_y, sin_y)
+    # the complex G^T F as one real GEMM, [[Re G, -Im G], [Im G, Re G]] [F],
+    # lands in the (re/im, y part, ky, x part, kx) layout of tilted_lens_pattern
+    mk, rank = len(cos_y), order + 1
+    g_re, g_im = g_k[0::2].T, g_k[1::2].T
+    lhs = np.empty((2, 2 * mk, rank, 2))
+    lhs[0, :, :, 0], lhs[0, :, :, 1] = g_re, -g_im
+    lhs[1, :, :, 0], lhs[1, :, :, 1] = g_im, g_re
+    parts = (lhs.reshape(4 * mk, 2 * rank) @ f_k).reshape(2, 2, mk, 2, mk)
+    return (IntensityGrid(width, height, extent, beam, _owned=True),
+            IntensityGrid(m, m, kmax, _quadrants(parts, m), _owned=True))
+
+
+def _quadrants(parts: np.ndarray, m: int) -> np.ndarray:
+    """The m x m far-field intensity from the folded transform's k >= 0 sums.
+
+    parts is the (re/im, cos/sin part in y, ky >= 0, cos/sin part in x,
+    kx >= 0) real array of the sums over y and x; it is overwritten.
+    """
     # (re, im) stacks over (ky, kx): u, v take cos(kx x), p, q sin(kx x);
     # u, p take cos(ky y), v, q sin(ky y).  Quadrant (+, +) is a - i c,
     # (-, -) is a + i c, (+, -) is b - i d and (-, +) is b + i d.
@@ -290,7 +384,7 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     out[:lo, :lo] = _squared_modulus(a[0] - c[1], a[1] + c[0])[::-1, ::-1][:lo, :lo]
     out[lo:, :lo] = _squared_modulus(b[0] + d[1], b[1] - d[0])[:, ::-1][:, :lo]
     out[:lo, lo:] = _squared_modulus(b[0] - d[1], b[1] + d[0])[::-1][:lo]
-    return IntensityGrid(m, m, kmax, out)
+    return out
 
 
 def _squared_modulus(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -402,8 +496,12 @@ def write_pgm(path, intensity, bit_depth: int = 16) -> None:
     else:
         raise InputError(f"bit_depth must be 8 or 16, got {bit_depth!r}")
     peak = float(arr.max())
-    scaled = np.zeros(arr.shape, dtype=dtype) if peak <= 0.0 \
-        else np.round(arr / peak * maxval).astype(dtype)
+    if peak <= 0.0:
+        scaled = np.zeros(arr.shape, dtype=dtype)
+    else:
+        level = np.divide(arr, peak)
+        level *= maxval
+        scaled = np.round(level, out=level).astype(dtype)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

@@ -1,12 +1,15 @@
 """Laguerre-Gaussian synthesis, tilted-lens patterns, and stripe counting."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from oamcv import (FieldGrid, InputError, LGModeSpec, ResolutionError,
-                   count_dark_stripes, lg_field, tilted_lens_pattern, write_pgm)
+import oamcv
+from oamcv import (FieldGrid, InputError, LGModeSpec, ResolutionError, count_dark_stripes,
+                   lg_field, lg_images, tilted_lens_pattern, write_pgm)
+from oamcv.cli import run_modes
 from oamcv.modes import MAX_GRID_SIDE, IntensityGrid, _k_window, mode_image_filename
 
 # grids with even, odd and mixed-parity sides: (width, height, extent)
@@ -250,6 +253,52 @@ class TestTiltedLens:
             tilted_lens_pattern(coarse, 2.0)
 
 
+class TestLgImages:
+    @pytest.mark.parametrize("width,height,extent", GRIDS)
+    @pytest.mark.parametrize("l", [-16, -5, -1, 0, 1, 2, 7, 16])
+    @pytest.mark.parametrize("astigmatism", [1.0, 1.7, 2.9])
+    def test_matches_field_path(self, l, astigmatism, width, height, extent):
+        beam, pattern = lg_images(l, astigmatism, width, height, extent)
+        field = lg_field(LGModeSpec(l), width=width, height=height, extent=extent)
+        expected = tilted_lens_pattern(field, astigmatism)
+        assert (beam.width, beam.height, beam.extent) == (width, height, extent)
+        assert np.abs(beam.values - field.intensity()).max() <= 1e-13 * field.intensity().max()
+        assert pattern.extent == pytest.approx(expected.extent, rel=1e-12)
+        assert pattern.values.shape == expected.values.shape
+        assert np.abs(pattern.values - expected.values).max() <= 1e-12 * expected.values.max()
+
+    @pytest.mark.parametrize("l,astigmatism,width,height,extent", [
+        (17, 2.0, 128, 128, 4.0), (1.5, 2.0, 128, 128, 4.0), (True, 2.0, 128, 128, 4.0),
+        (1, 2.0, 1, 64, 4.0), (1, 2.0, 64, 4097, 3.0), (1, 2.0, 64, 64, float("nan")),
+        (1, 2.0, 64, 64, 6.0), (1, 0.0, 128, 128, 4.0), (1, -1.0, 128, 128, 4.0),
+        (1, float("inf"), 128, 128, 4.0), (1, "2", 128, 128, 4.0)])
+    def test_same_rules_as_field_path(self, l, astigmatism, width, height, extent):
+        with pytest.raises(InputError) as separable:
+            lg_images(l, astigmatism, width, height, extent)
+        with pytest.raises(InputError) as general:
+            tilted_lens_pattern(lg_field(l, width, height, extent), astigmatism)
+        assert type(separable.value) is type(general.value)
+        assert str(separable.value) == str(general.value)
+
+    def test_grids_frozen(self):
+        for grid in lg_images(2, 2.0, 128, 128, 4.0):
+            with pytest.raises(ValueError):
+                grid.values[0, 0] = 1.0
+
+    def test_run_modes_builds_no_field(self, monkeypatch, tmp_path):
+        # guard: run_modes renders from the separable form, never a FieldGrid
+        expected = run_modes((-2, 0, 3), astigmatism=2.9, out_dir=tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_modes must not build a FieldGrid")
+
+        for module in (oamcv, oamcv.modes, oamcv.cli):
+            for name in ("FieldGrid", "lg_field", "tilted_lens_pattern"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        report = run_modes((-2, 0, 3), astigmatism=2.9, out_dir=tmp_path)
+        assert json.dumps(report) == json.dumps(expected)
+
+
 class TestCountDarkStripes:
     def test_uniform_is_indeterminate(self):
         result = count_dark_stripes(np.ones((64, 64)))
@@ -266,6 +315,14 @@ class TestCountDarkStripes:
 
 
 class TestIntensityRule:
+    def test_caller_arrays_are_copied(self):
+        values = np.ones((8, 8))
+        grids = (IntensityGrid(8, 8, 1.0, values), FieldGrid(8, 8, 1.0, values))
+        values[0, 0] = 5.0
+        assert values.flags.writeable
+        for grid in grids:
+            assert grid.values[0, 0] == 1.0 and not grid.values.flags.writeable
+
     @pytest.mark.parametrize("bad", [np.full((8, 8), np.nan), -np.ones((8, 8))])
     def test_raw_arrays_are_checked(self, bad, tmp_path):
         entry_points = (count_dark_stripes, lambda a: write_pgm(tmp_path / "x.pgm", a),
