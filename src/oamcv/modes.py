@@ -57,20 +57,16 @@ class LGModeSpec:
 
 @dataclass(frozen=True, eq=False)
 class FieldGrid:
-    """Complex transverse field sampled at pixel centers over [-extent, extent].
-
-    values is copied, unless _owned marks an array this module has just built.
-    """
+    """Complex transverse field sampled at pixel centers over [-extent, extent]."""
 
     width: int
     height: int
     extent: float
     values: np.ndarray
-    _owned: InitVar[bool] = False
 
-    def __post_init__(self, _owned):
+    def __post_init__(self):
         width, height, extent = _checked_geometry(self.width, self.height, self.extent)
-        values = (np.asarray if _owned else np.array)(self.values, dtype=complex)
+        values = np.array(self.values, dtype=complex)
         if values.shape != (height, width):
             raise InputError(f"values shape {values.shape} does not match "
                              f"(height, width) = ({height}, {width})")
@@ -193,7 +189,7 @@ def lg_field(spec, width: int = 512, height: int = 512, extent: float = 6.0) -> 
     parts = amp.view(float).reshape(height, width, 2)
     parts *= (_lg_norm(order) * np.exp(-y * y))[:, None, None]
     parts *= np.exp(-x * x)[:, None]
-    return FieldGrid(width, height, extent, amp, _owned=True)
+    return FieldGrid(width, height, extent, amp)
 
 
 def _checked_mode(spec, width, height, extent) -> tuple:
