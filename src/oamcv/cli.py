@@ -24,8 +24,8 @@ from .criteria import _criteria, classify_many, entanglement_death_eta, steering
 from .errors import InputError, NumericalError
 from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
                        checked_delta, checked_eta, make_tmss, real_or_nan, symplectic_eigenvalues)
-from .modes import (LGModeSpec, checked_astigmatism, count_dark_stripes, lg_images,
-                    mode_image_filename, write_pgm)
+from .modes import (LGModeSpec, checked_astigmatism, checked_bit_depth, count_dark_stripes,
+                    lg_images, mode_image_filename, write_pgm)
 from .tomography import (SETTINGS, _reconstruct, _to_db, _variances, checked_sampling,
                          sampled_variances)
 
@@ -40,6 +40,8 @@ DEFAULT_CHARGES = (0, 1, 2)
 DEFAULT_SEED = 12345
 DEFAULT_N_PER_SETTING = 100_000
 DEFAULT_ASTIGMATISM = 2.0
+# the most transmission points one sweep, threshold or tomography grid may hold
+MAX_ETA_POINTS = 100_001
 
 SWEEP_HEADER = "l,eta,delta,nu,entangled,gAB,gBA,class"
 
@@ -95,6 +97,10 @@ class SweepConfig:
             raise InputError(f"eta grid start {start} must not exceed its stop {stop}")
         if not math.isfinite(step := real_or_nan(self.eta_step)) or step <= 0.0:
             raise InputError(f"eta step must be positive, got {self.eta_step!r}")
+        # compared as a float before any int is made of it: a subnormal step gives inf
+        if _eta_steps(start, stop, step) >= MAX_ETA_POINTS:
+            raise InputError(f"eta step {step!r} from {start!r} to {stop!r} gives more than "
+                             f"{MAX_ETA_POINTS} grid points")
         n, seed = checked_sampling(self.n_per_setting, self.seed)
         checked = dict(specs=specs, deltas=deltas, eta_start=start, eta_stop=stop, eta_step=step,
                        charges=charges, out=None if self.out is None else str(self.out),
@@ -127,9 +133,14 @@ class SweepConfig:
         return cls(**kwargs)
 
 
+def _eta_steps(start: float, stop: float, step: float) -> float:
+    """(stop - start)/step plus a 1e-9 rounding allowance; the grid holds its floor + 1 points."""
+    return (stop - start) / step + 1e-9
+
+
 def eta_grid(config: SweepConfig) -> list:
     """Transmission grid start, start+step, ... capped at stop."""
-    count = math.floor((config.eta_stop - config.eta_start) / config.eta_step + 1e-9) + 1
+    count = math.floor(_eta_steps(config.eta_start, config.eta_stop, config.eta_step)) + 1
     return [round(config.eta_start + i * config.eta_step, 10) for i in range(count)]
 
 
@@ -245,11 +256,12 @@ def run_modes(charges, astigmatism: float = DEFAULT_ASTIGMATISM, out_dir=".",
 
     Writes mode_l{l}_beam.pgm and mode_l{l}_tilted.pgm plus a stripes.json
     summary into out_dir.  A stripe count that does not equal |l| for these
-    synthesized inputs indicates a numerical fault and raises.  Every charge
-    and the astigmatism are checked before the first file is written.
+    synthesized inputs indicates a numerical fault and raises.  Every charge,
+    the astigmatism and the bit depth are checked before out_dir is created.
     """
     specs = [LGModeSpec(l) for l in _checked_charges(charges)]
     astigmatism = checked_astigmatism(astigmatism)
+    bit_depth = checked_bit_depth(bit_depth)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     results = []

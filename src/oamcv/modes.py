@@ -5,17 +5,18 @@ coordinates), with pixels centered symmetrically on the optical axis.
 Fields are synthesized without trigonometry, from an integer power of
 x + i y and a separable Gaussian.
 The tilted lens is modeled as a pure astigmatic phase followed by a
-far-field Fourier transform onto a k-space window sized from the beam,
-evaluated as a real DFT folded about the mirror-symmetric axes; its output
-pattern shows |l| dark stripes whose diagonal orientation gives the sign of
-the topological charge.  The diagnostic follows Vaity, Banerji and Singh,
-Phys. Lett. A 377, 1154 (2013).
+far-field Fourier transform onto a k-space window sized from the beam.  One
+1-D transform, _dft, gives the whole window as a complex array; it folds
+its input about the mirror-symmetric axis into two real GEMMs.  The
+pattern is |DFT_x(DFT_y(chirped))|^2 and shows |l| dark stripes whose
+diagonal orientation gives the sign of the topological charge.  The
+diagnostic follows Vaity, Banerji and Singh, Phys. Lett. A 377, 1154 (2013).
 
 lg_field plus tilted_lens_pattern is the general path: any FieldGrid can be
 transformed.  lg_images, which run_modes calls, renders the same beam and
-pattern from the rank-(|l| + 1) separable form of a p = 0 mode, through
-1-D transforms of |l| + 1 factors per axis, and never builds the complex
-field.
+pattern from the rank-(|l| + 1) separable form of a p = 0 mode as
+|DFT_y(g)^T DFT_x(f)|^2, one complex GEMM of the 1-D transforms of |l| + 1
+factors per axis, and never builds the complex field.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def _fold(z: np.ndarray) -> tuple:
     """
     half, center = divmod(len(z), 2)
     upper, mirror = z[half + center:], z[half - 1::-1]
-    even = np.empty((half + center, *z.shape[1:]))
+    even = np.empty((half + center, *z.shape[1:]), dtype=z.dtype)
     even[:center] = z[half:half + center]
     np.add(upper, mirror, out=even[center:])
     return even, upper - mirror
@@ -235,19 +236,25 @@ def _axis_phasors(k: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
     return (along_y if len(x) == len(y) else _half_phasors(k, x)), along_y
 
 
-def _half_dft(z: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """sum_t exp(-i k t) z[t] over z's rows for k >= 0, as cos and sin parts.
+def _dft(z: np.ndarray, cos: np.ndarray, sin: np.ndarray, m: int) -> np.ndarray:
+    """sum_t exp(-i k t) z[t] over the rows of the complex z, on the whole m-point window.
 
-    t is mirror-symmetric, so the sum is cos(k t) times the even part of z
-    minus i sin(k t) times its odd part, each over t >= 0 only; at -k the
-    sine term changes sign.  Returns the transposed (columns of z, 2 mk)
-    array [cos part | sin part].
+    t and k are mirror-symmetric, so at k >= 0 the sum is C - i S, with C
+    cos(k t) times the even part of z and S sin(k t) times its odd part,
+    each over t >= 0 only and each one real GEMM on z's float view; at -k it
+    is C + i S.  Returns the transposed (columns of z, m) complex array.
     """
     even, odd = _fold(z)
-    mk = len(cos)
-    out = np.empty((z.shape[1], 2 * mk))
-    np.matmul(even.T, cos.T, out=out[:, :mk])
-    np.matmul(odd.T, sin.T, out=out[:, mk:])
+    c = (cos @ even.view(float)).view(complex)
+    del even
+    s = (sin @ odd.view(float)).view(complex)
+    del odd
+    s *= 1j
+    # the k < 0 side is the flipped k >= 0 half without its k = 0 line
+    lo = m // 2
+    out = np.empty((z.shape[1], m), dtype=complex)
+    np.subtract(c.T, s.T, out=out[:, lo:])
+    np.add(c.T[:, ::-1][:, :lo], s.T[:, ::-1][:, :lo], out=out[:, :lo])
     return out
 
 
@@ -277,14 +284,15 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     The k-space window k = (arange(m) - (m - 1)/2) 2 kmax/(m - 1),
     m = max(width, height), is sized from the beam's rms radius so the lobe
     structure stays well resolved.  The transform onto that window is the
-    DFT exp(-i k y^T) . chirped . exp(-i x k^T), evaluated as a folded real
-    DFT: x, y and k are exactly mirror-symmetric, so cos(k t) is even and
-    sin(k t) odd in both k and t.  Each axis transform splits its input
-    into even and odd parts along t and takes two real GEMMs, cos times the
-    even part and sin times the odd part (complex data viewed as float),
-    with only the k >= 0, t >= 0 quarter of the phasors; the k < 0 half is
-    the same sums with the sine terms' sign flipped.  A square grid uses one
-    (cos, sin) pair for both axes.
+    DFT exp(-i k y^T) . chirped . exp(-i x k^T), and the pattern is
+    |DFT_x(DFT_y(chirped))|^2, each DFT one _dft call that returns the
+    whole window as a complex array.  x, y and k are exactly
+    mirror-symmetric, so cos(k t) is even and sin(k t) odd in both k and t:
+    _dft splits its input into even and odd parts along t and takes two
+    real GEMMs, cos times the even part and sin times the odd part (complex
+    data viewed as float), with only the k >= 0, t >= 0 quarter of the
+    phasors; the k < 0 half is the same sums with the sine terms' sign
+    flipped.  A square grid uses one (cos, sin) pair for both axes.
     """
     if not isinstance(field, FieldGrid):
         raise InputError(f"expected FieldGrid, got {type(field).__name__}")
@@ -298,14 +306,11 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     chirped *= np.exp(1j * astigmatism * x * x)
     # each stage's input is dropped once transformed, which keeps the peak
     # memory at about three grid-sized buffers
-    # along y: rows (x, re/im), columns (cos | sin part in y, ky >= 0)
-    along_y = _half_dft(chirped.view(float), cos_y, sin_y)
+    along_y = _dft(chirped, cos_y, sin_y, m)
     del chirped
-    # along x: rows (re/im, y part, ky), columns (x part, kx >= 0)
-    mk = len(cos_y)
-    parts = _half_dft(along_y.reshape(field.width, -1), cos_x, sin_x).reshape(2, 2, mk, 2, mk)
+    far = _dft(along_y, cos_x, sin_x, m)
     del along_y
-    return IntensityGrid(m, m, kmax, _quadrants(parts, m), _owned=True)
+    return IntensityGrid(m, m, kmax, _squared_modulus(far), _owned=True)
 
 
 def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
@@ -315,9 +320,10 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
 
     With n = |l| and s = sign(l), (x + i s y)^n = sum_j C(n, j) x^j (i s y)^(n-j),
     and the Gaussian and the astigmatic chirp are separable, so the chirped
-    field is a sum of n + 1 outer products g_j(y) f_j(x) and its far field
-    the rank-(n + 1) product G^T F of their 1-D transforms, each the folded
-    real DFT of tilted_lens_pattern on the same window.  The beam is the real
+    field is a sum of n + 1 outer products g_j(y) f_j(x), and the pattern
+    is |G^T F|^2: G = DFT_y(g) and F = DFT_x(f) are the (n + 1, m) complex
+    _dft transforms of tilted_lens_pattern on the same window, and G^T F is
+    one complex GEMM of rank n + 1.  The beam is the real
     norm^2 (x^2 + y^2)^n exp(-2 x^2) exp(-2 y^2), the sum of n + 1
     nonnegative outer products C(n, j) x^2j exp(-2 x^2) y^2(n-j) exp(-2 y^2);
     the window is sized from its rms radius.  Charge, grid and astigmatism
@@ -344,51 +350,17 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     f = binomial * amp_x * np.exp(1j * astigmatism * x * x)[:, None]
     g = (np.array(unit) * (norm * (2.0 * extent / width) * (2.0 * extent / height))
          * amp_y * np.exp(-1j * astigmatism * y * y)[:, None])
-    # rows (j, re/im), columns (cos | sin part, k >= 0)
-    f_k = _half_dft(f.view(float), cos_x, sin_x)
-    g_k = _half_dft(g.view(float), cos_y, sin_y)
-    # the complex G^T F as one real GEMM, [[Re G, -Im G], [Im G, Re G]] [F],
-    # lands in the (re/im, y part, ky, x part, kx) layout of tilted_lens_pattern
-    mk, rank = len(cos_y), order + 1
-    g_re, g_im = g_k[0::2].T, g_k[1::2].T
-    lhs = np.empty((2, 2 * mk, rank, 2))
-    lhs[0, :, :, 0], lhs[0, :, :, 1] = g_re, -g_im
-    lhs[1, :, :, 0], lhs[1, :, :, 1] = g_im, g_re
-    parts = (lhs.reshape(4 * mk, 2 * rank) @ f_k).reshape(2, 2, mk, 2, mk)
+    far = _dft(g, cos_y, sin_y, m).T @ _dft(f, cos_x, sin_x, m)
     return (IntensityGrid(width, height, extent, beam, _owned=True),
-            IntensityGrid(m, m, kmax, _quadrants(parts, m), _owned=True))
+            IntensityGrid(m, m, kmax, _squared_modulus(far), _owned=True))
 
 
-def _quadrants(parts: np.ndarray, m: int) -> np.ndarray:
-    """The m x m far-field intensity from the folded transform's k >= 0 sums.
-
-    parts is the (re/im, cos/sin part in y, ky >= 0, cos/sin part in x,
-    kx >= 0) real array of the sums over y and x; it is overwritten.
-    """
-    # (re, im) stacks over (ky, kx): u, v take cos(kx x), p, q sin(kx x);
-    # u, p take cos(ky y), v, q sin(ky y).  Quadrant (+, +) is a - i c,
-    # (-, -) is a + i c, (+, -) is b - i d and (-, +) is b + i d.
-    u, v = parts[:, 0, :, 0], parts[:, 1, :, 0]
-    p, q = parts[:, 0, :, 1], parts[:, 1, :, 1]
-    b, d = u + q, v - p
-    a = np.subtract(u, q, out=u)
-    c = np.add(p, v, out=p)
-    lo = m // 2
-    out = np.empty((m, m))
-    # flipping a quadrant and dropping its k = 0 line gives the k < 0 side
-    out[lo:, lo:] = _squared_modulus(a[0] + c[1], a[1] - c[0])
-    out[:lo, :lo] = _squared_modulus(a[0] - c[1], a[1] + c[0])[::-1, ::-1][:lo, :lo]
-    out[lo:, :lo] = _squared_modulus(b[0] + d[1], b[1] - d[0])[:, ::-1][:, :lo]
-    out[:lo, lo:] = _squared_modulus(b[0] - d[1], b[1] + d[0])[::-1][:lo]
-    return out
-
-
-def _squared_modulus(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re^2 + im^2, computed in place in re and im."""
+def _squared_modulus(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of a complex array as re^2 + im^2, squaring z's parts in place."""
+    re, im = z.real, z.imag
     re *= re
     im *= im
-    re += im
-    return re
+    return re + im
 
 
 @dataclass(frozen=True)
@@ -477,6 +449,13 @@ def mode_image_filename(l: int, stage: str) -> str:
     return f"mode_l{checked_charges((l,))[0]}_{stage}.pgm"
 
 
+def checked_bit_depth(bit_depth) -> int:
+    """PGM bit depth as an int; anything but the integer 8 or 16 is an InputError."""
+    if is_integer(bit_depth) and bit_depth in (8, 16):
+        return int(bit_depth)
+    raise InputError(f"bit_depth must be 8 or 16, got {bit_depth!r}")
+
+
 def write_pgm(path, intensity, bit_depth: int = 16) -> None:
     """Write an intensity grid as binary PGM (P5), linearly mapped to [0, maxval].
 
@@ -485,12 +464,10 @@ def write_pgm(path, intensity, bit_depth: int = 16) -> None:
     arr = _intensity_values(intensity)
     if arr.ndim != 2:
         raise InputError(f"intensity must be 2-D, got shape {arr.shape}")
-    if bit_depth == 8:
+    if checked_bit_depth(bit_depth) == 8:
         maxval, dtype = 255, np.dtype(np.uint8)
-    elif bit_depth == 16:
-        maxval, dtype = 65535, np.dtype(">u2")
     else:
-        raise InputError(f"bit_depth must be 8 or 16, got {bit_depth!r}")
+        maxval, dtype = 65535, np.dtype(">u2")
     peak = float(arr.max())
     if peak <= 0.0:
         scaled = np.zeros(arr.shape, dtype=dtype)

@@ -17,7 +17,7 @@ from oamcv import (ChannelParams, InputError, LGModeSpec, MultiplexedState,
                    ReconstructionWarning, SqueezingSpec, ToolkitError, apply_channel, classify,
                    entanglement_death_eta, expected_variances, make_multiplexed, make_tmss,
                    reconstruct_cm, sampled_variances, validate)
-from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, PRESETS,
+from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, MAX_ETA_POINTS, PRESETS,
                        SWEEP_HEADER, SweepConfig, build_parser, eta_grid, main,
                        run_modes, run_sweep, run_thresholds, run_tomo)
 from oamcv.tomography import SETTINGS
@@ -246,6 +246,23 @@ class TestSweepConfig:
         assert eta_grid(SweepConfig()) == pytest.approx(np.arange(101) / 100)
         assert eta_grid(small_config())[-1] == 1.0
 
+    @pytest.mark.parametrize("step", [5e-324, 1e-12])
+    def test_eta_point_bound_fails_before_the_grid_is_built(self, step, monkeypatch, capsys):
+        # a subnormal step made the count inf (OverflowError); 1e-12 asks for 1e12 points
+        def refuse(config):
+            raise AssertionError("the eta grid must not be built")
+
+        monkeypatch.setattr(oamcv.cli, "eta_grid", refuse)
+        assert main(["sweep", "--charges", "0", "--eta-step", repr(step)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: eta step {step!r} from 0.0 to 1.0 "
+                                           f"gives more than {MAX_ETA_POINTS} grid points\n")
+
+    def test_eta_point_bound_is_inclusive(self):
+        # guard: a step of 1e-5 over [0, 1] is the largest grid allowed
+        assert len(eta_grid(SweepConfig(charges=(0,), eta_step=1e-5))) == MAX_ETA_POINTS
+        with pytest.raises(InputError, match="grid points$"):
+            SweepConfig(charges=(0,), eta_step=0.99999e-5)
+
 
 class TestRunSweep:
     def test_layout_and_endpoint(self, tmp_path):
@@ -423,6 +440,18 @@ class TestRunModes:
         with pytest.raises(InputError, match="distinct"):
             run_modes((1, 1), out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bit_depth", [16.0, 12, True, "16", None])
+    def test_bit_depth_checked_before_out_dir(self, bit_depth, tmp_path):
+        out = tmp_path / "images"
+        with pytest.raises(InputError) as exc:
+            run_modes((0, 1), out_dir=out, bit_depth=bit_depth)
+        assert str(exc.value) == f"bit_depth must be 8 or 16, got {bit_depth!r}"
+        assert not out.exists()
+
+    def test_numpy_bit_depth_is_an_integer(self, tmp_path):
+        run_modes((1,), out_dir=tmp_path, bit_depth=np.int64(8))
+        assert (tmp_path / "mode_l1_tilted.pgm").read_bytes().split(b"\n")[2] == b"255"
 
     @pytest.mark.parametrize("charges", [5, (0, True), (0, 1.0), (0, "1")])
     def test_charges_checked_as_in_sweep_config(self, charges, tmp_path):

@@ -10,6 +10,7 @@ from oamcv import (ChannelParams, Decibel, InputError, IntensityGrid, LGModeSpec
                    entanglement_death_eta, lg_field, linear_to_db, make_tmss, tilted_lens_pattern)
 from oamcv.cli import SweepConfig, run_modes
 from oamcv.gaussian import checked_delta, checked_eta, real_or_nan
+from oamcv.modes import checked_bit_depth
 from oamcv.tomography import checked_sampling
 from conftest import V_REF, VP_REF
 
@@ -66,6 +67,7 @@ INTEGER_OWNERS = {
     "IntensityGrid.height": (lambda x: IntensityGrid(8, x, 1.0, np.ones((8, 8))),
                              "bad grid geometry (8 x {!r}, extent 1.0)"),
     "LGModeSpec": (LGModeSpec, "charges must be integers, got {!r}"),
+    "checked_bit_depth": (checked_bit_depth, "bit_depth must be 8 or 16, got {!r}"),
 }
 
 
