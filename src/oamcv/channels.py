@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import InputError, UnphysicalStateError
 from .gaussian import (ChannelParams, CovarianceMatrix, ModePair, MultiplexedState, _finite_check,
-                       _from_pair, _invariants, as_cm, checked_delta, checked_eta, validate)
+                       _from_pair, _invariants, _raise_first, as_cm, checked_delta, checked_eta,
+                       validate)
 
 
 def apply_channel(cm, ch) -> CovarianceMatrix:
@@ -35,14 +36,12 @@ def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
     validate()), and eta and delta obey the ChannelParams rules.
     """
     cm = as_cm(cm)
-    grid = np.asarray(etas, dtype=object)
-    if grid.ndim != 1:
-        raise InputError(f"eta grid must be one-dimensional, got shape {grid.shape}")
-    etas = np.array([checked_eta(eta) for eta in grid.tolist()], dtype=float)
+    grid = etas.tolist() if isinstance(etas, np.ndarray) else etas
+    if not isinstance(grid, (list, tuple)):
+        raise InputError(f"eta grid must be a list of numbers, got {etas!r}")
+    etas = np.array([checked_eta(eta) for eta in grid], dtype=float)
     delta = checked_delta(delta)
-    infinite, error = _finite_check(*_invariants(cm.entries[None]))
-    if infinite[0]:
-        raise error(0)
+    _raise_first([_finite_check(*_invariants(cm.entries[None]))])
     report = validate(cm)
     if not report.ok:
         raise UnphysicalStateError(

@@ -38,8 +38,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import (_failures, _finite_check, _invariants, _well_formed, as_cm, as_spec,
-                       checked_delta, symplectic_eigenvalues)
+from .gaussian import (_failures, _finite_check, _invariants, _raise_first, _well_formed, as_cm,
+                       as_spec, checked_delta, checked_matrices, symplectic_eigenvalues)
 
 TOL_DECISION = 1e-9
 STEERING_CLASSES = ("two-way", "one-way-AB", "one-way-BA", "none")
@@ -118,8 +118,7 @@ def _ppt_route(cm, route: str, reads: int) -> float:
     """One matrix's PPT nu by one route, after the first `reads` PPT checks."""
     sigma = as_cm(cm).entries[None]
     routes, checks = _ppt_nu(sigma, _invariants(sigma))
-    for error in _failures(checks[:reads]).values():
-        raise error
+    _raise_first(checks[:reads])
     return float(routes[route][0])
 
 
@@ -204,7 +203,7 @@ def classify(cm) -> CriteriaReport:
     margin of 1 counts as not entangled (conservative certification) and is
     marked as boundary by describe().
     """
-    return classify_many(as_cm(cm).entries[None]).report(0)
+    return classify_many(checked_matrices(cm, 2)[None]).report(0)
 
 
 class CriteriaArrays(NamedTuple):
@@ -226,10 +225,7 @@ def _criteria(sigmas) -> tuple:
 
     A failing state's values are meaningless; its g are NaN.
     """
-    raw = np.asarray(sigmas, dtype=float)
-    if raw.ndim != 3 or raw.shape[1:] != (4, 4):
-        raise InputError(f"expected a stack of 4x4 matrices, got shape {raw.shape}")
-    sigma, malformed = _well_formed(raw)
+    sigma, malformed = _well_formed(checked_matrices(sigmas, 3))
     invariants = dt, det_sigma, det_a, det_b = _invariants(sigma)
     routes, ppt_checks = _ppt_nu(sigma, invariants)
     nu = routes["nu"]

@@ -21,6 +21,7 @@ from .errors import InputError, NumericalError, UnphysicalStateError
 MODE_ORDER = ("Xc", "Yc", "Xp", "Yp")
 
 SYMMETRY_TOL = 1e-9
+ASYMMETRY_TOL = 1e-6  # constructors and criteria symmetrize up to it, reject beyond
 PHYSICALITY_TOL = 1e-6
 
 # two-mode symplectic form, block diagonal of [[0, 1], [-1, 0]]
@@ -39,6 +40,11 @@ def is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def is_real(x) -> bool:
+    """True for an int, float or numpy real, but not for a bool: a number by the number rule."""
+    return isinstance(x, (float, np.floating)) or is_integer(x)
+
+
 def real_or_nan(x) -> float:
     """The number rule: an int, float or numpy real (not a bool) as a float; anything else NaN.
 
@@ -46,12 +52,38 @@ def real_or_nan(x) -> float:
     float range is +-inf.  Every range test of a caller's number is False
     on NaN, so each owner rejects a non-number with its own error text.
     """
-    if not (isinstance(x, (float, np.floating)) or is_integer(x)):
+    if not is_real(x):
         return math.nan
     try:
         return float(x)
     except OverflowError:  # an int beyond float range
         return math.inf if x > 0 else -math.inf
+
+
+def real_array(obj, dtype=float) -> np.ndarray:
+    """The array rule: obj as a float or complex array; a numeric numpy array converts whole.
+
+    That conversion returns obj itself if it has dtype already, so an owner
+    that keeps the array copies it.  Anything else is read by _entries, entry
+    by entry, through the number rule.
+    """
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in ("iufc" if dtype is complex else "iuf"):
+        return np.asarray(obj, dtype=dtype)
+    return np.asarray(_entries(obj, dtype), dtype=dtype)
+
+
+def _entries(obj, dtype):
+    """A number (or complex, for dtype=complex), or equal-shaped rows; else InputError naming it."""
+    if is_real(obj):
+        return real_or_nan(obj)  # an int beyond float range is +-inf
+    if dtype is complex and isinstance(obj, (complex, np.complexfloating)):
+        return obj
+    rows = obj.tolist() if isinstance(obj, np.ndarray) else obj  # bools, text, objects
+    if isinstance(rows, (list, tuple)):
+        rows = [real_array(row, dtype) for row in rows]
+        if len({row.shape for row in rows}) < 2:  # not ragged
+            return np.array(rows, dtype=dtype)
+    raise InputError(f"array entries must be numbers, got {obj!r}")
 
 
 @dataclass(frozen=True)
@@ -193,15 +225,8 @@ class CovarianceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        try:
-            m = np.array(self.entries, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"covariance matrix entries must be numbers: {exc}") from exc
-        if m.shape != (4, 4):
-            raise InputError(f"covariance matrix must be 4x4, got shape {m.shape}")
-        sigma, (malformed, error) = _well_formed(m[None])
-        if malformed[0]:
-            raise error(0)
+        sigma, malformed = _well_formed(checked_matrices(self.entries, 2)[None])
+        _raise_first([malformed])
         m = sigma[0]
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -252,6 +277,18 @@ def as_spec(obj) -> SqueezingSpec:
     return _from_pair(SqueezingSpec, obj, "a source spec must be a SqueezingSpec or a (v, vp) pair")
 
 
+def checked_matrices(obj, ndim=None) -> np.ndarray:
+    """The shape rule: real_array(obj) as 4x4 matrices with ndim axes if given; else InputError.
+
+    ndim 2 is one matrix, 3 an (N, 4, 4) stack; a CovarianceMatrix gives its entries.
+    """
+    m = obj.entries if isinstance(obj, CovarianceMatrix) else real_array(obj)
+    if m.shape[-2:] != (4, 4) or ndim not in (None, m.ndim):
+        expected = {2: "a 4x4 matrix", 3: "an (N, 4, 4) stack"}.get(ndim, "a (..., 4, 4) stack")
+        raise InputError(f"covariance entries must be {expected}, got shape {m.shape}")
+    return m
+
+
 def symplectic_eigenvalues(matrix) -> np.ndarray:
     """The two symplectic eigenvalues of a 4x4 CM, ascending; (nan, nan) if it is not PD.
 
@@ -259,7 +296,7 @@ def symplectic_eigenvalues(matrix) -> np.ndarray:
     i Omega sigma, so its eigenvalues are -nu2, -nu1, nu1, nu2 (Williamson
     1936).  A stack of shape (..., 4, 4) gives one pair per matrix, (..., 2).
     """
-    m = matrix.entries if isinstance(matrix, CovarianceMatrix) else np.asarray(matrix, dtype=float)
+    m = checked_matrices(matrix)
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:  # one matrix that is not PD fails the whole stack
@@ -275,11 +312,11 @@ def symplectic_eigenvalues(matrix) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _well_formed(raw: np.ndarray) -> tuple:
-    """Symmetrized stack and the malformed check (entries not finite, asymmetry beyond 1e-6)."""
+    """Symmetrized stack and the malformed check: entries not finite, asymmetry > ASYMMETRY_TOL."""
     transposed = raw.swapaxes(1, 2)
     finite = np.isfinite(raw).all(axis=(1, 2))
     defect = np.abs(raw - transposed).max(axis=(1, 2))
-    malformed = ~finite | (defect > 1e-6)
+    malformed = ~finite | (defect > ASYMMETRY_TOL)
     # the identity in place of a malformed matrix keeps the later stages finite
     sigma = np.where(malformed[:, None, None], np.eye(4), (raw + transposed) / 2.0)
     return sigma, (malformed, lambda i: InputError(
@@ -311,6 +348,12 @@ def _failures(checks: list) -> dict:
     return {i: checks[first[i]][1](i) for i in np.flatnonzero(masks.any(axis=0)).tolist()}
 
 
+def _raise_first(checks: list) -> None:
+    """Raise the error _failures gives the first failing state, if any state fails a check."""
+    if any(mask.any() for mask, _ in checks):
+        raise next(iter(_failures(checks).values()))
+
+
 @dataclass(frozen=True)
 class ValidityReport:
     """Symmetry and physicality diagnostics of a candidate covariance matrix."""
@@ -326,14 +369,12 @@ class ValidityReport:
 
 
 def validate(candidate) -> ValidityReport:
-    """Check symmetry (tol 1e-9), and physicality: PD plus the uncertainty bound (tol 1e-6).
+    """Check symmetry (SYMMETRY_TOL) and physicality: PD plus the uncertainty bound (tol 1e-6).
 
     Accepts a CovarianceMatrix or any real 4x4 array and always returns a
     report; min_symplectic is nan for a matrix that is not PD, so it is unphysical.
     """
-    m = candidate.entries if isinstance(candidate, CovarianceMatrix) else np.asarray(candidate, dtype=float)
-    if m.shape != (4, 4):
-        raise InputError(f"candidate must be 4x4, got shape {m.shape}")
+    m = checked_matrices(candidate, 2)
     if not np.all(np.isfinite(m)):
         return ValidityReport(math.inf, math.nan, False, False)
     defect = float(np.max(np.abs(m - m.T)))

@@ -28,7 +28,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .errors import InputError, ResolutionError
-from .gaussian import checked_charges, is_integer, real_or_nan
+from .gaussian import checked_charges, is_integer, real_array, real_or_nan
 
 MAX_ABS_CHARGE = 16
 MIN_PIXELS_PER_WAIST = 8
@@ -66,18 +66,10 @@ class FieldGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        width, height, extent = _checked_geometry(self.width, self.height, self.extent)
-        values = np.array(self.values, dtype=complex)
-        if values.shape != (height, width):
-            raise InputError(f"values shape {values.shape} does not match "
-                             f"(height, width) = ({height}, {width})")
+        values = real_array(self.values, complex).copy()
         if not np.all(np.isfinite(values)):
             raise InputError("field values must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "values", values)
+        _set_grid(self, values)
 
     @property
     def dx(self) -> float:
@@ -111,6 +103,17 @@ class FieldGrid:
         return intensity
 
 
+def _set_grid(grid, values: np.ndarray) -> None:
+    """Set a grid's checked geometry and its values, which must be (height, width), read-only."""
+    width, height, extent = _checked_geometry(grid.width, grid.height, grid.extent)
+    if values.shape != (height, width):
+        raise InputError(f"values shape {values.shape} does not match "
+                         f"(height, width) = ({height}, {width})")
+    values.flags.writeable = False
+    for name, value in dict(width=width, height=height, extent=extent, values=values).items():
+        object.__setattr__(grid, name, value)
+
+
 def _checked_geometry(width, height, extent) -> tuple:
     """(width, height, extent): 2 to MAX_GRID_SIDE pixels a side, extent finite and > 0."""
     value = real_or_nan(extent)
@@ -141,25 +144,22 @@ class IntensityGrid:
     _owned: InitVar[bool] = False
 
     def __post_init__(self, _owned):
-        width, height, extent = _checked_geometry(self.width, self.height, self.extent)
-        values = (np.asarray if _owned else np.array)(self.values, dtype=float)
-        if values.shape != (height, width):
-            raise InputError(f"values shape {values.shape} does not match grid")
-        _intensity_values(values)
-        values.flags.writeable = False
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "values", values)
+        values = _intensity_values(self.values, 1)
+        _set_grid(self, values if _owned else values.copy())
 
 
-def _intensity_values(intensity) -> np.ndarray:
-    """The values of an IntensityGrid, checked when it was built, or of an array, checked here."""
+def _intensity_values(intensity, min_side: int) -> np.ndarray:
+    """The values of an IntensityGrid, checked when it was built, or of an array, checked here;
+    either must be a 2-D grid of at least min_side pixels a side."""
     if isinstance(intensity, IntensityGrid):
-        return intensity.values
-    values = np.asarray(intensity, dtype=float)
-    if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-        raise InputError("intensity values must be finite and nonnegative")
+        values = intensity.values
+    else:
+        values = real_array(intensity)
+        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+            raise InputError("intensity values must be finite and nonnegative")
+    if values.ndim != 2 or min(values.shape) < min_side:
+        raise InputError(f"intensity must be a 2-D grid of at least {min_side}x{min_side} pixels, "
+                         f"got shape {values.shape}")
     return values
 
 
@@ -422,9 +422,7 @@ def count_dark_stripes(intensity) -> StripeCount:
     and fixes the orientation sign.  Inputs without 2:1 peak-to-mean
     contrast are flagged indeterminate.
     """
-    arr = _intensity_values(intensity)
-    if arr.ndim != 2 or min(arr.shape) < 8:
-        raise InputError(f"intensity must be a 2-D grid of at least 8x8 pixels, got {arr.shape}")
+    arr = _intensity_values(intensity, 8)
     peak = float(arr.max())
     if peak <= 0.0 or peak < MIN_CONTRAST * float(arr.mean()):
         return StripeCount(0, 0, True)
@@ -461,9 +459,7 @@ def write_pgm(path, intensity, bit_depth: int = 16) -> None:
 
     16-bit samples are stored big-endian as the netpbm format requires.
     """
-    arr = _intensity_values(intensity)
-    if arr.ndim != 2:
-        raise InputError(f"intensity must be 2-D, got shape {arr.shape}")
+    arr = _intensity_values(intensity, 1)
     if checked_bit_depth(bit_depth) == 8:
         maxval, dtype = 255, np.dtype(np.uint8)
     else:

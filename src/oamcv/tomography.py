@@ -19,8 +19,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, _physical, _well_formed, as_cm, db_to_linear, is_integer,
-                       linear_to_db, real_or_nan, symplectic_eigenvalues, validate)
+from .gaussian import (CovarianceMatrix, _physical, _raise_first, _well_formed, as_cm,
+                       checked_matrices, db_to_linear, is_integer, linear_to_db, real_array,
+                       real_or_nan, symplectic_eigenvalues, validate)
 
 SETTINGS = ("Xc", "Yc", "Xp", "Yp", "Xdiff", "Ysum")
 
@@ -58,6 +59,15 @@ def _positive_variances(sigmas: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"variance of {SETTINGS[index[-1]]} is not positive: {float(variances[index])!r}")
     return variances
+
+
+def _simulable(raw: np.ndarray) -> np.ndarray:
+    """The six variances of each state of a stack: well formed, physical, positive, else raises."""
+    sigmas, malformed = _well_formed(raw)
+    nu_min = symplectic_eigenvalues(sigmas)[:, 0]
+    _raise_first([malformed, (~_physical(nu_min), lambda i: UnphysicalStateError(
+        f"cannot simulate an unphysical state (min symplectic {nu_min[i]:.6g}, state {i})"))])
+    return _positive_variances(sigmas)
 
 
 def _child_seeds(seed: int) -> list:
@@ -130,7 +140,7 @@ class SampleBatch:
 
     def __post_init__(self):
         _setting_index(self.setting)
-        samples = np.array(self.samples, dtype=float)
+        samples = real_array(self.samples).copy()
         if samples.ndim != 1 or samples.size < 2:
             raise InputError("a batch needs at least 2 scalar samples")
         if not np.all(np.isfinite(samples)):
@@ -163,13 +173,8 @@ def simulate_measurements(cm, n_per_setting: int, seed) -> tuple:
     batches are mutually independent, reproducible individually from their
     recorded seed, and safe to sample in parallel.
     """
-    cm = as_cm(cm)
-    report = validate(cm)
-    if not report.ok:
-        raise UnphysicalStateError(
-            f"cannot simulate an unphysical state (min symplectic {report.min_symplectic:.6g})")
+    variances = _simulable(checked_matrices(cm, 2)[None])[0].tolist()
     n, seed = checked_sampling(n_per_setting, seed)
-    variances = _positive_variances(cm.entries).tolist()
     batches = []
     for setting, true_var, child in zip(SETTINGS, variances, _child_seeds(seed)):
         rng = np.random.default_rng(child)
@@ -217,28 +222,15 @@ def sampled_variances(sigmas, n_per_setting: int, seeds) -> list:
     reproducible from its own seed; the draws differ from the sample path's.
     Standard errors are those of variances_from_batches.
     """
-    try:
-        raw = np.array(sigmas, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"covariance matrix entries must be numbers: {exc}") from exc
-    if raw.ndim != 3 or raw.shape[1:] != (4, 4):
-        raise InputError(f"states must be an (N, 4, 4) stack, got shape {raw.shape}")
+    raw = checked_matrices(sigmas, 3)
     n, _ = checked_sampling(n_per_setting, 0)  # the seeds are checked one by one
     seeds = [checked_seed(seed) for seed in seeds]
     if len(seeds) != len(raw):
         raise InputError(f"{len(raw)} states need {len(raw)} seeds, got {len(seeds)}")
-    sigmas, (malformed, error) = _well_formed(raw)
-    if malformed.any():
-        raise error(int(np.argmax(malformed)))
-    nu_min = symplectic_eigenvalues(sigmas)[:, 0]
-    if not (physical := _physical(nu_min)).all():
-        i = int(np.argmin(physical))
-        raise UnphysicalStateError(
-            f"cannot simulate an unphysical state (min symplectic {nu_min[i]:.6g}, state {i})")
     shape = (n - 1) / 2.0
     errs = (_stderr_db(n),) * len(SETTINGS)
     measured = []
-    for variances, seed in zip(_positive_variances(sigmas).tolist(), seeds):
+    for variances, seed in zip(_simulable(raw).tolist(), seeds):
         draws = [np.random.default_rng(child).standard_gamma(shape) * var / shape
                  for var, child in zip(variances, _child_seeds(seed))]
         if not all(draw > 0.0 for draw in draws):

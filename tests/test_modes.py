@@ -382,3 +382,10 @@ class TestPgm:
     def test_rejects_bad_depth(self, tmp_path):
         with pytest.raises(InputError):
             write_pgm(tmp_path / "x.pgm", np.ones((8, 8)), bit_depth=12)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_rejects_an_empty_side_before_opening_the_file(self, tmp_path, shape):
+        path = tmp_path / "empty.pgm"
+        with pytest.raises(InputError, match=r"^intensity must be a 2-D grid of at least 1x1 "):
+            write_pgm(path, np.zeros(shape))
+        assert not path.exists()

@@ -1,15 +1,18 @@
-"""The number rule: one decision of what a real number is, read by every scalar owner."""
+"""The number rule: one decision of what a real number is, read by every scalar and array owner."""
 
 import math
 
 import numpy as np
 import pytest
 
-from oamcv import (ChannelParams, Decibel, InputError, IntensityGrid, LGModeSpec, SampleBatch,
-                   SqueezingSpec, VarianceSet, apply_channel, apply_channel_grid,
-                   entanglement_death_eta, lg_field, linear_to_db, make_tmss, tilted_lens_pattern)
+from oamcv import (ChannelParams, CovarianceMatrix, Decibel, FieldGrid, InputError, IntensityGrid,
+                   LGModeSpec, MultiplexedState, SampleBatch, SqueezingSpec, VarianceSet,
+                   apply_channel, apply_channel_grid, classify, classify_many, count_dark_stripes,
+                   entanglement_death_eta, lg_field, linear_to_db, make_tmss, sampled_variances,
+                   symplectic_eigenvalues, tilted_lens_pattern, validate, write_pgm)
+from oamcv import gaussian
 from oamcv.cli import SweepConfig, run_modes
-from oamcv.gaussian import checked_delta, checked_eta, real_or_nan
+from oamcv.gaussian import checked_delta, checked_eta, real_array, real_or_nan
 from oamcv.modes import checked_bit_depth
 from oamcv.tomography import checked_sampling
 from conftest import V_REF, VP_REF
@@ -68,6 +71,68 @@ INTEGER_OWNERS = {
                              "bad grid geometry (8 x {!r}, extent 1.0)"),
     "LGModeSpec": (LGModeSpec, "charges must be integers, got {!r}"),
     "checked_bit_depth": (checked_bit_depth, "bit_depth must be 8 or 16, got {!r}"),
+}
+
+# a physical covariance matrix with integer entries, exact as float32 too
+CM_INT = np.array([[3, 0, 2, 0], [0, 3, 0, -2], [2, 0, 3, 0], [0, -2, 0, 3]])
+
+
+def cm_json(matrix) -> dict:
+    return {"order": ["Xc", "Yc", "Xp", "Yp"], "matrix": matrix}
+
+
+# every owner of a caller's array: a call on (array, tmp_path) giving a comparable
+# result, and a valid integer array for it
+ARRAY_OWNERS = {
+    "CovarianceMatrix": (lambda a, _: CovarianceMatrix(a).entries.tolist(), CM_INT),
+    "CovarianceMatrix.from_json_dict": (
+        lambda a, _: CovarianceMatrix.from_json_dict(cm_json(a)).entries.tolist(), CM_INT),
+    "MultiplexedState.from_json_dict": (
+        lambda a, _: MultiplexedState.from_json_dict({"pairs": {"1": {
+            "spec": {"v": 1.0, "vp": 5.0}, "cm": cm_json(a)}}})[1].cm.entries.tolist(), CM_INT),
+    "validate": (lambda a, _: validate(a), CM_INT),
+    "symplectic_eigenvalues": (lambda a, _: symplectic_eigenvalues(a).tolist(), CM_INT),
+    "classify": (lambda a, _: classify(a), CM_INT),
+    "classify_many": (lambda a, _: [classify_many(a).report(i) for i in range(2)],
+                      np.array([CM_INT, 2 * CM_INT])),
+    "sampled_variances": (lambda a, _: sampled_variances(a, 10, [0, 1]),
+                          np.array([CM_INT, 2 * CM_INT])),
+    "SampleBatch": (lambda a, _: SampleBatch("Xc", a, 0).samples.tolist(), np.array([1, -2, 3])),
+    "FieldGrid": (lambda a, _: FieldGrid(4, 4, 1.0, a).values.tolist(),
+                  np.arange(16).reshape(4, 4) - 8),
+    "IntensityGrid": (lambda a, _: IntensityGrid(8, 8, 1.0, a).values.tolist(),
+                      np.arange(64).reshape(8, 8)),
+    "count_dark_stripes": (lambda a, _: count_dark_stripes(a), np.arange(64).reshape(8, 8)),
+    "write_pgm": (lambda a, path: write_pgm(path / "x.pgm", a) or (path / "x.pgm").read_bytes(),
+                  np.arange(64).reshape(8, 8)),
+}
+# the owners of real arrays; FieldGrid reads complex values
+REAL_ARRAY_OWNERS = sorted(set(ARRAY_OWNERS) - {"FieldGrid"})
+
+
+def with_first_entry(good, value):
+    """good as nested lists, its first entry replaced by value."""
+    rows = inner = good.tolist()
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = value
+    return rows
+
+
+def ragged(good):
+    """good as nested lists whose last row is one entry short (in 1-D: a list)."""
+    rows = good.tolist()
+    rows[-1] = rows[-1][:-1] if isinstance(rows[-1], list) else [rows[-1]]
+    return rows
+
+
+# numeric text, a bool, null, a ragged list and a grid object in place of an array
+NOT_ARRAYS = {
+    "text": lambda good: with_first_entry(good, str(good.flat[0])),
+    "bool": lambda good: with_first_entry(good, True),
+    "none": lambda good: with_first_entry(good, None),
+    "ragged": ragged,
+    "FieldGrid": lambda good: FIELD,
 }
 
 
@@ -141,6 +206,11 @@ class TestLists:
                 build()
             assert str(exc.value) == f"specs must map charges to specs, got {specs!r}"
 
+    @pytest.mark.parametrize("etas", [0.5, "05", np.array(0.5), [np.eye(2), [1, 2]]])
+    def test_eta_grid_is_a_list_of_etas(self, etas):
+        with pytest.raises(InputError, match=r"^eta (grid must be a list of numbers|must lie in)"):
+            apply_channel_grid(SOURCE, etas)
+
     def test_pairs_and_numpy_reals_are_accepted(self):
         # guard: lists, tuples and numpy numbers are still read as before
         config = SweepConfig(specs={0: [0.5, np.float32(3.0)]}, charges=(0,),
@@ -156,3 +226,82 @@ class TestLists:
         with pytest.raises(InputError, match="^astigmatism strength must be positive, got '2'$"):
             run_modes([1], astigmatism="2", out_dir=tmp_path / "images")
         assert not (tmp_path / "images").exists()
+
+
+class TestRealArray:
+    def test_numeric_arrays_convert_whole(self):
+        values = np.array([[0.1, -2.5], [1e-300, 7.0]])
+        assert real_array(values) is values
+        assert real_array(values.astype(np.float32)).dtype == float
+        assert real_array(np.array([1 + 2j]), complex).tolist() == [1 + 2j]
+
+    def test_a_sample_batch_copies_the_caller_array(self):
+        # the grids' copies are checked in test_modes
+        samples = np.array([0.5, -0.5])
+        batch = SampleBatch("Xc", samples, 0)
+        samples[0] = 5.0
+        assert samples.flags.writeable and batch.samples[0] == 0.5
+
+    @pytest.mark.parametrize("obj, values", [
+        ([[1, 2.5], (np.int64(3), np.float32(0.5))], [[1.0, 2.5], [3.0, 0.5]]),
+        ([10 ** 400, -10 ** 400], [math.inf, -math.inf]), ([], []), (2, 2.0)])
+    def test_lists_are_read_entry_by_entry(self, obj, values):
+        out = real_array(obj)
+        assert out.dtype == float and out.tolist() == values
+
+    def test_complex_entries_are_numbers_only_for_a_complex_array(self):
+        assert real_array([1, 2j, np.complex64(3)], complex).tolist() == [1, 2j, 3]
+        with pytest.raises(InputError, match=r"^array entries must be numbers, got 2j$"):
+            real_array([1, 2j])
+
+    @pytest.mark.parametrize("obj, named", [
+        ([[1.0, "x"], [None, 2.0]], "'x'"), (np.array([0.5, False], dtype=object), "False"),
+        ([[1.0, 2.0], [3.0]], "[[1.0, 2.0], [3.0]]"), (np.array(["1"]), "'1'"),
+        ({"a": 1}, "{'a': 1}")])
+    def test_the_first_bad_entry_is_named(self, obj, named):
+        with pytest.raises(InputError) as exc:
+            real_array(obj)
+        assert str(exc.value) == f"array entries must be numbers, got {named}"
+
+
+@pytest.mark.parametrize("bad", sorted(NOT_ARRAYS))
+@pytest.mark.parametrize("owner", sorted(ARRAY_OWNERS))
+def test_every_array_owner_rejects_non_numbers(owner, bad, tmp_path):
+    call, good = ARRAY_OWNERS[owner]
+    with pytest.raises(InputError, match="must be numbers"):
+        call(NOT_ARRAYS[bad](good), tmp_path)
+
+
+@pytest.mark.parametrize("owner", REAL_ARRAY_OWNERS)
+def test_every_real_array_owner_rejects_complex_entries(owner, tmp_path):
+    call, good = ARRAY_OWNERS[owner]
+    for bad in (with_first_entry(good, complex(good.flat[0])), good + 0j):
+        with pytest.raises(InputError, match="must be numbers"):
+            call(bad, tmp_path)
+
+
+@pytest.mark.parametrize("owner", sorted(ARRAY_OWNERS))
+def test_int_lists_and_numpy_arrays_read_as_float64(owner, tmp_path):
+    call, good = ARRAY_OWNERS[owner]
+    expected = call(good.astype(np.float64), tmp_path)
+    for same in (good.tolist(), good.astype(np.int32), good, good.astype(np.float32)):
+        assert call(same, tmp_path) == expected
+
+
+def test_field_grid_reads_complex_values():
+    values = np.arange(16).reshape(4, 4) + 1j
+    assert np.array_equal(FieldGrid(4, 4, 1.0, values.tolist()).values, values)
+
+
+def test_float64_arrays_skip_the_entry_reader(monkeypatch):
+    # guard: the whole-array path reads no entry one at a time
+    def refuse(*args):
+        raise AssertionError("read entry by entry")
+
+    monkeypatch.setattr(gaussian, "_entries", refuse)
+    stack = np.array([CM_INT, 2 * CM_INT], dtype=float)
+    assert classify_many(stack).nu.shape == (2,)
+    assert len(sampled_variances(stack, 10, [0, 1])) == 2
+    assert np.array_equal(CovarianceMatrix(stack[0]).entries, stack[0])
+    with pytest.raises(AssertionError, match="read entry by entry"):
+        CovarianceMatrix(stack[0].tolist())

@@ -93,6 +93,21 @@ class TestSimulateMeasurements:
         with pytest.raises(UnphysicalStateError, match=r"min symplectic nan"):
             simulate_measurements(m, 100, seed=0)
 
+    @pytest.mark.parametrize("m", [
+        *INDEFINITE, np.diag([0.5, 0.5, 0.5, 0.5]), np.diag([1.0, 1.0, 1.0, math.inf]),
+        np.eye(4) + np.diag([0.5, 0.0, 0.0], 1), [["1"] * 4] * 4,
+        [[10 ** 400, 0, 0, 0], *np.eye(4)[1:]]],
+        ids=["indefinite-diag", "indefinite-mixed", "unphysical", "infinite", "asymmetric",
+             "text", "huge-int"])
+    def test_sample_and_chi2_paths_reject_a_state_alike(self, m):
+        # one stacked check serves simulate_measurements and sampled_variances
+        with pytest.raises(InputError) as sample:
+            simulate_measurements(m, 100, seed=0)
+        with pytest.raises(InputError) as chi2:
+            sampled_variances([m], 100, [0])
+        assert type(sample.value) is type(chi2.value)
+        assert str(sample.value) == str(chi2.value)
+
 
 class TestVariancesFromBatches:
     def test_vacuum_near_zero_db(self):
