@@ -350,7 +350,7 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 and huge ints are ValueErrors
             raise InputError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise InputError(f"config file {args.config} must hold a JSON object")

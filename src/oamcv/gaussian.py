@@ -318,7 +318,7 @@ def _well_formed(raw: np.ndarray) -> tuple:
     defect = np.abs(raw - transposed).max(axis=(1, 2))
     malformed = ~finite | (defect > ASYMMETRY_TOL)
     # the identity in place of a malformed matrix keeps the later stages finite
-    sigma = np.where(malformed[:, None, None], np.eye(4), (raw + transposed) / 2.0)
+    sigma = np.where(malformed[:, None, None], np.eye(4), raw / 2.0 + transposed / 2.0)
     return sigma, (malformed, lambda i: InputError(
         f"matrix is not symmetric (max |s_ij - s_ji| = {float(defect[i]):.3g})" if finite[i]
         else "covariance matrix entries must be finite"))
@@ -378,7 +378,7 @@ def validate(candidate) -> ValidityReport:
     if not np.all(np.isfinite(m)):
         return ValidityReport(math.inf, math.nan, False, False)
     defect = float(np.max(np.abs(m - m.T)))
-    nu_min = float(symplectic_eigenvalues((m + m.T) / 2.0)[0])
+    nu_min = float(symplectic_eigenvalues(m / 2.0 + m.T / 2.0)[0])
     return ValidityReport(defect, nu_min, defect <= SYMMETRY_TOL, _physical(nu_min))
 
 

@@ -2,8 +2,8 @@
 
 Grid coordinates are measured in beam-waist units (the waist is 1 in grid
 coordinates), with pixels centered symmetrically on the optical axis.
-Fields are synthesized without trigonometry, from an integer power of
-x + i y and a separable Gaussian.
+A p = 0 mode's amplitude is synthesized without trigonometry, as the
+rank-(|l| + 1) sum of separable factors that _lg_factors builds.
 The tilted lens is modeled as a pure astigmatic phase followed by a
 far-field Fourier transform onto a k-space window sized from the beam.  One
 1-D transform, _dft, gives the whole window as a complex array; it folds
@@ -21,13 +21,12 @@ factors per axis, and never builds the complex field.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import InputError, ResolutionError
+from .errors import InputError, NumericalError, ResolutionError
 from .gaussian import checked_charges, is_integer, real_array, real_or_nan
 
 MAX_ABS_CHARGE = 16
@@ -93,14 +92,8 @@ class FieldGrid:
         return float(np.sum(self.intensity()) * self.dx * self.dy)
 
     def intensity(self) -> np.ndarray:
-        return self._intensity
-
-    @functools.cached_property
-    def _intensity(self) -> np.ndarray:
-        """|amplitude|^2 per pixel, computed once per grid, read-only."""
-        intensity = np.abs(self.values) ** 2
-        intensity.flags.writeable = False
-        return intensity
+        """|amplitude|^2 per pixel."""
+        return np.abs(self.values) ** 2
 
 
 def _set_grid(grid, values: np.ndarray) -> None:
@@ -177,20 +170,13 @@ def lg_field(spec, width: int = 512, height: int = 512, extent: float = 6.0) -> 
     With r in waist units, the amplitude is proportional to
     (sqrt(2) r)^{|l|} exp(-r^2) exp(i l phi) with the analytic normalization
     2/(pi |l|!), so the discrete power equals 1 up to quadrature error.
-    extent is the grid half-width in waist units.  The field is built without trigonometry:
-    r^{|l|} exp(i l phi) is the integer power (x + i sign(l) y)^{|l|}, and
-    exp(-r^2) the outer product exp(-y^2) (x) exp(-x^2).
+    extent is the grid half-width in waist units.  The field is the one
+    complex rank-(|l| + 1) product of the separable factors of _lg_factors.
     """
     spec, width, height, extent = _checked_mode(spec, width, height, extent)
-    x, y = _pixel_axis(width, extent), _pixel_axis(height, extent)
-    order = abs(spec.l)
-    amp = x + 1j * math.copysign(1.0, spec.l) * y[:, None]
-    np.power(amp, order, out=amp)
-    # real factors scale the float view, two multiplies per value instead of four
-    parts = amp.view(float).reshape(height, width, 2)
-    parts *= (_lg_norm(order) * np.exp(-y * y))[:, None, None]
-    parts *= np.exp(-x * x)[:, None]
-    return FieldGrid(width, height, extent, amp)
+    amp_x, amp_y, binomial, unit, norm = _lg_factors(
+        spec, _pixel_axis(width, extent), _pixel_axis(height, extent))
+    return FieldGrid(width, height, extent, (unit * norm * amp_y) @ (binomial * amp_x).T)
 
 
 def _checked_mode(spec, width, height, extent) -> tuple:
@@ -201,9 +187,23 @@ def _checked_mode(spec, width, height, extent) -> tuple:
     return spec, width, height, extent
 
 
-def _lg_norm(order: int) -> float:
-    """Amplitude scale sqrt(2/(pi n!)) sqrt(2)^n of the unit-power p = 0 mode of order n = |l|."""
-    return math.sqrt(2.0 / (math.pi * math.factorial(order))) * math.sqrt(2.0) ** order
+def _lg_factors(spec, x: np.ndarray, y: np.ndarray) -> tuple:
+    """(amp_x, amp_y, binomial, unit, norm): the separable factors of spec's p = 0 amplitude.
+
+    With n = |l| and s = sign(l), r^n exp(i l phi) exp(-r^2) is
+    (x + i s y)^n exp(-x^2) exp(-y^2) = sum_j C(n, j) (i s)^(n-j) x^j y^(n-j) exp(-x^2) exp(-y^2),
+    so the amplitude is norm (unit amp_y) (binomial amp_x)^T: column j of
+    amp_x holds x^j exp(-x^2), of amp_y y^(n-j) exp(-y^2); binomial[j] is
+    C(n, j), unit[j] (i s)^(n-j), and norm sqrt(2/(pi n!)) sqrt(2)^n.
+    """
+    order = abs(spec.l)
+    powers = np.arange(order + 1)
+    binomial = np.array([math.comb(order, j) for j in range(order + 1)], dtype=float)
+    amp_x = x[:, None] ** powers * np.exp(-x * x)[:, None]
+    amp_y = y[:, None] ** powers[::-1] * np.exp(-y * y)[:, None]
+    unit = np.array([(1j * math.copysign(1.0, spec.l)) ** p for p in range(order, -1, -1)])
+    norm = math.sqrt(2.0 / (math.pi * math.factorial(order))) * math.sqrt(2.0) ** order
+    return amp_x, amp_y, binomial, unit, norm
 
 
 def _k_window(m: int, kmax: float) -> np.ndarray:
@@ -258,17 +258,20 @@ def _dft(z: np.ndarray, cos: np.ndarray, sin: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _rms_radius(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Intensity-weighted rms distance from the axis, from the row and column marginals."""
+def _k_max(astigmatism: float, weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Far-field window half-width 2 (a + 1) (r + 2), r the rms radius of weights on x, y;
+    a NumericalError if it, k t or the chirp phase a t^2 would overflow on the grid."""
     total = weights.sum()
-    if total <= 0.0:
-        raise InputError("field carries no power")
-    return math.sqrt(float(weights.sum(axis=1) @ y ** 2 + weights.sum(axis=0) @ x ** 2) / total)
-
-
-def _k_max(astigmatism: float, rms_radius: float) -> float:
-    """Half-width of the far-field window, wide enough to resolve the lobes."""
-    return 2.0 * (astigmatism + 1.0) * (rms_radius + 2.0)
+    if not 0.0 < total < math.inf:
+        raise InputError(f"field intensity sum must be positive and finite, got {float(total)!r}")
+    # the rms distance from the axis, from the row and column marginals
+    radius = math.sqrt(float(weights.sum(axis=1) @ y ** 2 + weights.sum(axis=0) @ x ** 2) / total)
+    kmax = 2.0 * (astigmatism + 1.0) * (radius + 2.0)
+    # the window steps by 2 kmax/(m - 1), |k t| < 2 kmax |t| and a t^2 <= (a edge) edge
+    edge = max(float(x[-1]), float(y[-1]))
+    if not (math.isfinite(2.0 * kmax * edge) and math.isfinite(astigmatism * edge * edge)):
+        raise NumericalError(f"astigmatism {astigmatism!r} overflows the far-field window")
+    return kmax
 
 
 def checked_astigmatism(astigmatism) -> float:
@@ -299,7 +302,7 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     astigmatism = checked_astigmatism(astigmatism)
     _check_resolution(field.width, field.height, field.extent)
     x, y = field.x, field.y
-    kmax = _k_max(astigmatism, _rms_radius(field.intensity(), x, y))
+    kmax = _k_max(astigmatism, field.intensity(), x, y)
     m = max(field.width, field.height)
     (cos_x, sin_x), (cos_y, sin_y) = _axis_phasors(_k_window(m, kmax), x, y)
     chirped = field.values * (field.dx * field.dy * np.exp(-1j * astigmatism * y * y))[:, None]
@@ -318,8 +321,8 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     """(beam, pattern): the intensity of lg_field(spec, width, height, extent)
     and its tilted_lens_pattern(..., astigmatism), without building the field.
 
-    With n = |l| and s = sign(l), (x + i s y)^n = sum_j C(n, j) x^j (i s y)^(n-j),
-    and the Gaussian and the astigmatic chirp are separable, so the chirped
+    With n = |l|, the amplitude is the sum of n + 1 outer products of
+    _lg_factors and the astigmatic chirp is separable, so the chirped
     field is a sum of n + 1 outer products g_j(y) f_j(x), and the pattern
     is |G^T F|^2: G = DFT_y(g) and F = DFT_x(f) are the (n + 1, m) complex
     _dft transforms of tilted_lens_pattern on the same window, and G^T F is
@@ -333,22 +336,15 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     spec, width, height, extent = _checked_mode(spec, width, height, extent)
     astigmatism = checked_astigmatism(astigmatism)
     x, y = _pixel_axis(width, extent), _pixel_axis(height, extent)
-    order = abs(spec.l)
-    norm = _lg_norm(order)
-    powers = np.arange(order + 1)
-    binomial = np.array([math.comb(order, j) for j in range(order + 1)], dtype=float)
-    # column j holds x^j exp(-x^2) and y^(n-j) exp(-y^2)
-    amp_x = x[:, None] ** powers * np.exp(-x * x)[:, None]
-    amp_y = y[:, None] ** powers[::-1] * np.exp(-y * y)[:, None]
+    amp_x, amp_y, binomial, unit, norm = _lg_factors(spec, x, y)
     beam = (norm * norm * amp_y * amp_y) @ (binomial * amp_x * amp_x).T
-    kmax = _k_max(astigmatism, _rms_radius(beam, x, y))
+    kmax = _k_max(astigmatism, beam, x, y)
     m = max(width, height)
     (cos_x, sin_x), (cos_y, sin_y) = _axis_phasors(_k_window(m, kmax), x, y)
     # the chirped field is sum_j g_j(y) f_j(x): f_j takes C(n, j) and the x
     # chirp, g_j takes (i s)^(n-j), the norm, the pixel area and the y chirp
-    unit = [(1j * math.copysign(1.0, spec.l)) ** p for p in range(order, -1, -1)]
     f = binomial * amp_x * np.exp(1j * astigmatism * x * x)[:, None]
-    g = (np.array(unit) * (norm * (2.0 * extent / width) * (2.0 * extent / height))
+    g = (unit * (norm * (2.0 * extent / width) * (2.0 * extent / height))
          * amp_y * np.exp(-1j * astigmatism * y * y)[:, None])
     far = _dft(g, cos_y, sin_y, m).T @ _dft(f, cos_x, sin_x, m)
     return (IntensityGrid(width, height, extent, beam, _owned=True),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -158,8 +159,10 @@ def checked_seed(seed) -> int:
 
 
 def checked_sampling(n_per_setting, seed) -> tuple:
-    """(n, seed) as ints: n an integer >= 2, not a bool, and checked_seed(seed); else InputError."""
-    if not is_integer(n_per_setting) or n_per_setting < 2:
+    """(n, seed) as ints: n an integer >= 2 with n - 1 at most the float max, not a bool,
+    and checked_seed(seed); else InputError."""
+    if (not is_integer(n_per_setting) or n_per_setting < 2
+            or n_per_setting - 1 > sys.float_info.max):
         raise InputError(f"n_per_setting must be an integer >= 2, got {n_per_setting!r}")
     return int(n_per_setting), checked_seed(seed)
 

@@ -141,6 +141,15 @@ def config_payloads(draw):
     return {key: draw(CONFIG_VALUES.get(key, ODD_VALUES)) for key in sorted(keys)}
 
 
+def run_fresh(args):
+    """python args in a fresh interpreter that imports this checkout's oamcv, so a numpy
+    RuntimeWarning or a traceback reaches the captured stderr."""
+    src = str(Path(oamcv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def small_config(**overrides):
     base = dict(deltas=(0.0,), eta_start=0.0, eta_stop=1.0, eta_step=0.25,
                 charges=(0, 1), seed=7, n_per_setting=5000)
@@ -227,7 +236,8 @@ class TestSweepConfig:
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", True), ("seed", 1.0), ("seed", "3"), ("seed", None),
         ("n_per_setting", 2.7), ("n_per_setting", True), ("n_per_setting", 1),
-        ("n_per_setting", "100"), ("n_per_setting", 1e5)])
+        ("n_per_setting", "100"), ("n_per_setting", 1e5),
+        ("n_per_setting", 10 ** 400)])  # n - 1 has no float value
     def test_seed_and_sample_count_rules(self, field, value):
         text = "seed must be a non-negative integer" if field == "seed" else \
             "n_per_setting must be an integer >= 2"
@@ -468,14 +478,10 @@ class TestMain:
     def test_import_leaves_scipy_unloaded(self):
         # numpy is the only runtime dependency; a fresh interpreter shows
         # whether importing the package pulls in scipy
-        src = str(Path(oamcv.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         script = ("import sys, oamcv, oamcv.cli; print(sorted(m for m in sys.modules "
                   "if m == 'scipy' or m.startswith('scipy.')))")
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        result = run_fresh(["-c", script])
+        assert (result.returncode, result.stdout.strip()) == (0, "[]")
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -583,14 +589,43 @@ class TestMain:
          "config error: input state is unphysical (min symplectic eigenvalue nan)\n"),
     ])
     def test_degenerate_source_stderr_is_one_line(self, v, vp, code, err):
-        # a fresh interpreter, so a numpy RuntimeWarning would reach stderr
-        src = str(Path(oamcv.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run([sys.executable, "-m", "oamcv.cli", "sweep", "--v", v,
-                                 "--vp", vp, "--charges", "0"], env=env,
-                                capture_output=True, text=True)
+        result = run_fresh(["-m", "oamcv.cli", "sweep", "--v", v, "--vp", vp, "--charges", "0"])
         assert (result.returncode, result.stdout, result.stderr) == (code, "", err)
+
+    @pytest.mark.parametrize("argv, config, code, err", [
+        # entries above half the float max: symmetrising must not overflow
+        (["sweep", "--delta", "1e308", "--charges", "0", "--eta-step", "0.5"], None,
+         EXIT_NUMERICAL, "numerical error: state invariants are not finite (Dt = inf, "),
+        (["sweep", "--v", "0.5", "--vp", "1.7e308", "--charges", "0", "--eta-step", "0.5"],
+         None, EXIT_NUMERICAL, "numerical error: state invariants are not finite (Dt = inf, "),
+        (["tomo", "--delta", "1e308", "--charges", "0", "--eta-start", "0", "--eta-stop", "0"],
+         None, EXIT_NUMERICAL, "numerical error: state invariants are not finite (Dt = inf, "),
+        # n - 1 has no float value
+        (["tomo", "--n", "1" + "0" * 400, "--charges", "0", "--eta-start", "1"], None,
+         EXIT_CONFIG, "config error: n_per_setting must be an integer >= 2, got 1000"),
+        # config files that are not UTF-8, hold an over-long integer, or nest too deep
+        (["sweep"], b'{"v": \xff}', EXIT_CONFIG, "config error: config file {config} is not "),
+        (["sweep"], b'{"seed": ' + b"1" * 5000 + b"}", EXIT_CONFIG,
+         "config error: config file {config} is not "),
+        (["sweep"], b"[" * 100_000 + b"]" * 100_000, EXIT_CONFIG,
+         "config error: config file {config} is not "),
+        # the astigmatic phase overflows the far-field window
+        (["modes", "--astigmatism", "1e308", "--charges", "1"], None, EXIT_NUMERICAL,
+         "numerical error: astigmatism 1e+308 overflows the far-field window"),
+    ], ids=["sweep-delta", "sweep-vp", "tomo-delta", "tomo-n", "config-utf8", "config-int",
+            "config-depth", "modes-astigmatism"])
+    def test_bad_input_ends_in_one_error_line(self, argv, config, code, err, tmp_path):
+        path = tmp_path / "config.json"
+        if config is not None:
+            path.write_bytes(config)
+            argv = [*argv, "--config", str(path)]
+        if argv[0] == "modes":
+            argv = [*argv, "--out", str(tmp_path / "images")]
+        result = run_fresh(["-m", "oamcv.cli", *argv])
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(err.format(config=path))
 
     def test_negative_delta_is_config_error(self, capsys):
         assert main(["sweep", "--delta", "0.1,-0.5", "--charges", "0"]) == EXIT_CONFIG

@@ -340,10 +340,12 @@ class TestClassifyMany:
         assert self.assert_same_error(bad, NumericalError) == \
             "degenerate PPT invariants (Dt = 0.0)"
 
-    def test_overflowing_invariants_raise_the_scalar_error(self):
+    # 1e308: symmetrising must not overflow on the way to the invariants
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_overflowing_invariants_raise_the_scalar_error(self, scale):
         # positive definite, but every determinant overflows to inf, so the
         # closed form is NaN, which no comparison of the later checks catches
-        bad = np.diag([1e200] * 4)
+        bad = np.diag([scale] * 4)
         text = self.assert_same_error(bad, NumericalError)
         assert text == "state invariants are not finite (Dt = inf, det sigma = inf)"
         for entry_point in (ppt_nu, ppt_nu_closed_form, ppt_nu_eigen, steering):

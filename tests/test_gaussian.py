@@ -185,6 +185,12 @@ class TestValidate:
         assert not report.symmetric
         assert report.symmetry_defect == pytest.approx(1e-7)
 
+    def test_entries_above_half_the_float_max(self):
+        # symmetrising as (m + m^T)/2 overflowed these to inf
+        report = validate(np.diag([1e308] * 4))
+        assert report.ok and report.symmetry_defect == 0.0
+        assert report.min_symplectic == pytest.approx(1e308, rel=1e-12)
+
     def test_nonfinite_flagged(self):
         m = np.eye(4)
         m[3, 3] = float("nan")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import oamcv
-from oamcv import (FieldGrid, InputError, LGModeSpec, ResolutionError, count_dark_stripes,
-                   lg_field, lg_images, tilted_lens_pattern, write_pgm)
+from oamcv import (FieldGrid, InputError, LGModeSpec, NumericalError, ResolutionError,
+                   count_dark_stripes, lg_field, lg_images, tilted_lens_pattern, write_pgm)
 from oamcv.cli import run_modes
 from oamcv.modes import MAX_GRID_SIDE, IntensityGrid, _k_window, mode_image_filename
 
@@ -123,15 +123,12 @@ class TestLgField:
         with pytest.raises(ValueError):
             field.values[0, 0] = 1.0
 
-    def test_intensity_computed_once_and_frozen(self):
+    def test_intensity_is_squared_modulus(self):
         field = lg_field(LGModeSpec(2), 128, 128, 4.0)
         tilted_lens_pattern(field, 2.0)  # reads it for the rms radius
         intensity = field.intensity()
-        assert intensity is field.intensity()
         assert np.array_equal(intensity, np.abs(field.values) ** 2)
         assert field.power == float(np.sum(intensity) * field.dx * field.dy)
-        with pytest.raises(ValueError):
-            intensity[0, 0] = 1.0
 
     @pytest.mark.parametrize("width, height, extent", [(1, 64, 4.0), (64, 0, 4.0),
                                                        (64, 64, 0.0), (64, 64, float("nan")),
@@ -244,10 +241,30 @@ class TestTiltedLens:
         with pytest.raises(InputError):
             tilted_lens_pattern(field, -1.0)
 
+    @pytest.mark.parametrize("field, astigmatism", [
+        (lg_field(LGModeSpec(1), 128, 128, 4.0), 1e308),  # kmax and a t^2 overflow
+        (FieldGrid(64, 64, 1e-3, np.ones((64, 64))), 1e308),  # only the window overflows
+        (FieldGrid(64, 64, 1e-3, np.ones((64, 64))), 3e307),  # only 2 kmax overflows
+        # a one-pixel spot on a wide grid: only the chirp phase a t^2 overflows
+        (FieldGrid(256, 256, 16.0, np.outer(np.arange(256) == 128, np.arange(256) == 128) * 1.0),
+         1e306)])
+    def test_overflowing_astigmatism_is_numerical_error(self, field, astigmatism):
+        with pytest.raises(NumericalError) as error:
+            tilted_lens_pattern(field, astigmatism)
+        assert str(error.value) == f"astigmatism {astigmatism!r} overflows the far-field window"
+
     def test_rejects_dark_field(self):
         dark = FieldGrid(128, 128, 4.0, np.zeros((128, 128), dtype=complex))
         with pytest.raises(InputError):
             tilted_lens_pattern(dark, 2.0)
+
+    def test_rejects_field_whose_intensity_overflows(self):
+        # an inf power is the field's fault, not the astigmatism's
+        huge = FieldGrid(128, 128, 4.0, np.full((128, 128), 1e200))
+        with pytest.raises(InputError, match=r"^field intensity sum must be positive and finite, "
+                                             r"got inf$"), \
+                pytest.warns(RuntimeWarning, match="overflow encountered"):
+            tilted_lens_pattern(huge, 2.0)
 
     def test_resolution_guard(self):
         coarse = FieldGrid(32, 32, 6.0, np.ones((32, 32), dtype=complex))
@@ -280,6 +297,13 @@ class TestLgImages:
         with pytest.raises(InputError) as general:
             tilted_lens_pattern(lg_field(l, width, height, extent), astigmatism)
         assert type(separable.value) is type(general.value)
+        assert str(separable.value) == str(general.value)
+
+    def test_overflowing_astigmatism_is_the_field_path_error(self):
+        with pytest.raises(NumericalError) as separable:
+            lg_images(1, 1e308, 128, 128, 4.0)
+        with pytest.raises(NumericalError) as general:
+            tilted_lens_pattern(lg_field(1, 128, 128, 4.0), 1e308)
         assert str(separable.value) == str(general.value)
 
     def test_grids_frozen(self):
