@@ -377,7 +377,8 @@ def validate(candidate) -> ValidityReport:
     m = checked_matrices(candidate, 2)
     if not np.all(np.isfinite(m)):
         return ValidityReport(math.inf, math.nan, False, False)
-    defect = float(np.max(np.abs(m - m.T)))
+    with np.errstate(all="ignore"):
+        defect = float(np.max(np.abs(m - m.T)))
     nu_min = float(symplectic_eigenvalues(m / 2.0 + m.T / 2.0)[0])
     return ValidityReport(defect, nu_min, defect <= SYMMETRY_TOL, _physical(nu_min))
 

@@ -5,18 +5,25 @@ coordinates), with pixels centered symmetrically on the optical axis.
 A p = 0 mode's amplitude is synthesized without trigonometry, as the
 rank-(|l| + 1) sum of separable factors that _lg_factors builds.
 The tilted lens is modeled as a pure astigmatic phase followed by a
-far-field Fourier transform onto a k-space window sized from the beam.  One
-1-D transform, _dft, gives the whole window as a complex array; it folds
-its input about the mirror-symmetric axis into two real GEMMs.  The
-pattern is |DFT_x(DFT_y(chirped))|^2 and shows |l| dark stripes whose
-diagonal orientation gives the sign of the topological charge.  The
-diagnostic follows Vaity, Banerji and Singh, Phys. Lett. A 377, 1154 (2013).
+far-field Fourier transform onto a k-space window sized from the beam.  The
+pattern shows |l| dark stripes whose diagonal orientation gives the sign of
+the topological charge.  The diagnostic follows Vaity, Banerji and Singh,
+Phys. Lett. A 377, 1154 (2013); astigmatic mode conversion, Beijersbergen
+et al., Opt. Commun. 96, 123 (1993).
 
-lg_field plus tilted_lens_pattern is the general path: any FieldGrid can be
-transformed.  lg_images, which run_modes calls, renders the same beam and
-pattern from the rank-(|l| + 1) separable form of a p = 0 mode as
-|DFT_y(g)^T DFT_x(f)|^2, one complex GEMM of the 1-D transforms of |l| + 1
-factors per axis, and never builds the complex field.
+The far field has two independent routes.  lg_field plus
+tilted_lens_pattern is the general one: any FieldGrid is transformed by the
+grid DFT, one _dft call per axis that folds its input about the
+mirror-symmetric axis into two real GEMMs.  lg_images, which run_modes
+calls, never builds the field: each separable factor of a chirped p = 0
+mode is t^j exp(-alpha t^2), whose Fourier integral _moments gives in
+closed form, so the pattern is |G^T F|^2, one complex GEMM of rank
+|l| + 1, on the ky >= 0 half of the window.  At 512^2, extent 6, the
+routes agree within 3.1e-13 of the peak for |l| <= 5 and 0.1 <= a <= 12.
+Beyond that the grid DFT departs from the integral, first because it cuts
+the beam off at +-extent (2.6e-12 of the peak at |l| = 7, 7.4e-9 at
+|l| = 16), then, for a >~ 12, because it aliases the chirp, whose local
+frequency 2 a t passes the grid's Nyquist pi/dx.
 """
 
 from __future__ import annotations
@@ -92,8 +99,9 @@ class FieldGrid:
         return float(np.sum(self.intensity()) * self.dx * self.dy)
 
     def intensity(self) -> np.ndarray:
-        """|amplitude|^2 per pixel."""
-        return np.abs(self.values) ** 2
+        """|amplitude|^2 per pixel; inf where it overflows, without a warning."""
+        with np.errstate(over="ignore"):
+            return np.abs(self.values) ** 2
 
 
 def _set_grid(grid, values: np.ndarray) -> None:
@@ -319,19 +327,25 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
 def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
               extent: float = 6.0) -> tuple:
     """(beam, pattern): the intensity of lg_field(spec, width, height, extent)
-    and its tilted_lens_pattern(..., astigmatism), without building the field.
+    and its tilted-lens far field, without building the field.
 
     With n = |l|, the amplitude is the sum of n + 1 outer products of
-    _lg_factors and the astigmatic chirp is separable, so the chirped
-    field is a sum of n + 1 outer products g_j(y) f_j(x), and the pattern
-    is |G^T F|^2: G = DFT_y(g) and F = DFT_x(f) are the (n + 1, m) complex
-    _dft transforms of tilted_lens_pattern on the same window, and G^T F is
-    one complex GEMM of rank n + 1.  The beam is the real
-    norm^2 (x^2 + y^2)^n exp(-2 x^2) exp(-2 y^2), the sum of n + 1
-    nonnegative outer products C(n, j) x^2j exp(-2 x^2) y^2(n-j) exp(-2 y^2);
-    the window is sized from its rms radius.  Charge, grid and astigmatism
-    follow the rules of lg_field and tilted_lens_pattern.  beam.extent is
-    the grid half-width, pattern.extent the k-space half-width.
+    _lg_factors and the astigmatic chirp is separable, so the chirped field
+    is sum_j g_j(y) f_j(x) with f_j = C(n, j) x^j exp(-(1 - i a) x^2) and
+    g_j = (i s)^(n-j) norm y^(n-j) exp(-(1 + i a) y^2).  Their Fourier
+    integrals are closed (_moments), F_j = C(n, j) I_j and G_j =
+    (i s)^(n-j) norm I_(n-j), and the pattern is |G^T F|^2, one complex GEMM
+    of rank n + 1 on the window of tilted_lens_pattern.  I_j(-k) =
+    (-1)^j I_j(k), so the pattern is centro-symmetric: G is evaluated on
+    ky >= 0 only and the ky < 0 rows are those turned by 180 degrees.  The
+    integral is over the whole beam, not the grid, so this is the limit the
+    grid DFT of tilted_lens_pattern approaches (see the module docstring).
+    The beam is the real norm^2 (x^2 + y^2)^n exp(-2 x^2) exp(-2 y^2), the
+    sum of n + 1 nonnegative outer products
+    C(n, j) x^2j exp(-2 x^2) y^2(n-j) exp(-2 y^2); the window is sized from
+    its rms radius.  Charge, grid and astigmatism follow the rules of
+    lg_field and tilted_lens_pattern.  beam.extent is the grid half-width,
+    pattern.extent the k-space half-width.
     """
     spec, width, height, extent = _checked_mode(spec, width, height, extent)
     astigmatism = checked_astigmatism(astigmatism)
@@ -340,15 +354,36 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     beam = (norm * norm * amp_y * amp_y) @ (binomial * amp_x * amp_x).T
     kmax = _k_max(astigmatism, beam, x, y)
     m = max(width, height)
-    (cos_x, sin_x), (cos_y, sin_y) = _axis_phasors(_k_window(m, kmax), x, y)
-    # the chirped field is sum_j g_j(y) f_j(x): f_j takes C(n, j) and the x
-    # chirp, g_j takes (i s)^(n-j), the norm, the pixel area and the y chirp
-    f = binomial * amp_x * np.exp(1j * astigmatism * x * x)[:, None]
-    g = (unit * (norm * (2.0 * extent / width) * (2.0 * extent / height))
-         * amp_y * np.exp(-1j * astigmatism * y * y)[:, None])
-    far = _dft(g, cos_y, sin_y, m).T @ _dft(f, cos_x, sin_x, m)
+    k = _k_window(m, kmax)
+    order = abs(spec.l)
+    f = binomial[:, None] * _moments(k, complex(1.0, -astigmatism), order)
+    g = (unit * norm)[:, None] * _moments(k[m // 2:], complex(1.0, astigmatism), order)[::-1]
+    upper = _squared_modulus(g.T @ f)
+    # the pattern is centro-symmetric: the ky < 0 rows are the upper half
+    # turned by 180 degrees, without the k = 0 row of an odd window
+    pattern = np.empty((m, m))
+    pattern[m // 2:] = upper
+    pattern[:m // 2] = upper[::-1, ::-1][:m // 2]
     return (IntensityGrid(width, height, extent, beam, _owned=True),
-            IntensityGrid(m, m, kmax, _squared_modulus(far), _owned=True))
+            IntensityGrid(m, m, kmax, pattern, _owned=True))
+
+
+def _moments(k: np.ndarray, alpha: complex, order: int) -> np.ndarray:
+    """(order + 1, len(k)) array of I_j(k) = integral of t^j exp(-alpha t^2 - i k t) dt.
+
+    With u = k/(2 alpha), I_0 = sqrt(pi/alpha) exp(-u k/2), I_1 = -i u I_0
+    and, integrating by parts, I_j = (j - 1)/(2 alpha) I_(j-2) - i u I_(j-1).
+    Neither k^2 nor |alpha|^2 = 1 + a^2 is formed, so nothing overflows while
+    u k is finite; -k gives (-1)^j I_j(k) bit for bit.
+    """
+    u = k / (2.0 * alpha)
+    out = np.empty((order + 1, len(k)), dtype=complex)
+    out[0] = np.sqrt(math.pi / alpha) * np.exp(-0.5 * u * k)
+    if order:
+        out[1] = -1j * u * out[0]
+    for j in range(2, order + 1):
+        out[j] = (j - 1) / (2.0 * alpha) * out[j - 2] - 1j * u * out[j - 1]
+    return out
 
 
 def _squared_modulus(z: np.ndarray) -> np.ndarray:

@@ -627,6 +627,14 @@ class TestMain:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(err.format(config=path))
 
+    @pytest.mark.parametrize("astigmatism", ["1e6", "1e100", "1e200", "1e306"])
+    def test_modes_at_huge_astigmatism_is_never_a_config_error(self, astigmatism, tmp_path):
+        # the window is accepted; a wrong stripe count is the runner's numerical error
+        result = run_fresh(["-m", "oamcv.cli", "modes", "--charges=0,1,-2",
+                            "--astigmatism", astigmatism, "--out", str(tmp_path)])
+        assert result.returncode in (EXIT_OK, EXIT_NUMERICAL)
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
     def test_negative_delta_is_config_error(self, capsys):
         assert main(["sweep", "--delta", "0.1,-0.5", "--charges", "0"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: delta must be >= 0, got -0.5\n"

@@ -191,6 +191,13 @@ class TestValidate:
         assert report.ok and report.symmetry_defect == 0.0
         assert report.min_symplectic == pytest.approx(1e308, rel=1e-12)
 
+    def test_opposite_off_diagonals_near_the_float_max(self):
+        # m - m^T overflows to inf here, silently as in _well_formed
+        m = np.eye(4)
+        m[0, 1], m[1, 0] = 1e308, -1e308
+        report = validate(m)
+        assert report.symmetry_defect == math.inf and report.symmetric is False
+
     def test_nonfinite_flagged(self):
         m = np.eye(4)
         m[3, 3] = float("nan")

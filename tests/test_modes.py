@@ -10,7 +10,8 @@ import oamcv
 from oamcv import (FieldGrid, InputError, LGModeSpec, NumericalError, ResolutionError,
                    count_dark_stripes, lg_field, lg_images, tilted_lens_pattern, write_pgm)
 from oamcv.cli import run_modes
-from oamcv.modes import MAX_GRID_SIDE, IntensityGrid, _k_window, mode_image_filename
+from oamcv.modes import (MAX_GRID_SIDE, IntensityGrid, _k_window, _lg_factors, _moments,
+                         _pixel_axis, mode_image_filename)
 
 # grids with even, odd and mixed-parity sides: (width, height, extent)
 GRIDS = [(512, 512, 6.0), (257, 257, 6.0), (255, 256, 6.0), (300, 301, 6.0),
@@ -41,6 +42,25 @@ def reference_far_field(field, astigmatism):
                                       np.exp(1j * astigmatism * x * x))
     out = np.exp(-1j * np.outer(k, y)) @ chirped @ np.exp(-1j * np.outer(x, k))
     return kmax, np.abs(out * field.dx * field.dy) ** 2
+
+
+def reference_separable_far_field(l, astigmatism, width, height, extent, kmax):
+    """The dense complex DFT of the separable factors of lg_images onto its k window,
+    |G F^T|^2, at the pixel pitch of the width x height grid but on axes widened to at
+    least 12 waists a side, so that cutting the beam off leaves less than rounding."""
+    axes = []
+    for n in (width, height):
+        pitch = 2.0 * extent / n
+        pad = math.ceil((12.0 - extent) / pitch)
+        axes.append(_pixel_axis(n + 2 * pad, extent + pad * pitch))
+    x, y = axes
+    amp_x, amp_y, binomial, unit, norm = _lg_factors(LGModeSpec(l), x, y)
+    k = _k_window(max(width, height), kmax)
+    f = binomial * amp_x * np.exp(1j * astigmatism * x * x)[:, None]
+    g = unit * norm * amp_y * np.exp(-1j * astigmatism * y * y)[:, None]
+    far_x = np.exp(-1j * np.outer(k, x)) @ f * (x[1] - x[0])
+    far_y = np.exp(-1j * np.outer(k, y)) @ g * (y[1] - y[0])
+    return np.abs(far_y @ far_x.T) ** 2
 
 
 class TestLGModeSpec:
@@ -183,25 +203,32 @@ class TestTiltedLens:
         # the l = 0 field sqrt(2/pi) exp(-r^2) behind exp(i a (x^2 - y^2))
         # transforms to 2 pi/(1 + a^2) exp(-|k|^2/(2 (1 + a^2))) in intensity
         field = lg_field(LGModeSpec(0), width=width, height=height, extent=extent)
-        pattern = tilted_lens_pattern(field, astigmatism)
-        k = np.linspace(-pattern.extent, pattern.extent, pattern.width)
-        spread = 1.0 + astigmatism ** 2
-        expected = 2.0 * math.pi / spread * np.exp(
-            -(k[:, None] ** 2 + k[None, :] ** 2) / (2.0 * spread))
-        assert pattern.values.shape == (max(width, height),) * 2
-        assert np.abs(pattern.values - expected).max() <= 1e-10 * expected.max()
+        for pattern in (tilted_lens_pattern(field, astigmatism),
+                        lg_images(0, astigmatism, width, height, extent)[1]):
+            k = np.linspace(-pattern.extent, pattern.extent, pattern.width)
+            spread = 1.0 + astigmatism ** 2
+            expected = 2.0 * math.pi / spread * np.exp(
+                -(k[:, None] ** 2 + k[None, :] ** 2) / (2.0 * spread))
+            assert pattern.values.shape == (max(width, height),) * 2
+            assert np.abs(pattern.values - expected).max() <= 1e-10 * expected.max()
 
     @pytest.mark.parametrize("width,height,extent", GRIDS)
     @pytest.mark.parametrize("l,astigmatism", [(-5, 1.7), (0, 2.9), (2, 1.0), (3, 3.0)])
     def test_matches_dense_dft_reference(self, l, astigmatism, width, height, extent):
-        # both far-field paths share _dft, so each is checked against the reference
         field = lg_field(LGModeSpec(l), width=width, height=height, extent=extent)
         kmax, expected = reference_far_field(field, astigmatism)
-        for pattern in (tilted_lens_pattern(field, astigmatism),
-                        lg_images(l, astigmatism, width, height, extent)[1]):
-            assert pattern.extent == pytest.approx(kmax, rel=1e-12)
-            assert pattern.values.shape == expected.shape
-            assert np.abs(pattern.values - expected).max() <= 1e-12 * expected.max()
+        pattern = tilted_lens_pattern(field, astigmatism)
+        assert pattern.extent == pytest.approx(kmax, rel=1e-12)
+        assert pattern.values.shape == expected.shape
+        assert np.abs(pattern.values - expected).max() <= 1e-12 * expected.max()
+        # lg_images transforms the whole beam, not the grid: its reference is the
+        # same DFT on axes wide enough that the cut-off tails lie below rounding
+        separable = lg_images(l, astigmatism, width, height, extent)[1]
+        assert separable.extent == pytest.approx(kmax, rel=1e-12)
+        assert separable.values.shape == expected.shape
+        wide = reference_separable_far_field(l, astigmatism, width, height, extent,
+                                             separable.extent)
+        assert np.abs(separable.values - wide).max() <= 1e-12 * wide.max()
 
     @pytest.mark.parametrize("width,height,extent", GRIDS)
     def test_asymmetric_field_matches_dense_dft_reference(self, width, height, extent):
@@ -262,8 +289,7 @@ class TestTiltedLens:
         # an inf power is the field's fault, not the astigmatism's
         huge = FieldGrid(128, 128, 4.0, np.full((128, 128), 1e200))
         with pytest.raises(InputError, match=r"^field intensity sum must be positive and finite, "
-                                             r"got inf$"), \
-                pytest.warns(RuntimeWarning, match="overflow encountered"):
+                                             r"got inf$"):
             tilted_lens_pattern(huge, 2.0)
 
     def test_resolution_guard(self):
@@ -277,14 +303,55 @@ class TestLgImages:
     @pytest.mark.parametrize("l", [-16, -5, -1, 0, 1, 2, 7, 16])
     @pytest.mark.parametrize("astigmatism", [1.0, 1.7, 2.9])
     def test_matches_field_path(self, l, astigmatism, width, height, extent):
+        # the beam and the window are the field path's; the pattern is the whole beam's
+        # far field, which the grid DFT approaches once its axes are wide enough
         beam, pattern = lg_images(l, astigmatism, width, height, extent)
         field = lg_field(LGModeSpec(l), width=width, height=height, extent=extent)
-        expected = tilted_lens_pattern(field, astigmatism)
+        general = tilted_lens_pattern(field, astigmatism)
         assert (beam.width, beam.height, beam.extent) == (width, height, extent)
         assert np.abs(beam.values - field.intensity()).max() <= 1e-13 * field.intensity().max()
-        assert pattern.extent == pytest.approx(expected.extent, rel=1e-12)
-        assert pattern.values.shape == expected.values.shape
-        assert np.abs(pattern.values - expected.values).max() <= 1e-12 * expected.values.max()
+        assert pattern.extent == pytest.approx(general.extent, rel=1e-12)
+        assert pattern.values.shape == general.values.shape
+        expected = reference_separable_far_field(l, astigmatism, width, height, extent,
+                                                 pattern.extent)
+        assert np.abs(pattern.values - expected).max() <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("l", [-5, 0, 3, 5])
+    @pytest.mark.parametrize("astigmatism", [0.1, 1.3, 2.9, 12.0])
+    def test_agrees_with_grid_dft_route(self, l, astigmatism):
+        # two independent far-field routes: at 512^2 they part only by the grid's
+        # cut-off of the beam at +-extent until the grid DFT aliases the chirp
+        pattern = lg_images(l, astigmatism)[1]
+        general = tilted_lens_pattern(lg_field(l), astigmatism)
+        assert np.abs(pattern.values - general.values).max() <= 5e-13 * general.values.max()
+
+    @pytest.mark.parametrize("width,height,extent", GRIDS[:5])
+    @pytest.mark.parametrize("l", [-5, 0, 1, 4])
+    @pytest.mark.parametrize("astigmatism", [1.0, 2.9])
+    def test_half_window_mirror_matches_full_window(self, l, astigmatism, width, height,
+                                                    extent):
+        pattern = lg_images(l, astigmatism, width, height, extent)[1]
+        k = _k_window(pattern.width, pattern.extent)
+        _, _, binomial, unit, norm = _lg_factors(LGModeSpec(l), k, k)
+        f = binomial[:, None] * _moments(k, complex(1.0, -astigmatism), abs(l))
+        g = (unit * norm)[:, None] * _moments(k, complex(1.0, astigmatism), abs(l))[::-1]
+        full = np.abs(g.T @ f) ** 2
+        assert np.abs(pattern.values - full).max() <= 1e-15 * full.max()
+
+    @pytest.mark.parametrize("astigmatism", [1.0, 2.9, 1e6, 1e306])
+    def test_moments_flip_sign_with_k_bit_for_bit(self, astigmatism):
+        k = _k_window(257, 10.0 * (astigmatism + 1.0))
+        signs = (-1.0) ** np.arange(17)[:, None]
+        for alpha in (complex(1.0, -astigmatism), complex(1.0, astigmatism)):
+            moments = _moments(k, alpha, 16)
+            assert np.array_equal(moments[:, ::-1], signs * moments)
+
+    @pytest.mark.parametrize("astigmatism", [1e6, 1e100, 1e200, 1e306])
+    @pytest.mark.parametrize("l", [-5, 0, 1, 16])
+    def test_accepted_astigmatism_warns_nothing(self, l, astigmatism):
+        # every RuntimeWarning is a test error; the moments form neither k^2 nor 1 + a^2
+        beam, pattern = lg_images(l, astigmatism)
+        assert math.isfinite(pattern.extent) and pattern.values.shape == (512, 512)
 
     @pytest.mark.parametrize("l,astigmatism,width,height,extent", [
         (17, 2.0, 128, 128, 4.0), (1.5, 2.0, 128, 128, 4.0), (True, 2.0, 128, 128, 4.0),
