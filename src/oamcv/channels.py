@@ -8,12 +8,14 @@ conjugate block stays with Alice untouched.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InputError, UnphysicalStateError
-from .gaussian import (ChannelParams, CovarianceMatrix, ModePair, MultiplexedState, _finite_check,
-                       _from_pair, _invariants, _raise_first, as_cm, checked_delta, checked_eta,
-                       validate)
+from .errors import InputError, NumericalError, UnphysicalStateError
+from .gaussian import (PHYSICALITY_TOL, ChannelParams, CovarianceMatrix, ModePair,
+                       MultiplexedState, _finite_check, _from_pair, _invariants, _physical,
+                       _raise_first, as_cm, checked_delta, checked_eta, symplectic_eigenvalues)
 
 
 def apply_channel(cm, ch) -> CovarianceMatrix:
@@ -33,7 +35,7 @@ def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
 
     Entry i is the entries of apply_channel(cm, ChannelParams(etas[i], delta));
     the source is checked once for the whole grid (finite invariants, then
-    validate()), and eta and delta obey the ChannelParams rules.
+    _check_source), and eta and delta obey the ChannelParams rules.
     """
     cm = as_cm(cm)
     grid = etas.tolist() if isinstance(etas, np.ndarray) else etas
@@ -42,16 +44,36 @@ def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
     etas = np.array([checked_eta(eta) for eta in grid], dtype=float)
     delta = checked_delta(delta)
     _raise_first([_finite_check(*_invariants(cm.entries[None]))])
-    report = validate(cm)
-    if not report.ok:
-        raise UnphysicalStateError(
-            f"input state is unphysical (min symplectic eigenvalue {report.min_symplectic:.6g})")
+    _check_source(cm.entries)
     added = (1.0 - etas) * (1.0 + delta)
     out = np.repeat(cm.entries[np.newaxis], len(etas), axis=0)
     out[:, 2:, 2:] = etas[:, None, None] * cm.entries[2:, 2:] + added[:, None, None] * np.eye(2)
     out[:, :2, 2:] = np.sqrt(etas)[:, None, None] * cm.entries[:2, 2:]
     out[:, 2:, :2] = out[:, :2, 2:].swapaxes(1, 2)
     return out
+
+
+def _check_source(sigma: np.ndarray) -> None:
+    """Raise unless the source is physical, within the resolution of its nu_min.
+
+    Rounding entries of size up to s moves nu_min by up to about eps s^2 (0.9 eps s^2
+    seen on pure sources), so nu_min is resolved to noise = 8 eps s^2, as in _allowance.
+    A nu_min within noise of the bound, or NaN (not PD) once noise exceeds the
+    tolerance, is unresolved: a NumericalError naming the joint X variances
+    v, v' = (s_XcXc + s_XpXp)/2 -+ s_XcXp, a two-mode squeezed source's v and v'.
+    """
+    nu = float(symplectic_eigenvalues(sigma)[0])
+    scale = float(np.abs(sigma).max())
+    noise = 8.0 * np.finfo(float).eps * scale * scale
+    if abs(nu - (1.0 - PHYSICALITY_TOL)) <= noise or (math.isnan(nu) and noise > PHYSICALITY_TOL):
+        mean, cross = (sigma[0, 0] + sigma[2, 2]) / 2.0, sigma[0, 2]
+        raise NumericalError(
+            f"input state is squeezed beyond float resolution (v = {mean - cross:.6g}, "
+            f"v' = {mean + cross:.6g}): its min symplectic eigenvalue {nu:.6g} is known "
+            f"only to +-{noise:.3g}")
+    if not _physical(nu):
+        raise UnphysicalStateError(
+            f"input state is unphysical (min symplectic eigenvalue {nu:.6g})")
 
 
 def apply_channel_multiplexed(ms: MultiplexedState, ch) -> MultiplexedState:

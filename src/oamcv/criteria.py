@@ -48,9 +48,10 @@ STEERING_CLASSES = ("two-way", "one-way-AB", "one-way-BA", "none")
 # counts as never dying
 ETA_LO = 1e-6
 
-# partial transpose of the probe mode flips the sign of Y_Pr
-_PT = np.diag([1.0, 1.0, 1.0, -1.0])
-_PT.flags.writeable = False
+# partial transpose of the probe mode flips the sign of Y_Pr: with
+# P = diag(1, 1, 1, -1), P sigma P is sigma times this +-1 mask, exactly
+_PT_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+_PT_SIGNS.flags.writeable = False
 
 
 def _discriminant(dt: np.ndarray, det_sigma: np.ndarray) -> tuple:
@@ -98,7 +99,7 @@ def _ppt_nu(sigma: np.ndarray, invariants: tuple) -> tuple:
     dt, det_sigma = invariants[:2]
     closed, s, denominator, closed_checks = _closed_form(dt, det_sigma)
     # the eigen route, symplectic_eigenvalues of P sigma P, is NaN if sigma is not PD
-    eigen = symplectic_eigenvalues(_PT @ sigma @ _PT)[:, 0]
+    eigen = symplectic_eigenvalues(sigma * _PT_SIGNS)[:, 0]
     gap, strict = np.abs(closed - eigen), 1e-9 * np.maximum(1.0, np.abs(closed))
     disagree = ~(gap <= strict)  # NaN fails the gate
     wide = np.flatnonzero(disagree)  # the allowance is needed only past the strict gate

@@ -311,14 +311,22 @@ def symplectic_eigenvalues(matrix) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
+def _symmetrized(raw: np.ndarray) -> tuple:
+    """(entries finite, max |s_ij - s_ji|, s/2 + s^T/2) per matrix of a stack; silent overflow.
+
+    Halving before the sum keeps entries above half the float max finite.
+    """
+    transposed = raw.swapaxes(-1, -2)
+    return (np.isfinite(raw).all(axis=(-2, -1)), np.abs(raw - transposed).max(axis=(-2, -1)),
+            raw / 2.0 + transposed / 2.0)
+
+
 def _well_formed(raw: np.ndarray) -> tuple:
     """Symmetrized stack and the malformed check: entries not finite, asymmetry > ASYMMETRY_TOL."""
-    transposed = raw.swapaxes(1, 2)
-    finite = np.isfinite(raw).all(axis=(1, 2))
-    defect = np.abs(raw - transposed).max(axis=(1, 2))
+    finite, defect, symmetric = _symmetrized(raw)
     malformed = ~finite | (defect > ASYMMETRY_TOL)
     # the identity in place of a malformed matrix keeps the later stages finite
-    sigma = np.where(malformed[:, None, None], np.eye(4), raw / 2.0 + transposed / 2.0)
+    sigma = np.where(malformed[:, None, None], np.eye(4), symmetric)
     return sigma, (malformed, lambda i: InputError(
         f"matrix is not symmetric (max |s_ij - s_ji| = {float(defect[i]):.3g})" if finite[i]
         else "covariance matrix entries must be finite"))
@@ -374,12 +382,10 @@ def validate(candidate) -> ValidityReport:
     Accepts a CovarianceMatrix or any real 4x4 array and always returns a
     report; min_symplectic is nan for a matrix that is not PD, so it is unphysical.
     """
-    m = checked_matrices(candidate, 2)
-    if not np.all(np.isfinite(m)):
+    finite, defect, symmetric = _symmetrized(checked_matrices(candidate, 2))
+    if not finite:
         return ValidityReport(math.inf, math.nan, False, False)
-    with np.errstate(all="ignore"):
-        defect = float(np.max(np.abs(m - m.T)))
-    nu_min = float(symplectic_eigenvalues(m / 2.0 + m.T / 2.0)[0])
+    defect, nu_min = float(defect), float(symplectic_eigenvalues(symmetric)[0])
     return ValidityReport(defect, nu_min, defect <= SYMMETRY_TOL, _physical(nu_min))
 
 

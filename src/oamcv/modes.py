@@ -29,7 +29,7 @@ frequency 2 a t passes the grid's Nyquist pi/dx.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class FieldGrid:
         values = real_array(self.values, complex).copy()
         if not np.all(np.isfinite(values)):
             raise InputError("field values must be finite")
-        _set_grid(self, values)
+        _set_grid(self, self.width, self.height, self.extent, values)
 
     @property
     def dx(self) -> float:
@@ -104,9 +104,9 @@ class FieldGrid:
             return np.abs(self.values) ** 2
 
 
-def _set_grid(grid, values: np.ndarray) -> None:
+def _set_grid(grid, width, height, extent, values: np.ndarray) -> None:
     """Set a grid's checked geometry and its values, which must be (height, width), read-only."""
-    width, height, extent = _checked_geometry(grid.width, grid.height, grid.extent)
+    width, height, extent = _checked_geometry(width, height, extent)
     if values.shape != (height, width):
         raise InputError(f"values shape {values.shape} does not match "
                          f"(height, width) = ({height}, {width})")
@@ -134,19 +134,30 @@ class IntensityGrid:
     """|amplitude|^2 at pixel centers over [-extent, extent].
 
     extent is the half-width in waist units for a beam and in 1/waist units
-    for a far field.  values is copied, unless _owned marks an array this
-    module has just built; either way it is checked finite and nonnegative.
+    for a far field.  values is copied and checked finite and nonnegative.
     """
 
     width: int
     height: int
     extent: float
     values: np.ndarray
-    _owned: InitVar[bool] = False
 
-    def __post_init__(self, _owned):
-        values = _intensity_values(self.values, 1)
-        _set_grid(self, values if _owned else values.copy())
+    def __post_init__(self):
+        _set_grid(self, self.width, self.height, self.extent,
+                  _intensity_values(self.values, 1).copy())
+
+
+def _computed_grid(width: int, height: int, extent: float, values: np.ndarray) -> IntensityGrid:
+    """An IntensityGrid that keeps values this module has just computed, without a copy.
+
+    Every value is a sum of squares, so it is tested for finiteness only; a
+    value that is not finite is the program's fault, a NumericalError.
+    """
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("computed intensity values are not finite")
+    grid = object.__new__(IntensityGrid)
+    _set_grid(grid, width, height, extent, values)
+    return grid
 
 
 def _intensity_values(intensity, min_side: int) -> np.ndarray:
@@ -273,7 +284,11 @@ def _k_max(astigmatism: float, weights: np.ndarray, x: np.ndarray, y: np.ndarray
     if not 0.0 < total < math.inf:
         raise InputError(f"field intensity sum must be positive and finite, got {float(total)!r}")
     # the rms distance from the axis, from the row and column marginals
-    radius = math.sqrt(float(weights.sum(axis=1) @ y ** 2 + weights.sum(axis=0) @ x ** 2) / total)
+    with np.errstate(over="ignore"):
+        moment = float(weights.sum(axis=1) @ y ** 2 + weights.sum(axis=0) @ x ** 2)
+    if not moment < math.inf:
+        raise InputError(f"field intensity second moment must be finite, got {moment!r}")
+    radius = math.sqrt(moment / total)
     kmax = 2.0 * (astigmatism + 1.0) * (radius + 2.0)
     # the window steps by 2 kmax/(m - 1), |k t| < 2 kmax |t| and a t^2 <= (a edge) edge
     edge = max(float(x[-1]), float(y[-1]))
@@ -321,7 +336,7 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     del chirped
     far = _dft(along_y, cos_x, sin_x, m)
     del along_y
-    return IntensityGrid(m, m, kmax, _squared_modulus(far), _owned=True)
+    return _computed_grid(m, m, kmax, _squared_modulus(far))
 
 
 def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
@@ -364,8 +379,8 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     pattern = np.empty((m, m))
     pattern[m // 2:] = upper
     pattern[:m // 2] = upper[::-1, ::-1][:m // 2]
-    return (IntensityGrid(width, height, extent, beam, _owned=True),
-            IntensityGrid(m, m, kmax, pattern, _owned=True))
+    return (_computed_grid(width, height, extent, beam),
+            _computed_grid(m, m, kmax, pattern))
 
 
 def _moments(k: np.ndarray, alpha: complex, order: int) -> np.ndarray:

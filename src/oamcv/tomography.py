@@ -37,8 +37,10 @@ class ReconstructionWarning(UserWarning):
     """The reconstructed matrix is not a physical Gaussian state."""
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _variances(sigmas: np.ndarray) -> np.ndarray:
-    """Absolute variances of the six settings of each state of a (..., 4, 4) stack, (..., 6)."""
+    """Absolute variances of the six settings of each state of a (..., 4, 4) stack, (..., 6);
+    a joint variance that overflows is inf (or NaN, from inf - inf), without a warning."""
     s = sigmas
     return np.stack([s[..., 0, 0], s[..., 1, 1], s[..., 2, 2], s[..., 3, 3],
                      s[..., 2, 2] + s[..., 0, 0] - 2.0 * s[..., 0, 2],
@@ -52,13 +54,13 @@ def _to_db(variances) -> list:
 
 
 def _positive_variances(sigmas: np.ndarray) -> np.ndarray:
-    """The six variances of each state of a (..., 4, 4) stack, each checked positive."""
+    """The six variances of each state of a (..., 4, 4) stack, each checked positive and finite."""
     variances = _variances(sigmas)
-    bad = ~(variances > 0.0)
+    bad = ~((variances > 0.0) & (variances < math.inf))
     if bad.any():
         index = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NumericalError(
-            f"variance of {SETTINGS[index[-1]]} is not positive: {float(variances[index])!r}")
+        raise NumericalError(f"variance of {SETTINGS[index[-1]]} is not positive and finite: "
+                             f"{float(variances[index])!r}")
     return variances
 
 

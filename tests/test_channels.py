@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oamcv.channels
 from oamcv import (ChannelParams, InputError, NumericalError, SqueezingSpec,
                    UnphysicalStateError, apply_channel, apply_channel_grid,
-                   apply_channel_multiplexed, make_multiplexed, make_tmss, validate)
+                   apply_channel_multiplexed, make_multiplexed, make_tmss, symplectic_eigenvalues,
+                   validate)
 from conftest import INDEFINITE, V_REF, VP_REF, analytic_family_cm, deltas, etas, source_specs
 
 REF_SPEC = SqueezingSpec(V_REF, VP_REF)
@@ -110,12 +111,14 @@ class TestApplyChannelGrid:
         for eta, entries in zip(grid, stack):
             assert np.array_equal(entries, apply_channel(cm, ChannelParams(eta, delta)).entries)
 
-    def test_validates_the_source_once(self, monkeypatch):
+    def test_factorises_the_source_once(self, monkeypatch):
+        # one symplectic factorisation of the source per grid, whatever its length
         calls = []
-        monkeypatch.setattr(oamcv.channels, "validate",
-                            lambda cm: calls.append(cm) or validate(cm))
-        apply_channel_grid(make_tmss(REF_SPEC), np.linspace(0.0, 1.0, 50), 0.5)
-        assert len(calls) == 1
+        monkeypatch.setattr(oamcv.channels, "symplectic_eigenvalues",
+                            lambda m: calls.append(m) or symplectic_eigenvalues(m))
+        source = make_tmss(REF_SPEC)
+        apply_channel_grid(source, np.linspace(0.0, 1.0, 50), 0.5)
+        assert len(calls) == 1 and np.array_equal(calls[0], source.entries)
 
     def test_rejects_invalid_inputs(self):
         cm = make_tmss(REF_SPEC)
@@ -134,11 +137,27 @@ class TestApplyChannelGrid:
         with pytest.raises(UnphysicalStateError, match=r"min symplectic eigenvalue nan"):
             apply_channel_grid(m, [0.0, 0.5, 1.0])
 
-    def test_source_invariants_are_checked_before_validate(self, monkeypatch):
-        # every determinant of this source overflows; validate never runs
-        monkeypatch.setattr(oamcv.channels, "validate", None)
+    def test_source_invariants_are_checked_before_physicality(self, monkeypatch):
+        # every determinant of this source overflows; no physicality check runs
+        monkeypatch.setattr(oamcv.channels, "symplectic_eigenvalues", None)
         with pytest.raises(NumericalError, match=r"^state invariants are not finite"):
             apply_channel_grid(make_tmss(SqueezingSpec(1e-200, 1e200)), [0.5])
+
+    @pytest.mark.parametrize("r", [5.4, 6.0, 6.5, 6.8, 7.0, 8.0, 10.0, 15.0, 50.0])
+    def test_source_squeezed_beyond_float_resolution_is_numerical_error(self, r):
+        # rounding moves nu_min of these pure sources by more than its distance to the bound
+        with pytest.raises(NumericalError, match=r"^input state is squeezed beyond float "
+                                                 r"resolution \(v = .*, v' = "):
+            apply_channel_grid(make_tmss(SqueezingSpec.from_r(r)), [1.0])
+
+    @pytest.mark.parametrize("r", [0.0, 2.0, 5.0, 5.3])
+    def test_resolved_pure_source_passes(self, r):
+        assert apply_channel_grid(make_tmss(SqueezingSpec.from_r(r)), [1.0]).shape == (1, 4, 4)
+
+    def test_resolved_unphysical_source_is_input_error(self):
+        # large entries, but nu_min = 0.1 lies far below the bound's rounding noise
+        with pytest.raises(UnphysicalStateError, match=r"min symplectic eigenvalue 0\.1\)$"):
+            apply_channel_grid(np.diag([1e5, 1e-7, 1e5, 1e-7]), [0.5])
 
 
 class TestMultiplexedChannel:

@@ -584,13 +584,23 @@ class TestMain:
         # the source's determinants overflow: the finiteness check, exit 3
         ("1e-200", "1e200", EXIT_NUMERICAL,
          "numerical error: state invariants are not finite (Dt = inf, det sigma = 0.0)\n"),
-        # finite invariants, but singular in floating point: not PD, exit 2
-        ("1e-100", "1e100", EXIT_CONFIG,
-         "config error: input state is unphysical (min symplectic eigenvalue nan)\n"),
+        # finite invariants, but singular in floating point: a float limit, exit 3
+        ("1e-100", "1e100", EXIT_NUMERICAL,
+         "numerical error: input state is squeezed beyond float resolution (v = 0, "
+         "v' = 1e+100): its min symplectic eigenvalue nan is known only to +-4.44e+184\n"),
     ])
     def test_degenerate_source_stderr_is_one_line(self, v, vp, code, err):
         result = run_fresh(["-m", "oamcv.cli", "sweep", "--v", v, "--vp", vp, "--charges", "0"])
         assert (result.returncode, result.stdout, result.stderr) == (code, "", err)
+
+    @pytest.mark.parametrize("r", [6.5, 6.8, 7, 8, 10, 15])
+    def test_source_beyond_float_resolution_is_numerical_error(self, r, tmp_path, capsys):
+        # pure sources the config accepts: rounding, not the user, decides their physicality
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"r": r, "charges": [0], "eta_start": 1}))
+        assert main(["sweep", "--config", str(path)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(
+            "numerical error: input state is squeezed beyond float resolution (v = ")
 
     @pytest.mark.parametrize("argv, config, code, err", [
         # entries above half the float max: symmetrising must not overflow

@@ -13,7 +13,7 @@ from oamcv import (ChannelParams, CovarianceMatrix, Decibel, InputError, Multipl
                    db_to_linear, entanglement_death_eta, linear_to_db, make_multiplexed,
                    make_tmss, steering_death_eta, symplectic_eigenvalues, validate)
 from oamcv.cli import SweepConfig
-from oamcv.gaussian import checked_delta, checked_eta
+from oamcv.gaussian import _well_formed, checked_delta, checked_eta
 from conftest import INDEFINITE, V_REF, VP_REF, source_specs
 
 
@@ -197,6 +197,19 @@ class TestValidate:
         m[0, 1], m[1, 0] = 1e308, -1e308
         report = validate(m)
         assert report.symmetry_defect == math.inf and report.symmetric is False
+
+    @pytest.mark.parametrize("m", [
+        np.diag([1e308] * 4),
+        np.eye(4) + np.array([[0.0, 1e308, 0, 0], [-1e308, 0, 0, 0], [0] * 4, [0] * 4])],
+        ids=["above-half-max", "opposite-off-diagonals"])
+    def test_agrees_with_the_constructor_rule(self, m):
+        # validate and _well_formed read one rule: same verdict, same symmetrized matrix
+        sigma, (malformed, _) = _well_formed(m[None])
+        report = validate(m)
+        assert report.symmetric is not bool(malformed[0])
+        if report.symmetric:
+            assert np.array_equal(sigma[0], m) and report.ok
+            assert np.array_equal(CovarianceMatrix(m).entries, sigma[0])
 
     def test_nonfinite_flagged(self):
         m = np.eye(4)

@@ -292,6 +292,15 @@ class TestTiltedLens:
                                              r"got inf$"):
             tilted_lens_pattern(huge, 2.0)
 
+    def test_rejects_field_whose_second_moment_overflows(self):
+        # the power is finite; the rms radius that sizes the window is the field's, not the
+        # astigmatism's, and its overflow prints no warning
+        huge = FieldGrid(512, 512, 16.0, np.full((512, 512), 2.5e151))
+        assert math.isfinite(huge.power)
+        with pytest.raises(InputError, match=r"^field intensity second moment must be finite, "
+                                             r"got inf$"):
+            tilted_lens_pattern(huge, 1.0)
+
     def test_resolution_guard(self):
         coarse = FieldGrid(32, 32, 6.0, np.ones((32, 32), dtype=complex))
         with pytest.raises(ResolutionError):
@@ -424,6 +433,15 @@ class TestIntensityRule:
             with pytest.raises(InputError,
                                match=r"^intensity values must be finite and nonnegative$"):
                 entry_point(bad)
+
+    @pytest.mark.parametrize("render", [
+        lambda: tilted_lens_pattern(lg_field(LGModeSpec(1), 128, 128, 4.0), 2.0),
+        lambda: lg_images(1, 2.0, 128, 128, 4.0)], ids=["tilted_lens_pattern", "lg_images"])
+    def test_non_finite_computed_grid_is_numerical_error(self, render, monkeypatch):
+        # a computed pattern that is not finite is the program's fault, not the caller's
+        monkeypatch.setattr(oamcv.modes, "_squared_modulus", lambda z: np.full(z.shape, np.nan))
+        with pytest.raises(NumericalError, match=r"^computed intensity values are not finite$"):
+            render()
 
     def test_grid_values_are_not_scanned_again(self, monkeypatch, tmp_path):
         pattern = tilted_lens_pattern(lg_field(LGModeSpec(2), 128, 128, 4.0), 2.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oamcv import (ChannelParams, InputError, ReconstructionWarning, SampleBatch,
+from oamcv import (ChannelParams, InputError, NumericalError, ReconstructionWarning, SampleBatch,
                    SqueezingSpec, UnphysicalStateError, VarianceSet, apply_channel,
                    expected_variances, make_tmss, read_variances_csv,
                    reconstruct_cm, sampled_variances, simulate_measurements,
@@ -107,6 +107,16 @@ class TestSimulateMeasurements:
             sampled_variances([m], 100, [0])
         assert type(sample.value) is type(chi2.value)
         assert str(sample.value) == str(chi2.value)
+
+
+    def test_overflowing_joint_variance_is_numerical_error(self):
+        # the entries are physical, but Xdiff = s_pp + s_cc - 2 s_cp overflows
+        m = np.diag([1e308] * 4)
+        for entry_point in (lambda: expected_variances(m), lambda: simulate_measurements(m, 10, 1),
+                            lambda: sampled_variances(m[None], 10, [1])):
+            with pytest.raises(NumericalError, match=r"^variance of Xdiff is not positive and "
+                                                     r"finite: inf$"):
+                entry_point()
 
 
 class TestVariancesFromBatches:
