@@ -124,14 +124,15 @@ def _ppt_route(cm, route: str, reads: int) -> float:
 
 
 @np.errstate(all="ignore")
-def _steerability(det_marginal: np.ndarray, det_sigma: np.ndarray, failures: dict) -> np.ndarray:
-    """g of each state, NaN for those in failures, whose ratio math.log may reject."""
-    ratios = (det_marginal / det_sigma).tolist()
-    for i in failures:
-        ratios[i] = math.nan
+def _steerability(det_marginals: np.ndarray, det_sigma: np.ndarray, failures: dict) -> np.ndarray:
+    """g of each state per row of det_marginals, NaN for those in failures, whose ratio
+    math.log may reject."""
+    ratios = det_marginals / det_sigma
+    if failures:
+        ratios[:, list(failures)] = math.nan
     # math.log per element: numpy's vectorised log may round differently in
     # the last bit, and the tomo JSON prints these values in full
-    return np.maximum(0.0, 0.5 * np.array([math.log(x) for x in ratios]))
+    return np.maximum(0.0, 0.5 * np.array([list(map(math.log, row)) for row in ratios.tolist()]))
 
 
 def ppt_nu_closed_form(cm) -> float:
@@ -234,7 +235,7 @@ def _criteria(sigmas) -> tuple:
                     lambda i: UnphysicalStateError(f"state determinants must be positive, "
                                                    f"got det sigma = {float(det_sigma[i]):.3g}"))
     failures = _failures([malformed, *ppt_checks, determinants])
-    g_ab, g_ba = (_steerability(det, det_sigma, failures) for det in (det_a, det_b))
+    g_ab, g_ba = _steerability(np.array([det_a, det_b]), det_sigma, failures)
     a, b = g_ab > TOL_DECISION, g_ba > TOL_DECISION
     # STEERING_CLASSES order: both, A->B only, B->A only, neither
     cls = np.array(STEERING_CLASSES)[2 * ~a + ~b]

@@ -13,17 +13,16 @@ et al., Opt. Commun. 96, 123 (1993).
 
 The far field has two independent routes.  lg_field plus
 tilted_lens_pattern is the general one: any FieldGrid is transformed by the
-grid DFT, one _dft call per axis that folds its input about the
-mirror-symmetric axis into two real GEMMs.  lg_images, which run_modes
-calls, never builds the field: each separable factor of a chirped p = 0
-mode is t^j exp(-alpha t^2), whose Fourier integral _moments gives in
-closed form, so the pattern is |G^T F|^2, one complex GEMM of rank
-|l| + 1, on the ky >= 0 half of the window.  At 512^2, extent 6, the
-routes agree within 3.1e-13 of the peak for |l| <= 5 and 0.1 <= a <= 12.
-Beyond that the grid DFT departs from the integral, first because it cuts
-the beam off at +-extent (2.6e-12 of the peak at |l| = 7, 7.4e-9 at
-|l| = 16), then, for a >~ 12, because it aliases the chirp, whose local
-frequency 2 a t passes the grid's Nyquist pi/dx.
+grid DFT, one _dft call per axis with one transpose between them.
+lg_images, which run_modes calls, never builds the field: each separable
+factor of a chirped p = 0 mode is t^j exp(-alpha t^2), whose Fourier
+integral _moments gives in closed form, so the pattern is |G^T F|^2, one
+complex GEMM of rank |l| + 1, on the ky >= 0 half of the window.  At
+512^2, extent 6, the routes agree within 3.1e-13 of the peak for |l| <= 5
+and 0.1 <= a <= 12.  Beyond that the grid DFT departs from the integral,
+first because it cuts the beam off at +-extent (2.6e-12 of the peak at
+|l| = 7, 7.4e-9 at |l| = 16), then, for a >~ 12, because it aliases the
+chirp, whose local frequency 2 a t passes the grid's Nyquist pi/dx.
 """
 
 from __future__ import annotations
@@ -46,6 +45,9 @@ MAX_GRID_SIDE = 4096
 SHOULDER_FRACTION = 0.25
 DARK_FRACTION = 0.05
 MIN_CONTRAST = 2.0
+
+# PGM maxval and sample type per bit depth
+_PGM_SAMPLES = {8: (255, np.dtype(np.uint8)), 16: (65535, np.dtype(">u2"))}
 
 
 @dataclass(frozen=True)
@@ -236,44 +238,30 @@ def _half_phasors(k: np.ndarray, t: np.ndarray) -> tuple:
     return np.cos(kt), np.sin(kt[:, len(t) % 2:])
 
 
-def _fold(z: np.ndarray) -> tuple:
-    """Even and odd parts of z's rows about its middle row, on the upper half.
+def _dft(z: np.ndarray, k: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """sum_t exp(-i k t) z[t] over the rows of the complex z: a (len(k), columns of z) array.
 
-    The center row of an odd length is kept once, in the even part.
+    cos and sin are _half_phasors(k, t).  t and k are mirror-symmetric, so
+    cos(k t) is even and sin(k t) odd in both.  z's rows are folded about
+    the middle row, z[t] + z[-t] (the center row of an odd length once) and
+    z[t] - z[-t] for t > 0, and at k >= 0 the sum is C - i S, with C cos
+    times the even fold and S sin times the odd fold, each one real GEMM on
+    the complex data's float view; at -k it is C + i S.
     """
     half, center = divmod(len(z), 2)
     upper, mirror = z[half + center:], z[half - 1::-1]
-    even = np.empty((half + center, *z.shape[1:]), dtype=z.dtype)
+    even = np.empty((half + center, z.shape[1]), dtype=complex)
     even[:center] = z[half:half + center]
     np.add(upper, mirror, out=even[center:])
-    return even, upper - mirror
-
-
-def _axis_phasors(k: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
-    """_half_phasors(k, x) and _half_phasors(k, y); a square grid computes one pair."""
-    along_y = _half_phasors(k, y)
-    return (along_y if len(x) == len(y) else _half_phasors(k, x)), along_y
-
-
-def _dft(z: np.ndarray, cos: np.ndarray, sin: np.ndarray, m: int) -> np.ndarray:
-    """sum_t exp(-i k t) z[t] over the rows of the complex z, on the whole m-point window.
-
-    t and k are mirror-symmetric, so at k >= 0 the sum is C - i S, with C
-    cos(k t) times the even part of z and S sin(k t) times its odd part,
-    each over t >= 0 only and each one real GEMM on z's float view; at -k it
-    is C + i S.  Returns the transposed (columns of z, m) complex array.
-    """
-    even, odd = _fold(z)
     c = (cos @ even.view(float)).view(complex)
     del even
-    s = (sin @ odd.view(float)).view(complex)
-    del odd
+    s = (sin @ (upper - mirror).view(float)).view(complex)
     s *= 1j
-    # the k < 0 side is the flipped k >= 0 half without its k = 0 line
-    lo = m // 2
-    out = np.empty((z.shape[1], m), dtype=complex)
-    np.subtract(c.T, s.T, out=out[:, lo:])
-    np.add(c.T[:, ::-1][:, :lo], s.T[:, ::-1][:, :lo], out=out[:, :lo])
+    # the k < 0 side is the flipped k >= 0 half without its k = 0 row
+    lo = len(k) // 2
+    out = np.empty((len(k), z.shape[1]), dtype=complex)
+    np.subtract(c, s, out=out[lo:])
+    np.add(c[::-1][:lo], s[::-1][:lo], out=out[:lo])
     return out
 
 
@@ -288,8 +276,7 @@ def _k_max(astigmatism: float, weights: np.ndarray, x: np.ndarray, y: np.ndarray
         moment = float(weights.sum(axis=1) @ y ** 2 + weights.sum(axis=0) @ x ** 2)
     if not moment < math.inf:
         raise InputError(f"field intensity second moment must be finite, got {moment!r}")
-    radius = math.sqrt(moment / total)
-    kmax = 2.0 * (astigmatism + 1.0) * (radius + 2.0)
+    kmax = 2.0 * (astigmatism + 1.0) * (math.sqrt(moment / total) + 2.0)
     # the window steps by 2 kmax/(m - 1), |k t| < 2 kmax |t| and a t^2 <= (a edge) edge
     edge = max(float(x[-1]), float(y[-1]))
     if not (math.isfinite(2.0 * kmax * edge) and math.isfinite(astigmatism * edge * edge)):
@@ -309,16 +296,10 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
 
     The k-space window k = (arange(m) - (m - 1)/2) 2 kmax/(m - 1),
     m = max(width, height), is sized from the beam's rms radius so the lobe
-    structure stays well resolved.  The transform onto that window is the
-    DFT exp(-i k y^T) . chirped . exp(-i x k^T), and the pattern is
-    |DFT_x(DFT_y(chirped))|^2, each DFT one _dft call that returns the
-    whole window as a complex array.  x, y and k are exactly
-    mirror-symmetric, so cos(k t) is even and sin(k t) odd in both k and t:
-    _dft splits its input into even and odd parts along t and takes two
-    real GEMMs, cos times the even part and sin times the odd part (complex
-    data viewed as float), with only the k >= 0, t >= 0 quarter of the
-    phasors; the k < 0 half is the same sums with the sine terms' sign
-    flipped.  A square grid uses one (cos, sin) pair for both axes.
+    structure stays well resolved.  The pattern is |DFT_x(DFT_y(chirped))|^2,
+    each DFT one _dft call (see there for the fold); the x stage runs on one
+    contiguous transpose of the y stage's output.  A square grid uses one
+    (cos, sin) pair for both axes.
     """
     if not isinstance(field, FieldGrid):
         raise InputError(f"expected FieldGrid, got {type(field).__name__}")
@@ -327,16 +308,19 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     x, y = field.x, field.y
     kmax = _k_max(astigmatism, field.intensity(), x, y)
     m = max(field.width, field.height)
-    (cos_x, sin_x), (cos_y, sin_y) = _axis_phasors(_k_window(m, kmax), x, y)
+    k = _k_window(m, kmax)
+    cos_y, sin_y = _half_phasors(k, y)
+    cos_x, sin_x = (cos_y, sin_y) if len(x) == len(y) else _half_phasors(k, x)
     chirped = field.values * (field.dx * field.dy * np.exp(-1j * astigmatism * y * y))[:, None]
     chirped *= np.exp(1j * astigmatism * x * x)
-    # each stage's input is dropped once transformed, which keeps the peak
-    # memory at about three grid-sized buffers
-    along_y = _dft(chirped, cos_y, sin_y, m)
+    # each stage's input is dropped once transformed, and the y stage's
+    # output once transposed, which keeps the peak memory at about three
+    # grid-sized buffers
+    along_y = _dft(chirped, k, cos_y, sin_y)
     del chirped
-    far = _dft(along_y, cos_x, sin_x, m)
-    del along_y
-    return _computed_grid(m, m, kmax, _squared_modulus(far))
+    along_y = np.ascontiguousarray(along_y.T)
+    far = _dft(along_y, k, cos_x, sin_x)
+    return _computed_grid(m, m, kmax, _squared_modulus(far).T)
 
 
 def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
@@ -456,8 +440,7 @@ def _count_dips(profile: np.ndarray, peak: float) -> int:
     if shoulders.size == 0:
         return 0
     segment = profile[shoulders[0]:shoulders[-1] + 1] < DARK_FRACTION * peak
-    starts = int(np.sum(segment[1:] & ~segment[:-1])) + int(segment[0])
-    return starts
+    return int(np.sum(segment[1:] & ~segment[:-1])) + int(segment[0])
 
 
 def count_dark_stripes(intensity) -> StripeCount:
@@ -482,10 +465,9 @@ def count_dark_stripes(intensity) -> StripeCount:
     if count_main == count_anti:
         # a profile running along (not across) the stripes stays dim
         sign = 1 if profile_main.max() >= profile_anti.max() else -1
-        return StripeCount(count_main, sign, False)
-    if count_main > count_anti:
-        return StripeCount(count_main, 1, False)
-    return StripeCount(count_anti, -1, False)
+    else:
+        sign = 1 if count_main > count_anti else -1
+    return StripeCount(max(count_main, count_anti), sign, False)
 
 
 def mode_image_filename(l: int, stage: str) -> str:
@@ -495,7 +477,7 @@ def mode_image_filename(l: int, stage: str) -> str:
 
 def checked_bit_depth(bit_depth) -> int:
     """PGM bit depth as an int; anything but the integer 8 or 16 is an InputError."""
-    if is_integer(bit_depth) and bit_depth in (8, 16):
+    if is_integer(bit_depth) and bit_depth in _PGM_SAMPLES:
         return int(bit_depth)
     raise InputError(f"bit_depth must be 8 or 16, got {bit_depth!r}")
 
@@ -506,10 +488,7 @@ def write_pgm(path, intensity, bit_depth: int = 16) -> None:
     16-bit samples are stored big-endian as the netpbm format requires.
     """
     arr = _intensity_values(intensity, 1)
-    if checked_bit_depth(bit_depth) == 8:
-        maxval, dtype = 255, np.dtype(np.uint8)
-    else:
-        maxval, dtype = 65535, np.dtype(">u2")
+    maxval, dtype = _PGM_SAMPLES[checked_bit_depth(bit_depth)]
     peak = float(arr.max())
     if peak <= 0.0:
         scaled = np.zeros(arr.shape, dtype=dtype)

@@ -19,6 +19,7 @@ import pytest
 
 import oamcv
 from oamcv.cli import EXIT_OK, main
+from oamcv.modes import lg_field, mode_image_filename, tilted_lens_pattern, write_pgm
 
 SWEEP = {
     "fig2c": "f8b9e871fdaff18d3059d1f82f9b0400d7ab26beddd6a4e3f4953d810934be52",
@@ -69,6 +70,21 @@ MODES_HIGH_CHARGE = {
     },
 }
 
+# the grid DFT route, lg_field + tilted_lens_pattern, writes the same tilted
+# PGMs as the closed form that `modes` takes; one odd, non-square grid too
+GRID_ROUTE = {name: MODES[name] for name in MODES if name.endswith("_tilted.pgm")}
+GRID_ROUTE["grid_l3_255x257.pgm"] = \
+    "9bbbd9094b3d0b7e47ec435846c52957680c8a4711a6599c810f6f7037189362"
+
+
+def write_grid_route_pgms(out_dir) -> None:
+    """The GRID_ROUTE images, by lg_field and tilted_lens_pattern, in out_dir."""
+    for l in range(-2, 3):
+        write_pgm(os.path.join(out_dir, mode_image_filename(l, "tilted")),
+                  tilted_lens_pattern(lg_field(l), 2.0))
+    write_pgm(os.path.join(out_dir, "grid_l3_255x257.pgm"),
+              tilted_lens_pattern(lg_field(3, 255, 257, 6.0), 2.9))
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -118,19 +134,27 @@ def test_modes_images_high_charge(depth, tmp_path, capsys):
     assert {p.name: sha256(p) for p in tmp_path.iterdir()} == MODES_HIGH_CHARGE[depth]
 
 
+def test_grid_route_images(tmp_path):
+    write_grid_route_pgms(tmp_path)
+    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == GRID_ROUTE
+
+
 # the golden commands once more in a fresh interpreter, on the generic
 # OpenBLAS kernels and without numpy's AVX2/AVX-512 dispatch
 KERNEL_ENV = {"OPENBLAS_CORETYPE": "Nehalem", "OPENBLAS_NUM_THREADS": "1",
               "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 
-# runs the commands given as JSON in argv[1], then writes the exit codes, the
-# active OpenBLAS core and thread count and numpy's CPU features to argv[2]
+# runs the commands given as JSON in argv[1] and writes the GRID_ROUTE images
+# to argv[3], then writes the exit codes, the active OpenBLAS core and thread
+# count and numpy's CPU features to argv[2]
 KERNEL_CHILD = """
 import ctypes, glob, json, os, sys
 import numpy
 from oamcv.cli import main
+from oamcv.modes import lg_field, mode_image_filename, tilted_lens_pattern, write_pgm
 
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
+write_grid_route_pgms(sys.argv[3])
 base = os.path.dirname(os.path.dirname(numpy.__file__))
 libs = glob.glob(os.path.join(base, "numpy.libs", "*openblas*"))
 libs += glob.glob(os.path.join(base, "numpy", ".dylibs", "*openblas*"))
@@ -160,6 +184,8 @@ def cpu_features() -> dict:
 
 def test_golden_hashes_on_generic_cpu_kernels(tmp_path):
     sweep, tomo, modes = tmp_path / "sweep.csv", tmp_path / "tomo.json", tmp_path / "modes"
+    grid = tmp_path / "grid"
+    grid.mkdir()
     commands = [["sweep", "--preset", "fig3", "--out", str(sweep)],
                 ["tomo", "--eta-step", "0.5", "--n", "1000", "--out", str(tomo)],
                 ["modes", "--charges=-5,3,5", "--astigmatism", "2.9", "--out", str(modes)]]
@@ -167,15 +193,17 @@ def test_golden_hashes_on_generic_cpu_kernels(tmp_path):
     src = str(Path(oamcv.__file__).resolve().parents[1])
     env = {**os.environ, **KERNEL_ENV,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = inspect.getsource(cpu_features) + KERNEL_CHILD
-    proc = subprocess.run([sys.executable, "-c", child, json.dumps(commands), str(report)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    child = inspect.getsource(cpu_features) + inspect.getsource(write_grid_route_pgms) \
+        + KERNEL_CHILD
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(commands), str(report),
+                           str(grid)], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(report.read_text())
     assert facts["codes"] == [EXIT_OK] * 3
     assert sha256(sweep) == SWEEP["fig3"]
     assert sha256(tomo) == TOMO
     assert {p.name: sha256(p) for p in modes.iterdir()} == MODES_HIGH_CHARGE[16]
+    assert {p.name: sha256(p) for p in grid.iterdir()} == GRID_ROUTE
     # a variable that changed nothing makes this pass no proof for those kernels
     if facts["core"] != KERNEL_ENV["OPENBLAS_CORETYPE"]:
         warnings.warn(f"OPENBLAS_CORETYPE had no effect: active core {facts['core']!r}")
