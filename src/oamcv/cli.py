@@ -152,12 +152,20 @@ def _render(result) -> str:
 
 
 def _truth_blocks(config: SweepConfig, etas: list):
-    """(l, delta, channel outputs over etas, their classify_many) per block, sorted."""
+    """(l, delta, channel outputs over etas, their classify_many) per block, sorted.
+
+    The channel does not see the charge, so charges with the same source share
+    its blocks: each distinct source is mapped and classified once per delta.
+    """
+    by_source = {}
     for l in sorted(config.charges):
-        source = make_tmss(config.specs[l])
-        for delta in sorted(config.deltas):
-            sigmas = apply_channel_grid(source, etas, delta)
-            yield l, delta, sigmas, classify_many(sigmas)
+        spec = config.specs[l]
+        if spec not in by_source:
+            source = make_tmss(spec)
+            by_source[spec] = [(delta, sigmas := apply_channel_grid(source, etas, delta),
+                                classify_many(sigmas)) for delta in sorted(config.deltas)]
+        for block in by_source[spec]:
+            yield l, *block
 
 
 def run_sweep(config: SweepConfig) -> list:

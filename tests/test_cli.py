@@ -297,6 +297,22 @@ class TestRunSweep:
         for_l2 = [r[1:] for r in body if r[0] == "2"]
         assert for_l0 == for_l2
 
+    def test_one_block_per_distinct_source(self, monkeypatch):
+        # charges sharing a source share its channel maps and criteria
+        other = SqueezingSpec(0.3, 5.0)
+        specs = {0: SPEC, 1: other, 2: SPEC}
+        config = small_config(specs=specs, charges=(0, 1, 2), deltas=(0.5, 0.0), eta_step=0.25)
+        alone = {l: run_sweep(small_config(specs={l: spec}, charges=(l,), deltas=(0.5, 0.0),
+                                           eta_step=0.25))[1:] for l, spec in specs.items()}
+        calls = []
+        for name in ("apply_channel_grid", "classify_many"):
+            real = getattr(oamcv.cli, name)
+            monkeypatch.setattr(oamcv.cli, name,
+                                lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        rows = run_sweep(config)
+        assert calls.count("apply_channel_grid") == calls.count("classify_many") == 2 * 2
+        assert rows[1:] == alone[0] + alone[1] + alone[2]
+
     def test_noisy_sweep_flags_sudden_death(self):
         config = SweepConfig(deltas=(1.0,), charges=(0,), eta_step=0.01)
         rows = run_sweep(config)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import oamcv
 from oamcv import (FieldGrid, InputError, LGModeSpec, NumericalError, ResolutionError,
                    count_dark_stripes, lg_field, lg_images, tilted_lens_pattern, write_pgm)
 from oamcv.cli import run_modes
-from oamcv.modes import (MAX_GRID_SIDE, IntensityGrid, _k_window, _lg_factors, _moments,
-                         _pixel_axis, mode_image_filename)
+from oamcv.modes import (_BLOCK_ROWS, _PGM_SAMPLES, MAX_GRID_SIDE, IntensityGrid, _k_window,
+                         _lg_factors, _moments, _pixel_axis, _row_blocks, mode_image_filename)
 
 # grids with even, odd and mixed-parity sides: (width, height, extent)
 GRIDS = [(512, 512, 6.0), (257, 257, 6.0), (255, 256, 6.0), (300, 301, 6.0),
@@ -347,6 +348,40 @@ class TestLgImages:
         full = np.abs(g.T @ f) ** 2
         assert np.abs(pattern.values - full).max() <= 1e-15 * full.max()
 
+    @pytest.mark.parametrize("width,height", [(512, 512), (160, 128), (255, 257), (257, 257),
+                                              (300, 301)])
+    @pytest.mark.parametrize("l", [0, 1, -1, 5, -5, 16])
+    def test_blocked_pattern_is_the_one_product_bit_for_bit(self, l, width, height):
+        # the row blocks and the in-place turn change no bit of |G^T F|^2 taken whole
+        pattern = lg_images(l, 2.9, width, height, 6.0)[1]
+        m = pattern.width
+        k = _k_window(m, pattern.extent)
+        _, _, binomial, unit, norm = _lg_factors(LGModeSpec(l), k, k)
+        f = binomial[:, None] * _moments(k, complex(1.0, -2.9), abs(l))
+        g = (unit * norm)[:, None] * _moments(k[m // 2:], complex(1.0, 2.9), abs(l))[::-1]
+        product = g.T @ f
+        upper = product.real ** 2 + product.imag ** 2
+        whole = np.concatenate([upper[::-1, ::-1][:m // 2], upper])
+        assert np.array_equal(pattern.values, whole)
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2,
+                                   4 * _BLOCK_ROWS + 1, 256, 257])
+    def test_row_blocks_cover_the_rows_without_a_lone_row(self, n):
+        blocks = _row_blocks(n)
+        assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n))
+        assert all(2 <= rows.stop - rows.start <= _BLOCK_ROWS + 1 for rows in blocks) or n == 1
+
+    def test_run_modes_memory_budget(self, tmp_path):
+        # each image is one buffer, filled in row blocks: no image-sized temporaries
+        run_modes([3], out_dir=tmp_path)
+        tracemalloc.start()
+        try:
+            run_modes([3], out_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2 ** 20
+
     @pytest.mark.parametrize("astigmatism", [1.0, 2.9, 1e6, 1e306])
     def test_moments_flip_sign_with_k_bit_for_bit(self, astigmatism):
         k = _k_window(257, 10.0 * (astigmatism + 1.0))
@@ -439,7 +474,12 @@ class TestIntensityRule:
         lambda: lg_images(1, 2.0, 128, 128, 4.0)], ids=["tilted_lens_pattern", "lg_images"])
     def test_non_finite_computed_grid_is_numerical_error(self, render, monkeypatch):
         # a computed pattern that is not finite is the program's fault, not the caller's
-        monkeypatch.setattr(oamcv.modes, "_squared_modulus", lambda z: np.full(z.shape, np.nan))
+        def not_finite(z, out=None):
+            out = np.empty(z.shape) if out is None else out
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(oamcv.modes, "_squared_modulus", not_finite)
         with pytest.raises(NumericalError, match=r"^computed intensity values are not finite$"):
             render()
 
@@ -481,6 +521,17 @@ class TestPgm:
         assert len(payload) == 2 * 128 * 128
         samples = np.frombuffer(payload, dtype=">u2")
         assert samples.max() == 65535
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_blocked_samples_match_the_whole_image(self, tmp_path, bit_depth):
+        # several row blocks, a lone last row, and a transposed (Fortran-ordered) grid
+        values = np.random.default_rng(7).random((3 * _BLOCK_ROWS + 1, 45))
+        maxval, dtype = _PGM_SAMPLES[bit_depth]
+        for arr in (values, values.T):
+            write_pgm(tmp_path / "x.pgm", arr, bit_depth=bit_depth)
+            samples = np.round(arr / arr.max() * maxval).astype(dtype)
+            header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
+            assert (tmp_path / "x.pgm").read_bytes() == header + samples.tobytes()
 
     def test_zero_image(self, tmp_path):
         path = tmp_path / "dark.pgm"
