@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import (PHYSICALITY_TOL, ChannelParams, CovarianceMatrix, ModePair,
-                       MultiplexedState, _finite_check, _from_pair, _invariants, _physical,
-                       _raise_first, as_cm, checked_delta, checked_eta, symplectic_eigenvalues)
+from .gaussian import (PHYSICALITY_TOL, ChannelParams, CovarianceMatrix, ModePair, MultiplexedState,
+                       _finite_check, _from_pair, _frozen, _invariants, _physical, _raise_first,
+                       as_cm, checked_delta, checked_eta, symplectic_eigenvalues)
 
 
 def apply_channel(cm, ch) -> CovarianceMatrix:
@@ -24,18 +24,20 @@ def apply_channel(cm, ch) -> CovarianceMatrix:
     Cross correlations scale by sqrt(eta).  For a symmetric two-mode squeezed
     input this yields V_b = eta*(v + vp)/2 + (1 - eta)(1 + delta) and
     V_c = sqrt(eta)*(vp - v)/2 exactly, with V_a unchanged.  This is the
-    one-row case of apply_channel_grid.
+    one-row case of apply_channel_grid, with the same checks.
     """
     ch = _from_pair(ChannelParams, ch, "a channel must be a ChannelParams or an (eta, delta) pair")
-    return CovarianceMatrix(apply_channel_grid(cm, [ch.eta], ch.delta)[0])
+    sigma = _check_source(as_cm(cm).entries)
+    return _frozen(CovarianceMatrix, _channel_map(sigma, np.array([ch.eta]), ch.delta)[0])
 
 
 def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
     """apply_channel over a grid of eta at one delta, as an (N, 4, 4) stack.
 
-    Entry i is the entries of apply_channel(cm, ChannelParams(etas[i], delta));
-    the source is checked once for the whole grid (finite invariants, then
-    _check_source), and eta and delta obey the ChannelParams rules.
+    Entry i is the entries of apply_channel(cm, ChannelParams(etas[i], delta)).
+    This is the checked entry point: cm is a covariance matrix, each eta and
+    delta obey the ChannelParams rules, and the source passes _check_source,
+    once for the whole grid.  The map itself is _channel_map.
     """
     cm = as_cm(cm)
     grid = etas.tolist() if isinstance(etas, np.ndarray) else etas
@@ -43,25 +45,36 @@ def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
         raise InputError(f"eta grid must be a list of numbers, got {etas!r}")
     etas = np.array([checked_eta(eta) for eta in grid], dtype=float)
     delta = checked_delta(delta)
-    _raise_first([_finite_check(*_invariants(cm.entries[None]))])
-    _check_source(cm.entries)
+    return _channel_map(_check_source(cm.entries), etas, delta)
+
+
+def _channel_map(sigma: np.ndarray, etas: np.ndarray, delta: float) -> np.ndarray:
+    """The channel over an eta array at one delta, without checks, as an (N, 4, 4) stack.
+
+    For a source that passed _check_source, etas in [0, 1] and delta >= 0 finite,
+    every output is symmetric and finite: the probe block is a convex mix of the
+    source's and (1 + delta) I, and the cross block is copied transposed.
+    """
     added = (1.0 - etas) * (1.0 + delta)
-    out = np.repeat(cm.entries[np.newaxis], len(etas), axis=0)
-    out[:, 2:, 2:] = etas[:, None, None] * cm.entries[2:, 2:] + added[:, None, None] * np.eye(2)
-    out[:, :2, 2:] = np.sqrt(etas)[:, None, None] * cm.entries[:2, 2:]
+    out = np.repeat(sigma[np.newaxis], len(etas), axis=0)
+    out[:, 2:, 2:] = etas[:, None, None] * sigma[2:, 2:] + added[:, None, None] * np.eye(2)
+    out[:, :2, 2:] = np.sqrt(etas)[:, None, None] * sigma[:2, 2:]
     out[:, 2:, :2] = out[:, :2, 2:].swapaxes(1, 2)
     return out
 
 
-def _check_source(sigma: np.ndarray) -> None:
-    """Raise unless the source is physical, within the resolution of its nu_min.
+def _check_source(sigma: np.ndarray) -> np.ndarray:
+    """The source sigma, once its invariants are finite and it is physical, within the
+    resolution of its nu_min; else raises.
 
+    Invariants that are not finite are a NumericalError (_finite_check).
     Rounding entries of size up to s moves nu_min by up to about eps s^2 (0.9 eps s^2
     seen on pure sources), so nu_min is resolved to noise = 8 eps s^2, as in _allowance.
     A nu_min within noise of the bound, or NaN (not PD) once noise exceeds the
     tolerance, is unresolved: a NumericalError naming the joint X variances
     v, v' = (s_XcXc + s_XpXp)/2 -+ s_XcXp, a two-mode squeezed source's v and v'.
     """
+    _raise_first([_finite_check(*_invariants(sigma[None]))])
     nu = float(symplectic_eigenvalues(sigma)[0])
     scale = float(np.abs(sigma).max())
     noise = 8.0 * np.finfo(float).eps * scale * scale
@@ -74,6 +87,7 @@ def _check_source(sigma: np.ndarray) -> None:
     if not _physical(nu):
         raise UnphysicalStateError(
             f"input state is unphysical (min symplectic eigenvalue {nu:.6g})")
+    return sigma
 
 
 def apply_channel_multiplexed(ms: MultiplexedState, ch) -> MultiplexedState:

@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import __version__
-from .channels import apply_channel_grid
+from .channels import _channel_map, _check_source
 from .criteria import _criteria, classify_many, entanglement_death_eta, steering_death_eta
 from .errors import InputError, NumericalError
 from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
@@ -139,9 +139,15 @@ def _eta_steps(start: float, stop: float, step: float) -> float:
 
 
 def eta_grid(config: SweepConfig) -> list:
-    """Transmission grid start, start+step, ... capped at stop."""
+    """Transmission grid start, start+step, ... capped at stop.
+
+    The config owns the check of the grid: every point lies in [start, stop],
+    within [0, 1], so no point is checked again.  The rounding allowance of
+    _eta_steps may admit a last point just past stop; it is stop itself.
+    """
     count = math.floor(_eta_steps(config.eta_start, config.eta_stop, config.eta_step)) + 1
-    return [round(config.eta_start + i * config.eta_step, 10) for i in range(count)]
+    return [min(round(config.eta_start + i * config.eta_step, 10), config.eta_stop)
+            for i in range(count)]
 
 
 def _render(result) -> str:
@@ -155,14 +161,15 @@ def _truth_blocks(config: SweepConfig, etas: list):
     """(l, delta, channel outputs over etas, their classify_many) per block, sorted.
 
     The channel does not see the charge, so charges with the same source share
-    its blocks: each distinct source is mapped and classified once per delta.
+    its blocks: each distinct source is checked once, then mapped and classified
+    once per delta.  The config has checked the deltas and the grid.
     """
     by_source = {}
+    grid = np.array(etas)
     for l in sorted(config.charges):
-        spec = config.specs[l]
-        if spec not in by_source:
-            source = make_tmss(spec)
-            by_source[spec] = [(delta, sigmas := apply_channel_grid(source, etas, delta),
+        if (spec := config.specs[l]) not in by_source:
+            source = _check_source(make_tmss(spec).entries)
+            by_source[spec] = [(delta, sigmas := _channel_map(source, grid, delta),
                                 classify_many(sigmas)) for delta in sorted(config.deltas)]
         for block in by_source[spec]:
             yield l, *block

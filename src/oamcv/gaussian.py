@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -30,9 +30,6 @@ OMEGA = np.array([[0.0, 1.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, 1.0],
                   [0.0, 0.0, -1.0, 0.0]])
 OMEGA.flags.writeable = False
-
-_I2 = np.eye(2)
-_Z2 = np.diag([1.0, -1.0])
 
 # rows and columns of the A, B and C blocks of a 4x4 matrix: sigma[:, rows, cols] is (N, 3, 2, 2)
 _BLOCK_ROWS = np.array([[0, 1], [2, 3], [0, 1]])[:, :, None]
@@ -97,6 +94,21 @@ def _entries(obj, dtype):
     if isinstance(rows, (list, tuple)):
         return [_entries(row, dtype) for row in rows]
     raise InputError(f"array entries must be numbers, got {obj!r}")
+
+
+def _frozen(cls, *values):
+    """cls(*values), a frozen dataclass, without its checks; each array is made read-only.
+
+    The one owner of an unchecked construction.  Only for values the package
+    has just built from checked inputs, for which the caller guarantees every
+    rule cls's constructor would test: a value is checked once, where it enters.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values, strict=True):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -408,20 +420,22 @@ def _physical(nu_min):
 def make_tmss(spec) -> CovarianceMatrix:
     """Covariance matrix of the two-mode squeezed (EPR) state for a source spec.
 
-    Diagonal blocks are (v + vp)/2 * I and off-diagonal blocks (vp - v)/2 * Z:
-    X quadratures correlated, Y quadratures anti-correlated, sigma_A = sigma_B.
+    Diagonal blocks are a * I and off-diagonal blocks c * Z, with a = (v + vp)/2,
+    c = (vp - v)/2 and Z = diag(1, -1): X quadratures correlated, Y quadratures
+    anti-correlated, sigma_A = sigma_B.  The spec is checked here, by the
+    SqueezingSpec rules; the matrix built from it is symmetric and finite by
+    construction (each half is taken before the sum, which cannot overflow),
+    so it is frozen without the CovarianceMatrix checks.
     The matrix's own v is the difference of those two stored entries, so it
     and every nu taken from it carry a relative error of about
     eps (v + vp)/(2 v): about 1e-15 for v = 0.47, vp = 4.11, but 5e-8 at
     r = 5, so past r ~ 4 not all 9 digits the sweep prints are meaningful.
     """
-    spec = as_spec(spec)
     # run the constructor's rules again, on fields that may have been overwritten
-    spec = SqueezingSpec(spec.v, spec.vp)
-    va = (spec.v + spec.vp) / 2.0
-    vc = (spec.vp - spec.v) / 2.0
-    return CovarianceMatrix(np.block([[va * _I2, vc * _Z2],
-                                      [vc * _Z2, va * _I2]]))
+    spec = replace(as_spec(spec))
+    a, c = spec.v / 2.0 + spec.vp / 2.0, spec.vp / 2.0 - spec.v / 2.0
+    return _frozen(CovarianceMatrix, np.array(
+        [[a, 0.0, c, 0.0], [0.0, a, 0.0, -c], [c, 0.0, a, 0.0], [0.0, -c, 0.0, a]]))
 
 
 class ModePair(NamedTuple):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalError, ResolutionError
-from .gaussian import checked_charges, is_integer, real_array, real_or_nan
+from .gaussian import _frozen, checked_charges, is_integer, real_array, real_or_nan
 
 MAX_ABS_CHARGE = 16
 MIN_PIXELS_PER_WAIST = 8
@@ -154,14 +154,13 @@ class IntensityGrid:
 def _computed_grid(width: int, height: int, extent: float, values: np.ndarray) -> IntensityGrid:
     """An IntensityGrid that keeps values this module has just computed, without a copy.
 
-    Every value is a sum of squares, so it is tested for finiteness only; a
-    value that is not finite is the program's fault, a NumericalError.
+    The geometry comes from checked inputs and every value is a sum of squares,
+    so only finiteness is tested before _frozen keeps the grid; a value that is
+    not finite is the program's fault, a NumericalError.
     """
     if not np.all(np.isfinite(values)):
         raise NumericalError("computed intensity values are not finite")
-    grid = object.__new__(IntensityGrid)
-    _set_grid(grid, width, height, extent, values)
-    return grid
+    return _frozen(IntensityGrid, width, height, extent, values)
 
 
 def _intensity_values(intensity, min_side: int) -> np.ndarray:

@@ -20,9 +20,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, _physical, _raise_first, _well_formed, as_cm,
-                       checked_matrices, db_to_linear, is_integer, linear_to_db, real_array,
-                       real_or_nan, symplectic_eigenvalues, validate)
+from .gaussian import (CovarianceMatrix, _frozen, _physical, _raise_first, _well_formed, as_cm,
+                       checked_matrices, is_integer, real_array, real_or_nan,
+                       symplectic_eigenvalues, validate)
 
 SETTINGS = ("Xc", "Yc", "Xp", "Yp", "Xdiff", "Ysum")
 
@@ -48,8 +48,9 @@ def _variances(sigmas: np.ndarray) -> np.ndarray:
 
 
 def _to_db(variances) -> list:
-    """The six absolute variances of a state in dB of each setting's SNL."""
-    return [linear_to_db(var / SNL_REFERENCE[setting]).value
+    """The six absolute variances of a state in dB of each setting's SNL, per element the
+    bytes of linear_to_db; each variance must have been checked positive and finite."""
+    return [10.0 * math.log10(var / SNL_REFERENCE[setting])
             for setting, var in zip(SETTINGS, variances)]
 
 
@@ -130,7 +131,7 @@ class VarianceSet:
 
     def absolute_variance(self, setting: str) -> float:
         """Variance in absolute units: the dB value de-normalized by its SNL."""
-        return db_to_linear(self.db(setting)) * SNL_REFERENCE[setting]
+        return 10.0 ** (self.db(setting) / 10.0) * SNL_REFERENCE[setting]
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +183,9 @@ def simulate_measurements(cm, n_per_setting: int, seed) -> tuple:
     n, seed = checked_sampling(n_per_setting, seed)
     batches = []
     for setting, true_var, child in zip(SETTINGS, variances, _child_seeds(seed)):
-        rng = np.random.default_rng(child)
-        batches.append(SampleBatch(setting, rng.normal(0.0, math.sqrt(true_var), n), child))
+        samples = np.random.default_rng(child).normal(0.0, math.sqrt(true_var), n)
+        # finite draws of a finite variance, and a child seed that is a checked int
+        batches.append(_frozen(SampleBatch, setting, samples, child))
     return tuple(batches)
 
 
@@ -207,12 +209,14 @@ def variances_from_batches(batches: Iterable[SampleBatch]) -> VarianceSet:
     variances, errs = [], []
     for setting in SETTINGS:
         batch = by_setting[setting]
-        var = float(np.var(batch.samples, ddof=1))
-        if var <= 0.0:
-            raise InputError(f"degenerate batch for {setting!r}: sample variance is zero")
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = float(np.var(batch.samples, ddof=1))
+        if not 0.0 < var < math.inf:
+            raise InputError(f"degenerate batch for {setting!r}: sample variance is "
+                             f"{var or 'zero'}")
         variances.append(var)
         errs.append(_stderr_db(batch.samples.size))
-    return VarianceSet(*_to_db(variances), stderr_db=tuple(errs))
+    return _frozen(VarianceSet, *_to_db(variances), tuple(errs))
 
 
 def sampled_variances(sigmas, n_per_setting: int, seeds) -> list:
@@ -238,15 +242,15 @@ def sampled_variances(sigmas, n_per_setting: int, seeds) -> list:
     for variances, seed in zip(_simulable(raw).tolist(), seeds):
         draws = [np.random.default_rng(child).standard_gamma(shape) * var / shape
                  for var, child in zip(variances, _child_seeds(seed))]
-        if not all(draw > 0.0 for draw in draws):
-            raise NumericalError(f"a sampled variance is not positive: {draws!r} (seed {seed})")
-        measured.append(VarianceSet(*_to_db(draws), stderr_db=errs))
+        if not all(0.0 < draw < math.inf for draw in draws):
+            raise NumericalError(f"a sampled variance is not in (0, inf): {draws!r} (seed {seed})")
+        measured.append(_frozen(VarianceSet, *_to_db(draws), errs))
     return measured
 
 
 def expected_variances(cm) -> VarianceSet:
     """Noise-free VarianceSet computed directly from the CM, no sampling."""
-    return VarianceSet(*_to_db(_positive_variances(as_cm(cm).entries).tolist()))
+    return _frozen(VarianceSet, *_to_db(_positive_variances(as_cm(cm).entries).tolist()), None)
 
 
 def covariance_from_sum(var_sum: float, var_i: float, var_j: float) -> float:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oamcv.channels
-from oamcv import (ChannelParams, InputError, NumericalError, SqueezingSpec,
+from oamcv import (ChannelParams, CovarianceMatrix, InputError, NumericalError, SqueezingSpec,
                    UnphysicalStateError, apply_channel, apply_channel_grid,
                    apply_channel_multiplexed, make_multiplexed, make_tmss, symplectic_eigenvalues,
                    validate)
@@ -81,6 +81,22 @@ class TestApplyChannel:
         out = apply_channel(make_tmss(spec), ChannelParams(eta, delta))
         assert validate(out).ok
         assert np.diag(out.entries).min() >= 1.0 - 1e-6  # no quadrature below vacuum
+
+    @settings(max_examples=150, deadline=None)
+    @given(source_specs(), etas, deltas)
+    def test_equals_the_checked_grid_row(self, spec, eta, delta):
+        cm = make_tmss(spec)
+        checked = CovarianceMatrix(apply_channel_grid(cm, [eta], delta)[0])
+        assert apply_channel(cm, (eta, delta)).entries.tobytes() == checked.entries.tobytes()
+
+    def test_output_is_frozen_without_the_checks(self, monkeypatch):
+        cm = make_tmss(REF_SPEC)
+        calls = []
+        real = CovarianceMatrix.__post_init__
+        monkeypatch.setattr(CovarianceMatrix, "__post_init__",
+                            lambda self: calls.append(self) or real(self))
+        out = apply_channel(cm, ChannelParams(0.5, 0.1))
+        assert calls == [] and not out.entries.flags.writeable
 
     @settings(max_examples=100, deadline=None)
     @given(source_specs(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -256,6 +256,16 @@ class TestSweepConfig:
         assert eta_grid(SweepConfig()) == pytest.approx(np.arange(101) / 100)
         assert eta_grid(small_config())[-1] == 1.0
 
+    @pytest.mark.parametrize("stop, step", [(1.0, 1.0000000005), (0.5, 0.5000000002)])
+    def test_last_eta_point_is_capped_at_stop(self, stop, step, capsys):
+        # the rounding allowance admits a last point just past stop: it is stop itself
+        assert eta_grid(small_config(eta_stop=stop, eta_step=step)) == [0.0, stop]
+        argv = ["sweep", "--charges", "0", "--eta-stop", repr(stop)]
+        assert main([*argv, "--eta-step", repr(step)]) == EXIT_OK
+        capped = capsys.readouterr()
+        assert main([*argv, "--eta-step", repr(stop)]) == EXIT_OK
+        assert capped == capsys.readouterr() and capped.err == ""
+
     @pytest.mark.parametrize("step", [5e-324, 1e-12])
     def test_eta_point_bound_fails_before_the_grid_is_built(self, step, monkeypatch, capsys):
         # a subnormal step made the count inf (OverflowError); 1e-12 asks for 1e12 points
@@ -305,13 +315,33 @@ class TestRunSweep:
         alone = {l: run_sweep(small_config(specs={l: spec}, charges=(l,), deltas=(0.5, 0.0),
                                            eta_step=0.25))[1:] for l, spec in specs.items()}
         calls = []
-        for name in ("apply_channel_grid", "classify_many"):
+        for name in ("_channel_map", "classify_many"):
             real = getattr(oamcv.cli, name)
             monkeypatch.setattr(oamcv.cli, name,
                                 lambda *args, real=real, name=name: calls.append(name) or real(*args))
         rows = run_sweep(config)
-        assert calls.count("apply_channel_grid") == calls.count("classify_many") == 2 * 2
+        assert calls.count("_channel_map") == calls.count("classify_many") == 2 * 2
         assert rows[1:] == alone[0] + alone[1] + alone[2]
+
+    def test_each_source_checked_once_and_no_eta_again(self, monkeypatch):
+        # the config owns the grid and the deltas; a source is checked once, not per delta
+        specs = {0: SPEC, 1: SqueezingSpec(0.3, 5.0), 2: SPEC}
+        config = small_config(specs=specs, charges=(0, 1, 2), deltas=(0.5, 0.0, 1.0),
+                              n_per_setting=20)
+        checked = []
+        real = oamcv.cli._check_source
+        monkeypatch.setattr(oamcv.cli, "_check_source", lambda s: checked.append(s) or real(s))
+
+        def refuse(eta):
+            raise AssertionError("an eta is checked again")
+
+        for module in (oamcv.gaussian, oamcv.channels, oamcv.cli):
+            monkeypatch.setattr(module, "checked_eta", refuse)
+        for run in (run_sweep, run_tomo):
+            checked.clear()
+            run(config)
+            assert [s.tobytes() for s in checked] == [make_tmss(specs[l]).entries.tobytes()
+                                                      for l in (0, 1)]
 
     def test_noisy_sweep_flags_sudden_death(self):
         config = SweepConfig(deltas=(1.0,), charges=(0,), eta_step=0.01)
@@ -624,6 +654,9 @@ class TestMain:
          EXIT_NUMERICAL, "numerical error: state invariants are not finite (Dt = inf, "),
         (["sweep", "--v", "0.5", "--vp", "1.7e308", "--charges", "0", "--eta-step", "0.5"],
          None, EXIT_NUMERICAL, "numerical error: state invariants are not finite (Dt = inf, "),
+        # the source's entries are finite, each half taken before the sum
+        (["sweep", "--v", "1.7e308", "--vp", "1.7e308", "--charges", "0", "--eta-step", "0.5"],
+         None, EXIT_NUMERICAL, "numerical error: state invariants are not finite (Dt = inf, "),
         (["tomo", "--delta", "1e308", "--charges", "0", "--eta-start", "0", "--eta-stop", "0"],
          None, EXIT_NUMERICAL, "numerical error: state invariants are not finite (Dt = inf, "),
         # n - 1 has no float value
@@ -638,8 +671,8 @@ class TestMain:
         # the astigmatic phase overflows the far-field window
         (["modes", "--astigmatism", "1e308", "--charges", "1"], None, EXIT_NUMERICAL,
          "numerical error: astigmatism 1e+308 overflows the far-field window"),
-    ], ids=["sweep-delta", "sweep-vp", "tomo-delta", "tomo-n", "config-utf8", "config-int",
-            "config-depth", "modes-astigmatism"])
+    ], ids=["sweep-delta", "sweep-vp", "sweep-v-vp", "tomo-delta", "tomo-n", "config-utf8",
+            "config-int", "config-depth", "modes-astigmatism"])
     def test_bad_input_ends_in_one_error_line(self, argv, config, code, err, tmp_path):
         path = tmp_path / "config.json"
         if config is not None:

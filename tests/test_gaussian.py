@@ -89,6 +89,28 @@ class TestMakeTmss:
         with pytest.raises(UnphysicalStateError):
             make_tmss(spec)
 
+    @given(source_specs(r_max=15.0, max_impurity=1e3))
+    def test_equals_the_checked_block_matrix(self, spec):
+        # the literal matrix is the np.block form the CovarianceMatrix checks used to see
+        a, c = (spec.v + spec.vp) / 2.0, (spec.vp - spec.v) / 2.0
+        i2, z2 = np.eye(2), np.diag([1.0, -1.0])
+        checked = CovarianceMatrix(np.block([[a * i2, c * z2], [c * z2, a * i2]]))
+        assert make_tmss(spec).entries.tobytes() == checked.entries.tobytes()
+
+    def test_matrix_is_frozen_without_the_checks(self, monkeypatch):
+        calls = []
+        real = CovarianceMatrix.__post_init__
+        monkeypatch.setattr(CovarianceMatrix, "__post_init__",
+                            lambda self: calls.append(self) or real(self))
+        cm = make_tmss((V_REF, VP_REF))
+        assert calls == [] and not cm.entries.flags.writeable
+        CovarianceMatrix(cm.entries)
+        assert len(calls) == 1
+
+    def test_widest_source_is_finite(self):
+        # each half is taken before the sum: v + vp would overflow
+        assert np.all(np.isfinite(make_tmss((1.7e308, 1.7e308)).entries))
+
     @given(source_specs())
     def test_symmetric_state(self, spec):
         cm = make_tmss(spec)

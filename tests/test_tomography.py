@@ -1,22 +1,32 @@
 """Homodyne measurement simulation and covariance reconstruction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamcv import (ChannelParams, InputError, NumericalError, ReconstructionWarning, SampleBatch,
-                   SqueezingSpec, UnphysicalStateError, VarianceSet, apply_channel,
-                   expected_variances, make_tmss, read_variances_csv,
+                   SqueezingSpec, UnphysicalStateError, VarianceSet, apply_channel, db_to_linear,
+                   expected_variances, linear_to_db, make_tmss, read_variances_csv,
                    reconstruct_cm, sampled_variances, simulate_measurements,
                    variances_from_batches, write_batch_csv, write_variances_csv)
 from oamcv.cli import SweepConfig, run_tomo
 from oamcv.tomography import (SETTINGS, SNL_REFERENCE, covariance_from_difference,
                               covariance_from_sum, setting_variance)
-from conftest import INDEFINITE, V_REF, VP_REF, source_specs
+from conftest import INDEFINITE, V_REF, VP_REF, deltas, etas, source_specs
 
 REF_CM = make_tmss(SqueezingSpec(V_REF, VP_REF))
+
+
+def checked_set(variances, n=None) -> VarianceSet:
+    """The VarianceSet of six absolute variances, through linear_to_db and the checked
+    constructor, with the standard errors of n draws if n is given."""
+    stderr = None if n is None else (10.0 / math.log(10.0) * math.sqrt(2.0 / (n - 1)),) * 6
+    return VarianceSet(*(linear_to_db(var / SNL_REFERENCE[s]).value
+                         for s, var in zip(SETTINGS, variances)), stderr_db=stderr)
 
 
 class TestSettingVariance:
@@ -109,6 +119,21 @@ class TestSimulateMeasurements:
         assert str(sample.value) == str(chi2.value)
 
 
+    def test_draws_are_frozen_without_a_scan(self, monkeypatch):
+        n = 1000
+        sizes = []
+        real = np.isfinite
+        monkeypatch.setattr(np, "isfinite",
+                            lambda x, *args: sizes.append(np.size(x)) or real(x, *args))
+        batches = simulate_measurements(REF_CM, n, seed=2)
+        # the state's own check runs; no draw is scanned again
+        assert sizes and max(sizes) < n
+        for batch in batches:
+            assert not batch.samples.flags.writeable
+            checked = SampleBatch(batch.setting, batch.samples, batch.seed)
+            assert checked.samples.tobytes() == batch.samples.tobytes()
+            assert type(batch.seed) is int and checked.seed == batch.seed
+
     def test_overflowing_joint_variance_is_numerical_error(self):
         # the entries are physical, but Xdiff = s_pp + s_cc - 2 s_cp overflows
         m = np.diag([1e308] * 4)
@@ -143,6 +168,24 @@ class TestVariancesFromBatches:
         batches[0] = SampleBatch("Xc", np.zeros(100), seed=0)
         with pytest.raises(InputError, match="degenerate"):
             variances_from_batches(batches)
+
+    def test_overflowing_sample_variance_is_input_error_without_a_warning(self):
+        # finite samples whose squares overflow
+        batches = list(simulate_measurements(REF_CM, 100, seed=6))
+        batches[2] = SampleBatch("Xp", np.array([1e154, -1e154] * 50), seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputError,
+                               match=r"^degenerate batch for 'Xp': sample variance is inf$"):
+                variances_from_batches(batches)
+        assert caught == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(source_specs(), etas, deltas, st.integers(0, 2 ** 64 - 1))
+    def test_equals_the_checked_variance_set(self, spec, eta, delta, seed):
+        batches = simulate_measurements(apply_channel(make_tmss(spec), (eta, delta)), 200, seed)
+        checked = checked_set([float(np.var(b.samples, ddof=1)) for b in batches], 200)
+        assert repr(variances_from_batches(batches)) == repr(checked)
 
     def test_missing_and_duplicate_settings(self):
         batches = simulate_measurements(REF_CM, 100, seed=7)
@@ -213,6 +256,24 @@ class TestSampledVariances:
             draw = np.random.default_rng(int(child)).standard_gamma(499.5) \
                 * setting_variance(REF_CM, setting) / 499.5
             assert measured[0].db(setting) == 10 * math.log10(draw / SNL_REFERENCE[setting])
+
+    @settings(max_examples=60, deadline=None)
+    @given(source_specs(), etas, deltas, st.integers(0, 2 ** 64 - 1))
+    def test_equals_the_checked_variance_set(self, spec, eta, delta, seed):
+        cm = apply_channel(make_tmss(spec), (eta, delta))
+        children = np.random.SeedSequence(seed).generate_state(len(SETTINGS), np.uint64)
+        draws = [np.random.default_rng(int(child)).standard_gamma(499.5)
+                 * setting_variance(cm, setting) / 499.5
+                 for setting, child in zip(SETTINGS, children)]
+        measured = sampled_variances(cm.entries[None], 1000, [seed])[0]
+        assert repr(measured) == repr(checked_set(draws, 1000))
+
+    @pytest.mark.parametrize("seed", [0, 4, 5, 9])
+    def test_overflowing_draw_is_numerical_error(self, seed):
+        # a physical state whose draws overflow for these seeds: a computed fault
+        with pytest.raises(NumericalError, match=r"^a sampled variance is not in \(0, inf\): "
+                                                 r"\[.*inf.*\] \(seed \d+\)$"):
+            sampled_variances(np.diag([1.7e308, 1.0, 1.0, 1.0])[None], 2, [seed])
 
     def test_tomo_point_reproducible_from_its_recorded_seed(self):
         config = SweepConfig(charges=(1,), deltas=(0.5,), eta_step=0.25, n_per_setting=50)
@@ -349,6 +410,15 @@ class TestCsv:
         header = path.read_text().splitlines()[0]
         assert header == "setting,db,stderr_db"
         assert read_variances_csv(path) == vs
+
+    @settings(max_examples=60, deadline=None)
+    @given(source_specs(), etas, deltas)
+    def test_expected_variances_equal_the_checked_set(self, spec, eta, delta):
+        cm = apply_channel(make_tmss(spec), (eta, delta))
+        vs = expected_variances(cm)
+        assert repr(vs) == repr(checked_set([setting_variance(cm, s) for s in SETTINGS]))
+        for s in SETTINGS:
+            assert vs.absolute_variance(s) == db_to_linear(vs.db(s)) * SNL_REFERENCE[s]
 
     def test_variance_round_trip_without_stderr(self, tmp_path):
         vs = expected_variances(REF_CM)
