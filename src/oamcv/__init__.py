@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 from .channels import apply_channel, apply_channel_grid, apply_channel_multiplexed
 from .criteria import (CriteriaArrays, CriteriaReport, classify, classify_many,
                        entanglement_death_eta, ppt_nu, ppt_nu_closed_form, ppt_nu_eigen,
-                       steering, steering_death_eta, steering_death_eta_ba_lossy)
+                       source_criteria, steering, steering_death_eta,
+                       steering_death_eta_ba_lossy)
 from .errors import (InputError, NumericalError, ResolutionError, ToolkitError,
                      UnphysicalStateError)
 from .gaussian import (ChannelParams, CovarianceMatrix, Decibel, ModePair,
@@ -39,7 +40,7 @@ __all__ = [
     # criteria
     "CriteriaReport", "CriteriaArrays", "ppt_nu", "ppt_nu_closed_form", "ppt_nu_eigen",
     "steering", "classify", "classify_many", "entanglement_death_eta", "steering_death_eta",
-    "steering_death_eta_ba_lossy",
+    "steering_death_eta_ba_lossy", "source_criteria",
     # tomography
     "VarianceSet", "SampleBatch", "ReconstructionWarning", "simulate_measurements",
     "variances_from_batches", "sampled_variances", "reconstruct_cm", "expected_variances",

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .channels import _channel_map, _check_source
-from .criteria import _criteria, classify_many, entanglement_death_eta, steering_death_eta
+from .criteria import (_criteria, classify_many, entanglement_death_eta, source_criteria,
+                       steering_death_eta)
 from .errors import InputError, NumericalError
 from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
                        checked_delta, checked_eta, make_tmss, real_or_nan, symplectic_eigenvalues)
@@ -160,9 +161,11 @@ def _render(result) -> str:
 def _truth_blocks(config: SweepConfig, etas: list):
     """(l, delta, channel outputs over etas, their classify_many) per block, sorted.
 
-    The channel does not see the charge, so charges with the same source share
-    its blocks: each distinct source is checked once, then mapped and classified
-    once per delta.  The config has checked the deltas and the grid.
+    The true states of tomo, which samples their matrices; the sweep builds
+    none.  The channel does not see the charge, so charges with the same
+    source share its blocks: each distinct source is checked once, then
+    mapped and classified once per delta.  The config has checked the deltas
+    and the grid.
     """
     by_source = {}
     grid = np.array(etas)
@@ -175,24 +178,37 @@ def _truth_blocks(config: SweepConfig, etas: list):
             yield l, *block
 
 
+def _sweep_rows(eta_text: list, delta: float, criteria) -> list:
+    """The CSV rows of one (source, delta) block without their charge column."""
+    delta_text = f"{delta:.9g}"
+    return [f"{eta_s},{delta_text},{nu:.9g},{'true' if entangled else 'false'},"
+            f"{g_ab:.9g},{g_ba:.9g},{cls}"
+            for eta_s, nu, entangled, g_ab, g_ba, cls in zip(
+                eta_text, *(column.tolist() for column in criteria))]
+
+
 def run_sweep(config: SweepConfig) -> list:
     """CSV rows of the criteria sweep, one per (l, delta, eta), sorted.
 
-    Each (l, delta) block is one stacked channel map and one classify_many
-    pass over the eta grid.  Returns the rows (header included) and writes
-    them to config.out when set.
+    The channel does not see the charge, so charges with the same source share
+    its rows.  Each distinct source is checked once; each of its deltas is one
+    source_criteria pass over the eta grid, whose rows are formatted once and
+    then given each charge's prefix.  Returns the rows (header included) and
+    writes them to config.out when set.
     """
     rows = [SWEEP_HEADER]
     etas = eta_grid(config)
+    grid = np.array(etas)
     eta_text = [f"{eta:.9g}" for eta in etas]
-    for l, delta, _, batched in _truth_blocks(config, etas):
-        delta_text = f"{delta:.9g}"
-        for eta_s, nu, entangled, g_ab, g_ba, cls in zip(
-                eta_text, batched.nu.tolist(), batched.entangled.tolist(),
-                batched.g_ab.tolist(), batched.g_ba.tolist(),
-                batched.steering_class.tolist()):
-            rows.append(f"{l},{eta_s},{delta_text},{nu:.9g},"
-                        f"{'true' if entangled else 'false'},{g_ab:.9g},{g_ba:.9g},{cls}")
+    by_source = {}
+    for l in sorted(config.charges):
+        if (spec := config.specs[l]) not in by_source:
+            _check_source(make_tmss(spec).entries)
+            by_source[spec] = [row for delta in sorted(config.deltas)
+                               for row in _sweep_rows(eta_text, delta,
+                                                      source_criteria(spec, grid, delta))]
+        prefix = f"{l},"
+        rows += [prefix + row for row in by_source[spec]]
     if config.out is not None:
         Path(config.out).write_text(_render(rows))
     return rows
@@ -226,9 +242,9 @@ def run_tomo(config: SweepConfig) -> dict:
 
     Only the draws run per point: sampled_variances from a sub-seed that
     makes the point reproducible on its own.  The rest of an (l, delta) block
-    is one stacked pass: true states and criteria as in run_sweep, then the
-    reconstructions, their physicality, and their criteria or the error text
-    of each failing one.
+    is one stacked pass: the true states and their classify_many
+    (_truth_blocks), then the reconstructions, their physicality, and their
+    criteria or the error text of each failing one.
     """
     results = []
     etas = eta_grid(config)

@@ -6,16 +6,36 @@ below 1 (sufficient and necessary for 1x1-mode Gaussian states).  Steering
 is quantified in nats by g_ab = max(0, ln(det sigma_A / det sigma)/2) and
 its B->A counterpart; steering implies entanglement but not conversely.
 
-The criteria have one implementation, vectorised over an (N, 4, 4) stack:
-classify_many runs it on a stack, and the other entry points on a stack of
-one.  Each failing state gets the error of its first failing check, in the
-order malformed, not PD (a NaN eigen route), invariants not finite, PPT
-discriminant overflowing, then negative, PPT denominator, route agreement,
-determinants; classify_many raises the first failing state's.
+The criteria of a matrix have one implementation, vectorised over an
+(N, 4, 4) stack: classify_many runs it on a stack, and the other matrix
+entry points on a stack of one.  Each failing state gets the error of its
+first failing check, in the order malformed, not PD (a NaN eigen route),
+invariants not finite, PPT discriminant overflowing, then negative, PPT
+denominator, route agreement, determinants; classify_many raises the first
+failing state's.
 
-The sudden-death thresholds of a two-mode squeezed source sent through the
-probe channel are closed forms.  With a = (v + vp)/2 and s = (1 - v)(vp - 1),
-each correlation survives at eta iff p + q*eta > 0, linear in eta:
+A two-mode squeezed source (v, vp) sent through the probe channel (eta,
+delta) is a state in standard form (Duan et al., PRL 84, 2722 (2000);
+Simon, PRL 84, 2726 (2000)): sigma_A = a I, sigma_B = b I and
+sigma_C = c diag(1, -1), with
+
+    a = (v + vp)/2,  b = eta a + (1 - eta)(1 + delta),  c = sqrt(eta)(vp - v)/2,
+    d = ab - c^2 = eta v vp + (1 - eta)(1 + delta) a,
+
+d written without cancellation.  det sigma = d^2, det sigma_A = a^2,
+det sigma_B = b^2 and Dt = a^2 + b^2 + 2c^2, so the criteria are closed
+forms of these four numbers (Serafini, Illuminati and De Siena, J. Phys. B
+37, L21 (2004)):
+
+    nu = 2d / (a + b + sqrt((a - b)^2 + 4c^2)),  g_ab = max(0, ln(a/d)),
+    g_ba = max(0, ln(b/d)).
+
+source_criteria reads them over an eta grid, with no matrix; the sweep
+prints them, and the matrix routes are their test-time cross-check.
+
+The sudden-death thresholds are the same algebra, solved for eta: with
+a = (v + vp)/2 and s = (1 - v)(vp - 1), each correlation survives at eta
+iff p + q*eta > 0, linear in eta:
 
     entanglement  (p, q) = (-(a - 1) delta, s + (a - 1) delta)
     A->B steering (p, q) = (-a delta, (1 + delta) a - v vp)
@@ -39,7 +59,8 @@ import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
 from .gaussian import (_failures, _finite_check, _invariants, _raise_first, _well_formed, as_cm,
-                       as_spec, checked_delta, checked_matrices, symplectic_eigenvalues)
+                       as_spec, checked_delta, checked_eta, checked_matrices, real_array,
+                       symplectic_eigenvalues)
 
 TOL_DECISION = 1e-9
 STEERING_CLASSES = ("two-way", "one-way-AB", "one-way-BA", "none")
@@ -123,16 +144,12 @@ def _ppt_route(cm, route: str, reads: int) -> float:
     return float(routes[route][0])
 
 
-@np.errstate(all="ignore")
-def _steerability(det_marginals: np.ndarray, det_sigma: np.ndarray, failures: dict) -> np.ndarray:
-    """g of each state per row of det_marginals, NaN for those in failures, whose ratio
-    math.log may reject."""
-    ratios = det_marginals / det_sigma
-    if failures:
-        ratios[:, list(failures)] = math.nan
+def _steerability(ratios: np.ndarray, scale: float) -> np.ndarray:
+    """g = max(0, scale ln(ratio)) of each element of a (2, N) array of positive or NaN ratios."""
     # math.log per element: numpy's vectorised log may round differently in
     # the last bit, and the tomo JSON prints these values in full
-    return np.maximum(0.0, 0.5 * np.array([list(map(math.log, row)) for row in ratios.tolist()]))
+    logs = np.fromiter(map(math.log, ratios.ravel().tolist()), float, ratios.size)
+    return np.maximum(0.0, scale * logs.reshape(ratios.shape))
 
 
 def ppt_nu_closed_form(cm) -> float:
@@ -235,12 +252,20 @@ def _criteria(sigmas) -> tuple:
                     lambda i: UnphysicalStateError(f"state determinants must be positive, "
                                                    f"got det sigma = {float(det_sigma[i]):.3g}"))
     failures = _failures([malformed, *ppt_checks, determinants])
-    g_ab, g_ba = _steerability(np.array([det_a, det_b]), det_sigma, failures)
-    a, b = g_ab > TOL_DECISION, g_ba > TOL_DECISION
+    with np.errstate(all="ignore"):
+        ratios = np.array([det_a, det_b]) / det_sigma
+    if failures:  # NaN for the failing states, whose ratio math.log may reject
+        ratios[:, list(failures)] = math.nan
+    return _decided(nu, *_steerability(ratios, 0.5)), failures
+
+
+def _decided(nu: np.ndarray, g_ab: np.ndarray, g_ba: np.ndarray) -> CriteriaArrays:
+    """The arrays of nu and g, with the entangled flag and steering class they decide."""
+    ab, ba = g_ab > TOL_DECISION, g_ba > TOL_DECISION
     # STEERING_CLASSES order: both, A->B only, B->A only, neither
-    cls = np.array(STEERING_CLASSES)[2 * ~a + ~b]
+    cls = np.array(STEERING_CLASSES)[2 * ~ab + ~ba]
     return CriteriaArrays(nu=nu, entangled=nu < 1.0 - TOL_DECISION,
-                          g_ab=g_ab, g_ba=g_ba, steering_class=cls), failures
+                          g_ab=g_ab, g_ba=g_ba, steering_class=cls)
 
 
 def classify_many(sigmas) -> CriteriaArrays:
@@ -255,6 +280,38 @@ def classify_many(sigmas) -> CriteriaArrays:
     for error in failures.values():
         raise error
     return arrays
+
+
+@np.errstate(all="ignore")
+def source_criteria(spec, etas, delta: float) -> CriteriaArrays:
+    """classify_many of a two-mode squeezed source sent through the probe channel, over eta.
+
+    The same criteria as classify_many(apply_channel_grid(make_tmss(spec),
+    etas, delta)), read from the standard form (a, b, c, d) of each state in
+    closed form (see the module docstring): no matrix is built, and nu is
+    resolved to float precision however strongly the source is squeezed.
+    spec and delta obey their rules and every eta lies in [0, 1].  A state
+    whose invariants Dt = a^2 + b^2 + 2c^2, det sigma = d^2, det A = a^2 and
+    det B = b^2 are not finite raises the error classify raises for it.  With
+    them finite, (a - b)^2 + 4c^2 = Dt - 2d and every value is finite.  The
+    source is not checked against float resolution (that is _check_source,
+    for its matrix).
+    """
+    spec, delta = as_spec(spec), checked_delta(delta)
+    eta = real_array(etas)
+    if eta.ndim != 1:
+        raise InputError(f"eta grid must be a list of numbers, got {etas!r}")
+    for value in eta[~((eta >= 0.0) & (eta <= 1.0))].tolist():
+        checked_eta(value)  # raises on the first eta outside [0, 1]
+    v, vp = spec.v, spec.vp
+    # a and c as make_tmss takes them: each half before the sum
+    a, noise = v / 2.0 + vp / 2.0, (1.0 - eta) * (1.0 + delta)
+    b = eta * a + noise
+    c = np.sqrt(eta) * (vp / 2.0 - v / 2.0)
+    d = eta * v * vp + noise * a
+    _raise_first([_finite_check(a * a + b * b + 2.0 * c * c, d * d, a * a, b * b)])
+    nu = 2.0 * d / (a + b + np.sqrt((a - b) ** 2 + 4.0 * c * c))
+    return _decided(nu, *_steerability(np.array([a / d, b / d]), 1.0))
 
 
 def _death_eta(p: float, q: float) -> Optional[float]:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oamcv
-from oamcv import (ChannelParams, InputError, LGModeSpec, MultiplexedState,
+from oamcv import (ChannelParams, InputError, LGModeSpec, MultiplexedState, NumericalError,
                    ReconstructionWarning, SqueezingSpec, ToolkitError, apply_channel, classify,
                    entanglement_death_eta, expected_variances, make_multiplexed, make_tmss,
                    reconstruct_cm, sampled_variances, validate)
@@ -308,20 +308,24 @@ class TestRunSweep:
         assert for_l0 == for_l2
 
     def test_one_block_per_distinct_source(self, monkeypatch):
-        # charges sharing a source share its channel maps and criteria
+        # charges sharing a source share its criteria (sweep) or truth blocks (tomo)
         other = SqueezingSpec(0.3, 5.0)
         specs = {0: SPEC, 1: other, 2: SPEC}
-        config = small_config(specs=specs, charges=(0, 1, 2), deltas=(0.5, 0.0), eta_step=0.25)
+        config = small_config(specs=specs, charges=(0, 1, 2), deltas=(0.5, 0.0), eta_step=0.25,
+                              n_per_setting=20)
         alone = {l: run_sweep(small_config(specs={l: spec}, charges=(l,), deltas=(0.5, 0.0),
                                            eta_step=0.25))[1:] for l, spec in specs.items()}
         calls = []
-        for name in ("_channel_map", "classify_many"):
+        for name in ("source_criteria", "_channel_map", "classify_many"):
             real = getattr(oamcv.cli, name)
             monkeypatch.setattr(oamcv.cli, name,
                                 lambda *args, real=real, name=name: calls.append(name) or real(*args))
         rows = run_sweep(config)
-        assert calls.count("_channel_map") == calls.count("classify_many") == 2 * 2
+        assert calls == ["source_criteria"] * (2 * 2)
         assert rows[1:] == alone[0] + alone[1] + alone[2]
+        calls.clear()
+        run_tomo(config)
+        assert calls == ["_channel_map", "classify_many"] * (2 * 2)
 
     def test_each_source_checked_once_and_no_eta_again(self, monkeypatch):
         # the config owns the grid and the deltas; a source is checked once, not per delta
@@ -648,6 +652,25 @@ class TestMain:
         assert capsys.readouterr().err.startswith(
             "numerical error: input state is squeezed beyond float resolution (v = ")
 
+    @pytest.mark.parametrize("r, nu", [(4, "0.000335462628"), (5, "4.53999298e-05"),
+                                       (5.3, "2.49160097e-05")])
+    def test_squeezed_source_prints_every_digit(self, r, nu, tmp_path, capsys):
+        # the sweep reads nu = e^{-2r} at eta = 1 in closed form, not from a matrix
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"r": r, "charges": [0], "eta_start": 1}))
+        assert main(["sweep", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].split(",")[:4] == ["0", "1", "0", nu]
+
+    def test_source_the_matrix_routes_cannot_resolve_sweeps_exactly(self, capsys):
+        # the two matrix PPT routes disagree on this source, which made the sweep exit 3;
+        # its closed form prints nu = v at eta = 1
+        assert main(["sweep", "--v", "0.3", "--vp", "1e8", "--charges", "0",
+                     "--eta-step", "0.5"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "0,1,0,0.3,true,0.510825627,0.510825627,two-way"
+        with pytest.raises(NumericalError, match="^PPT computation paths disagree"):
+            classify(make_tmss(SqueezingSpec(0.3, 1e8)))
+
     @pytest.mark.parametrize("argv, config, code, err", [
         # entries above half the float max: symmetrising must not overflow
         (["sweep", "--delta", "1e308", "--charges", "0", "--eta-step", "0.5"], None,
@@ -731,13 +754,15 @@ class TestMain:
         from oamcv.cli import _config_from_args
         assert _config_from_args(args).specs == {0: SqueezingSpec(0.5, 2.5)}
 
-    def test_internal_fault_is_not_a_config_error(self, monkeypatch):
-        def broken(sigmas):
+    @pytest.mark.parametrize("command, name", [("sweep", "source_criteria"),
+                                               ("tomo", "classify_many")])
+    def test_internal_fault_is_not_a_config_error(self, command, name, monkeypatch):
+        def broken(*args):
             raise ValueError("injected fault")
 
-        monkeypatch.setattr("oamcv.cli.classify_many", broken)
+        monkeypatch.setattr(f"oamcv.cli.{name}", broken)
         with pytest.raises(ValueError, match="injected fault"):
-            main(["sweep", "--charges", "0", "--eta-step", "0.5"])
+            main([command, "--charges", "0", "--eta-step", "0.5", "--n", "10"])
 
     def test_injected_parse_fault_is_not_a_config_error(self, monkeypatch):
         # a plain ValueError inside config parsing is a program fault, not bad input

@@ -11,11 +11,12 @@ import oamcv.channels
 import oamcv.criteria
 import oamcv.gaussian
 from oamcv import (ChannelParams, InputError, NumericalError, SqueezingSpec, ToolkitError,
-                   UnphysicalStateError, apply_channel, classify, classify_many,
-                   entanglement_death_eta, make_tmss, ppt_nu, ppt_nu_closed_form,
-                   ppt_nu_eigen, steering, steering_death_eta,
+                   UnphysicalStateError, apply_channel, apply_channel_grid, classify,
+                   classify_many, entanglement_death_eta, make_tmss, ppt_nu, ppt_nu_closed_form,
+                   ppt_nu_eigen, source_criteria, steering, steering_death_eta,
                    steering_death_eta_ba_lossy, symplectic_eigenvalues)
-from oamcv.criteria import ETA_LO, STEERING_CLASSES
+from oamcv.cli import PRESETS, SweepConfig, eta_grid
+from oamcv.criteria import ETA_LO, STEERING_CLASSES, TOL_DECISION
 from conftest import (V_REF, VP_REF, analytic_family_cm, deltas, eigvals_symplectic, etas,
                       source_specs, squeezed_specs)
 
@@ -411,6 +412,80 @@ class TestClassifyMany:
     def test_rejects_wrong_shape(self):
         with pytest.raises(InputError):
             classify_many(np.eye(4))
+
+
+def _within(got, want) -> np.ndarray:
+    """|got - want| <= 1e-9, relative above 1: the cross-check tolerance."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want) <= TOL_DECISION * np.maximum(1.0, np.abs(want))
+
+
+class TestSourceCriteria:
+    """The closed form of the distributed source against both matrix routes."""
+
+    @staticmethod
+    def assert_matches_matrix_routes(spec, etas, delta, scalar=True):
+        closed = source_criteria(spec, etas, delta)
+        sigmas = apply_channel_grid(make_tmss(spec), etas, delta)
+        matrix = classify_many(sigmas)
+        for name in ("nu", "g_ab", "g_ba"):
+            assert _within(getattr(closed, name), getattr(matrix, name)).all(), name
+        # the decisions agree wherever a state is not within 1e-9 of a boundary;
+        # g is judged before its clamp at 0, by LAPACK determinants
+        apart = ~_within(matrix.nu, 1.0 - TOL_DECISION)
+        assert (closed.entangled == matrix.entangled)[apart].all()
+        det_sigma = np.linalg.det(sigmas)
+        for block in (slice(0, 2), slice(2, 4)):
+            raw = 0.5 * np.log(np.linalg.det(sigmas[:, block, block]) / det_sigma)
+            apart &= ~_within(raw, TOL_DECISION)
+        assert (closed.steering_class == matrix.steering_class)[apart].all()
+        if scalar:
+            assert _within(closed.nu, [ppt_nu_eigen(s) for s in sigmas]).all()
+            # the matrix closed form resolves nu only away from symplectic degeneracy
+            nus = symplectic_eigenvalues(_PT @ sigmas @ _PT)
+            resolved = nus[:, 1] - nus[:, 0] > 1e-6
+            closed_form = [ppt_nu_closed_form(s) for s in sigmas]
+            assert _within(closed.nu, closed_form)[resolved].all()
+        return closed
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_matrix_routes_on_presets(self, preset):
+        # the preset's own grid, and the step-0.001 grid without the scalar routes
+        config, fine = SweepConfig(**PRESETS[preset]), [i / 1000 for i in range(1001)]
+        for delta in config.deltas:
+            self.assert_matches_matrix_routes(REF_SPEC, eta_grid(config), delta)
+            self.assert_matches_matrix_routes(REF_SPEC, fine, delta, scalar=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(source_specs(), st.lists(etas, min_size=1, max_size=16), deltas)
+    def test_matches_matrix_routes_on_the_family(self, spec, grid, delta):
+        self.assert_matches_matrix_routes(spec, grid, delta)
+
+    @pytest.mark.parametrize("r", [4.0, 5.0, 5.3, 8.0])
+    def test_resolves_strongly_squeezed_sources(self, r):
+        # nu = v = e^{-2r} at eta = 1, to float precision, past the matrix's resolution
+        spec = SqueezingSpec.from_r(r)
+        assert source_criteria(spec, [1.0], 0.0).nu[0] == pytest.approx(spec.v, rel=4e-16)
+
+    def test_empty_grid(self):
+        assert source_criteria(REF_SPEC, [], 0.0).nu.shape == (0,)
+
+    @pytest.mark.parametrize("etas, delta, error", [
+        ([0.5, 1.5], 0.0, "eta must lie in \\[0, 1\\], got 1.5"),
+        ([0.5, float("nan")], 0.0, "eta must lie in \\[0, 1\\], got nan"),
+        ([[0.5]], 0.0, "eta grid must be a list of numbers"),
+        ([0.5], -0.1, "delta must be >= 0, got -0.1"),
+    ])
+    def test_rejects_bad_grid_and_delta(self, etas, delta, error):
+        with pytest.raises(InputError, match=error):
+            source_criteria(REF_SPEC, etas, delta)
+
+    def test_overflowing_invariants_raise_the_finite_check(self):
+        # b^2 overflows at eta = 0: the first such state raises, as in classify_many
+        with pytest.raises(NumericalError, match=r"^state invariants are not finite \(Dt = inf, "):
+            source_criteria(REF_SPEC, [1.0, 0.0], 1e308)
+        with pytest.raises(NumericalError, match=r"^state invariants are not finite \(Dt = inf, "):
+            classify_many(apply_channel_grid(make_tmss(REF_SPEC), [1.0, 0.0], 1e308))
 
 
 class TestEigenRouteReference:
