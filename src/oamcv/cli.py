@@ -295,28 +295,35 @@ def run_modes(charges, astigmatism: float = DEFAULT_ASTIGMATISM, out_dir=".",
     bit_depth = checked_bit_depth(bit_depth)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    results = []
-    for spec in specs:
-        beam, pattern = lg_images(spec, astigmatism)
-        beam_file = out_path / mode_image_filename(spec.l, "beam")
-        tilted_file = out_path / mode_image_filename(spec.l, "tilted")
-        write_pgm(beam_file, beam, bit_depth=bit_depth)
-        write_pgm(tilted_file, pattern, bit_depth=bit_depth)
-        stripes = count_dark_stripes(pattern)
-        if stripes.indeterminate or stripes.count != abs(spec.l):
-            raise NumericalError(
-                f"stripe count {stripes.count} does not match |l| = {abs(spec.l)} "
-                f"at astigmatism {astigmatism}")
-        results.append({
-            "l": spec.l,
-            "stripes": stripes.count,
-            "axis_sign": stripes.axis_sign,
-            "beam_image": beam_file.name,
-            "tilted_image": tilted_file.name,
-        })
+    results = [_render_charge(spec, astigmatism, out_path, bit_depth) for spec in specs]
     report = {"astigmatism": astigmatism, "results": results}
     (out_path / "stripes.json").write_text(_render(report))
     return report
+
+
+def _render_charge(spec: LGModeSpec, astigmatism: float, out_path: Path, bit_depth: int) -> dict:
+    """Write one charge's images into out_path and return its stripes.json entry.
+
+    A helper of its own so that each charge's images are freed before the
+    next charge is rendered.
+    """
+    beam, pattern = lg_images(spec, astigmatism)
+    beam_file = out_path / mode_image_filename(spec.l, "beam")
+    tilted_file = out_path / mode_image_filename(spec.l, "tilted")
+    write_pgm(beam_file, beam, bit_depth=bit_depth)
+    write_pgm(tilted_file, pattern, bit_depth=bit_depth)
+    stripes = count_dark_stripes(pattern)
+    if stripes.indeterminate or stripes.count != abs(spec.l):
+        raise NumericalError(
+            f"stripe count {stripes.count} does not match |l| = {abs(spec.l)} "
+            f"at astigmatism {astigmatism}")
+    return {
+        "l": spec.l,
+        "stripes": stripes.count,
+        "axis_sign": stripes.axis_sign,
+        "beam_image": beam_file.name,
+        "tilted_image": tilted_file.name,
+    }
 
 
 def _parse_list(kind, noun: str, text: str) -> tuple:

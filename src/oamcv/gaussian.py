@@ -125,7 +125,20 @@ class Decibel:
 
     @property
     def linear(self) -> float:
-        return 10.0 ** (self.value / 10.0)
+        """10^(value/10); a NumericalError that names the value where that overflows a float."""
+        try:
+            return 10.0 ** (self.value / 10.0)
+        except OverflowError:
+            raise _linear_overflow(self.value) from None
+
+
+def _linear_overflow(db: float) -> NumericalError:
+    """The error of a dB value whose linear ratio 10^(db/10) overflows a float.
+
+    Python's float power raises a bare OverflowError there, so each scalar
+    10.0 ** of a dB value catches it and raises this instead.
+    """
+    return NumericalError(f"dB value {db!r} overflows its linear ratio")
 
 
 def db_to_linear(x) -> float:

@@ -48,7 +48,7 @@ MIN_CONTRAST = 2.0
 
 # PGM maxval and sample type per bit depth
 _PGM_SAMPLES = {8: (255, np.dtype(np.uint8)), 16: (65535, np.dtype(">u2"))}
-# rows per block of the lg_images pattern product and of write_pgm's quantisation
+# rows per block of the lg_images products and of write_pgm's quantisation
 _BLOCK_ROWS = 32
 
 
@@ -155,10 +155,11 @@ def _computed_grid(width: int, height: int, extent: float, values: np.ndarray) -
     """An IntensityGrid that keeps values this module has just computed, without a copy.
 
     The geometry comes from checked inputs and every value is a sum of squares,
-    so only finiteness is tested before _frozen keeps the grid; a value that is
-    not finite is the program's fault, a NumericalError.
+    so only finiteness is tested, by the maximum (a NaN propagates to it),
+    before _frozen keeps the grid; a value that is not finite is the program's
+    fault, a NumericalError.
     """
-    if not np.all(np.isfinite(values)):
+    if not values.max() < math.inf:
         raise NumericalError("computed intensity values are not finite")
     return _frozen(IntensityGrid, width, height, extent, values)
 
@@ -347,30 +348,40 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     lg_field and tilted_lens_pattern.  beam.extent is the grid half-width,
     pattern.extent the k-space half-width.
 
-    Each image is one buffer, and no temporary is image-sized: the pattern's
-    ky >= 0 rows are filled in blocks of _BLOCK_ROWS rows (_row_blocks), each
-    block's product squared straight into them, and its ky < 0 rows in place
-    by the turn.  A fresh image-sized array is fresh pages, which the OS
-    faults in one by one, so such a temporary costs more than its arithmetic.
-    In every case checked, with 1 and 2 OpenBLAS threads, the pattern's float
-    values were the same; the beam's, one GEMM over the whole grid, were not,
-    nor were the grid route's.
+    Both images are views of one float allocation, so keeping either grid
+    keeps both alive.  No temporary is image-sized: the beam's rows and the
+    pattern's ky >= 0 rows are filled in blocks of _BLOCK_ROWS rows
+    (_row_blocks), each pattern block's product made in one reused buffer
+    and squared straight into its rows, and the ky < 0 rows in place by the
+    turn.  The one allocation is what keeps a warm call from faulting its
+    pages in again: glibc raises its heap trim threshold to twice the
+    largest mmapped block it frees, and two images' worth lifts it above a
+    call's working set.  In every case checked, with 1 and 2 OpenBLAS
+    threads, both images' float values were the same, unlike the grid
+    route's.
     """
     spec, width, height, extent = _checked_mode(spec, width, height, extent)
     astigmatism = checked_astigmatism(astigmatism)
     x, y = _pixel_axis(width, extent), _pixel_axis(height, extent)
     amp_x, amp_y, binomial, unit, norm = _lg_factors(spec, x, y)
-    beam = (norm * norm * amp_y * amp_y) @ (binomial * amp_x * amp_x).T
-    kmax = _k_max(astigmatism, beam, x, y)
     m = max(width, height)
+    # one allocation for both images, which keeps warm calls from faulting (see above)
+    images = np.empty(height * width + m * m)
+    beam = images[:height * width].reshape(height, width)
+    pattern = images[height * width:].reshape(m, m)
+    left, right = norm * norm * amp_y * amp_y, (binomial * amp_x * amp_x).T
+    for rows in _row_blocks(height):
+        np.matmul(left[rows], right, out=beam[rows])
+    kmax = _k_max(astigmatism, beam, x, y)
     k = _k_window(m, kmax)
     order = abs(spec.l)
     f = binomial[:, None] * _moments(k, complex(1.0, -astigmatism), order)
     g = (unit * norm)[:, None] * _moments(k[m // 2:], complex(1.0, astigmatism), order)[::-1]
-    pattern = np.empty((m, m))
     upper = pattern[m // 2:]
+    product = np.empty((_BLOCK_ROWS + 1, m), dtype=complex)
     for rows in _row_blocks(len(upper)):
-        _squared_modulus(g.T[rows] @ f, out=upper[rows])
+        block = np.matmul(g.T[rows], f, out=product[:rows.stop - rows.start])
+        _squared_modulus(block, out=upper[rows])
     # the pattern is centro-symmetric: the ky < 0 rows are the upper half
     # turned by 180 degrees, without the k = 0 row of an odd window
     pattern[:m // 2] = upper[::-1, ::-1][:m // 2]
@@ -431,10 +442,9 @@ class StripeCount:
     indeterminate: bool
 
 
-def _centroid(intensity: np.ndarray) -> tuple:
-    """Intensity-weighted (row, column) center in pixel units."""
+def _centroid(intensity: np.ndarray, total) -> tuple:
+    """Intensity-weighted (row, column) center in pixel units; total is intensity.sum()."""
     h, w = intensity.shape
-    total = intensity.sum()
     return (float(intensity.sum(axis=1) @ np.arange(h)) / total,
             float(intensity.sum(axis=0) @ np.arange(w)) / total)
 
@@ -476,9 +486,11 @@ def count_dark_stripes(intensity) -> StripeCount:
     """
     arr = _intensity_values(intensity, 8)
     peak = float(arr.max())
-    if peak <= 0.0 or peak < MIN_CONTRAST * float(arr.mean()):
+    # the mean is np.mean's own sum and divide, so one sum serves the centroid too
+    total = arr.sum()
+    if peak <= 0.0 or peak < MIN_CONTRAST * float(total / arr.size):
         return StripeCount(0, 0, True)
-    center = _centroid(arr)
+    center = _centroid(arr, total)
     profile_main = _diagonal_profile(arr, +1, *center)
     profile_anti = _diagonal_profile(arr, -1, *center)
     count_main = _count_dips(profile_main, peak)
@@ -509,22 +521,23 @@ def write_pgm(path, intensity, bit_depth: int = 16) -> None:
     """Write an intensity grid as binary PGM (P5), linearly mapped to [0, maxval].
 
     16-bit samples are stored big-endian as the netpbm format requires.  The
-    samples are one array of that type, quantised in row blocks (each row
-    divided by the peak, times maxval, rounded half to even) and written
-    through the buffer protocol, so the image is never held as floats or
-    copied to bytes.  The bytes do not depend on the OpenBLAS thread count
-    that rendered the grid, in every case checked, though the floats of the
-    grid route and of lg_images' beam do.
+    samples are one array of that type, quantised in row blocks through one
+    reused float block (each row divided by the peak, times maxval, rounded
+    half to even) and written through the buffer protocol, so the image is
+    never held as floats or copied to bytes.  The bytes do not depend on the
+    OpenBLAS thread count that rendered the grid, in every case checked,
+    though the floats of the grid route do.
     """
     arr = _intensity_values(intensity, 1)
     maxval, dtype = _PGM_SAMPLES[checked_bit_depth(bit_depth)]
     peak = float(arr.max())
     samples = np.zeros(arr.shape, dtype=dtype)
     if peak > 0.0:
+        floats = np.empty((_BLOCK_ROWS + 1, arr.shape[1]))
         for rows in _row_blocks(len(arr)):
-            block = arr[rows] / peak
+            block = np.divide(arr[rows], peak, out=floats[:rows.stop - rows.start])
             block *= maxval
-            samples[rows] = np.round(block, out=block)
+            samples[rows] = np.rint(block, out=block)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

@@ -20,9 +20,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import (CovarianceMatrix, _frozen, _physical, _raise_first, _well_formed, as_cm,
-                       checked_matrices, is_integer, real_array, real_or_nan,
-                       symplectic_eigenvalues, validate)
+from .gaussian import (CovarianceMatrix, _frozen, _linear_overflow, _physical, _raise_first,
+                       _well_formed, as_cm, checked_matrices, is_integer, real_array,
+                       real_or_nan, symplectic_eigenvalues, validate)
 
 SETTINGS = ("Xc", "Yc", "Xp", "Yp", "Xdiff", "Ysum")
 
@@ -131,7 +131,11 @@ class VarianceSet:
 
     def absolute_variance(self, setting: str) -> float:
         """Variance in absolute units: the dB value de-normalized by its SNL."""
-        return 10.0 ** (self.db(setting) / 10.0) * SNL_REFERENCE[setting]
+        db = self.db(setting)
+        try:
+            return 10.0 ** (db / 10.0) * SNL_REFERENCE[setting]
+        except OverflowError:
+            raise _linear_overflow(db) from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,15 @@
 """Shared oracles and hypothesis strategies for the test suite."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import oamcv
 from oamcv import SqueezingSpec
 from oamcv.gaussian import OMEGA
 
@@ -63,3 +68,15 @@ def squeezed_specs(draw, r_min=0.05, r_max=2.0):
 
 etas = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 deltas = st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False)
+
+
+def run_child(source: str, env: dict, *args) -> str:
+    """Run source in a fresh interpreter that imports this package, with env added to the
+    environment and args as sys.argv[1:]; its stdout, once it has exited 0."""
+    src = str(Path(oamcv.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", source, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

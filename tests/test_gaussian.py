@@ -9,9 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oamcv import (ChannelParams, CovarianceMatrix, Decibel, InputError, MultiplexedState,
-                   SqueezingSpec, UnphysicalStateError, apply_channel, apply_channel_grid,
-                   db_to_linear, entanglement_death_eta, linear_to_db, make_multiplexed,
-                   make_tmss, steering_death_eta, symplectic_eigenvalues, validate)
+                   NumericalError, SqueezingSpec, UnphysicalStateError, apply_channel,
+                   apply_channel_grid, db_to_linear, entanglement_death_eta, linear_to_db,
+                   make_multiplexed, make_tmss, steering_death_eta, symplectic_eigenvalues,
+                   validate)
 from oamcv.cli import SweepConfig
 from oamcv.gaussian import _well_formed, checked_delta, checked_eta
 from conftest import INDEFINITE, V_REF, VP_REF, source_specs
@@ -375,6 +376,16 @@ class TestDecibel:
 
     def test_decibel_linear_property(self):
         assert Decibel(10.0).linear == pytest.approx(10.0, rel=1e-15)
+
+    @pytest.mark.parametrize("entry_point", [lambda db: Decibel(db).linear, db_to_linear],
+                             ids=["Decibel.linear", "db_to_linear"])
+    def test_overflowing_linear_ratio_is_numerical_error(self, entry_point):
+        # Python's float power raises a bare OverflowError past ~3,082.5 dB
+        with pytest.raises(NumericalError) as exc:
+            entry_point(4000.0)
+        assert type(exc.value) is NumericalError
+        assert str(exc.value) == "dB value 4000.0 overflows its linear ratio"
+        assert math.isfinite(entry_point(3080.0)) and entry_point(-4000.0) == 0.0
 
     @given(st.floats(1e-6, 1e6))
     def test_round_trip_linear(self, v):

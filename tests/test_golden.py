@@ -10,16 +10,13 @@ import hashlib
 import inspect
 import json
 import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
-import oamcv
 from oamcv.cli import EXIT_OK, main
 from oamcv.modes import lg_field, mode_image_filename, tilted_lens_pattern, write_pgm
+from conftest import run_child
 
 SWEEP = {
     "fig2c": "f8b9e871fdaff18d3059d1f82f9b0400d7ab26beddd6a4e3f4953d810934be52",
@@ -148,29 +145,68 @@ KERNEL_ENV = {"OPENBLAS_CORETYPE": "Nehalem", "OPENBLAS_NUM_THREADS": "1",
 # to argv[3], then writes the exit codes, the active OpenBLAS core and thread
 # count and numpy's CPU features to argv[2]
 KERNEL_CHILD = """
-import ctypes, glob, json, os, sys
-import numpy
-from oamcv.cli import main
-from oamcv.modes import lg_field, mode_image_filename, tilted_lens_pattern, write_pgm
-
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 write_grid_route_pgms(sys.argv[3])
-base = os.path.dirname(os.path.dirname(numpy.__file__))
-libs = glob.glob(os.path.join(base, "numpy.libs", "*openblas*"))
-libs += glob.glob(os.path.join(base, "numpy", ".dylibs", "*openblas*"))
-core = threads = None
-for lib in map(ctypes.CDLL, libs):
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
-        corename = getattr(lib, prefix + "get_corename" + suffix, None)
-        if corename is not None:
-            num_threads = getattr(lib, prefix + "get_num_threads" + suffix)
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            num_threads.argtypes, num_threads.restype = [], ctypes.c_int
-            core, threads = corename().decode(), num_threads()
+core, threads = openblas_config()
 with open(sys.argv[2], "w") as fh:
     json.dump({"codes": codes, "core": core, "threads": threads,
                "features": cpu_features()}, fh)
 """
+
+# lg_images cases whose beam and pattern floats are hashed at each thread count
+THREAD_CHARGES = (-16, -5, 0, 1, 3, 16)
+THREAD_GRIDS = ((512, 512, 6.0), (255, 257, 6.0), (160, 128, 5.0))
+
+# runs the commands given as JSON in argv[1], then writes the exit codes, the
+# active OpenBLAS thread count and one sha256 over the float values of every
+# lg_images case to argv[2]
+THREAD_CHILD = f"""
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+digest = hashlib.sha256()
+for l in {THREAD_CHARGES!r}:
+    for width, height, extent in {THREAD_GRIDS!r}:
+        for grid in lg_images(l, 2.9, width, height, extent):
+            digest.update(grid.values.tobytes())
+with open(sys.argv[2], "w") as fh:
+    json.dump({{"codes": codes, "threads": openblas_config()[1],
+               "images": digest.hexdigest()}}, fh)
+"""
+
+CHILD_IMPORTS = """
+import hashlib, json, os, sys
+from oamcv.cli import main
+from oamcv.modes import (lg_field, lg_images, mode_image_filename, tilted_lens_pattern,
+                         write_pgm)
+"""
+
+
+def openblas_config() -> tuple:
+    """(core name, thread count) of the OpenBLAS that numpy loaded; None for each if not found."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    base = os.path.dirname(os.path.dirname(numpy.__file__))
+    libs = glob.glob(os.path.join(base, "numpy.libs", "*openblas*"))
+    libs += glob.glob(os.path.join(base, "numpy", ".dylibs", "*openblas*"))
+    core = threads = None
+    for lib in map(ctypes.CDLL, libs):
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                               ("openblas_", "")):
+            corename = getattr(lib, prefix + "get_corename" + suffix, None)
+            if corename is not None:
+                num_threads = getattr(lib, prefix + "get_num_threads" + suffix)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                num_threads.argtypes, num_threads.restype = [], ctypes.c_int
+                core, threads = corename().decode(), num_threads()
+    return core, threads
+
+
+def child_source(body: str) -> str:
+    """A child interpreter's program: the imports, the helpers it calls, then body."""
+    helpers = (cpu_features, openblas_config, write_grid_route_pgms)
+    return CHILD_IMPORTS + "".join(map(inspect.getsource, helpers)) + body
 
 
 def cpu_features() -> dict:
@@ -190,14 +226,7 @@ def test_golden_hashes_on_generic_cpu_kernels(tmp_path):
                 ["tomo", "--eta-step", "0.5", "--n", "1000", "--out", str(tomo)],
                 ["modes", "--charges=-5,3,5", "--astigmatism", "2.9", "--out", str(modes)]]
     report = tmp_path / "report.json"
-    src = str(Path(oamcv.__file__).resolve().parents[1])
-    env = {**os.environ, **KERNEL_ENV,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = inspect.getsource(cpu_features) + inspect.getsource(write_grid_route_pgms) \
-        + KERNEL_CHILD
-    proc = subprocess.run([sys.executable, "-c", child, json.dumps(commands), str(report),
-                           str(grid)], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    run_child(child_source(KERNEL_CHILD), KERNEL_ENV, json.dumps(commands), report, grid)
     facts = json.loads(report.read_text())
     assert facts["codes"] == [EXIT_OK] * 3
     assert sha256(sweep) == SWEEP["fig3"]
@@ -212,3 +241,29 @@ def test_golden_hashes_on_generic_cpu_kernels(tmp_path):
     disabled = KERNEL_ENV["NPY_DISABLE_CPU_FEATURES"].split()
     if not any(cpu_features().get(name) and not facts["features"].get(name) for name in disabled):
         warnings.warn(f"NPY_DISABLE_CPU_FEATURES had no effect: none of {disabled} was enabled")
+
+
+def test_modes_at_one_and_two_blas_threads(tmp_path):
+    # on the native kernels: every modes golden hash, and the same lg_images
+    # floats bit for bit, at 1 and 2 OpenBLAS threads.  The grid route's floats,
+    # lg_field + tilted_lens_pattern, are not the same at 1 and 2 threads; its
+    # PGM bytes are (GRID_ROUTE).
+    images = {}
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        commands = [["modes", "--charges=-2,-1,0,1,2", "--out", str(out / "modes")]]
+        commands += [["modes", "--charges=-5,3,5", "--astigmatism", "2.9", "--depth", str(depth),
+                      "--out", str(out / str(depth))] for depth in sorted(MODES_HIGH_CHARGE)]
+        report = tmp_path / f"report{threads}.json"
+        run_child(child_source(THREAD_CHILD), {"OPENBLAS_NUM_THREADS": str(threads)},
+                  json.dumps(commands), report)
+        facts = json.loads(report.read_text())
+        assert facts["codes"] == [EXIT_OK] * len(commands)
+        assert {p.name: sha256(p) for p in (out / "modes").iterdir()} == MODES
+        for depth, expected in MODES_HIGH_CHARGE.items():
+            assert {p.name: sha256(p) for p in (out / str(depth)).iterdir()} == expected
+        if facts["threads"] != threads:
+            warnings.warn(f"OPENBLAS_NUM_THREADS={threads} had no effect: "
+                          f"{facts['threads']!r} threads")
+        images[threads] = facts["images"]
+    assert images[1] == images[2]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import platform
 import tracemalloc
 
 import numpy as np
@@ -11,8 +12,26 @@ import oamcv
 from oamcv import (FieldGrid, InputError, LGModeSpec, NumericalError, ResolutionError,
                    count_dark_stripes, lg_field, lg_images, tilted_lens_pattern, write_pgm)
 from oamcv.cli import run_modes
-from oamcv.modes import (_BLOCK_ROWS, _PGM_SAMPLES, MAX_GRID_SIDE, IntensityGrid, _k_window,
-                         _lg_factors, _moments, _pixel_axis, _row_blocks, mode_image_filename)
+from oamcv.modes import (_BLOCK_ROWS, _PGM_SAMPLES, MAX_GRID_SIDE, IntensityGrid, StripeCount,
+                         _k_window, _lg_factors, _moments, _pixel_axis, _row_blocks,
+                         mode_image_filename)
+from conftest import run_child
+
+# after two warm-up calls, prints the minor page faults of five run_modes([3])
+# and two run_modes([-2, 0, 3]) calls into argv[1], as a JSON list
+FAULT_CHILD = """
+import json, resource, sys
+from oamcv.cli import run_modes
+
+def faults(charges):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_modes(charges, out_dir=sys.argv[1])
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+for _ in range(2):
+    run_modes([3], out_dir=sys.argv[1])
+print(json.dumps([faults([3]) for _ in range(5)] + [faults([-2, 0, 3]) for _ in range(2)]))
+"""
 
 # grids with even, odd and mixed-parity sides: (width, height, extent)
 GRIDS = [(512, 512, 6.0), (257, 257, 6.0), (255, 256, 6.0), (300, 301, 6.0),
@@ -382,6 +401,14 @@ class TestLgImages:
             tracemalloc.stop()
         assert peak <= 5 * 2 ** 20
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+    def test_warm_run_modes_faults_in_no_image_pages(self, tmp_path):
+        # both images are one block, so glibc trims the heap only above twice their
+        # size, and run_modes holds one charge's images at a time: a warm call reuses
+        # the pages of the last, where each used to fault in >= 1,300 of them afresh
+        faults = json.loads(run_child(FAULT_CHILD, {}, tmp_path))
+        assert len(faults) == 7 and max(faults) <= 64, faults
+
     @pytest.mark.parametrize("astigmatism", [1.0, 2.9, 1e6, 1e306])
     def test_moments_flip_sign_with_k_bit_for_bit(self, astigmatism):
         k = _k_window(257, 10.0 * (astigmatism + 1.0))
@@ -443,6 +470,20 @@ class TestCountDarkStripes:
 
     def test_all_dark_is_indeterminate(self):
         assert count_dark_stripes(np.zeros((64, 64))).indeterminate
+
+    @pytest.mark.parametrize("l", [-5, 0, 3, 5])
+    def test_one_sum_is_np_mean_bit_for_bit(self, l):
+        # the contrast test takes the mean as the centroid's sum over the size
+        for values in (lg_images(l, 2.9)[1].values, lg_images(l, 2.9, 160, 128, 5.0)[0].values.T):
+            assert values.sum() / values.size == np.mean(values)
+
+    @pytest.mark.parametrize("bright_columns,expected", [
+        (32, StripeCount(0, 0, False)), (33, StripeCount(0, 0, True))])
+    def test_contrast_bound_is_inclusive(self, bright_columns, expected):
+        # half the image bright is exactly 2:1 peak-to-mean contrast, one column more is less
+        values = np.zeros((64, 64))
+        values[:, :bright_columns] = 1.0
+        assert count_dark_stripes(values) == expected
 
     def test_rejects_garbage(self):
         with pytest.raises(InputError):

@@ -491,6 +491,16 @@ class TestVarianceSet:
         assert [vs.stderr(s) for s in SETTINGS] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
         assert VarianceSet(0, 0, 0, 0, 0, 0).stderr("Ysum") is None
 
+    @pytest.mark.parametrize("entry_point", [
+        lambda vs: vs.absolute_variance("Xc"), reconstruct_cm],
+        ids=["absolute_variance", "reconstruct_cm"])
+    def test_overflowing_db_value_is_numerical_error(self, entry_point):
+        # the scalar 10.0 ** of a dB value past ~3,082.5 dB raises a bare OverflowError
+        with pytest.raises(NumericalError) as exc:
+            entry_point(VarianceSet(4000.0, 0, 0, 0, 0, 0))
+        assert type(exc.value) is NumericalError
+        assert str(exc.value) == "dB value 4000.0 overflows its linear ratio"
+
     def test_absolute_variance_uses_snl(self):
         vs = VarianceSet(0, 0, 0, 0, 0, 0)
         assert vs.absolute_variance("Xc") == 1.0
