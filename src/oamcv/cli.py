@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .channels import _channel_map, _check_source
-from .criteria import (_criteria, classify_many, entanglement_death_eta, source_criteria,
-                       steering_death_eta)
+from .criteria import _criteria, entanglement_death_eta, source_criteria, steering_death_eta
 from .errors import InputError, NumericalError
 from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
                        checked_delta, checked_eta, make_tmss, real_or_nan, symplectic_eigenvalues)
@@ -158,24 +157,22 @@ def _render(result) -> str:
     return json.dumps(result, indent=2) + "\n"
 
 
-def _truth_blocks(config: SweepConfig, etas: list):
-    """(l, delta, channel outputs over etas, their classify_many) per block, sorted.
+def _source_blocks(config: SweepConfig, block):
+    """(l, delta, block(source, spec, delta)) per charge and delta, both sorted.
 
-    The true states of tomo, which samples their matrices; the sweep builds
-    none.  The channel does not see the charge, so charges with the same
-    source share its blocks: each distinct source is checked once, then
-    mapped and classified once per delta.  The config has checked the deltas
-    and the grid.
+    The channel does not see the charge, so charges with the same source
+    share its blocks: each distinct source is checked once (_check_source),
+    then block runs once per delta on the checked source matrix and its spec.
+    The config has checked the deltas and the grid.
     """
     by_source = {}
-    grid = np.array(etas)
     for l in sorted(config.charges):
         if (spec := config.specs[l]) not in by_source:
             source = _check_source(make_tmss(spec).entries)
-            by_source[spec] = [(delta, sigmas := _channel_map(source, grid, delta),
-                                classify_many(sigmas)) for delta in sorted(config.deltas)]
-        for block in by_source[spec]:
-            yield l, *block
+            by_source[spec] = [(delta, block(source, spec, delta))
+                               for delta in sorted(config.deltas)]
+        for delta, value in by_source[spec]:
+            yield l, delta, value
 
 
 def _sweep_rows(eta_text: list, delta: float, criteria) -> list:
@@ -190,25 +187,18 @@ def _sweep_rows(eta_text: list, delta: float, criteria) -> list:
 def run_sweep(config: SweepConfig) -> list:
     """CSV rows of the criteria sweep, one per (l, delta, eta), sorted.
 
-    The channel does not see the charge, so charges with the same source share
-    its rows.  Each distinct source is checked once; each of its deltas is one
-    source_criteria pass over the eta grid, whose rows are formatted once and
-    then given each charge's prefix.  Returns the rows (header included) and
-    writes them to config.out when set.
+    Each (source, delta) block is one source_criteria pass over the eta grid,
+    whose rows are formatted once and then given each charge's prefix.
+    Returns the rows (header included) and writes them to config.out when set.
     """
-    rows = [SWEEP_HEADER]
     etas = eta_grid(config)
     grid = np.array(etas)
     eta_text = [f"{eta:.9g}" for eta in etas]
-    by_source = {}
-    for l in sorted(config.charges):
-        if (spec := config.specs[l]) not in by_source:
-            _check_source(make_tmss(spec).entries)
-            by_source[spec] = [row for delta in sorted(config.deltas)
-                               for row in _sweep_rows(eta_text, delta,
-                                                      source_criteria(spec, grid, delta))]
+    rows = [SWEEP_HEADER]
+    for l, _, block in _source_blocks(config, lambda _, spec, delta: _sweep_rows(
+            eta_text, delta, source_criteria(spec, grid, delta))):
         prefix = f"{l},"
-        rows += [prefix + row for row in by_source[spec]]
+        rows += [prefix + row for row in block]
     if config.out is not None:
         Path(config.out).write_text(_render(rows))
     return rows
@@ -242,13 +232,17 @@ def run_tomo(config: SweepConfig) -> dict:
 
     Only the draws run per point: sampled_variances from a sub-seed that
     makes the point reproducible on its own.  The rest of an (l, delta) block
-    is one stacked pass: the true states and their classify_many
-    (_truth_blocks), then the reconstructions, their physicality, and their
-    criteria or the error text of each failing one.
+    is one stacked pass.  The true states are channel outputs, which are
+    sampled, and their criteria are source_criteria, the sweep's values;
+    only the reconstructions are classified as matrices, with their
+    physicality and their criteria or the error text of each failing one.
     """
     results = []
     etas = eta_grid(config)
-    for l, delta, true_sigmas, true_criteria in _truth_blocks(config, etas):
+    grid = np.array(etas)
+    for l, delta, (true_sigmas, true_criteria) in _source_blocks(
+            config, lambda source, spec, delta: (_channel_map(source, grid, delta),
+                                                 source_criteria(spec, grid, delta))):
         # a point's sub-seed comes from its index in the whole run
         seeds = [int(np.random.SeedSequence([config.seed, len(results) + i])
                      .generate_state(1, np.uint64)[0]) for i in range(len(etas))]

@@ -30,8 +30,10 @@ forms of these four numbers (Serafini, Illuminati and De Siena, J. Phys. B
     nu = 2d / (a + b + sqrt((a - b)^2 + 4c^2)),  g_ab = max(0, ln(a/d)),
     g_ba = max(0, ln(b/d)).
 
-source_criteria reads them over an eta grid, with no matrix; the sweep
-prints them, and the matrix routes are their test-time cross-check.
+source_criteria reads them over an eta grid, with no matrix.  It is the one
+source of the true criteria: the sweep prints them and tomo reports them as
+its truth.  The matrix routes classify tomo's reconstructions, and the tests
+hold them against source_criteria as its cross-check.
 
 The sudden-death thresholds are the same algebra, solved for eta: with
 a = (v + vp)/2 and s = (1 - v)(vp - 1), each correlation survives at eta
@@ -286,16 +288,17 @@ def classify_many(sigmas) -> CriteriaArrays:
 def source_criteria(spec, etas, delta: float) -> CriteriaArrays:
     """classify_many of a two-mode squeezed source sent through the probe channel, over eta.
 
-    The same criteria as classify_many(apply_channel_grid(make_tmss(spec),
-    etas, delta)), read from the standard form (a, b, c, d) of each state in
-    closed form (see the module docstring): no matrix is built, and nu is
-    resolved to float precision however strongly the source is squeezed.
-    spec and delta obey their rules and every eta lies in [0, 1].  A state
-    whose invariants Dt = a^2 + b^2 + 2c^2, det sigma = d^2, det A = a^2 and
-    det B = b^2 are not finite raises the error classify raises for it.  With
-    them finite, (a - b)^2 + 4c^2 = Dt - 2d and every value is finite.  The
-    source is not checked against float resolution (that is _check_source,
-    for its matrix).
+    The true criteria of the sweep and of tomo.  The same criteria as
+    classify_many(apply_channel_grid(make_tmss(spec), etas, delta)) wherever
+    the matrix routes resolve them, read from the standard form (a, b, c, d)
+    of each state in closed form (see the module docstring): no matrix is
+    built, and nu is resolved to float precision however strongly the source
+    is squeezed.  spec and delta obey their rules and every eta lies in
+    [0, 1].  A state whose invariants Dt = a^2 + b^2 + 2c^2, det sigma = d^2,
+    det A = a^2 and det B = b^2 are not finite raises the error classify
+    raises for it.  With them finite, (a - b)^2 + 4c^2 = Dt - 2d and every
+    value is finite.  The source is not checked against float resolution
+    (that is _check_source, for its matrix).
     """
     spec, delta = as_spec(spec), checked_delta(delta)
     eta = real_array(etas)

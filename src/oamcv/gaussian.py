@@ -442,9 +442,9 @@ def make_tmss(spec) -> CovarianceMatrix:
     The matrix's own v is the difference of those two stored entries, so it
     and every nu taken from it carry a relative error of about
     eps (v + vp)/(2 v): about 1e-15 for v = 0.47, vp = 4.11, but 5e-8 at
-    r = 5, so past r ~ 4 the matrix routes and tomo do not resolve all 9
-    digits of nu.  The sweep reads nu from the spec (criteria.source_criteria)
-    and is not bound by this.
+    r = 5, so past r ~ 4 the matrix routes (and tomo's reconstructions) do
+    not resolve all 9 digits of nu.  The sweep and tomo's truth read nu from
+    the spec (criteria.source_criteria) and are not bound by this.
     """
     # run the constructor's rules again, on fields that may have been overwritten
     spec = replace(as_spec(spec))

@@ -16,7 +16,7 @@ import oamcv
 from oamcv import (ChannelParams, InputError, LGModeSpec, MultiplexedState, NumericalError,
                    ReconstructionWarning, SqueezingSpec, ToolkitError, apply_channel, classify,
                    entanglement_death_eta, expected_variances, make_multiplexed, make_tmss,
-                   reconstruct_cm, sampled_variances, validate)
+                   reconstruct_cm, sampled_variances, source_criteria, validate)
 from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, MAX_ETA_POINTS, PRESETS,
                        SWEEP_HEADER, SweepConfig, build_parser, eta_grid, main,
                        run_modes, run_sweep, run_thresholds, run_tomo)
@@ -308,7 +308,8 @@ class TestRunSweep:
         assert for_l0 == for_l2
 
     def test_one_block_per_distinct_source(self, monkeypatch):
-        # charges sharing a source share its criteria (sweep) or truth blocks (tomo)
+        # charges sharing a source share its blocks: criteria (sweep), or the
+        # channel outputs and their criteria (tomo)
         other = SqueezingSpec(0.3, 5.0)
         specs = {0: SPEC, 1: other, 2: SPEC}
         config = small_config(specs=specs, charges=(0, 1, 2), deltas=(0.5, 0.0), eta_step=0.25,
@@ -316,7 +317,7 @@ class TestRunSweep:
         alone = {l: run_sweep(small_config(specs={l: spec}, charges=(l,), deltas=(0.5, 0.0),
                                            eta_step=0.25))[1:] for l, spec in specs.items()}
         calls = []
-        for name in ("source_criteria", "_channel_map", "classify_many"):
+        for name in ("source_criteria", "_channel_map"):
             real = getattr(oamcv.cli, name)
             monkeypatch.setattr(oamcv.cli, name,
                                 lambda *args, real=real, name=name: calls.append(name) or real(*args))
@@ -325,7 +326,7 @@ class TestRunSweep:
         assert rows[1:] == alone[0] + alone[1] + alone[2]
         calls.clear()
         run_tomo(config)
-        assert calls == ["_channel_map", "classify_many"] * (2 * 2)
+        assert calls == ["_channel_map", "source_criteria"] * (2 * 2)
 
     def test_each_source_checked_once_and_no_eta_again(self, monkeypatch):
         # the config owns the grid and the deltas; a source is checked once, not per delta
@@ -434,8 +435,16 @@ class TestRunTomo:
                 criteria, error = None, str(exc)
             truth = expected_variances(true_cm)
             errors = rec_cm.entries - true_cm.entries
+            true_criteria = source_criteria(config.specs[entry["l"]], [entry["eta"]],
+                                            entry["delta"]).report(0).to_json_dict()
             assert entry["true"] == {"variances_db": {s: truth.db(s) for s in SETTINGS},
-                                     "criteria": classify(true_cm).to_json_dict()}
+                                     "criteria": true_criteria}
+            # the matrix criteria of the true state agree with its closed form
+            matrix = classify(true_cm).to_json_dict()
+            for key in ("nu", "gAB", "gBA"):
+                assert matrix[key] == pytest.approx(true_criteria[key], rel=1e-9, abs=1e-9)
+            for key in ("entangled", "class"):
+                assert matrix[key] == true_criteria[key]
             expected = {
                 "variances_db": {s: measured.db(s) for s in SETTINGS},
                 "stderr_db": {s: measured.stderr(s) for s in SETTINGS},
@@ -478,6 +487,29 @@ class TestRunTomo:
             if entry["reconstructed"]["criteria"]["entangled"] == truth:
                 matches += 1
         assert matches >= 95
+
+    def test_truth_is_the_sweep_row(self, tmp_path, capsys):
+        # charges 0 and 1 share a source, charge 2 has its own; two deltas
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"specs": {"0": SPEC_JSON, "1": SPEC_JSON,
+                                              "2": {"v": 0.3, "vp": 5.0}},
+                                    "deltas": [0.15, 1.0], "eta_step": 0.05}))
+        csv, tomo = tmp_path / "sweep.csv", tmp_path / "tomo.json"
+        assert main(["sweep", "--config", str(path), "--out", str(csv)]) == EXIT_OK
+        assert main(["tomo", "--config", str(path), "--n", "10", "--out", str(tomo)]) == EXIT_OK
+        capsys.readouterr()
+        rows = {tuple(row[:3]): row[3:] for row in
+                (line.split(",") for line in csv.read_text().splitlines()[1:])}
+        entries = json.loads(tomo.read_text())["results"]
+        assert len(entries) == len(rows) == 3 * 2 * 21
+        for entry in entries:
+            truth = entry["true"]["criteria"]
+            key = (str(entry["l"]), f"{entry['eta']:.9g}", f"{entry['delta']:.9g}")
+            assert rows[key] == [f"{truth['nu']:.9g}", "true" if truth["entangled"] else "false",
+                                 f"{truth['gAB']:.9g}", f"{truth['gBA']:.9g}", truth["class"]]
+        # the rows hold both verdicts, and l = 2 differs from l = 0
+        assert {row[1] for row in rows.values()} == {"true", "false"}
+        assert rows["2", "0.5", "1"] != rows["0", "0.5", "1"]
 
 
 class TestRunModes:
@@ -671,6 +703,16 @@ class TestMain:
         with pytest.raises(NumericalError, match="^PPT computation paths disagree"):
             classify(make_tmss(SqueezingSpec(0.3, 1e8)))
 
+    def test_source_the_matrix_routes_cannot_resolve_runs_tomo(self, capsys):
+        # the matrix routes disagree on this source's true state (exit 3 if
+        # classified); tomo's truth is the closed form the sweep prints
+        source = ["--v", "0.3", "--vp", "1e8", "--charges", "0", "--eta-start", "1"]
+        assert main(["sweep", *source]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert main(["tomo", *source, "--n", "1000"]) == EXIT_OK
+        truth = json.loads(capsys.readouterr().out)["results"][0]["true"]["criteria"]
+        assert truth["nu"] == float(row[3]) == 0.3
+
     @pytest.mark.parametrize("argv, config, code, err", [
         # entries above half the float max: symmetrising must not overflow
         (["sweep", "--delta", "1e308", "--charges", "0", "--eta-step", "0.5"], None,
@@ -755,7 +797,8 @@ class TestMain:
         assert _config_from_args(args).specs == {0: SqueezingSpec(0.5, 2.5)}
 
     @pytest.mark.parametrize("command, name", [("sweep", "source_criteria"),
-                                               ("tomo", "classify_many")])
+                                               ("tomo", "source_criteria"),
+                                               ("tomo", "_criteria")])
     def test_internal_fault_is_not_a_config_error(self, command, name, monkeypatch):
         def broken(*args):
             raise ValueError("injected fault")

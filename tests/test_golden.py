@@ -28,10 +28,13 @@ THRESHOLDS = {
     "fig3": "41753346393268beeec56fd6e72ad519d2f04e4fcda160a16f72717e94252fbc",
     "fig4": "0bca16ae8ee33069b198e92543dcf0b57132fc76afc4d626148f84d2aa618589",
 }
-TOMO = "2fe4f3f4b483b098d30e14f3969f3d8a452d8f9ad894e92ed8ede6fadf6f964f"
+TOMO = "0de12d420223d4b93353474275428050e9a3cfccd3b5a34265a0339061dbd9c6"
+TOMO_ARGS = ["tomo", "--eta-step", "0.5", "--n", "1000"]
 # three samples per setting: of the 84 reconstructions 56 are not positive
 # definite (criteria_error), 26 are unphysical with criteria, 2 are physical
-TOMO_ERRORS = "1af3bfd105e09a01993e7c085ab5dbc14e7f87b8744260edb9b2cc95a7371236"
+TOMO_ERRORS = "5235dc5a175cb5c8088bde57999fef362194b0dc65940e8b9db215379af4d772"
+TOMO_ERRORS_ARGS = ["tomo", "--charges", "0,1", "--delta", "0,1", "--eta-step", "0.05",
+                    "--n", "3", "--seed", "3"]
 MODES = {
     "mode_l-2_beam.pgm": "89e2cc6211e9783fbe5654bde4501befe6d37768722eb53faa3f4774b8c700f1",
     "mode_l-2_tilted.pgm": "12fa7c817e13e4a902771c0f676eb1c490d39c86ddd3f8e74e98868a93b6a0c0",
@@ -108,14 +111,13 @@ def test_thresholds_json(preset, tmp_path, capsys):
 
 def test_tomo_json(tmp_path, capsys):
     out = tmp_path / "tomo.json"
-    run(["tomo", "--eta-step", "0.5", "--n", "1000", "--out", str(out)], capsys)
+    run([*TOMO_ARGS, "--out", str(out)], capsys)
     assert sha256(out) == TOMO
 
 
 def test_tomo_json_failing_reconstructions(tmp_path, capsys):
     out = tmp_path / "tomo.json"
-    run(["tomo", "--charges", "0,1", "--delta", "0,1", "--eta-step", "0.05", "--n", "3",
-         "--seed", "3", "--out", str(out)], capsys)
+    run([*TOMO_ERRORS_ARGS, "--out", str(out)], capsys)
     assert sha256(out) == TOMO_ERRORS
 
 
@@ -223,7 +225,7 @@ def test_golden_hashes_on_generic_cpu_kernels(tmp_path):
     grid = tmp_path / "grid"
     grid.mkdir()
     commands = [["sweep", "--preset", "fig3", "--out", str(sweep)],
-                ["tomo", "--eta-step", "0.5", "--n", "1000", "--out", str(tomo)],
+                [*TOMO_ARGS, "--out", str(tomo)],
                 ["modes", "--charges=-5,3,5", "--astigmatism", "2.9", "--out", str(modes)]]
     report = tmp_path / "report.json"
     run_child(child_source(KERNEL_CHILD), KERNEL_ENV, json.dumps(commands), report, grid)
@@ -244,21 +246,28 @@ def test_golden_hashes_on_generic_cpu_kernels(tmp_path):
 
 
 def test_modes_at_one_and_two_blas_threads(tmp_path):
-    # on the native kernels: every modes golden hash, and the same lg_images
-    # floats bit for bit, at 1 and 2 OpenBLAS threads.  The grid route's floats,
-    # lg_field + tilted_lens_pattern, are not the same at 1 and 2 threads; its
-    # PGM bytes are (GRID_ROUTE).
+    # on the native kernels: every modes golden hash, the fig3 sweep and both
+    # tomo goldens, and the same lg_images floats bit for bit, at 1 and 2
+    # OpenBLAS threads.  The grid route's floats, lg_field + tilted_lens_pattern,
+    # are not the same at 1 and 2 threads; its PGM bytes are (GRID_ROUTE).
     images = {}
     for threads in (1, 2):
         out = tmp_path / str(threads)
+        out.mkdir()
         commands = [["modes", "--charges=-2,-1,0,1,2", "--out", str(out / "modes")]]
         commands += [["modes", "--charges=-5,3,5", "--astigmatism", "2.9", "--depth", str(depth),
                       "--out", str(out / str(depth))] for depth in sorted(MODES_HIGH_CHARGE)]
+        commands += [["sweep", "--preset", "fig3", "--out", str(out / "sweep.csv")],
+                     [*TOMO_ARGS, "--out", str(out / "tomo.json")],
+                     [*TOMO_ERRORS_ARGS, "--out", str(out / "tomo_errors.json")]]
         report = tmp_path / f"report{threads}.json"
         run_child(child_source(THREAD_CHILD), {"OPENBLAS_NUM_THREADS": str(threads)},
                   json.dumps(commands), report)
         facts = json.loads(report.read_text())
         assert facts["codes"] == [EXIT_OK] * len(commands)
+        assert sha256(out / "sweep.csv") == SWEEP["fig3"]
+        assert sha256(out / "tomo.json") == TOMO
+        assert sha256(out / "tomo_errors.json") == TOMO_ERRORS
         assert {p.name: sha256(p) for p in (out / "modes").iterdir()} == MODES
         for depth, expected in MODES_HIGH_CHARGE.items():
             assert {p.name: sha256(p) for p in (out / str(depth)).iterdir()} == expected
