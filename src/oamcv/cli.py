@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .channels import _channel_map, _check_source
-from .criteria import _criteria, entanglement_death_eta, source_criteria, steering_death_eta
+from .criteria import _criteria, _death_etas, source_criteria
 from .errors import InputError, NumericalError
 from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
                        checked_delta, checked_eta, make_tmss, real_or_nan, symplectic_eigenvalues)
@@ -150,11 +150,64 @@ def eta_grid(config: SweepConfig) -> list:
             for i in range(count)]
 
 
+# json's spelling of the floats whose repr is not JSON
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = repr(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+_str_text = json.encoder.encode_basestring_ascii
+# the text of each scalar type a report holds, keyed by its exact type, as json
+# writes it: an exact int or float's repr is int.__repr__ or float.__repr__
+_SCALAR_TEXT = {str: _str_text, int: repr, float: _float_text,
+                bool: lambda value: "true" if value else "false", type(None): lambda _: "null"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for the types a report holds.
+
+    Those are dicts with str keys, lists, and the scalars of _SCALAR_TEXT,
+    each matched by its exact type: anything else (a tuple, a numpy scalar,
+    an int key) raises TypeError rather than being written some other way.
+    indent is the newline and indentation that precede value's closing bracket.
+    """
+    if text := _SCALAR_TEXT.get(type(value)):
+        return text(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        if bad := [key for key in value if type(key) is not str]:
+            raise TypeError(f"JSON object keys must be str, got {bad[0]!r}")
+        items = [f"{_str_text(key)}: {_json_text(item, inner)}"
+                 for key, item in value.items()]
+        brackets = "{}"
+    elif type(value) is list:
+        items = [_json_text(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not a JSON report value")
+    if not items:
+        return brackets
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
+
+
 def _render(result) -> str:
-    """The output text of a result, for its file and for stdout: CSV rows or JSON."""
+    """The output text of a result, for its file and for stdout.
+
+    CSV rows, or the JSON of a report as json.dumps(report, indent=2) writes
+    it (_json_text).  Either is ASCII.
+    """
     if isinstance(result, list):
         return "\n".join(result) + "\n"
-    return json.dumps(result, indent=2) + "\n"
+    return _json_text(result) + "\n"
+
+
+def _write_text(path, text: str) -> None:
+    """Write the ASCII text of an output file as its bytes, in one call."""
+    with open(path, "wb") as file:
+        file.write(text.encode())
 
 
 def _source_blocks(config: SweepConfig, block):
@@ -200,7 +253,7 @@ def run_sweep(config: SweepConfig) -> list:
         prefix = f"{l},"
         rows += [prefix + row for row in block]
     if config.out is not None:
-        Path(config.out).write_text(_render(rows))
+        _write_text(config.out, _render(rows))
     return rows
 
 
@@ -214,16 +267,12 @@ def run_thresholds(config: SweepConfig) -> dict:
     for l in sorted(config.charges):
         spec = config.specs[l]
         for delta in sorted(config.deltas):
-            results.append({
-                "l": l,
-                "delta": delta,
-                "entanglement": entanglement_death_eta(spec, delta),
-                "steering_AB": steering_death_eta(spec, delta, "AB"),
-                "steering_BA": steering_death_eta(spec, delta, "BA"),
-            })
+            entanglement, steering_ab, steering_ba = _death_etas(spec, delta)
+            results.append({"l": l, "delta": delta, "entanglement": entanglement,
+                            "steering_AB": steering_ab, "steering_BA": steering_ba})
     report = {"results": results}
     if config.out is not None:
-        Path(config.out).write_text(_render(report))
+        _write_text(config.out, _render(report))
     return report
 
 
@@ -271,7 +320,7 @@ def run_tomo(config: SweepConfig) -> dict:
             })
     report = {"n_per_setting": config.n_per_setting, "results": results}
     if config.out is not None:
-        Path(config.out).write_text(_render(report))
+        _write_text(config.out, _render(report))
     return report
 
 
@@ -291,7 +340,7 @@ def run_modes(charges, astigmatism: float = DEFAULT_ASTIGMATISM, out_dir=".",
     out_path.mkdir(parents=True, exist_ok=True)
     results = [_render_charge(spec, astigmatism, out_path, bit_depth) for spec in specs]
     report = {"astigmatism": astigmatism, "results": results}
-    (out_path / "stripes.json").write_text(_render(report))
+    _write_text(out_path / "stripes.json", _render(report))
     return report
 
 

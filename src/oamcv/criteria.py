@@ -329,6 +329,18 @@ def _death_eta(p: float, q: float) -> Optional[float]:
     return -p / q
 
 
+def _death_etas(spec, delta: float) -> tuple:
+    """(entanglement, A->B, B->A) thresholds of a checked spec and delta.
+
+    The roots of the three lines of the module docstring, each by _death_eta.
+    """
+    v, vp = spec.v, spec.vp
+    a, s, vvp = 0.5 * (v + vp), (1.0 - v) * (vp - 1.0), v * vp
+    return (_death_eta(-(a - 1.0) * delta, s + (a - 1.0) * delta),
+            _death_eta(-a * delta, (1.0 + delta) * a - vvp),
+            _death_eta(-(1.0 + delta) * (a - 1.0), a - vvp + (1.0 + delta) * (a - 1.0)))
+
+
 def entanglement_death_eta(spec, delta: float) -> Optional[float]:
     """Transmission efficiency where entanglement suddenly dies, or None.
 
@@ -338,10 +350,7 @@ def entanglement_death_eta(spec, delta: float) -> Optional[float]:
     either the channel is purely lossy (entanglement survives to eta -> 0)
     or the source has no entanglement to lose.
     """
-    spec, delta = as_spec(spec), checked_delta(delta)
-    a = 0.5 * (spec.v + spec.vp)
-    s = (1.0 - spec.v) * (spec.vp - 1.0)
-    return _death_eta(-(a - 1.0) * delta, s + (a - 1.0) * delta)
+    return _death_etas(as_spec(spec), checked_delta(delta))[0]
 
 
 def steering_death_eta(spec, delta: float, direction: str) -> Optional[float]:
@@ -354,13 +363,9 @@ def steering_death_eta(spec, delta: float, direction: str) -> Optional[float]:
     direction either survives the whole bracket or never steers at all.
     """
     spec, delta = as_spec(spec), checked_delta(delta)
-    a, vvp = 0.5 * (spec.v + spec.vp), spec.v * spec.vp
-    if direction == "AB":
-        return _death_eta(-a * delta, (1.0 + delta) * a - vvp)
-    if direction == "BA":
-        return _death_eta(-(1.0 + delta) * (a - 1.0),
-                          a - vvp + (1.0 + delta) * (a - 1.0))
-    raise InputError(f"direction must be 'AB' or 'BA', got {direction!r}")
+    if direction not in ("AB", "BA"):
+        raise InputError(f"direction must be 'AB' or 'BA', got {direction!r}")
+    return _death_etas(spec, delta)[1 if direction == "AB" else 2]
 
 
 def steering_death_eta_ba_lossy(spec) -> float:

@@ -1,6 +1,7 @@
 """Command-line front end: config handling, runners, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,10 +19,12 @@ from oamcv import (ChannelParams, InputError, LGModeSpec, MultiplexedState, Nume
                    entanglement_death_eta, expected_variances, make_multiplexed, make_tmss,
                    reconstruct_cm, sampled_variances, source_criteria, validate)
 from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, MAX_ETA_POINTS, PRESETS,
-                       SWEEP_HEADER, SweepConfig, build_parser, eta_grid, main,
-                       run_modes, run_sweep, run_thresholds, run_tomo)
+                       SWEEP_HEADER, SweepConfig, _config_from_args, _json_text, _render,
+                       build_parser, eta_grid, main, run_modes, run_sweep, run_thresholds,
+                       run_tomo)
 from oamcv.tomography import SETTINGS
 from conftest import V_REF, VP_REF
+from test_golden import TOMO_ARGS, TOMO_ERRORS_ARGS
 
 
 SPEC = SqueezingSpec(V_REF, VP_REF)
@@ -556,6 +559,53 @@ class TestRunModes:
         assert not out.exists()
 
 
+# JSON values of every type a report holds, with the text and floats json
+# escapes or spells specially
+JSON_STRINGS = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", "%", "%s", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", ""])
+JSON_SCALARS = (st.none() | st.booleans() | JSON_STRINGS
+                | st.integers() | st.integers(-2 ** 200, 2 ** 200) | st.floats()
+                | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(JSON_STRINGS, children,
+                                                                      max_size=4),
+    max_leaves=24)
+
+
+class TestJsonText:
+    @settings(max_examples=500, deadline=None)
+    @given(JSON_VALUES)
+    def test_is_json_dumps_with_indent_2(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+        report = {"value": value}
+        assert _json_text(report) + "\n" == _render(report) == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_thresholds_reports(self, preset):
+        report = run_thresholds(SweepConfig(deltas=PRESETS[preset]["deltas"]))
+        assert _render(report) == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [TOMO_ARGS, TOMO_ERRORS_ARGS], ids=["TOMO", "TOMO_ERRORS"])
+    def test_tomo_reports(self, argv):
+        report = run_tomo(_config_from_args(build_parser().parse_args(argv)))
+        assert _render(report) == json.dumps(report, indent=2) + "\n"
+        if argv is TOMO_ERRORS_ARGS:
+            assert any("criteria_error" in e["reconstructed"] for e in report["results"])
+
+    def test_modes_report_is_its_file(self, tmp_path):
+        report = run_modes((-1, 0, 2), out_dir=tmp_path)
+        assert (tmp_path / "stripes.json").read_bytes() == \
+            (json.dumps(report, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"bytes", np.float64(1.0), {1: 0}, (1, 2),
+                                       {"results": [{"nested": np.int64(3)}]}],
+                             ids=["set", "bytes", "np.float64", "int key", "tuple", "nested"])
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
 class TestMain:
     def test_import_leaves_scipy_unloaded(self):
         # numpy is the only runtime dependency; a fresh interpreter shows
@@ -630,11 +680,20 @@ class TestMain:
         assert main(["sweep", "--v", "0.3", "--vp", "0.5"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_io_error_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "nope" / "sweep.csv"
-        code = main(["sweep", "--charges", "0", "--eta-step", "0.5", "--out", str(out)])
-        assert code == EXIT_IO
-        assert "i/o error" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["sweep", "thresholds", "tomo", "modes"])
+    def test_io_error_exit_code(self, command, tmp_path, capsys):
+        if command == "modes":
+            # the output directory would be made under a regular file
+            blocker = tmp_path / "file"
+            blocker.write_text("")
+            argv = ["modes", "--charges", "0", "--out", str(blocker / "images")]
+        else:
+            argv = [command, "--charges", "0", "--eta-step", "0.5", "--n", "10",
+                    "--out", str(tmp_path / "nope" / "out")]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # a vanishing astigmatic phase leaves the l=2 ring intact: one central
