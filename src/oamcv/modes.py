@@ -28,7 +28,7 @@ chirp, whose local frequency 2 a t passes the grid's Nyquist pi/dx.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,16 +139,21 @@ class IntensityGrid:
 
     extent is the half-width in waist units for a beam and in 1/waist units
     for a far field.  values is copied and checked finite and nonnegative.
+    The grid carries the peak, values.max(), that its check takes, so
+    count_dark_stripes and write_pgm read a grid's values without scanning
+    them again.
     """
 
     width: int
     height: int
     extent: float
     values: np.ndarray
+    _peak: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        _set_grid(self, self.width, self.height, self.extent,
-                  _intensity_values(self.values, 1).copy())
+        values, peak = _intensity_values(self.values, 1)
+        _set_grid(self, self.width, self.height, self.extent, values.copy())
+        object.__setattr__(self, "_peak", peak)
 
 
 def _computed_grid(width: int, height: int, extent: float, values: np.ndarray) -> IntensityGrid:
@@ -156,27 +161,30 @@ def _computed_grid(width: int, height: int, extent: float, values: np.ndarray) -
 
     The geometry comes from checked inputs and every value is a sum of squares,
     so only finiteness is tested, by the maximum (a NaN propagates to it),
-    before _frozen keeps the grid; a value that is not finite is the program's
-    fault, a NumericalError.
+    before _frozen keeps the grid and that maximum as its peak; a value that
+    is not finite is the program's fault, a NumericalError.
     """
-    if not values.max() < math.inf:
+    peak = float(values.max())
+    if not peak < math.inf:
         raise NumericalError("computed intensity values are not finite")
-    return _frozen(IntensityGrid, width, height, extent, values)
+    return _frozen(IntensityGrid, width, height, extent, values, peak)
 
 
-def _intensity_values(intensity, min_side: int) -> np.ndarray:
-    """The values of an IntensityGrid, checked when it was built, or of an array, checked here;
-    either must be a 2-D grid of at least min_side pixels a side."""
+def _intensity_values(intensity, min_side: int) -> tuple:
+    """(values, peak) of an IntensityGrid, checked and scanned when it was built, or of an
+    array, checked and scanned here; either must be a 2-D grid of at least min_side pixels
+    a side."""
     if isinstance(intensity, IntensityGrid):
-        values = intensity.values
+        values, peak = intensity.values, intensity._peak
     else:
-        values = real_array(intensity)
+        values, peak = real_array(intensity), None
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise InputError("intensity values must be finite and nonnegative")
     if values.ndim != 2 or min(values.shape) < min_side:
         raise InputError(f"intensity must be a 2-D grid of at least {min_side}x{min_side} pixels, "
                          f"got shape {values.shape}")
-    return values
+    # an array is scanned for its peak once it is known not to be empty
+    return values, float(values.max()) if peak is None else peak
 
 
 def _check_resolution(width: int, height: int, extent: float) -> None:
@@ -218,12 +226,17 @@ def _lg_factors(spec, x: np.ndarray, y: np.ndarray) -> tuple:
     so the amplitude is norm (unit amp_y) (binomial amp_x)^T: column j of
     amp_x holds x^j exp(-x^2), of amp_y y^(n-j) exp(-y^2); binomial[j] is
     C(n, j), unit[j] (i s)^(n-j), and norm sqrt(2/(pi n!)) sqrt(2)^n.
+    When y is x, amp_y is amp_x with its columns reversed, a view with the
+    same bits as its own pass.
     """
     order = abs(spec.l)
     powers = np.arange(order + 1)
     binomial = np.array([math.comb(order, j) for j in range(order + 1)], dtype=float)
     amp_x = x[:, None] ** powers * np.exp(-x * x)[:, None]
-    amp_y = y[:, None] ** powers[::-1] * np.exp(-y * y)[:, None]
+    if y is x:
+        amp_y = amp_x[:, ::-1]
+    else:
+        amp_y = y[:, None] ** powers[::-1] * np.exp(-y * y)[:, None]
     unit = np.array([(1j * math.copysign(1.0, spec.l)) ** p for p in range(order, -1, -1)])
     norm = math.sqrt(2.0 / (math.pi * math.factorial(order))) * math.sqrt(2.0) ** order
     return amp_x, amp_y, binomial, unit, norm
@@ -362,7 +375,9 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     """
     spec, width, height, extent = _checked_mode(spec, width, height, extent)
     astigmatism = checked_astigmatism(astigmatism)
-    x, y = _pixel_axis(width, extent), _pixel_axis(height, extent)
+    x = _pixel_axis(width, extent)
+    # a square grid passes its one axis for both sides, which _lg_factors shares
+    y = x if height == width else _pixel_axis(height, extent)
     amp_x, amp_y, binomial, unit, norm = _lg_factors(spec, x, y)
     m = max(width, height)
     # one allocation for both images, which keeps warm calls from faulting (see above)
@@ -420,11 +435,15 @@ def _moments(k: np.ndarray, alpha: complex, order: int) -> np.ndarray:
 
 
 def _squared_modulus(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """|z|^2 of a complex array as re^2 + im^2, squaring z's parts in place, into out if given."""
-    re, im = z.real, z.imag
-    re *= re
-    im *= im
-    return np.add(re, im, out=out)
+    """|z|^2 of a complex array as re^2 + im^2, into out if given.
+
+    z must be C-contiguous: its float view, re and im interleaved, is
+    squared in place in one contiguous pass, then its even columns (re^2)
+    and odd ones (im^2) are added.
+    """
+    parts = z.view(float)
+    parts *= parts
+    return np.add(parts[..., 0::2], parts[..., 1::2], out=out)
 
 
 @dataclass(frozen=True)
@@ -484,8 +503,7 @@ def count_dark_stripes(intensity) -> StripeCount:
     and fixes the orientation sign.  Inputs without 2:1 peak-to-mean
     contrast are flagged indeterminate.
     """
-    arr = _intensity_values(intensity, 8)
-    peak = float(arr.max())
+    arr, peak = _intensity_values(intensity, 8)
     # the mean is np.mean's own sum and divide, so one sum serves the centroid too
     total = arr.sum()
     if peak <= 0.0 or peak < MIN_CONTRAST * float(total / arr.size):
@@ -528,16 +546,18 @@ def write_pgm(path, intensity, bit_depth: int = 16) -> None:
     OpenBLAS thread count that rendered the grid, in every case checked,
     though the floats of the grid route do.
     """
-    arr = _intensity_values(intensity, 1)
+    arr, peak = _intensity_values(intensity, 1)
     maxval, dtype = _PGM_SAMPLES[checked_bit_depth(bit_depth)]
-    peak = float(arr.max())
-    samples = np.zeros(arr.shape, dtype=dtype)
     if peak > 0.0:
+        # the row blocks write every sample
+        samples = np.empty(arr.shape, dtype=dtype)
         floats = np.empty((_BLOCK_ROWS + 1, arr.shape[1]))
         for rows in _row_blocks(len(arr)):
             block = np.divide(arr[rows], peak, out=floats[:rows.stop - rows.start])
             block *= maxval
             samples[rows] = np.rint(block, out=block)
+    else:
+        samples = np.zeros(arr.shape, dtype=dtype)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

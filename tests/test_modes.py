@@ -7,6 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oamcv
 from oamcv import (FieldGrid, InputError, LGModeSpec, NumericalError, ResolutionError,
@@ -14,7 +17,7 @@ from oamcv import (FieldGrid, InputError, LGModeSpec, NumericalError, Resolution
 from oamcv.cli import run_modes
 from oamcv.modes import (_BLOCK_ROWS, _PGM_SAMPLES, MAX_GRID_SIDE, IntensityGrid, StripeCount,
                          _k_window, _lg_factors, _moments, _pixel_axis, _row_blocks,
-                         mode_image_filename)
+                         _squared_modulus, mode_image_filename)
 from conftest import run_child
 
 # after two warm-up calls, prints the minor page faults of five run_modes([3])
@@ -390,6 +393,47 @@ class TestLgImages:
         assert [i for rows in blocks for i in range(rows.start, rows.stop)] == list(range(n))
         assert all(2 <= rows.stop - rows.start <= _BLOCK_ROWS + 1 for rows in blocks) or n == 1
 
+    @pytest.mark.parametrize("l", range(-16, 17))
+    def test_shared_axis_factors_are_the_separate_ones_bit_for_bit(self, l):
+        # a square grid's amp_y is amp_x turned, not a second pow/exp pass
+        x = _pixel_axis(512, 6.0)
+        shared = _lg_factors(LGModeSpec(l), x, x)
+        separate = _lg_factors(LGModeSpec(l), x, x.copy())
+        assert np.shares_memory(shared[0], shared[1])
+        for a, b in zip(shared, separate):
+            assert np.array_equal(a, b) and type(a) is type(b)
+
+    def test_only_a_square_grid_shares_its_axis(self, monkeypatch):
+        shared, factors = [], oamcv.modes._lg_factors
+
+        def recording(spec, x, y):
+            shared.append(y is x)
+            return factors(spec, x, y)
+
+        monkeypatch.setattr(oamcv.modes, "_lg_factors", recording)
+        lg_images(3, 2.0, 255, 257, 6.0)
+        lg_images(3, 2.0, 128, 128, 4.0)
+        assert shared == [False, True]
+        y = _pixel_axis(257, 6.0)
+        amp_x, amp_y = _lg_factors(LGModeSpec(3), _pixel_axis(255, 6.0), y)[:2]
+        assert not np.shares_memory(amp_x, amp_y)
+        assert np.array_equal(amp_y, y[:, None] ** np.arange(3, -1, -1) * np.exp(-y * y)[:, None])
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(complex, hnp.array_shapes(max_dims=3, max_side=9),
+                      elements=st.complex_numbers(allow_nan=False, max_magnitude=1e200)),
+           st.booleans())
+    def test_squared_modulus_is_re_squared_plus_im_squared_bit_for_bit(self, z, into_out):
+        # a part above ~1.3e154 squares to inf on either side
+        out = np.full(z.shape, np.nan) if into_out else None
+        with np.errstate(over="ignore"):
+            expected = z.real * z.real + z.imag * z.imag
+            result = _squared_modulus(z.copy(), out=out)
+        assert result.dtype == float and result.shape == z.shape
+        assert result.tobytes() == expected.tobytes()
+        if into_out:
+            assert result is out
+
     def test_run_modes_memory_budget(self, tmp_path):
         # each image is one buffer, filled in row blocks: no image-sized temporaries
         run_modes([3], out_dir=tmp_path)
@@ -523,6 +567,25 @@ class TestIntensityRule:
         monkeypatch.setattr(oamcv.modes, "_squared_modulus", not_finite)
         with pytest.raises(NumericalError, match=r"^computed intensity values are not finite$"):
             render()
+
+    @pytest.mark.parametrize("astigmatism", [1.0, 2.0, 2.9])
+    @pytest.mark.parametrize("l", range(-5, 6))
+    def test_grid_reads_as_its_values(self, l, astigmatism, tmp_path):
+        # the peak a grid carries gives the bytes and the count its raw values give
+        for grid in lg_images(l, astigmatism):
+            for source, name in ((grid, "grid.pgm"), (grid.values, "raw.pgm")):
+                write_pgm(tmp_path / name, source)
+            assert (tmp_path / "grid.pgm").read_bytes() == (tmp_path / "raw.pgm").read_bytes()
+            assert count_dark_stripes(grid) == count_dark_stripes(grid.values)
+
+    def test_carried_peak_is_the_maximum(self):
+        values = np.random.default_rng(3).random((8, 9))
+        grids = [IntensityGrid(9, 8, 1.0, values), IntensityGrid(8, 8, 1.0, np.zeros((8, 8))),
+                 *lg_images(-4, 2.9, 255, 257, 6.0),
+                 tilted_lens_pattern(lg_field(LGModeSpec(2), 160, 128, 5.0), 2.0)]
+        for grid in grids:
+            assert type(grid._peak) is float and grid._peak == grid.values.max()
+        assert "_peak" not in repr(grids[0])
 
     def test_grid_values_are_not_scanned_again(self, monkeypatch, tmp_path):
         pattern = tilted_lens_pattern(lg_field(LGModeSpec(2), 128, 128, 4.0), 2.0)
