@@ -143,11 +143,16 @@ def eta_grid(config: SweepConfig) -> list:
 
     The config owns the check of the grid: every point lies in [start, stop],
     within [0, 1], so no point is checked again.  The rounding allowance of
-    _eta_steps may admit a last point just past stop; it is stop itself.
+    _eta_steps may admit a last point just past stop; it is stop itself, as
+    is any point rounded past stop.  The grid never decreases, so the cap
+    is needed only when the last point passes stop.
     """
-    count = math.floor(_eta_steps(config.eta_start, config.eta_stop, config.eta_step)) + 1
-    return [min(round(config.eta_start + i * config.eta_step, 10), config.eta_stop)
-            for i in range(count)]
+    start, stop, step = config.eta_start, config.eta_stop, config.eta_step
+    count = math.floor(_eta_steps(start, stop, step)) + 1
+    grid = [round(start + i * step, 10) for i in range(count)]
+    if grid[-1] > stop:
+        grid = [min(eta, stop) for eta in grid]
+    return grid
 
 
 # json's spelling of the floats whose repr is not JSON

@@ -126,19 +126,19 @@ class Decibel:
     @property
     def linear(self) -> float:
         """10^(value/10); a NumericalError that names the value where that overflows a float."""
-        try:
-            return 10.0 ** (self.value / 10.0)
-        except OverflowError:
-            raise _linear_overflow(self.value) from None
+        return _db_linear(self.value)
 
 
-def _linear_overflow(db: float) -> NumericalError:
-    """The error of a dB value whose linear ratio 10^(db/10) overflows a float.
+def _db_linear(db: float) -> float:
+    """10^(db/10), the one scalar conversion of a dB value to its linear ratio.
 
-    Python's float power raises a bare OverflowError there, so each scalar
-    10.0 ** of a dB value catches it and raises this instead.
+    Python's float power raises a bare OverflowError where the ratio
+    overflows a float; that is a NumericalError naming the value.
     """
-    return NumericalError(f"dB value {db!r} overflows its linear ratio")
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise NumericalError(f"dB value {db!r} overflows its linear ratio") from None
 
 
 def db_to_linear(x) -> float:

@@ -13,7 +13,8 @@ et al., Opt. Commun. 96, 123 (1993).
 
 The far field has two independent routes.  lg_field plus
 tilted_lens_pattern is the general one: any FieldGrid is transformed by the
-grid DFT, one _dft call per axis with one transpose between them.
+grid DFT, the dense product of one phasor table per axis with the chirped
+field.
 lg_images, which run_modes calls, never builds the field: each separable
 factor of a chirped p = 0 mode is t^j exp(-alpha t^2), whose Fourier
 integral _moments gives in closed form, so the pattern is |G^T F|^2, one
@@ -247,37 +248,22 @@ def _k_window(m: int, kmax: float) -> np.ndarray:
     return (np.arange(m) - (m - 1) / 2.0) * (2.0 * kmax / (m - 1))
 
 
-def _half_phasors(k: np.ndarray, t: np.ndarray) -> tuple:
-    """cos(k t) on the k >= 0, t >= 0 quarter; sin(k t) without its t = 0 column."""
-    kt = np.outer(k[len(k) // 2:], t[len(t) // 2:])
-    return np.cos(kt), np.sin(kt[:, len(t) % 2:])
+def _phasors(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i k t) as a (len(k), len(t)) table, built as cos(k t) - i sin(k t).
 
-
-def _dft(z: np.ndarray, k: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """sum_t exp(-i k t) z[t] over the rows of the complex z: a (len(k), columns of z) array.
-
-    cos and sin are _half_phasors(k, t).  t and k are mirror-symmetric, so
-    cos(k t) is even and sin(k t) odd in both.  z's rows are folded about
-    the middle row, z[t] + z[-t] (the center row of an odd length once) and
-    z[t] - z[-t] for t > 0, and at k >= 0 the sum is C - i S, with C cos
-    times the even fold and S sin times the odd fold, each one real GEMM on
-    the complex data's float view; at -k it is C + i S.
+    k and t are mirror-symmetric (_k_window, _pixel_axis), so only the
+    k >= 0, t >= 0 quarter is evaluated: mirroring t or k conjugates an
+    entry.  The table has the same bits as one evaluated whole.
     """
-    half, center = divmod(len(z), 2)
-    upper, mirror = z[half + center:], z[half - 1::-1]
-    even = np.empty((half + center, z.shape[1]), dtype=complex)
-    even[:center] = z[half:half + center]
-    np.add(upper, mirror, out=even[center:])
-    c = (cos @ even.view(float)).view(complex)
-    del even
-    s = (sin @ (upper - mirror).view(float)).view(complex)
-    s *= 1j
-    # the k < 0 side is the flipped k >= 0 half without its k = 0 row
-    lo = len(k) // 2
-    out = np.empty((len(k), z.shape[1]), dtype=complex)
-    np.subtract(c, s, out=out[lo:])
-    np.add(c[::-1][:lo], s[::-1][:lo], out=out[:lo])
-    return out
+    half, cols = len(k) // 2, len(t) // 2
+    table = np.empty((len(k), len(t)), dtype=complex)
+    upper, quarter = table[half:], table[half:, cols:]
+    kt = np.outer(k[half:], t[cols:])
+    np.cos(kt, out=quarter.real)
+    np.negative(np.sin(kt, out=kt), out=quarter.imag)
+    np.conjugate(quarter[:, ::-1][:, :cols], out=upper[:, :cols])
+    np.conjugate(upper[::-1][:half], out=table[:half])
+    return table
 
 
 def _k_max(astigmatism: float, weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -311,10 +297,14 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
 
     The k-space window k = (arange(m) - (m - 1)/2) 2 kmax/(m - 1),
     m = max(width, height), is sized from the beam's rms radius so the lobe
-    structure stays well resolved.  The pattern is |DFT_x(DFT_y(chirped))|^2,
-    each DFT one _dft call (see there for the fold); the x stage runs on one
-    contiguous transpose of the y stage's output.  A square grid uses one
-    (cos, sin) pair for both axes.
+    structure stays well resolved.  The pattern is |P_y chirped P_x^T|^2,
+    the dense DFT with P = exp(-i k t) (_phasors), one table per distinct
+    axis length, so a square grid builds one.  The chirped field is dropped
+    once transformed along y, so a square grid's peak is three m x m complex
+    buffers: the table and the two products (64 MiB each at 2048^2).  Each
+    product is one whole-grid GEMM, whose floats differ between 1 and 2
+    OpenBLAS threads, with or without row blocks, though the PGM bytes did
+    not in every case checked.
     """
     if not isinstance(field, FieldGrid):
         raise InputError(f"expected FieldGrid, got {type(field).__name__}")
@@ -324,18 +314,15 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     kmax = _k_max(astigmatism, field.intensity(), x, y)
     m = max(field.width, field.height)
     k = _k_window(m, kmax)
-    cos_y, sin_y = _half_phasors(k, y)
-    cos_x, sin_x = (cos_y, sin_y) if len(x) == len(y) else _half_phasors(k, x)
+    p_y = _phasors(k, y)
+    p_x = p_y if len(x) == len(y) else _phasors(k, x)
     chirped = field.values * (field.dx * field.dy * np.exp(-1j * astigmatism * y * y))[:, None]
     chirped *= np.exp(1j * astigmatism * x * x)
-    # each stage's input is dropped once transformed, and the y stage's
-    # output once transposed, which keeps the peak memory at about three
-    # grid-sized buffers
-    along_y = _dft(chirped, k, cos_y, sin_y)
+    along_y = p_y @ chirped
     del chirped
-    along_y = np.ascontiguousarray(along_y.T)
-    far = _dft(along_y, k, cos_x, sin_x)
-    return _computed_grid(m, m, kmax, _squared_modulus(far).T)
+    far = along_y @ p_x.T
+    del along_y
+    return _computed_grid(m, m, kmax, _squared_modulus(far))
 
 
 def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oamcv
@@ -153,6 +153,15 @@ def run_fresh(args):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
+@st.composite
+def eta_grid_args(draw):
+    """(start, stop, step) of an eta grid of up to about 4,000 points, some spans below 1e-9."""
+    start = draw(st.floats(0.0, 1.0))
+    span = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-9)))
+    step = (span or 0.1) / draw(st.integers(1, 2000)) * draw(st.floats(0.5, 2.0))
+    return start, min(1.0, start + span), step
+
+
 def small_config(**overrides):
     base = dict(deltas=(0.0,), eta_start=0.0, eta_stop=1.0, eta_step=0.25,
                 charges=(0, 1), seed=7, n_per_setting=5000)
@@ -285,6 +294,23 @@ class TestSweepConfig:
         assert len(eta_grid(SweepConfig(charges=(0,), eta_step=1e-5))) == MAX_ETA_POINTS
         with pytest.raises(InputError, match="grid points$"):
             SweepConfig(charges=(0,), eta_step=0.99999e-5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(eta_grid_args())
+    # a step below the rounding: 0.50000000006 rounds to 0.5000000001, so the grid
+    # is [0.5, 0.5, 0.50000000009, 0.50000000009], two points capped, not one
+    @example((0.5, 0.50000000009, 3e-11))
+    def test_eta_grid_is_the_capped_comprehension(self, args):
+        # each point rounded to 10 decimals and capped at stop, as the grid was once built
+        start, stop, step = args
+        assume(step > 0.0)
+        try:
+            config = small_config(eta_start=start, eta_stop=stop, eta_step=step)
+        except InputError:
+            assume(False)
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        expected = [min(round(start + i * step, 10), stop) for i in range(count)]
+        assert [eta.hex() for eta in eta_grid(config)] == [eta.hex() for eta in expected]
 
 
 class TestRunSweep:
