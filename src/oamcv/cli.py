@@ -144,15 +144,11 @@ def eta_grid(config: SweepConfig) -> list:
     The config owns the check of the grid: every point lies in [start, stop],
     within [0, 1], so no point is checked again.  The rounding allowance of
     _eta_steps may admit a last point just past stop; it is stop itself, as
-    is any point rounded past stop.  The grid never decreases, so the cap
-    is needed only when the last point passes stop.
+    is any point rounded past stop.
     """
     start, stop, step = config.eta_start, config.eta_stop, config.eta_step
     count = math.floor(_eta_steps(start, stop, step)) + 1
-    grid = [round(start + i * step, 10) for i in range(count)]
-    if grid[-1] > stop:
-        grid = [min(eta, stop) for eta in grid]
-    return grid
+    return [min(round(start + i * step, 10), stop) for i in range(count)]
 
 
 # json's spelling of the floats whose repr is not JSON

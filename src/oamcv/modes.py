@@ -302,9 +302,8 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     axis length, so a square grid builds one.  The chirped field is dropped
     once transformed along y, so a square grid's peak is three m x m complex
     buffers: the table and the two products (64 MiB each at 2048^2).  Each
-    product is one whole-grid GEMM, whose floats differ between 1 and 2
-    OpenBLAS threads, with or without row blocks, though the PGM bytes did
-    not in every case checked.
+    product is one whole-grid GEMM, whose floats depend on the OpenBLAS
+    thread count.
     """
     if not isinstance(field, FieldGrid):
         raise InputError(f"expected FieldGrid, got {type(field).__name__}")
