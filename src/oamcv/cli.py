@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -67,6 +68,14 @@ def _checked_charges(charges) -> tuple:
     return charges
 
 
+def _checked_out(out) -> Optional[str]:
+    """The output file as text: None, or a non-empty str or os.PathLike naming one."""
+    path = os.fspath(out) if isinstance(out, (str, os.PathLike)) else None
+    if out is None or (isinstance(path, str) and path):
+        return path
+    raise InputError(f"out must be a non-empty path, got {out!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Parameters of one sweep, threshold, or tomography run."""
@@ -92,6 +101,8 @@ class SweepConfig:
         if not isinstance(self.deltas, (list, tuple)) or not self.deltas:
             raise InputError(f"deltas must be a non-empty list of numbers, got {self.deltas!r}")
         deltas = tuple(checked_delta(d) for d in self.deltas)
+        if len(set(deltas)) != len(deltas):
+            raise InputError(f"deltas must be distinct, got {deltas}")
         start, stop = checked_eta(self.eta_start), checked_eta(self.eta_stop)
         if start > stop:
             raise InputError(f"eta grid start {start} must not exceed its stop {stop}")
@@ -103,7 +114,7 @@ class SweepConfig:
                              f"{MAX_ETA_POINTS} grid points")
         n, seed = checked_sampling(self.n_per_setting, self.seed)
         checked = dict(specs=specs, deltas=deltas, eta_start=start, eta_stop=stop, eta_step=step,
-                       charges=charges, out=None if self.out is None else str(self.out),
+                       charges=charges, out=_checked_out(self.out),
                        seed=seed, n_per_setting=n)
         for name, value in checked.items():
             object.__setattr__(self, name, value)
@@ -386,8 +397,10 @@ def _add_sweep_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON config file; flags override its values")
     sp.add_argument("--preset", choices=sorted(PRESETS),
                     help="parameter bundle for one of the decoherence scans")
-    sp.add_argument("--v", type=float, help=f"squeezed variance (default {DEFAULT_V})")
-    sp.add_argument("--vp", type=float, help=f"anti-squeezed variance (default {DEFAULT_VP})")
+    sp.add_argument("--v", type=float,
+                    help=f"squeezed variance, given together with --vp (default {DEFAULT_V})")
+    sp.add_argument("--vp", type=float,
+                    help=f"anti-squeezed variance, given together with --v (default {DEFAULT_VP})")
     sp.add_argument("--delta", type=_parse_floats, dest="deltas", metavar="D[,D...]",
                     help="excess noise values in SNL units (default 0)")
     sp.add_argument("--eta-start", type=float, help="first transmission efficiency (default 0)")

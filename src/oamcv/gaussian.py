@@ -222,9 +222,10 @@ def checked_eta(eta) -> float:
 
 
 def checked_delta(delta) -> float:
-    """Excess noise delta as a float; anything but a finite number >= 0 is an InputError."""
+    """Excess noise delta as a float, with -0 read as 0; anything but a finite number >= 0
+    is an InputError."""
     if math.isfinite(value := real_or_nan(delta)) and value >= 0.0:
-        return value
+        return value + 0.0
     raise InputError(f"delta must be >= 0, got {delta!r}")
 
 

@@ -249,20 +249,13 @@ def _k_window(m: int, kmax: float) -> np.ndarray:
 
 
 def _phasors(k: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i k t) as a (len(k), len(t)) table, built as cos(k t) - i sin(k t).
-
-    k and t are mirror-symmetric (_k_window, _pixel_axis), so only the
-    k >= 0, t >= 0 quarter is evaluated: mirroring t or k conjugates an
-    entry.  The table has the same bits as one evaluated whole.
-    """
-    half, cols = len(k) // 2, len(t) // 2
-    table = np.empty((len(k), len(t)), dtype=complex)
-    upper, quarter = table[half:], table[half:, cols:]
-    kt = np.outer(k[half:], t[cols:])
-    np.cos(kt, out=quarter.real)
-    np.negative(np.sin(kt, out=kt), out=quarter.imag)
-    np.conjugate(quarter[:, ::-1][:, :cols], out=upper[:, :cols])
-    np.conjugate(upper[::-1][:half], out=table[:half])
+    """exp(-i k t) as a (len(k), len(t)) table: cos(k t) and -sin(k t) written
+    into its real and imaginary views.  np.cos(kt) - 1j * np.sin(kt) gives the
+    same values but flips the sign of the zero imaginary parts at k t = 0."""
+    kt = np.outer(k, t)
+    table = np.empty(kt.shape, dtype=complex)
+    np.cos(kt, out=table.real)
+    np.negative(np.sin(kt, out=kt), out=table.imag)
     return table
 
 

@@ -211,6 +211,9 @@ class TestSweepConfig:
         with pytest.raises(InputError):
             small_config(specs={0: SqueezingSpec(V_REF, VP_REF)}, charges=(0, 5))
 
+    def test_out_may_be_a_path_object(self, tmp_path):
+        assert small_config(out=tmp_path / "rows.csv").out == str(tmp_path / "rows.csv")
+
     @settings(max_examples=400, deadline=None)
     @given(config_payloads())
     def test_from_json_dict_raises_only_input_error(self, payload):
@@ -847,6 +850,34 @@ class TestMain:
     def test_negative_delta_is_config_error(self, capsys):
         assert main(["sweep", "--delta", "0.1,-0.5", "--charges", "0"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: delta must be >= 0, got -0.5\n"
+
+    @pytest.mark.parametrize("deltas", ["0,0", "0,-0"])
+    def test_repeated_delta_is_config_error(self, deltas, capsys):
+        assert main(["sweep", f"--delta={deltas}", "--charges", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: deltas must be distinct, got (0.0, 0.0)\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "thresholds"])
+    def test_negative_zero_delta_prints_as_zero(self, command, capsys):
+        printed = []
+        for delta in ("0", "-0"):
+            assert main([command, f"--delta={delta}", "--charges", "0,1"]) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("out", [5, True, ["a"], ""])
+    def test_out_must_be_a_path(self, out, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"out": out, "charges": [0], "eta_step": 0.5}))
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: out must be a non-empty path, got {out!r}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_v_alone_is_config_error(self, capsys):
+        # a source given by flags replaces the file's as a whole, so --v needs --vp
+        assert main(["sweep", "--v", "0.3"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: spec needs keys v and vp, or r alone, "
+                                           "got {'v': 0.3}\n")
 
     def test_modes_main(self, tmp_path, capsys):
         code = main(["modes", "--charges", "0,1", "--out", str(tmp_path), "--depth", "8"])
