@@ -16,7 +16,7 @@ from oamcv import (FieldGrid, InputError, LGModeSpec, NumericalError, Resolution
                    count_dark_stripes, lg_field, lg_images, tilted_lens_pattern, write_pgm)
 from oamcv.cli import run_modes
 from oamcv.modes import (_BLOCK_ROWS, _PGM_SAMPLES, MAX_GRID_SIDE, IntensityGrid, StripeCount,
-                         _k_window, _lg_factors, _moments, _pixel_axis, _row_blocks,
+                         _k_window, _lg_factors, _moments, _phasors, _pixel_axis, _row_blocks,
                          _squared_modulus, mode_image_filename)
 from conftest import run_child
 
@@ -275,6 +275,19 @@ class TestTiltedLens:
         assert np.array_equal(k[::-1], -k)
         assert k[-1] == pytest.approx(kmax, rel=1e-15)
         assert np.abs(k - np.linspace(-kmax, kmax, m)).max() <= 4 * np.spacing(kmax)
+
+    @pytest.mark.parametrize("m", [2, 3, 255, 256, 257])
+    @pytest.mark.parametrize("n", [2, 3, 64, 255, 300])
+    @pytest.mark.parametrize("kmax", [0.1, 29.999999999999996, 123.456])
+    def test_phasor_table_is_the_whole_evaluation(self, m, n, kmax):
+        # the table has the bits of cos(k t) and -sin(k t) taken everywhere, signed
+        # zeros included; np.cos(kt) - 1j * np.sin(kt) fails 57 of these 75 cases
+        k, t = _k_window(m, kmax), _pixel_axis(n, 6.0)
+        kt = np.outer(k, t)
+        table = _phasors(k, t)
+        whole = np.empty_like(table)
+        whole.real, whole.imag = np.cos(kt), -np.sin(kt)
+        assert table.tobytes() == whole.tobytes()
 
     def test_attenuation_scales_intensity_not_count(self):
         field = lg_field(LGModeSpec(2))
