@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import InputError, NumericalError, UnphysicalStateError
 from .gaussian import (PHYSICALITY_TOL, ChannelParams, CovarianceMatrix, ModePair, MultiplexedState,
-                       _finite_check, _from_pair, _frozen, _invariants, _physical, _raise_first,
-                       as_cm, checked_delta, checked_eta, symplectic_eigenvalues)
+                       _finite_check, _from_pair, _frozen, _invariants, _is_numeric_array,
+                       _physical, _raise_first, as_cm, checked_delta, checked_eta,
+                       symplectic_eigenvalues)
 
 
 def apply_channel(cm, ch) -> CovarianceMatrix:
@@ -40,12 +41,28 @@ def apply_channel_grid(cm, etas, delta: float = 0.0) -> np.ndarray:
     once for the whole grid.  The map itself is _channel_map.
     """
     cm = as_cm(cm)
-    grid = etas.tolist() if isinstance(etas, np.ndarray) else etas
-    if not isinstance(grid, (list, tuple)):
-        raise InputError(f"eta grid must be a list of numbers, got {etas!r}")
-    etas = np.array([checked_eta(eta) for eta in grid], dtype=float)
-    delta = checked_delta(delta)
+    etas, delta = _checked_etas(etas), checked_delta(delta)
     return _channel_map(_check_source(cm.entries), etas, delta)
+
+
+def _checked_etas(etas) -> np.ndarray:
+    """An eta grid as a float array, the one grid rule of apply_channel_grid and source_criteria.
+
+    A numeric 1-D array is checked whole, and a list or tuple (or any other
+    array, as its list) entry by entry; either way the first eta outside
+    [0, 1] raises checked_eta's error for it.  Anything else, and lists
+    whose every entry is a list (a matrix), is not a list of numbers.
+    """
+    if _is_numeric_array(etas, float) and etas.ndim == 1:
+        grid = np.asarray(etas, dtype=float)
+        for eta in etas[~((grid >= 0.0) & (grid <= 1.0))].tolist():
+            checked_eta(eta)  # raises on the first eta outside [0, 1]
+        return grid
+    grid = etas.tolist() if isinstance(etas, np.ndarray) else etas
+    if not isinstance(grid, (list, tuple)) or (
+            grid and all(isinstance(eta, (list, tuple)) for eta in grid)):
+        raise InputError(f"eta grid must be a list of numbers, got {etas!r}")
+    return np.array([checked_eta(eta) for eta in grid], dtype=float)
 
 
 def _channel_map(sigma: np.ndarray, etas: np.ndarray, delta: float) -> np.ndarray:

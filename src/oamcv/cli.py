@@ -27,8 +27,8 @@ from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, che
                        checked_delta, checked_eta, make_tmss, real_or_nan, symplectic_eigenvalues)
 from .modes import (LGModeSpec, checked_astigmatism, checked_bit_depth, count_dark_stripes,
                     lg_images, mode_image_filename, write_pgm)
-from .tomography import (SETTINGS, _reconstruct, _to_db, _variances, checked_sampling,
-                         sampled_variances)
+from .tomography import (SETTINGS, _reconstruct, _sampled_db, _stderr_db, _to_db, _variances,
+                         checked_sampling)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -291,12 +291,12 @@ def run_thresholds(config: SweepConfig) -> dict:
 def run_tomo(config: SweepConfig) -> dict:
     """Simulate-measure-reconstruct-classify at every (l, delta, eta) point.
 
-    Only the draws run per point: sampled_variances from a sub-seed that
-    makes the point reproducible on its own.  The rest of an (l, delta) block
-    is one stacked pass.  The true states are channel outputs, which are
-    sampled, and their criteria are source_criteria, the sweep's values;
-    only the reconstructions are classified as matrices, with their
-    physicality and their criteria or the error text of each failing one.
+    Only the draws run per point: _sampled_db from a sub-seed that makes the
+    point reproducible on its own.  The rest of an (l, delta) block is one
+    stacked pass.  The true states, channel outputs of a checked source, are
+    drawn from unchecked; their criteria are source_criteria.  Only the
+    reconstructions of the (N, 6) dB rows are classified as matrices, with
+    their physicality and their criteria or the error text of each failing one.
     """
     results = []
     etas = eta_grid(config)
@@ -307,22 +307,22 @@ def run_tomo(config: SweepConfig) -> dict:
         # a point's sub-seed comes from its index in the whole run
         seeds = [int(np.random.SeedSequence([config.seed, len(results) + i])
                      .generate_state(1, np.uint64)[0]) for i in range(len(etas))]
-        measured = sampled_variances(true_sigmas, config.n_per_setting, seeds)
+        truths = _variances(true_sigmas).tolist()
+        measured = list(_sampled_db(truths, config.n_per_setting, seeds))
         rec_sigmas = _reconstruct(measured)
         physical = _physical(symplectic_eigenvalues(rec_sigmas)[:, 0]).tolist()
         rec_criteria, rec_errors = _criteria(rec_sigmas)
         entry_errors = rec_sigmas - true_sigmas
         max_errors = np.abs(entry_errors).max(axis=(1, 2)).tolist()
-        truths = _variances(true_sigmas).tolist()
-        for i, (eta, seed, vs) in enumerate(zip(etas, seeds, measured)):
+        for i, (eta, seed, row) in enumerate(zip(etas, seeds, measured)):
             error = rec_errors.get(i)
             results.append({
                 "l": l, "eta": eta, "delta": delta, "seed": seed,
                 "true": {"variances_db": dict(zip(SETTINGS, _to_db(truths[i]))),
                          "criteria": true_criteria.report(i).to_json_dict()},
                 "reconstructed": {
-                    "variances_db": {s: vs.db(s) for s in SETTINGS},
-                    "stderr_db": {s: vs.stderr(s) for s in SETTINGS},
+                    "variances_db": dict(zip(SETTINGS, row)),
+                    "stderr_db": dict.fromkeys(SETTINGS, _stderr_db(config.n_per_setting)),
                     "criteria": None if error else rec_criteria.report(i).to_json_dict(),
                     "physical": physical[i],
                     "entry_errors": entry_errors[i].tolist(),
@@ -344,34 +344,47 @@ def run_modes(charges, astigmatism: float = DEFAULT_ASTIGMATISM, out_dir=".",
     summary into out_dir.  A stripe count that does not equal |l| for these
     synthesized inputs indicates a numerical fault and raises.  Every charge,
     the astigmatism and the bit depth are checked before out_dir is created.
+    A charge is written only once it is counted, and a call that fails
+    removes the files it wrote before it raises.
     """
     specs = [LGModeSpec(l) for l in _checked_charges(charges)]
     astigmatism = checked_astigmatism(astigmatism)
     bit_depth = checked_bit_depth(bit_depth)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    results = [_render_charge(spec, astigmatism, out_path, bit_depth) for spec in specs]
-    report = {"astigmatism": astigmatism, "results": results}
-    _write_text(out_path / "stripes.json", _render(report))
+    written = []
+    try:
+        results = [_render_charge(spec, astigmatism, out_path, bit_depth, written)
+                   for spec in specs]
+        report = {"astigmatism": astigmatism, "results": results}
+        written.append(out_path / "stripes.json")
+        _write_text(written[-1], _render(report))
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return report
 
 
-def _render_charge(spec: LGModeSpec, astigmatism: float, out_path: Path, bit_depth: int) -> dict:
-    """Write one charge's images into out_path and return its stripes.json entry.
+def _render_charge(spec: LGModeSpec, astigmatism: float, out_path: Path, bit_depth: int,
+                   written: list) -> dict:
+    """Count one charge's stripes, then write its images into out_path, each path added to
+    written before it is opened, and return its stripes.json entry.
 
     A helper of its own so that each charge's images are freed before the
     next charge is rendered.
     """
     beam, pattern = lg_images(spec, astigmatism)
-    beam_file = out_path / mode_image_filename(spec.l, "beam")
-    tilted_file = out_path / mode_image_filename(spec.l, "tilted")
-    write_pgm(beam_file, beam, bit_depth=bit_depth)
-    write_pgm(tilted_file, pattern, bit_depth=bit_depth)
     stripes = count_dark_stripes(pattern)
     if stripes.indeterminate or stripes.count != abs(spec.l):
         raise NumericalError(
             f"stripe count {stripes.count} does not match |l| = {abs(spec.l)} "
             f"at astigmatism {astigmatism}")
+    beam_file = out_path / mode_image_filename(spec.l, "beam")
+    tilted_file = out_path / mode_image_filename(spec.l, "tilted")
+    for path, image in ((beam_file, beam), (tilted_file, pattern)):
+        written.append(path)
+        write_pgm(path, image, bit_depth=bit_depth)
     return {
         "l": spec.l,
         "stripes": stripes.count,

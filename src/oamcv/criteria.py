@@ -59,10 +59,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .channels import _checked_etas
 from .errors import InputError, NumericalError, UnphysicalStateError
 from .gaussian import (_failures, _finite_check, _invariants, _raise_first, _well_formed, as_cm,
-                       as_spec, checked_delta, checked_eta, checked_matrices, real_array,
-                       symplectic_eigenvalues)
+                       as_spec, checked_delta, checked_matrices, symplectic_eigenvalues)
 
 TOL_DECISION = 1e-9
 STEERING_CLASSES = ("two-way", "one-way-AB", "one-way-BA", "none")
@@ -300,12 +300,7 @@ def source_criteria(spec, etas, delta: float) -> CriteriaArrays:
     value is finite.  The source is not checked against float resolution
     (that is _check_source, for its matrix).
     """
-    spec, delta = as_spec(spec), checked_delta(delta)
-    eta = real_array(etas)
-    if eta.ndim != 1:
-        raise InputError(f"eta grid must be a list of numbers, got {etas!r}")
-    for value in eta[~((eta >= 0.0) & (eta <= 1.0))].tolist():
-        checked_eta(value)  # raises on the first eta outside [0, 1]
+    spec, delta, eta = as_spec(spec), checked_delta(delta), _checked_etas(etas)
     v, vp = spec.v, spec.vp
     # a and c as make_tmss takes them: each half before the sum
     a, noise = v / 2.0 + vp / 2.0, (1.0 - eta) * (1.0 + delta)

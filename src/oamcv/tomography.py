@@ -222,9 +222,9 @@ def variances_from_batches(batches: Iterable[SampleBatch]) -> VarianceSet:
 def sampled_variances(sigmas, n_per_setting: int, seeds) -> list:
     """The measured VarianceSet of each state of an (N, 4, 4) stack, one seed per state.
 
-    run_tomo's draw.  For n Gaussian draws, (n - 1) s^2 / sigma^2 is exactly
-    chi^2(n - 1) (Cochran's theorem), so each setting's sample variance is one
-    Gamma((n - 1)/2) draw scaled by sigma^2 / ((n - 1)/2): the law of
+    _sampled_db, checked.  For n Gaussian draws, (n - 1) s^2 / sigma^2 is
+    exactly chi^2(n - 1) (Cochran's theorem), so each setting's sample variance
+    is one Gamma((n - 1)/2) draw scaled by sigma^2 / ((n - 1)/2): the law of
     variances_from_batches(simulate_measurements(sigma, n, seed)), at a cost
     that does not grow with n.  A state's generators are seeded from the
     per-setting child seeds simulate_measurements uses, so each state is
@@ -236,16 +236,21 @@ def sampled_variances(sigmas, n_per_setting: int, seeds) -> list:
     seeds = [checked_seed(seed) for seed in seeds]
     if len(seeds) != len(raw):
         raise InputError(f"{len(raw)} states need {len(raw)} seeds, got {len(seeds)}")
-    shape = (n - 1) / 2.0
     errs = (_stderr_db(n),) * len(SETTINGS)
-    measured = []
-    for variances, seed in zip(_simulable(raw).tolist(), seeds):
+    return [_frozen(VarianceSet, *row, errs)
+            for row in _sampled_db(_simulable(raw).tolist(), n, seeds)]
+
+
+def _sampled_db(variances: list, n: int, seeds: list):
+    """Yield the six sampled dB values of each state, from its row of six checked variances
+    and its seed: sampled_variances without its checks, each draw checked in (0, inf)."""
+    shape = (n - 1) / 2.0
+    for row, seed in zip(variances, seeds):
         draws = [np.random.default_rng(child).standard_gamma(shape) * var / shape
-                 for var, child in zip(variances, _child_seeds(seed))]
+                 for var, child in zip(row, _child_seeds(seed))]
         if not all(0.0 < draw < math.inf for draw in draws):
             raise NumericalError(f"a sampled variance is not in (0, inf): {draws!r} (seed {seed})")
-        measured.append(_frozen(VarianceSet, *_to_db(draws), errs))
-    return measured
+        yield _to_db(draws)
 
 
 def expected_variances(cm) -> VarianceSet:
@@ -263,16 +268,16 @@ def covariance_from_difference(var_diff: float, var_i: float, var_j: float) -> f
     return -0.5 * (var_diff - var_i - var_j)
 
 
-def _reconstruct(variance_sets) -> np.ndarray:
-    """reconstruct_cm's matrix of each VarianceSet, as an (N, 4, 4) stack.
+def _reconstruct(db_rows) -> np.ndarray:
+    """reconstruct_cm's matrix of each row of six dB values in SETTINGS order, (N, 4, 4).
 
     The diagonal holds the single-mode variances, X-X and Y-Y covariances come
     from the difference and sum forms of the joint variances (de-normalized
     from the two-mode SNL first), and the unmeasured X-Y terms are zero.
     """
     # absolute_variance per element, whose scalar 10.0 ** the outputs depend on
-    xc, yc, xp, yp, xdiff, ysum = np.array(
-        [[vs.absolute_variance(s) for s in SETTINGS] for vs in variance_sets]).reshape(-1, 6).T
+    rows = [[_db_linear(db) * SNL_REFERENCE[s] for s, db in zip(SETTINGS, row)] for row in db_rows]
+    xc, yc, xp, yp, xdiff, ysum = np.array(rows).reshape(-1, 6).T
     m = np.zeros((len(xc), 4, 4))
     m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 3, 3] = xc, yc, xp, yp
     m[:, 0, 2] = m[:, 2, 0] = covariance_from_difference(xdiff, xp, xc)
@@ -288,7 +293,7 @@ def reconstruct_cm(vs: VarianceSet) -> CovarianceMatrix:
     """
     if not isinstance(vs, VarianceSet):
         raise InputError(f"expected VarianceSet, got {type(vs).__name__}")
-    cm = CovarianceMatrix(_reconstruct([vs])[0])
+    cm = CovarianceMatrix(_reconstruct([[vs.db(s) for s in SETTINGS]])[0])
     report = validate(cm)
     if not report.ok:
         warnings.warn(

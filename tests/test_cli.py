@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,23 @@ class TestRunSweep:
             assert [s.tobytes() for s in checked] == [make_tmss(specs[l]).entries.tobytes()
                                                       for l in (0, 1)]
 
+    def test_tomo_draws_from_its_true_variances_without_a_second_check(self, monkeypatch):
+        # the channel outputs of a checked source are sampled as they are: no public
+        # sampling path, no _simulable and no VarianceSet, one _variances per block
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_tomo checks or wraps its channel outputs again")
+
+        for name in ("sampled_variances", "_simulable", "VarianceSet"):
+            monkeypatch.setattr(oamcv.tomography, name, refuse)
+            monkeypatch.setattr(oamcv.cli, name, refuse, raising=False)
+        blocks = []
+        real = oamcv.cli._variances
+        monkeypatch.setattr(oamcv.cli, "_variances", lambda s: blocks.append(len(s)) or real(s))
+        config = small_config(charges=(0, 1), deltas=(0.0, 0.5), n_per_setting=20)
+        report = run_tomo(config)
+        points = len(eta_grid(config))
+        assert blocks == [points] * 4 and len(report["results"]) == 4 * points
+
     def test_noisy_sweep_flags_sudden_death(self):
         config = SweepConfig(deltas=(1.0,), charges=(0,), eta_step=0.01)
         rows = run_sweep(config)
@@ -576,6 +594,41 @@ class TestRunModes:
     def test_numpy_bit_depth_is_an_integer(self, tmp_path):
         run_modes((1,), out_dir=tmp_path, bit_depth=np.int64(8))
         assert (tmp_path / "mode_l1_tilted.pgm").read_bytes().split(b"\n")[2] == b"255"
+
+    def test_miscounted_charge_leaves_no_files(self, monkeypatch, tmp_path):
+        # the second charge miscounts after the first is written: that one is removed again
+        real, calls = oamcv.cli.count_dark_stripes, []
+
+        def miscount(pattern):
+            stripes = real(pattern)
+            calls.append(stripes)
+            return replace(stripes, count=stripes.count + 1) if len(calls) == 2 else stripes
+
+        monkeypatch.setattr(oamcv.cli, "count_dark_stripes", miscount)
+        (tmp_path / "keep.txt").write_text("not this call's")
+        with pytest.raises(NumericalError, match=r"^stripe count 3 does not match \|l\| = 2 "):
+            run_modes((1, 2, 0), out_dir=tmp_path)
+        assert len(calls) == 2
+        assert [path.name for path in tmp_path.iterdir()] == ["keep.txt"]
+
+    @pytest.mark.parametrize("failing", [1, 3, 5])
+    def test_failed_write_leaves_no_files(self, failing, monkeypatch, tmp_path):
+        # a write that fails part way, an image's or stripes.json's: every file of the call goes
+        real_pgm, real_text, writes = oamcv.cli.write_pgm, oamcv.cli._write_text, []
+
+        def write_then_fail(real):
+            def write(path, *args, **kwargs):
+                real(path, *args, **kwargs)
+                writes.append(path)
+                if len(writes) == failing:
+                    raise OSError(f"cannot finish {path}")
+            return write
+
+        monkeypatch.setattr(oamcv.cli, "write_pgm", write_then_fail(real_pgm))
+        monkeypatch.setattr(oamcv.cli, "_write_text", write_then_fail(real_text))
+        with pytest.raises(OSError, match="^cannot finish "):
+            run_modes((0, 1), out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("charges", [5, (0, True), (0, 1.0), (0, "1")])
     def test_charges_checked_as_in_sweep_config(self, charges, tmp_path):

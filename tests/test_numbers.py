@@ -9,7 +9,8 @@ from oamcv import (ChannelParams, CovarianceMatrix, Decibel, FieldGrid, InputErr
                    LGModeSpec, MultiplexedState, SampleBatch, SqueezingSpec, VarianceSet,
                    apply_channel, apply_channel_grid, classify, classify_many, count_dark_stripes,
                    entanglement_death_eta, lg_field, linear_to_db, make_tmss, sampled_variances,
-                   symplectic_eigenvalues, tilted_lens_pattern, validate, write_pgm)
+                   source_criteria, symplectic_eigenvalues, tilted_lens_pattern, validate,
+                   write_pgm)
 from oamcv import gaussian
 from oamcv.cli import SweepConfig, run_modes
 from oamcv.gaussian import checked_delta, checked_eta, real_array, real_or_nan
@@ -210,6 +211,25 @@ class TestLists:
     def test_eta_grid_is_a_list_of_etas(self, etas):
         with pytest.raises(InputError, match=r"^eta (grid must be a list of numbers|must lie in)"):
             apply_channel_grid(SOURCE, etas)
+
+    @pytest.mark.parametrize("etas, text", [
+        ([0.5, "x"], "eta must lie in [0, 1], got 'x'"),
+        ([0.0, [0.5]], "eta must lie in [0, 1], got [0.5]"),
+        ((0.5, 2), "eta must lie in [0, 1], got 2"),
+        (np.array([0.5, 2.0]), "eta must lie in [0, 1], got 2.0"),
+        (np.array([0, 2]), "eta must lie in [0, 1], got 2"),
+        ([0.5, True], "eta must lie in [0, 1], got True"),
+        ([[0.5]], "eta grid must be a list of numbers, got [[0.5]]"),
+        (np.array([[0.5]]), "eta grid must be a list of numbers, got array([[0.5]])"),
+        (0.5, "eta grid must be a list of numbers, got 0.5"),
+    ])
+    def test_both_grid_entry_points_read_a_grid_alike(self, etas, text):
+        # apply_channel_grid and source_criteria share one grid rule, and so its text
+        for entry_point in (lambda: apply_channel_grid(SOURCE, etas),
+                            lambda: source_criteria(SqueezingSpec(V_REF, VP_REF), etas, 0.0)):
+            with pytest.raises(InputError) as exc:
+                entry_point()
+            assert str(exc.value) == text
 
     def test_pairs_and_numpy_reals_are_accepted(self):
         # guard: lists, tuples and numpy numbers are still read as before

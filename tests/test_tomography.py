@@ -5,16 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oamcv import (ChannelParams, InputError, NumericalError, ReconstructionWarning, SampleBatch,
-                   SqueezingSpec, UnphysicalStateError, VarianceSet, apply_channel, db_to_linear,
-                   expected_variances, linear_to_db, make_tmss, read_variances_csv,
-                   reconstruct_cm, sampled_variances, simulate_measurements,
+                   SqueezingSpec, UnphysicalStateError, VarianceSet, apply_channel,
+                   apply_channel_grid, db_to_linear, expected_variances, linear_to_db, make_tmss,
+                   read_variances_csv, reconstruct_cm, sampled_variances, simulate_measurements,
                    variances_from_batches, write_batch_csv, write_variances_csv)
+from oamcv.channels import _channel_map, _check_source
 from oamcv.cli import SweepConfig, run_tomo
-from oamcv.tomography import (SETTINGS, SNL_REFERENCE, covariance_from_difference,
+from oamcv.gaussian import PHYSICALITY_TOL
+from oamcv.tomography import (SETTINGS, SNL_REFERENCE, _reconstruct, _sampled_db, _simulable,
+                              _stderr_db, _variances, covariance_from_difference,
                               covariance_from_sum, setting_variance)
 from conftest import INDEFINITE, V_REF, VP_REF, deltas, etas, source_specs
 
@@ -308,6 +311,57 @@ class TestSampledVariances:
     def test_rejects_bad_stacks(self, sigmas, seeds, text):
         with pytest.raises(InputError, match=text):
             sampled_variances(sigmas, 100, seeds)
+
+
+@st.composite
+def accepted_sources(draw):
+    """Sources _check_source accepts: v = m e^{-2r}, vp = m e^{2r} with r in [0, 9], and either
+    an impurity m in [1, 4] or m a few resolution units 8 eps a^2 above the bound 1 - tol."""
+    r = draw(st.floats(0.0, 9.0))
+    a = math.cosh(2.0 * r)
+    units = draw(st.floats(0.0, 8.0))
+    m = draw(st.one_of(st.floats(1.0, 4.0), st.just(
+        1.0 - PHYSICALITY_TOL + units * 8.0 * np.finfo(float).eps * a * a)))
+    try:
+        return _check_source(make_tmss(SqueezingSpec(m * math.exp(-2.0 * r),
+                                                     m * math.exp(2.0 * r))).entries)
+    except (InputError, NumericalError):
+        assume(False)
+
+
+# the loss-only and paper noise levels, a large one, and the usual range
+TOMO_DELTAS = st.one_of(st.sampled_from([0.0, 0.15, 1.0, 1e3, 1e6]), deltas)
+
+
+class TestDrawCore:
+    """run_tomo draws with _sampled_db from _variances of its channel outputs, unchecked."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(accepted_sources(), st.lists(etas, max_size=16), TOMO_DELTAS)
+    def test_channel_outputs_of_an_accepted_source_are_simulable(self, source, grid, delta):
+        # the guarantee run_tomo rests on: _simulable, kept as the oracle, never
+        # rejects these outputs and returns _variances of them bit for bit
+        stack = _channel_map(source, np.array([0.0, *grid, 1.0]), delta)
+        assert _simulable(stack).tobytes() == _variances(stack).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(source_specs(), st.lists(st.tuples(etas, st.integers(0, 2 ** 64 - 1)), min_size=1,
+                                    max_size=8),
+           deltas, st.integers(2, 10 ** 6))
+    def test_is_the_public_path_bit_for_bit(self, spec, points, delta, n):
+        grid, seeds = (list(column) for column in zip(*points))
+        stack = apply_channel_grid(make_tmss(spec), grid, delta)
+        rows = list(_sampled_db(_variances(stack).tolist(), n, seeds))
+        measured = sampled_variances(stack, n, seeds)
+        assert np.array([[vs.db(s) for s in SETTINGS] for vs in measured]).tobytes() == \
+            np.array(rows).tobytes()
+        assert all(vs.stderr_db == (_stderr_db(n),) * len(SETTINGS) for vs in measured)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ReconstructionWarning)
+            for vs, row in zip(measured, rows):
+                assert reconstruct_cm(vs).entries.tobytes() == _reconstruct([row])[0].tobytes()
+        assert _reconstruct(rows).tobytes() == \
+            np.array([_reconstruct([row])[0] for row in rows]).tobytes()
 
 
 class TestReconstruct:
