@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .channels import _channel_map, _check_source
-from .criteria import _criteria, _death_etas, source_criteria
+from .criteria import CriteriaArrays, _criteria, _death_etas, source_criteria
 from .errors import InputError, NumericalError
 from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
                        checked_delta, checked_eta, make_tmss, real_or_nan, symplectic_eigenvalues)
@@ -45,6 +45,8 @@ DEFAULT_ASTIGMATISM = 2.0
 MAX_ETA_POINTS = 100_001
 
 SWEEP_HEADER = "l,eta,delta,nu,entangled,gAB,gBA,class"
+# the sweep's text of an entangled flag
+_BOOL_TEXT = {True: "true", False: "false"}
 
 # parameter bundles of the decoherence experiments: loss only, the three
 # noise levels of the sudden-death scan, and the steering comparison
@@ -149,17 +151,31 @@ def _eta_steps(start: float, stop: float, step: float) -> float:
     return (stop - start) / step + 1e-9
 
 
+# half an ulp of x * 1e10 for x <= 1 (below 2^34): the most its rounding moves it
+_TIE_BOUND = 2.0 ** -20
+
+
 def eta_grid(config: SweepConfig) -> list:
     """Transmission grid start, start+step, ... capped at stop.
 
-    The config owns the check of the grid: every point lies in [start, stop],
-    within [0, 1], so no point is checked again.  The rounding allowance of
-    _eta_steps may admit a last point just past stop; it is stop itself, as
-    is any point rounded past stop.
+    Each point is min(round(start + i*step, 10), stop), bit for bit, computed
+    on arrays: start + i*step rounds as the scalar sum does, and rint(x*1e10)/1e10
+    is round(x, 10) wherever x*1e10 lies farther than _TIE_BOUND from a
+    half-integer, since then its rounding cannot have crossed one.  The
+    points within it (near ties) take Python's round.  The config owns the
+    check of the grid: every point lies in [start, stop], within [0, 1], so
+    no point is checked again.  The rounding allowance of _eta_steps may admit
+    a last point just past stop; it is stop itself, as is any point rounded
+    past stop.
     """
     start, stop, step = config.eta_start, config.eta_stop, config.eta_step
     count = math.floor(_eta_steps(start, stop, step)) + 1
-    return [min(round(start + i * step, 10), stop) for i in range(count)]
+    raw = start + np.arange(count) * step
+    scaled = raw * 1e10
+    grid = np.rint(scaled) / 1e10
+    near = np.flatnonzero(np.abs(scaled - np.floor(scaled) - 0.5) <= _TIE_BOUND)
+    grid[near] = [round(x, 10) for x in raw[near].tolist()]
+    return np.minimum(grid, stop).tolist()
 
 
 # json's spelling of the floats whose repr is not JSON
@@ -223,45 +239,53 @@ def _write_text(path, text: str) -> None:
 
 
 def _source_blocks(config: SweepConfig, block):
-    """(l, delta, block(source, spec, delta)) per charge and delta, both sorted.
+    """(l, delta, value) per charge and delta, both sorted.
 
     The channel does not see the charge, so charges with the same source
     share its blocks: each distinct source is checked once (_check_source),
-    then block runs once per delta on the checked source matrix and its spec.
-    The config has checked the deltas and the grid.
+    then block(source, spec, deltas) runs once on the checked source matrix,
+    its spec and the sorted deltas, and gives one value per delta in their
+    order.  The config has checked the deltas and the grid.
     """
+    deltas = sorted(config.deltas)
     by_source = {}
     for l in sorted(config.charges):
         if (spec := config.specs[l]) not in by_source:
             source = _check_source(make_tmss(spec).entries)
-            by_source[spec] = [(delta, block(source, spec, delta))
-                               for delta in sorted(config.deltas)]
+            by_source[spec] = list(zip(deltas, block(source, spec, deltas)))
         for delta, value in by_source[spec]:
             yield l, delta, value
 
 
-def _sweep_rows(eta_text: list, delta: float, criteria) -> list:
-    """The CSV rows of one (source, delta) block without their charge column."""
-    delta_text = f"{delta:.9g}"
-    return [f"{eta_s},{delta_text},{nu:.9g},{'true' if entangled else 'false'},"
-            f"{g_ab:.9g},{g_ba:.9g},{cls}"
-            for eta_s, nu, entangled, g_ab, g_ba, cls in zip(
-                eta_text, *(column.tolist() for column in criteria))]
+def _sweep_rows(eta_text: list, deltas: list, criteria: CriteriaArrays) -> list:
+    """The CSV rows of each delta of one source's (K, N) criteria, without their charge column.
+
+    One list per delta, in order; each row is filled into one template that
+    holds its delta's text.
+    """
+    blocks = []
+    for delta, nu, entangled, g_ab, g_ba, cls in zip(
+            deltas, *(column.tolist() for column in criteria)):
+        template = f"%s,{delta:.9g},%.9g,%s,%.9g,%.9g,%s"
+        words = [_BOOL_TEXT[flag] for flag in entangled]
+        blocks.append([template % row for row in zip(eta_text, nu, words, g_ab, g_ba, cls)])
+    return blocks
 
 
 def run_sweep(config: SweepConfig) -> list:
     """CSV rows of the criteria sweep, one per (l, delta, eta), sorted.
 
-    Each (source, delta) block is one source_criteria pass over the eta grid,
-    whose rows are formatted once and then given each charge's prefix.
+    Each distinct source is one source_criteria pass over the eta grid and
+    every delta; each (source, delta) block's rows are formatted once, through
+    one template, and then given each charge's prefix.
     Returns the rows (header included) and writes them to config.out when set.
     """
     etas = eta_grid(config)
     grid = np.array(etas)
     eta_text = [f"{eta:.9g}" for eta in etas]
     rows = [SWEEP_HEADER]
-    for l, _, block in _source_blocks(config, lambda _, spec, delta: _sweep_rows(
-            eta_text, delta, source_criteria(spec, grid, delta))):
+    for l, _, block in _source_blocks(config, lambda _, spec, deltas: _sweep_rows(
+            eta_text, deltas, source_criteria(spec, grid, deltas))):
         prefix = f"{l},"
         rows += [prefix + row for row in block]
     if config.out is not None:
@@ -294,16 +318,18 @@ def run_tomo(config: SweepConfig) -> dict:
     Only the draws run per point: _sampled_db from a sub-seed that makes the
     point reproducible on its own.  The rest of an (l, delta) block is one
     stacked pass.  The true states, channel outputs of a checked source, are
-    drawn from unchecked; their criteria are source_criteria.  Only the
+    drawn from unchecked; their criteria are one source_criteria pass per
+    distinct source over every delta, a row per (l, delta) block.  Only the
     reconstructions of the (N, 6) dB rows are classified as matrices, with
     their physicality and their criteria or the error text of each failing one.
     """
     results = []
     etas = eta_grid(config)
     grid = np.array(etas)
-    for l, delta, (true_sigmas, true_criteria) in _source_blocks(
-            config, lambda source, spec, delta: (_channel_map(source, grid, delta),
-                                                 source_criteria(spec, grid, delta))):
+    for l, delta, (true_criteria, true_sigmas) in _source_blocks(
+            config, lambda source, spec, deltas: zip(
+                map(CriteriaArrays._make, zip(*source_criteria(spec, grid, deltas))),
+                [_channel_map(source, grid, delta) for delta in deltas])):
         # a point's sub-seed comes from its index in the whole run
         seeds = [int(np.random.SeedSequence([config.seed, len(results) + i])
                      .generate_state(1, np.uint64)[0]) for i in range(len(etas))]

@@ -147,11 +147,18 @@ def _ppt_route(cm, route: str, reads: int) -> float:
 
 
 def _steerability(ratios: np.ndarray, scale: float) -> np.ndarray:
-    """g = max(0, scale ln(ratio)) of each element of a (2, N) array of positive or NaN ratios."""
+    """g = max(0, scale ln(ratio)) of each element of an array of positive or NaN ratios.
+
+    scale is positive.  A ratio in (0, 1] has ln(ratio) <= 0, so its g is
+    +0.0 with no log taken; every other element (a live correlation, NaN,
+    inf) reads math.log.
+    """
     # math.log per element: numpy's vectorised log may round differently in
     # the last bit, and the tomo JSON prints these values in full
-    logs = np.fromiter(map(math.log, ratios.ravel().tolist()), float, ratios.size)
-    return np.maximum(0.0, scale * logs.reshape(ratios.shape))
+    logs = np.zeros(ratios.shape)
+    alive = ~((ratios > 0.0) & (ratios <= 1.0))
+    logs[alive] = list(map(math.log, ratios[alive].tolist()))
+    return np.maximum(0.0, scale * logs)
 
 
 def ppt_nu_closed_form(cm) -> float:
@@ -285,7 +292,7 @@ def classify_many(sigmas) -> CriteriaArrays:
 
 
 @np.errstate(all="ignore")
-def source_criteria(spec, etas, delta: float) -> CriteriaArrays:
+def source_criteria(spec, etas, delta) -> CriteriaArrays:
     """classify_many of a two-mode squeezed source sent through the probe channel, over eta.
 
     The true criteria of the sweep and of tomo.  The same criteria as
@@ -294,20 +301,30 @@ def source_criteria(spec, etas, delta: float) -> CriteriaArrays:
     of each state in closed form (see the module docstring): no matrix is
     built, and nu is resolved to float precision however strongly the source
     is squeezed.  spec and delta obey their rules and every eta lies in
-    [0, 1].  A state whose invariants Dt = a^2 + b^2 + 2c^2, det sigma = d^2,
-    det A = a^2 and det B = b^2 are not finite raises the error classify
-    raises for it.  With them finite, (a - b)^2 + 4c^2 = Dt - 2d and every
-    value is finite.  The source is not checked against float resolution
-    (that is _check_source, for its matrix).
+    [0, 1].  delta is one excess noise, giving arrays of shape (N,), or a
+    list or tuple of K of them, giving arrays of shape (K, N) whose row k is,
+    bit for bit, the criteria at delta[k].  A state whose invariants
+    Dt = a^2 + b^2 + 2c^2, det sigma = d^2, det A = a^2 and det B = b^2 are
+    not finite raises the error classify raises for it; of a list, the first
+    such state of the first delta that has one.  With them finite,
+    (a - b)^2 + 4c^2 = Dt - 2d and every value is finite.  The source is not
+    checked against float resolution (that is _check_source, for its matrix).
     """
-    spec, delta, eta = as_spec(spec), checked_delta(delta), _checked_etas(etas)
+    spec = as_spec(spec)
+    if isinstance(delta, (list, tuple)):
+        delta = np.array([checked_delta(value) for value in delta])[:, None]
+    else:
+        delta = checked_delta(delta)
+    eta = _checked_etas(etas)
     v, vp = spec.v, spec.vp
     # a and c as make_tmss takes them: each half before the sum
     a, noise = v / 2.0 + vp / 2.0, (1.0 - eta) * (1.0 + delta)
     b = eta * a + noise
     c = np.sqrt(eta) * (vp / 2.0 - v / 2.0)
     d = eta * v * vp + noise * a
-    _raise_first([_finite_check(a * a + b * b + 2.0 * c * c, d * d, a * a, b * b)])
+    # raveled, so that a state's index runs over the deltas in their order
+    _raise_first([_finite_check(*map(np.ravel, (a * a + b * b + 2.0 * c * c, d * d, a * a,
+                                                b * b)))])
     nu = 2.0 * d / (a + b + np.sqrt((a - b) ** 2 + 4.0 * c * c))
     return _decided(nu, *_steerability(np.array([a / d, b / d]), 1.0))
 

@@ -299,6 +299,16 @@ class TestSweepConfig:
         with pytest.raises(InputError, match="grid points$"):
             SweepConfig(charges=(0,), eta_step=0.99999e-5)
 
+    @pytest.mark.parametrize("start, stop, step", [
+        # every point start + i*step lies within rounding of a tie at the 10th decimal
+        (5e-11, 5e-6, 1e-10), (0.25 + 5e-11, 0.25 + 5e-6, 1e-10),
+        (0.5, 0.50000000009, 3e-11), (0.0, 1.0, 1e-5)])
+    def test_eta_grid_near_ties_are_the_capped_comprehension(self, start, stop, step):
+        config = small_config(eta_start=start, eta_stop=stop, eta_step=step)
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        expected = [min(round(start + i * step, 10), stop) for i in range(count)]
+        assert [eta.hex() for eta in eta_grid(config)] == [eta.hex() for eta in expected]
+
     @settings(max_examples=300, deadline=None)
     @given(eta_grid_args())
     # a step below the rounding: 0.50000000006 rounds to 0.5000000001, so the grid
@@ -355,11 +365,12 @@ class TestRunSweep:
             monkeypatch.setattr(oamcv.cli, name,
                                 lambda *args, real=real, name=name: calls.append(name) or real(*args))
         rows = run_sweep(config)
-        assert calls == ["source_criteria"] * (2 * 2)
+        # one criteria pass per distinct source over both deltas
+        assert calls == ["source_criteria"] * 2
         assert rows[1:] == alone[0] + alone[1] + alone[2]
         calls.clear()
         run_tomo(config)
-        assert calls == ["_channel_map", "source_criteria"] * (2 * 2)
+        assert calls == ["source_criteria", "_channel_map", "_channel_map"] * 2
 
     def test_each_source_checked_once_and_no_eta_again(self, monkeypatch):
         # the config owns the grid and the deltas; a source is checked once, not per delta
@@ -802,6 +813,14 @@ class TestMain:
         code = main(["sweep", "--v", "1e-200", "--vp", "1e200", "--charges", "0"])
         assert code == EXIT_NUMERICAL
         assert "invariants are not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "tomo"])
+    def test_overflow_at_a_later_delta_is_numerical_error(self, command, capsys):
+        # the states at delta = 1e300 overflow; delta = 0 comes first and passes
+        code = main([command, "--charges", "0", "--delta", "0,1e300", "--eta-step", "0.5"])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("", "numerical error: state invariants are not finite "
+                                           "(Dt = inf, det sigma = inf)\n")
 
     @pytest.mark.parametrize("v, vp, code, err", [
         # the source's determinants overflow: the finiteness check, exit 3

@@ -480,12 +480,60 @@ class TestSourceCriteria:
         with pytest.raises(InputError, match=error):
             source_criteria(REF_SPEC, etas, delta)
 
+    @settings(max_examples=200, deadline=None)
+    @given(source_specs(), st.lists(etas, max_size=8).map(lambda grid: [0.0, *grid, 1.0]),
+           st.lists(st.one_of(deltas, st.sampled_from([0.0, 1e300, 1e308])),
+                    min_size=1, max_size=4))
+    def test_delta_list_is_the_loop_over_deltas(self, spec, grid, delta_list):
+        # row k of the stacked pass is the one-delta pass at delta_list[k], hex for hex;
+        # a list with a failing state raises what the loop met first
+        try:
+            loop = [source_criteria(spec, grid, delta) for delta in delta_list]
+        except NumericalError as error:
+            with pytest.raises(NumericalError) as stacked_error:
+                source_criteria(spec, grid, delta_list)
+            assert str(stacked_error.value) == str(error)
+            return
+        stacked = source_criteria(spec, grid, delta_list)
+        for name in ("nu", "g_ab", "g_ba"):
+            assert getattr(stacked, name).shape == (len(delta_list), len(grid))
+            assert [[x.hex() for x in row] for row in getattr(stacked, name).tolist()] == \
+                [[x.hex() for x in getattr(one, name).tolist()] for one in loop], name
+        for name in ("entangled", "steering_class"):
+            assert getattr(stacked, name).tolist() == [getattr(one, name).tolist()
+                                                       for one in loop], name
+
     def test_overflowing_invariants_raise_the_finite_check(self):
         # b^2 overflows at eta = 0: the first such state raises, as in classify_many
         with pytest.raises(NumericalError, match=r"^state invariants are not finite \(Dt = inf, "):
             source_criteria(REF_SPEC, [1.0, 0.0], 1e308)
         with pytest.raises(NumericalError, match=r"^state invariants are not finite \(Dt = inf, "):
             classify_many(apply_channel_grid(make_tmss(REF_SPEC), [1.0, 0.0], 1e308))
+
+
+def _steerability_by_logs(ratios, scale):
+    """The reference of _steerability: math.log of every element, then the clamp at 0."""
+    logs = np.array([math.log(r) for r in ratios.ravel().tolist()]).reshape(ratios.shape)
+    return np.maximum(0.0, scale * logs)
+
+
+class TestSteerability:
+    ratios = st.one_of(st.floats(5e-324, 1.0, exclude_max=True), st.just(1.0),
+                       st.floats(1.0, exclude_min=True), st.just(math.nan), st.just(math.inf))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ratios, max_size=12), st.booleans(), st.sampled_from([0.5, 1.0]))
+    def test_is_math_log_of_every_ratio(self, values, two_d, scale):
+        ratios = np.array(values, dtype=float)
+        if two_d:
+            ratios = np.concatenate([ratios, ratios[::-1]]).reshape(2, -1)
+        got = oamcv.criteria._steerability(ratios, scale)
+        assert got.shape == ratios.shape
+        assert [x.hex() for x in got.ravel().tolist()] == \
+            [x.hex() for x in _steerability_by_logs(ratios, scale).ravel().tolist()]
+        # a dead correlation reads +0.0, never -0.0
+        dead = (ratios > 0.0) & (ratios <= 1.0)
+        assert all(math.copysign(1.0, g) == 1.0 for g in got[dead].tolist())
 
 
 class TestEigenRouteReference:
