@@ -242,17 +242,15 @@ def _source_blocks(config: SweepConfig, block):
     """(l, delta, value) per charge and delta, both sorted.
 
     The channel does not see the charge, so charges with the same source
-    share its blocks: each distinct source is checked once (_check_source),
-    then block(source, spec, deltas) runs once on the checked source matrix,
-    its spec and the sorted deltas, and gives one value per delta in their
-    order.  The config has checked the deltas and the grid.
+    share its blocks: block(spec, deltas) runs once per distinct source, on the
+    sorted deltas, and gives one value per delta in their order.  The config
+    has checked the specs, the deltas and the grid; no matrix is built here.
     """
     deltas = sorted(config.deltas)
     by_source = {}
     for l in sorted(config.charges):
         if (spec := config.specs[l]) not in by_source:
-            source = _check_source(make_tmss(spec).entries)
-            by_source[spec] = list(zip(deltas, block(source, spec, deltas)))
+            by_source[spec] = list(zip(deltas, block(spec, deltas)))
         for delta, value in by_source[spec]:
             yield l, delta, value
 
@@ -275,16 +273,16 @@ def _sweep_rows(eta_text: list, deltas: list, criteria: CriteriaArrays) -> list:
 def run_sweep(config: SweepConfig) -> list:
     """CSV rows of the criteria sweep, one per (l, delta, eta), sorted.
 
-    Each distinct source is one source_criteria pass over the eta grid and
-    every delta; each (source, delta) block's rows are formatted once, through
-    one template, and then given each charge's prefix.
+    Each distinct source's spec is one source_criteria pass over the eta grid and
+    every delta, with no matrix; each (source, delta) block's rows are formatted
+    once, through one template, and then given each charge's prefix.
     Returns the rows (header included) and writes them to config.out when set.
     """
     etas = eta_grid(config)
     grid = np.array(etas)
     eta_text = [f"{eta:.9g}" for eta in etas]
     rows = [SWEEP_HEADER]
-    for l, _, block in _source_blocks(config, lambda _, spec, deltas: _sweep_rows(
+    for l, _, block in _source_blocks(config, lambda spec, deltas: _sweep_rows(
             eta_text, deltas, source_criteria(spec, grid, deltas))):
         prefix = f"{l},"
         rows += [prefix + row for row in block]
@@ -315,21 +313,24 @@ def run_thresholds(config: SweepConfig) -> dict:
 def run_tomo(config: SweepConfig) -> dict:
     """Simulate-measure-reconstruct-classify at every (l, delta, eta) point.
 
-    Only the draws run per point: _sampled_db from a sub-seed that makes the
-    point reproducible on its own.  The rest of an (l, delta) block is one
-    stacked pass.  The true states, channel outputs of a checked source, are
-    drawn from unchecked; their criteria are one source_criteria pass per
-    distinct source over every delta, a row per (l, delta) block.  Only the
-    reconstructions of the (N, 6) dB rows are classified as matrices, with
-    their physicality and their criteria or the error text of each failing one.
+    Only the draws run per point, each from a sub-seed that makes the point
+    reproducible on its own; the rest of an (l, delta) block is one stacked pass.
+    The true states are channel outputs of the source matrix, checked once per
+    distinct source (_check_source: a source beyond float resolution is a
+    numerical error) and drawn from unchecked; one source_criteria pass per
+    distinct source gives their criteria.  Only the reconstructions are
+    classified as matrices, with their physicality and criteria or error text.
     """
     results = []
     etas = eta_grid(config)
     grid = np.array(etas)
-    for l, delta, (true_criteria, true_sigmas) in _source_blocks(
-            config, lambda source, spec, deltas: zip(
-                map(CriteriaArrays._make, zip(*source_criteria(spec, grid, deltas))),
-                [_channel_map(source, grid, delta) for delta in deltas])):
+
+    def block(spec, deltas):
+        source = _check_source(make_tmss(spec).entries)
+        return zip(map(CriteriaArrays._make, zip(*source_criteria(spec, grid, deltas))),
+                   [_channel_map(source, grid, delta) for delta in deltas])
+
+    for l, delta, (true_criteria, true_sigmas) in _source_blocks(config, block):
         # a point's sub-seed comes from its index in the whole run
         seeds = [int(np.random.SeedSequence([config.seed, len(results) + i])
                      .generate_state(1, np.uint64)[0]) for i in range(len(etas))]

@@ -308,7 +308,7 @@ def source_criteria(spec, etas, delta) -> CriteriaArrays:
     not finite raises the error classify raises for it; of a list, the first
     such state of the first delta that has one.  With them finite,
     (a - b)^2 + 4c^2 = Dt - 2d and every value is finite.  The source is not
-    checked against float resolution (that is _check_source, for its matrix).
+    checked against float resolution: a command checks the matrices it builds.
     """
     spec = as_spec(spec)
     if isinstance(delta, (list, tuple)):

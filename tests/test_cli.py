@@ -373,24 +373,48 @@ class TestRunSweep:
         assert calls == ["source_criteria", "_channel_map", "_channel_map"] * 2
 
     def test_each_source_checked_once_and_no_eta_again(self, monkeypatch):
-        # the config owns the grid and the deltas; a source is checked once, not per delta
+        # the config owns the grid and the deltas; tomo checks the source matrix it
+        # builds once per distinct source, not per delta; the sweep builds none
         specs = {0: SPEC, 1: SqueezingSpec(0.3, 5.0), 2: SPEC}
         config = small_config(specs=specs, charges=(0, 1, 2), deltas=(0.5, 0.0, 1.0),
                               n_per_setting=20)
-        checked = []
-        real = oamcv.cli._check_source
-        monkeypatch.setattr(oamcv.cli, "_check_source", lambda s: checked.append(s) or real(s))
 
-        def refuse(eta):
-            raise AssertionError("an eta is checked again")
+        def refuse(*args):
+            raise AssertionError(f"called with {args!r}")
 
         for module in (oamcv.gaussian, oamcv.channels, oamcv.cli):
             monkeypatch.setattr(module, "checked_eta", refuse)
-        for run in (run_sweep, run_tomo):
-            checked.clear()
-            run(config)
-            assert [s.tobytes() for s in checked] == [make_tmss(specs[l]).entries.tobytes()
-                                                      for l in (0, 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(oamcv.cli, "make_tmss", refuse)
+            patch.setattr(oamcv.cli, "_check_source", refuse)
+            run_sweep(config)
+        checked = []
+        real = oamcv.cli._check_source
+        monkeypatch.setattr(oamcv.cli, "_check_source", lambda s: checked.append(s) or real(s))
+        run_tomo(config)
+        assert [s.tobytes() for s in checked] == [make_tmss(specs[l]).entries.tobytes()
+                                                  for l in (0, 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 354.0), st.floats(1.0, 4.0))
+    @example(170.0, 4.0)
+    @example(354.0, 4.0)
+    def test_any_accepted_source_sweeps_or_overflows(self, r, m):
+        # the sweep reads the spec alone: exact rows, or invariants past the float range;
+        # tomo checks the matrix it builds and may refuse it, but only as a numerical error
+        spec = SqueezingSpec(m * math.exp(-2.0 * r), m * math.exp(2.0 * r))
+        config = SweepConfig(specs={0: spec}, charges=(0,), deltas=(0.0, 1.0), n_per_setting=2)
+        try:
+            rows = run_sweep(config)
+        except NumericalError as exc:
+            assert str(exc).startswith("state invariants are not finite (")
+            assert r > 170.0
+        else:
+            assert len(rows) == 1 + 2 * len(eta_grid(config))
+        try:
+            run_tomo(config)
+        except NumericalError:
+            pass
 
     def test_tomo_draws_from_its_true_variances_without_a_second_check(self, monkeypatch):
         # the channel outputs of a checked source are sampled as they are: no public
@@ -822,30 +846,40 @@ class TestMain:
         assert capsys.readouterr() == ("", "numerical error: state invariants are not finite "
                                            "(Dt = inf, det sigma = inf)\n")
 
-    @pytest.mark.parametrize("v, vp, code, err", [
-        # the source's determinants overflow: the finiteness check, exit 3
-        ("1e-200", "1e200", EXIT_NUMERICAL,
+    @pytest.mark.parametrize("command, v, vp, code, err", [
+        # the states' invariants overflow: the sweep's finiteness check, exit 3
+        ("sweep", "1e-200", "1e200", EXIT_NUMERICAL,
+         "numerical error: state invariants are not finite (Dt = inf, det sigma = inf)\n"),
+        # finite invariants: the sweep reads them from the spec, exit 0
+        ("sweep", "1e-100", "1e100", EXIT_OK, ""),
+        # tomo checks the source matrix first: its determinants overflow, exit 3
+        ("tomo", "1e-200", "1e200", EXIT_NUMERICAL,
          "numerical error: state invariants are not finite (Dt = inf, det sigma = 0.0)\n"),
         # finite invariants, but singular in floating point: a float limit, exit 3
-        ("1e-100", "1e100", EXIT_NUMERICAL,
+        ("tomo", "1e-100", "1e100", EXIT_NUMERICAL,
          "numerical error: input state is squeezed beyond float resolution (v = 0, "
          "v' = 1e+100): its min symplectic eigenvalue nan is known only to +-4.44e+184\n"),
     ])
-    def test_degenerate_source_stderr_is_one_line(self, v, vp, code, err):
-        result = run_fresh(["-m", "oamcv.cli", "sweep", "--v", v, "--vp", vp, "--charges", "0"])
-        assert (result.returncode, result.stdout, result.stderr) == (code, "", err)
+    def test_degenerate_source_stderr_is_one_line(self, command, v, vp, code, err):
+        result = run_fresh(["-m", "oamcv.cli", command, "--v", v, "--vp", vp, "--charges", "0"])
+        assert (result.returncode, result.stderr) == (code, err)
+        assert (result.stdout == "") == (code != EXIT_OK)
 
     @pytest.mark.parametrize("r", [6.5, 6.8, 7, 8, 10, 15])
     def test_source_beyond_float_resolution_is_numerical_error(self, r, tmp_path, capsys):
-        # pure sources the config accepts: rounding, not the user, decides their physicality
+        # pure sources the config accepts: rounding, not the user, decides the physicality
+        # of the matrix tomo builds (the sweep builds none and prints them exactly)
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"r": r, "charges": [0], "eta_start": 1}))
-        assert main(["sweep", "--config", str(path)]) == EXIT_NUMERICAL
+        assert main(["tomo", "--config", str(path)]) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith(
             "numerical error: input state is squeezed beyond float resolution (v = ")
 
     @pytest.mark.parametrize("r, nu", [(4, "0.000335462628"), (5, "4.53999298e-05"),
-                                       (5.3, "2.49160097e-05")])
+                                       (5.3, "2.49160097e-05"), (6.5, "2.26032941e-06"),
+                                       (6.8, "1.24049508e-06"), (7, "8.31528719e-07"),
+                                       (8, "1.12535175e-07"), (10, "2.06115362e-09"),
+                                       (15, "9.35762297e-14")])
     def test_squeezed_source_prints_every_digit(self, r, nu, tmp_path, capsys):
         # the sweep reads nu = e^{-2r} at eta = 1 in closed form, not from a matrix
         path = tmp_path / "c.json"

@@ -581,6 +581,12 @@ class TestEntanglementDeath:
     def test_unentangled_source_returns_none(self):
         assert entanglement_death_eta(SqueezingSpec(2.0, 2.0), 0.5) is None
 
+    @pytest.mark.parametrize("delta, eta_star", [(1.9e-6, 1.486984381120719e-06),
+                                                 (1.2e-6, None)])
+    def test_bracket_starts_at_one_in_a_million(self, delta, eta_star):
+        # literal values: the first root lies in (1e-6, 2e-6], the second below 1e-6
+        assert entanglement_death_eta(SqueezingSpec(0.47, 4.11), delta) == eta_star
+
     def test_rejects_negative_delta(self):
         with pytest.raises(InputError):
             entanglement_death_eta(REF_SPEC, -0.1)
