@@ -5,7 +5,8 @@ coordinates), with pixels centered symmetrically on the optical axis.
 A p = 0 mode's amplitude is synthesized without trigonometry, as the
 rank-(|l| + 1) sum of separable factors that _lg_factors builds.
 The tilted lens is modeled as a pure astigmatic phase followed by a
-far-field Fourier transform onto a k-space window sized from the beam.  The
+far-field Fourier transform onto a k-space window sized from the beam's
+row and column marginals.  The
 pattern shows |l| dark stripes whose diagonal orientation gives the sign of
 the topological charge.  The diagnostic follows Vaity, Banerji and Singh,
 Phys. Lett. A 377, 1154 (2013); astigmatic mode conversion, Beijersbergen
@@ -142,7 +143,9 @@ class IntensityGrid:
     for a far field.  values is copied and checked finite and nonnegative.
     The grid carries the peak, values.max(), that its check takes, so
     count_dark_stripes and write_pgm read a grid's values without scanning
-    them again.
+    them again, and its mirror (rows, step): the first rows rows are
+    values[::-1, ::step][:rows], which write_pgm copies rather than
+    quantises.  A grid built here has no mirror, (0, 1).
     """
 
     width: int
@@ -150,25 +153,29 @@ class IntensityGrid:
     extent: float
     values: np.ndarray
     _peak: float = field(init=False, repr=False)
+    _mirror: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         values, peak = _intensity_values(self.values, 1)
         _set_grid(self, self.width, self.height, self.extent, values.copy())
         object.__setattr__(self, "_peak", peak)
+        object.__setattr__(self, "_mirror", (0, 1))
 
 
-def _computed_grid(width: int, height: int, extent: float, values: np.ndarray) -> IntensityGrid:
+def _computed_grid(width: int, height: int, extent: float, values: np.ndarray,
+                   mirror: tuple = (0, 1)) -> IntensityGrid:
     """An IntensityGrid that keeps values this module has just computed, without a copy.
 
     The geometry comes from checked inputs and every value is a sum of squares,
-    so only finiteness is tested, by the maximum (a NaN propagates to it),
-    before _frozen keeps the grid and that maximum as its peak; a value that
-    is not finite is the program's fault, a NumericalError.
+    so only finiteness is tested, by the maximum (a NaN propagates to it) of
+    the computed rows, values[mirror[0]:], the others being their copies,
+    before _frozen keeps the grid, that maximum as its peak and the mirror; a
+    value that is not finite is the program's fault, a NumericalError.
     """
-    peak = float(values.max())
+    peak = float(values[mirror[0]:].max())
     if not peak < math.inf:
         raise NumericalError("computed intensity values are not finite")
-    return _frozen(IntensityGrid, width, height, extent, values, peak)
+    return _frozen(IntensityGrid, width, height, extent, values, peak, mirror)
 
 
 def _intensity_values(intensity, min_side: int) -> tuple:
@@ -259,15 +266,17 @@ def _phasors(k: np.ndarray, t: np.ndarray) -> np.ndarray:
     return table
 
 
-def _k_max(astigmatism: float, weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Far-field window half-width 2 (a + 1) (r + 2), r the rms radius of weights on x, y;
-    a NumericalError if it, k t or the chirp phase a t^2 would overflow on the grid."""
-    total = weights.sum()
+def _k_max(astigmatism: float, rows: np.ndarray, cols: np.ndarray, x: np.ndarray,
+           y: np.ndarray) -> float:
+    """Far-field window half-width 2 (a + 1) (r + 2), r the rms radius of an intensity on
+    x, y given by its marginals, rows (over y) and cols (over x); a NumericalError if it,
+    k t or the chirp phase a t^2 would overflow on the grid."""
+    total = rows.sum()
     if not 0.0 < total < math.inf:
         raise InputError(f"field intensity sum must be positive and finite, got {float(total)!r}")
-    # the rms distance from the axis, from the row and column marginals
+    # the rms distance from the axis
     with np.errstate(over="ignore"):
-        moment = float(weights.sum(axis=1) @ y ** 2 + weights.sum(axis=0) @ x ** 2)
+        moment = float(rows @ y ** 2 + cols @ x ** 2)
     if not moment < math.inf:
         raise InputError(f"field intensity second moment must be finite, got {moment!r}")
     kmax = 2.0 * (astigmatism + 1.0) * (math.sqrt(moment / total) + 2.0)
@@ -303,7 +312,8 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     astigmatism = checked_astigmatism(astigmatism)
     _check_resolution(field.width, field.height, field.extent)
     x, y = field.x, field.y
-    kmax = _k_max(astigmatism, field.intensity(), x, y)
+    weights = field.intensity()
+    kmax = _k_max(astigmatism, weights.sum(axis=1), weights.sum(axis=0), x, y)
     m = max(field.width, field.height)
     k = _k_window(m, kmax)
     p_y = _phasors(k, y)
@@ -335,17 +345,20 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     grid DFT of tilted_lens_pattern approaches (see the module docstring).
     The beam is the real norm^2 (x^2 + y^2)^n exp(-2 x^2) exp(-2 y^2), the
     sum of n + 1 nonnegative outer products
-    C(n, j) x^2j exp(-2 x^2) y^2(n-j) exp(-2 y^2); the window is sized from
-    its rms radius.  Charge, grid and astigmatism follow the rules of
+    C(n, j) x^2j exp(-2 x^2) y^2(n-j) exp(-2 y^2), even in y, so its y < 0
+    rows are the others flipped; the window is sized from its rms radius,
+    whose marginals are those of the factors, O((n + 1) (width + height))
+    work.  Each grid states its mirror, which write_pgm copies rather than
+    quantises.  Charge, grid and astigmatism follow the rules of
     lg_field and tilted_lens_pattern.  beam.extent is the grid half-width,
     pattern.extent the k-space half-width.
 
     Both images are views of one float allocation, so keeping either grid
-    keeps both alive.  No temporary is image-sized: the beam's rows and the
-    pattern's ky >= 0 rows are filled in blocks of _BLOCK_ROWS rows
+    keeps both alive.  No temporary is image-sized: the beam's y >= 0 rows
+    and the pattern's ky >= 0 rows are filled in blocks of _BLOCK_ROWS rows
     (_row_blocks), each pattern block's product made in one reused buffer
-    and squared straight into its rows, and the ky < 0 rows in place by the
-    turn.  The one allocation is what keeps a warm call from faulting its
+    and squared straight into its rows, and the other rows in place by the
+    flip and the turn.  The one allocation is what keeps a warm call from faulting its
     pages in again: glibc raises its heap trim threshold to twice the
     largest mmapped block it frees, and two images' worth lifts it above a
     call's working set.  In every case checked, with 1 and 2 OpenBLAS
@@ -364,9 +377,12 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     beam = images[:height * width].reshape(height, width)
     pattern = images[height * width:].reshape(m, m)
     left, right = norm * norm * amp_y * amp_y, (binomial * amp_x * amp_x).T
-    for rows in _row_blocks(height):
-        np.matmul(left[rows], right, out=beam[rows])
-    kmax = _k_max(astigmatism, beam, x, y)
+    # left's rows for +-y are bit-equal, so the y < 0 rows are the others flipped
+    lower = beam[height // 2:]
+    for rows in _row_blocks(len(lower)):
+        np.matmul(left[height // 2:][rows], right, out=lower[rows])
+    beam[:height // 2] = beam[::-1][:height // 2]
+    kmax = _k_max(astigmatism, left @ right.sum(axis=1), left.sum(axis=0) @ right, x, y)
     k = _k_window(m, kmax)
     order = abs(spec.l)
     f = binomial[:, None] * _moments(k, complex(1.0, -astigmatism), order)
@@ -379,8 +395,8 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     # the pattern is centro-symmetric: the ky < 0 rows are the upper half
     # turned by 180 degrees, without the k = 0 row of an odd window
     pattern[:m // 2] = upper[::-1, ::-1][:m // 2]
-    return (_computed_grid(width, height, extent, beam),
-            _computed_grid(m, m, kmax, pattern))
+    return (_computed_grid(width, height, extent, beam, (height // 2, 1)),
+            _computed_grid(m, m, kmax, pattern, (m // 2, -1)))
 
 
 def _row_blocks(n: int) -> list:
@@ -459,10 +475,12 @@ def _diagonal_profile(intensity: np.ndarray, row_step: int, cy: float, cx: float
     y0 = np.floor(ys).astype(int)
     x0 = np.floor(xs).astype(int)
     fy, fx = ys - y0, xs - x0
-    return (intensity[y0, x0] * (1 - fy) * (1 - fx)
-            + intensity[y0 + 1, x0] * fy * (1 - fx)
-            + intensity[y0, x0 + 1] * (1 - fy) * fx
-            + intensity[y0 + 1, x0 + 1] * fy * fx)
+    # the four corners through one flat index into the row-major values
+    flat, at = intensity.ravel(), y0 * w + x0
+    return (flat.take(at) * (1 - fy) * (1 - fx)
+            + flat.take(at + w) * fy * (1 - fx)
+            + flat.take(at + 1) * (1 - fy) * fx
+            + flat.take(at + w + 1) * fy * fx)
 
 
 def _count_dips(profile: np.ndarray, peak: float) -> int:
@@ -521,20 +539,23 @@ def write_pgm(path, intensity, bit_depth: int = 16) -> None:
     samples are one array of that type, quantised in row blocks through one
     reused float block (each row divided by the peak, times maxval, rounded
     half to even) and written through the buffer protocol, so the image is
-    never held as floats or copied to bytes.  The bytes do not depend on the
+    never held as floats or copied to bytes.  The rows a grid's mirror names
+    are copied from the samples of the rows they mirror, not quantised.  The bytes do not depend on the
     OpenBLAS thread count that rendered the grid, in every case checked,
     though the floats of the grid route do.
     """
     arr, peak = _intensity_values(intensity, 1)
     maxval, dtype = _PGM_SAMPLES[checked_bit_depth(bit_depth)]
     if peak > 0.0:
-        # the row blocks write every sample
+        # the row blocks write every sample below the mirrored rows, which copy them
+        mirrored, step = intensity._mirror if isinstance(intensity, IntensityGrid) else (0, 1)
         samples = np.empty(arr.shape, dtype=dtype)
         floats = np.empty((_BLOCK_ROWS + 1, arr.shape[1]))
-        for rows in _row_blocks(len(arr)):
-            block = np.divide(arr[rows], peak, out=floats[:rows.stop - rows.start])
+        for rows in _row_blocks(len(arr) - mirrored):
+            block = np.divide(arr[mirrored:][rows], peak, out=floats[:rows.stop - rows.start])
             block *= maxval
-            samples[rows] = np.rint(block, out=block)
+            samples[mirrored:][rows] = np.rint(block, out=block)
+        samples[:mirrored] = samples[::-1, ::step][:mirrored]
     else:
         samples = np.zeros(arr.shape, dtype=dtype)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")

@@ -15,7 +15,8 @@ import warnings
 import pytest
 
 from oamcv.cli import EXIT_OK, main
-from oamcv.modes import lg_field, mode_image_filename, tilted_lens_pattern, write_pgm
+from oamcv.modes import (count_dark_stripes, lg_field, lg_images, mode_image_filename,
+                         tilted_lens_pattern, write_pgm)
 from conftest import run_child
 
 SWEEP = {
@@ -75,6 +76,10 @@ MODES_HIGH_CHARGE = {
 GRID_ROUTE = {name: MODES[name] for name in MODES if name.endswith("_tilted.pgm")}
 GRID_ROUTE["grid_l3_255x257.pgm"] = \
     "9bbbd9094b3d0b7e47ec435846c52957680c8a4711a6599c810f6f7037189362"
+# lg_images beyond the presets: every charge at three astigmatisms on two odd
+# grids, one sha256 over both images' PGMs at 8 and 16 bits and each pattern's
+# stripe count
+MODES_FAMILY = "5c8856a2a53d92c0cb4a0a2e26b845d1a37a3a5c46938052de1f18f0388efefe"
 
 
 def write_grid_route_pgms(out_dir) -> None:
@@ -136,6 +141,20 @@ def test_modes_images_high_charge(depth, tmp_path, capsys):
 def test_grid_route_images(tmp_path):
     write_grid_route_pgms(tmp_path)
     assert {p.name: sha256(p) for p in tmp_path.iterdir()} == GRID_ROUTE
+
+
+def test_modes_family_images(tmp_path):
+    digest, path = hashlib.sha256(), tmp_path / "image.pgm"
+    for width, height in ((255, 257), (129, 128)):
+        for astigmatism in (0.5, 2.0, 6.0):
+            for l in range(-16, 17):
+                beam, pattern = lg_images(l, astigmatism, width, height, 6.0)
+                for grid in (beam, pattern):
+                    for depth in (8, 16):
+                        write_pgm(path, grid, depth)
+                        digest.update(path.read_bytes())
+                digest.update(repr(count_dark_stripes(pattern)).encode())
+    assert digest.hexdigest() == MODES_FAMILY
 
 
 # the golden commands once more in a fresh interpreter, on the generic

@@ -16,8 +16,8 @@ from oamcv import (FieldGrid, InputError, LGModeSpec, NumericalError, Resolution
                    count_dark_stripes, lg_field, lg_images, tilted_lens_pattern, write_pgm)
 from oamcv.cli import run_modes
 from oamcv.modes import (_BLOCK_ROWS, _PGM_SAMPLES, MAX_GRID_SIDE, IntensityGrid, StripeCount,
-                         _k_window, _lg_factors, _moments, _phasors, _pixel_axis, _row_blocks,
-                         _squared_modulus, mode_image_filename)
+                         _diagonal_profile, _k_window, _lg_factors, _moments, _phasors,
+                         _pixel_axis, _row_blocks, _squared_modulus, mode_image_filename)
 from conftest import run_child
 
 # after two warm-up calls, prints the minor page faults of five run_modes([3])
@@ -39,6 +39,8 @@ print(json.dumps([faults([3]) for _ in range(5)] + [faults([-2, 0, 3]) for _ in 
 # grids with even, odd and mixed-parity sides: (width, height, extent)
 GRIDS = [(512, 512, 6.0), (257, 257, 6.0), (255, 256, 6.0), (300, 301, 6.0),
          (160, 128, 5.0), (128, 200, 5.0)]
+# grids whose mirrored images are checked against the rows they copy
+MIRROR_GRIDS = [(512, 512, 6.0), (255, 257, 6.0), (300, 256, 6.0), (64, 64, 4.0)]
 
 
 def reference_lg_field(l, width, height, extent):
@@ -50,6 +52,24 @@ def reference_lg_field(l, width, height, extent):
     phi = np.arctan2(yg, xg)
     norm = math.sqrt(2.0 / (math.pi * math.factorial(abs(l))))
     return norm * (math.sqrt(2.0) * r) ** abs(l) * np.exp(-r * r) * np.exp(1j * l * phi)
+
+
+def reference_diagonal_profile(intensity, row_step, cy, cx):
+    """_diagonal_profile's bilinear profile by four 2-D fancy indexes."""
+    h, w = intensity.shape
+    half = min(h, w) / 2.0 - 2.0
+    t = np.linspace(-half, half, 4 * max(h, w))
+    ys = cy + t * row_step / math.sqrt(2.0)
+    xs = cx + t / math.sqrt(2.0)
+    inside = (ys >= 0) & (ys <= h - 2) & (xs >= 0) & (xs <= w - 2)
+    ys, xs = ys[inside], xs[inside]
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    fy, fx = ys - y0, xs - x0
+    return (intensity[y0, x0] * (1 - fy) * (1 - fx)
+            + intensity[y0 + 1, x0] * fy * (1 - fx)
+            + intensity[y0, x0 + 1] * (1 - fy) * fx
+            + intensity[y0 + 1, x0 + 1] * fy * fx)
 
 
 def reference_far_field(field, astigmatism):
@@ -520,6 +540,57 @@ class TestLgImages:
         assert json.dumps(report) == json.dumps(expected)
 
 
+class TestMirror:
+    @pytest.mark.parametrize("width,height,extent", MIRROR_GRIDS)
+    @pytest.mark.parametrize("l", range(-16, 17))
+    def test_images_are_their_mirror_and_read_as_their_values(self, l, width, height, extent,
+                                                              tmp_path):
+        # the beam's y < 0 rows are its flip, the pattern's ky < 0 rows its 180 degree
+        # turn, bit for bit; the raw array quantises every row the grid copies
+        beam, pattern = lg_images(l, 2.9, width, height, extent)
+        m = max(width, height)
+        assert (beam._mirror, pattern._mirror) == ((height // 2, 1), (m // 2, -1))
+        for grid in (beam, pattern):
+            rows, step = grid._mirror
+            flipped = grid.values[::-1, ::step][:rows]
+            assert grid.values[:rows].tobytes() == flipped.tobytes()
+            for depth in (8, 16):
+                write_pgm(tmp_path / "grid.pgm", grid, depth)
+                write_pgm(tmp_path / "raw.pgm", grid.values, depth)
+                assert (tmp_path / "grid.pgm").read_bytes() == (tmp_path / "raw.pgm").read_bytes()
+
+    def test_grids_built_elsewhere_have_no_mirror(self):
+        grids = [IntensityGrid(9, 8, 1.0, np.ones((8, 9))),
+                 tilted_lens_pattern(lg_field(LGModeSpec(2), 160, 128, 5.0), 2.0)]
+        for grid in grids:
+            assert grid._mirror == (0, 1)
+        assert "_mirror" not in repr(grids[0])
+
+    @pytest.mark.parametrize("width,height,extent", [*MIRROR_GRIDS, (129, 128, 6.0)])
+    def test_window_marginals_are_the_beams(self, width, height, extent, monkeypatch):
+        # the window is sized from the factors' marginals, not from the beam's values
+        marginals, k_max = [], oamcv.modes._k_max
+
+        def recording(astigmatism, rows, cols, x, y):
+            marginals.append((rows, cols, x, y))
+            return k_max(astigmatism, rows, cols, x, y)
+
+        monkeypatch.setattr(oamcv.modes, "_k_max", recording)
+        eps = np.finfo(float).eps
+        for l in range(-16, 17):
+            values = lg_images(l, 2.0, width, height, extent)[0].values
+            rows, cols, x, y = marginals.pop()
+            moment = values.sum(axis=1) @ y ** 2 + values.sum(axis=0) @ x ** 2
+            assert rows.sum() == pytest.approx(values.sum(), rel=4 * eps, abs=0.0)
+            assert rows @ y ** 2 + cols @ x ** 2 == pytest.approx(moment, rel=4 * eps, abs=0.0)
+
+    def test_dark_field_error_text(self):
+        dark = FieldGrid(128, 128, 4.0, np.zeros((128, 128), dtype=complex))
+        with pytest.raises(InputError, match=r"^field intensity sum must be positive and finite, "
+                                             r"got 0\.0$"):
+            tilted_lens_pattern(dark, 2.0)
+
+
 class TestCountDarkStripes:
     def test_uniform_is_indeterminate(self):
         result = count_dark_stripes(np.ones((64, 64)))
@@ -541,6 +612,18 @@ class TestCountDarkStripes:
         values = np.zeros((64, 64))
         values[:, :bright_columns] = 1.0
         assert count_dark_stripes(values) == expected
+
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 13), (64, 65), (257, 255), (300, 31)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_flat_profile_is_the_2d_one_bit_for_bit(self, shape, order):
+        rng = np.random.default_rng(sum(shape))
+        values = np.asarray(rng.random(shape), order=order)
+        for _ in range(3):
+            cy, cx = rng.uniform(0.0, shape[0] - 1), rng.uniform(0.0, shape[1] - 1)
+            for row_step in (1, -1):
+                flat = _diagonal_profile(values, row_step, cy, cx)
+                assert flat.tobytes().hex() == \
+                    reference_diagonal_profile(values, row_step, cy, cx).tobytes().hex()
 
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
