@@ -25,8 +25,8 @@ from .criteria import CriteriaArrays, _criteria, _death_etas, source_criteria
 from .errors import InputError, NumericalError
 from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
                        checked_delta, checked_eta, make_tmss, real_or_nan, symplectic_eigenvalues)
-from .modes import (LGModeSpec, checked_astigmatism, checked_bit_depth, count_dark_stripes,
-                    lg_images, mode_image_filename, write_pgm)
+from .modes import (LGModeSpec, _write_file, checked_astigmatism, checked_bit_depth,
+                    count_dark_stripes, lg_images, mode_image_filename, write_pgm)
 from .tomography import (SETTINGS, _reconstruct, _sampled_db, _stderr_db, _to_db, _variances,
                          checked_sampling)
 
@@ -234,8 +234,7 @@ def _render(result) -> str:
 
 def _write_text(path, text: str) -> None:
     """Write the ASCII text of an output file as its bytes, in one call."""
-    with open(path, "wb") as file:
-        file.write(text.encode())
+    _write_file(path, text.encode())
 
 
 def _source_blocks(config: SweepConfig, block):

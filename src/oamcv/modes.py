@@ -18,18 +18,20 @@ grid DFT, the dense product of one phasor table per axis with the chirped
 field.
 lg_images, which run_modes calls, never builds the field: each separable
 factor of a chirped p = 0 mode is t^j exp(-alpha t^2), whose Fourier
-integral _moments gives in closed form, so the pattern is |G^T F|^2, one
-complex GEMM of rank |l| + 1, on the ky >= 0 half of the window.  At
-512^2, extent 6, the routes agree within 3.1e-13 of the peak for |l| <= 5
-and 0.1 <= a <= 12.  Beyond that the grid DFT departs from the integral,
-first because it cuts the beam off at +-extent (2.6e-12 of the peak at
-|l| = 7, 7.4e-9 at |l| = 16), then, for a >~ 12, because it aliases the
-chirp, whose local frequency 2 a t passes the grid's Nyquist pi/dx.
+integral _moments gives in closed form, so the pattern is |G^T F|^2, the
+complex product of rank |l| + 1 taken as one real GEMM of rank 2 (|l| + 1)
+per row block, on the ky >= 0 half of the window.  At 512^2, extent 6, the
+routes agree within 3.1e-13 of the peak for |l| <= 5 and 0.1 <= a <= 12.
+Beyond that the grid DFT departs from the integral, first because it cuts
+the beam off at +-extent (2.6e-12 of the peak at |l| = 7, 7.4e-9 at
+|l| = 16), then, for a >~ 12, because it aliases the chirp, whose local
+frequency 2 a t passes the grid's Nyquist pi/dx.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,7 +147,8 @@ class IntensityGrid:
     count_dark_stripes and write_pgm read a grid's values without scanning
     them again, and its mirror (rows, step): the first rows rows are
     values[::-1, ::step][:rows], which write_pgm copies rather than
-    quantises.  A grid built here has no mirror, (0, 1).
+    quantises and from which count_dark_stripes reads a centro-symmetric
+    grid's centre.  A grid built here has no mirror, (0, 1).
     """
 
     width: int
@@ -156,7 +159,7 @@ class IntensityGrid:
     _mirror: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        values, peak = _intensity_values(self.values, 1)
+        values, peak, _ = _intensity_values(self.values, 1)
         _set_grid(self, self.width, self.height, self.extent, values.copy())
         object.__setattr__(self, "_peak", peak)
         object.__setattr__(self, "_mirror", (0, 1))
@@ -179,20 +182,20 @@ def _computed_grid(width: int, height: int, extent: float, values: np.ndarray,
 
 
 def _intensity_values(intensity, min_side: int) -> tuple:
-    """(values, peak) of an IntensityGrid, checked and scanned when it was built, or of an
-    array, checked and scanned here; either must be a 2-D grid of at least min_side pixels
-    a side."""
+    """(values, peak, mirror) of an IntensityGrid, checked and scanned when it was built, or
+    of an array, checked and scanned here, with no mirror, (0, 1); either must be a 2-D grid
+    of at least min_side pixels a side."""
     if isinstance(intensity, IntensityGrid):
-        values, peak = intensity.values, intensity._peak
+        values, peak, mirror = intensity.values, intensity._peak, intensity._mirror
     else:
-        values, peak = real_array(intensity), None
+        values, peak, mirror = real_array(intensity), None, (0, 1)
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise InputError("intensity values must be finite and nonnegative")
     if values.ndim != 2 or min(values.shape) < min_side:
         raise InputError(f"intensity must be a 2-D grid of at least {min_side}x{min_side} pixels, "
                          f"got shape {values.shape}")
     # an array is scanned for its peak once it is known not to be empty
-    return values, float(values.max()) if peak is None else peak
+    return values, float(values.max()) if peak is None else peak, mirror
 
 
 def _check_resolution(width: int, height: int, extent: float) -> None:
@@ -234,20 +237,30 @@ def _lg_factors(spec, x: np.ndarray, y: np.ndarray) -> tuple:
     so the amplitude is norm (unit amp_y) (binomial amp_x)^T: column j of
     amp_x holds x^j exp(-x^2), of amp_y y^(n-j) exp(-y^2); binomial[j] is
     C(n, j), unit[j] (i s)^(n-j), and norm sqrt(2/(pi n!)) sqrt(2)^n.
-    When y is x, amp_y is amp_x with its columns reversed, a view with the
-    same bits as its own pass.
+    The powers are _signed_powers, so each column is exactly even or odd in
+    its axis.  amp_y is the pass amp_x makes, on y, with its columns
+    reversed, a view; when y is x it is amp_x's own pass.
     """
     order = abs(spec.l)
-    powers = np.arange(order + 1)
     binomial = np.array([math.comb(order, j) for j in range(order + 1)], dtype=float)
-    amp_x = x[:, None] ** powers * np.exp(-x * x)[:, None]
-    if y is x:
-        amp_y = amp_x[:, ::-1]
-    else:
-        amp_y = y[:, None] ** powers[::-1] * np.exp(-y * y)[:, None]
+    amp_x = _signed_powers(x, order) * np.exp(-x * x)[:, None]
+    amp_y = (amp_x if y is x else _signed_powers(y, order) * np.exp(-y * y)[:, None])[:, ::-1]
     unit = np.array([(1j * math.copysign(1.0, spec.l)) ** p for p in range(order, -1, -1)])
     norm = math.sqrt(2.0 / (math.pi * math.factorial(order))) * math.sqrt(2.0) ** order
     return amp_x, amp_y, binomial, unit, norm
+
+
+def _signed_powers(t: np.ndarray, order: int) -> np.ndarray:
+    """t[:, None] ** arange(order + 1) as |t| to those powers, the odd columns taking the sign
+    of t.
+
+    numpy's pow takes a slow path on a negative base; on |t| it does not, and
+    the entries come out exactly even or odd in t.
+    """
+    out = np.abs(t)[:, None] ** np.arange(order + 1)
+    odd = out[:, 1::2]
+    np.copysign(odd, t[:, None], out=odd)
+    return out
 
 
 def _k_window(m: int, kmax: float) -> np.ndarray:
@@ -337,33 +350,39 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     is sum_j g_j(y) f_j(x) with f_j = C(n, j) x^j exp(-(1 - i a) x^2) and
     g_j = (i s)^(n-j) norm y^(n-j) exp(-(1 + i a) y^2).  Their Fourier
     integrals are closed (_moments), F_j = C(n, j) I_j and G_j =
-    (i s)^(n-j) norm I_(n-j), and the pattern is |G^T F|^2, one complex GEMM
-    of rank n + 1 on the window of tilted_lens_pattern.  I_j(-k) =
-    (-1)^j I_j(k), so the pattern is centro-symmetric: G is evaluated on
-    ky >= 0 only and the ky < 0 rows are those turned by 180 degrees.  The
-    integral is over the whole beam, not the grid, so this is the limit the
-    grid DFT of tilted_lens_pattern approaches (see the module docstring).
+    (i s)^(n-j) norm I_(n-j), and the pattern is |G^T F|^2 on the window of
+    tilted_lens_pattern.  That complex product of rank n + 1 is taken in
+    real arithmetic, which OpenBLAS runs faster than its complex GEMM at so
+    low a rank: with g_re = [Re G^T, -Im G^T], g_im = [Im G^T, Re G^T] and
+    f_parts = [Re F; Im F], Re G^T F is g_re @ f_parts and Im G^T F is
+    g_im @ f_parts, both rows of one real GEMM of rank 2 (n + 1) per row
+    block.  I_j(-k) = (-1)^j I_j(k), so the pattern is centro-symmetric: G
+    is evaluated on ky >= 0 only and the ky < 0 rows are those turned by 180
+    degrees.  The integral is over the whole beam, not the grid, so this is
+    the limit the grid DFT of tilted_lens_pattern approaches (see the module
+    docstring).
     The beam is the real norm^2 (x^2 + y^2)^n exp(-2 x^2) exp(-2 y^2), the
     sum of n + 1 nonnegative outer products
     C(n, j) x^2j exp(-2 x^2) y^2(n-j) exp(-2 y^2), even in y, so its y < 0
     rows are the others flipped; the window is sized from its rms radius,
     whose marginals are those of the factors, O((n + 1) (width + height))
     work.  Each grid states its mirror, which write_pgm copies rather than
-    quantises.  Charge, grid and astigmatism follow the rules of
-    lg_field and tilted_lens_pattern.  beam.extent is the grid half-width,
-    pattern.extent the k-space half-width.
+    quantises and from which count_dark_stripes reads the pattern's centre.
+    Charge, grid and astigmatism follow the rules of lg_field and
+    tilted_lens_pattern.  beam.extent is the grid half-width, pattern.extent
+    the k-space half-width.
 
     Both images are views of one float allocation, so keeping either grid
     keeps both alive.  No temporary is image-sized: the beam's y >= 0 rows
     and the pattern's ky >= 0 rows are filled in blocks of _BLOCK_ROWS rows
-    (_row_blocks), each pattern block's product made in one reused buffer
-    and squared straight into its rows, and the other rows in place by the
-    flip and the turn.  The one allocation is what keeps a warm call from faulting its
-    pages in again: glibc raises its heap trim threshold to twice the
-    largest mmapped block it frees, and two images' worth lifts it above a
-    call's working set.  In every case checked, with 1 and 2 OpenBLAS
-    threads, both images' float values were the same, unlike the grid
-    route's.
+    (_row_blocks), each pattern block's stacked real and imaginary parts
+    made in one reused buffer, squared in place and added into its rows, and
+    the other rows in place by the flip and the turn.  The one allocation is
+    what keeps a warm call from faulting its pages in again: glibc raises its
+    heap trim threshold to twice the largest mmapped block it frees, and two
+    images' worth lifts it above a call's working set.  In every case
+    checked, with 1 and 2 OpenBLAS threads, both images' float values were
+    the same, unlike the grid route's.
     """
     spec, width, height, extent = _checked_mode(spec, width, height, extent)
     astigmatism = checked_astigmatism(astigmatism)
@@ -386,12 +405,19 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     k = _k_window(m, kmax)
     order = abs(spec.l)
     f = binomial[:, None] * _moments(k, complex(1.0, -astigmatism), order)
-    g = (unit * norm)[:, None] * _moments(k[m // 2:], complex(1.0, astigmatism), order)[::-1]
+    g = ((unit * norm)[:, None] * _moments(k[m // 2:], complex(1.0, astigmatism), order)[::-1]).T
+    # Re G^T F = g_re @ f_parts and Im G^T F = g_im @ f_parts: real products of rank 2 (n + 1)
+    g_re = np.concatenate([g.real, -g.imag], axis=1)
+    g_im = np.concatenate([g.imag, g.real], axis=1)
+    f_parts = np.concatenate([f.real, f.imag])
     upper = pattern[m // 2:]
-    product = np.empty((_BLOCK_ROWS + 1, m), dtype=complex)
+    product = np.empty((2 * (_BLOCK_ROWS + 1), m))
     for rows in _row_blocks(len(upper)):
-        block = np.matmul(g.T[rows], f, out=product[:rows.stop - rows.start])
-        _squared_modulus(block, out=upper[rows])
+        size = rows.stop - rows.start
+        block = np.matmul(np.concatenate([g_re[rows], g_im[rows]]), f_parts,
+                          out=product[:2 * size])
+        block *= block
+        np.add(block[:size], block[size:], out=upper[rows])
     # the pattern is centro-symmetric: the ky < 0 rows are the upper half
     # turned by 180 degrees, without the k = 0 row of an odd window
     pattern[:m // 2] = upper[::-1, ::-1][:m // 2]
@@ -430,7 +456,7 @@ def _moments(k: np.ndarray, alpha: complex, order: int) -> np.ndarray:
 
 
 def _squared_modulus(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """|z|^2 of a complex array as re^2 + im^2, into out if given.
+    """|z|^2 of a complex array as re^2 + im^2, into out if given: the grid route's.
 
     z must be C-contiguous: its float view, re and im interleaved, is
     squared in place in one contiguous pass, then its even columns (re^2)
@@ -498,14 +524,24 @@ def count_dark_stripes(intensity) -> StripeCount:
     Both diagonals through the centroid are profiled against the global
     intensity peak; the diagonal that crosses the stripes carries the count
     and fixes the orientation sign.  Inputs without 2:1 peak-to-mean
-    contrast are flagged indeterminate.
+    contrast are flagged indeterminate.  A grid whose mirror is the 180
+    degree turn of its first h // 2 rows, as lg_images' pattern states, is
+    centro-symmetric: its centroid is exactly its middle, ((h - 1)/2,
+    (w - 1)/2), and its total is read from the computed rows.  Any other
+    input is summed and its centroid taken whole.
     """
-    arr, peak = _intensity_values(intensity, 8)
-    # the mean is np.mean's own sum and divide, so one sum serves the centroid too
-    total = arr.sum()
+    arr, peak, (rows, step) = _intensity_values(intensity, 8)
+    h, w = arr.shape
+    centro = step == -1 and rows == h // 2
+    if centro:
+        # twice the computed rows' total, counting the middle row of an odd height once
+        total = 2.0 * arr[rows:].sum() - (arr[rows].sum() if h % 2 else 0.0)
+    else:
+        # the mean is np.mean's own sum and divide, so one sum serves the centroid too
+        total = arr.sum()
     if peak <= 0.0 or peak < MIN_CONTRAST * float(total / arr.size):
         return StripeCount(0, 0, True)
-    center = _centroid(arr, total)
+    center = ((h - 1) / 2.0, (w - 1) / 2.0) if centro else _centroid(arr, total)
     profile_main = _diagonal_profile(arr, +1, *center)
     profile_anti = _diagonal_profile(arr, -1, *center)
     count_main = _count_dips(profile_main, peak)
@@ -538,17 +574,17 @@ def write_pgm(path, intensity, bit_depth: int = 16) -> None:
     16-bit samples are stored big-endian as the netpbm format requires.  The
     samples are one array of that type, quantised in row blocks through one
     reused float block (each row divided by the peak, times maxval, rounded
-    half to even) and written through the buffer protocol, so the image is
-    never held as floats or copied to bytes.  The rows a grid's mirror names
-    are copied from the samples of the rows they mirror, not quantised.  The bytes do not depend on the
-    OpenBLAS thread count that rendered the grid, in every case checked,
-    though the floats of the grid route do.
+    half to even) and written through the buffer protocol (_write_file), so
+    the image is never held as floats or copied to bytes.  The rows a grid's
+    mirror names are copied from the samples of the rows they mirror, not
+    quantised.  The bytes do not depend on the OpenBLAS thread count that
+    rendered the grid, in every case checked, though the floats of the grid
+    route do.
     """
-    arr, peak = _intensity_values(intensity, 1)
+    arr, peak, (mirrored, step) = _intensity_values(intensity, 1)
     maxval, dtype = _PGM_SAMPLES[checked_bit_depth(bit_depth)]
     if peak > 0.0:
         # the row blocks write every sample below the mirrored rows, which copy them
-        mirrored, step = intensity._mirror if isinstance(intensity, IntensityGrid) else (0, 1)
         samples = np.empty(arr.shape, dtype=dtype)
         floats = np.empty((_BLOCK_ROWS + 1, arr.shape[1]))
         for rows in _row_blocks(len(arr) - mirrored):
@@ -559,6 +595,21 @@ def write_pgm(path, intensity, bit_depth: int = 16) -> None:
     else:
         samples = np.zeros(arr.shape, dtype=dtype)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(samples)
+    _write_file(path, header, samples)
+
+
+def _write_file(path, *parts) -> None:
+    """Write the bytes-like parts, in order, as the whole content of the file at path.
+
+    One os.open, creating or truncating the file with open(path, "wb")'s
+    mode, then os.write until each part is written: no buffered file object,
+    whose fstat and isatty calls cost more than a small file's write.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        for part in parts:
+            view = memoryview(part).cast("B")
+            while view:
+                view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)

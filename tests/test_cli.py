@@ -812,6 +812,18 @@ class TestMain:
         assert err.startswith("i/o error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["sweep", "thresholds", "tomo", "modes"])
+    def test_directory_as_output_file_exits_4(self, command, tmp_path, capsys):
+        if command == "modes":
+            # an image's file name is taken by a directory
+            (tmp_path / "mode_l0_beam.pgm").mkdir()
+            argv = ["modes", "--charges", "0", "--out", str(tmp_path)]
+        else:
+            argv = [command, "--charges", "0", "--eta-step", "0.5", "--n", "10",
+                    "--out", str(tmp_path)]
+        assert main(argv) == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # a vanishing astigmatic phase leaves the l=2 ring intact: one central
         # dark dip instead of two stripes, which the modes runner must reject

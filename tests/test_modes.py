@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import platform
 import tracemalloc
 
@@ -15,9 +16,10 @@ import oamcv
 from oamcv import (FieldGrid, InputError, LGModeSpec, NumericalError, ResolutionError,
                    count_dark_stripes, lg_field, lg_images, tilted_lens_pattern, write_pgm)
 from oamcv.cli import run_modes
-from oamcv.modes import (_BLOCK_ROWS, _PGM_SAMPLES, MAX_GRID_SIDE, IntensityGrid, StripeCount,
-                         _diagonal_profile, _k_window, _lg_factors, _moments, _phasors,
-                         _pixel_axis, _row_blocks, _squared_modulus, mode_image_filename)
+from oamcv.modes import (_BLOCK_ROWS, _PGM_SAMPLES, MAX_ABS_CHARGE, MAX_GRID_SIDE, IntensityGrid,
+                         StripeCount, _diagonal_profile, _k_window, _lg_factors, _moments,
+                         _phasors, _pixel_axis, _row_blocks, _signed_powers, _squared_modulus,
+                         _write_file, mode_image_filename)
 from conftest import run_child
 
 # after two warm-up calls, prints the minor page faults of five run_modes([3])
@@ -70,6 +72,14 @@ def reference_diagonal_profile(intensity, row_step, cy, cx):
             + intensity[y0 + 1, x0] * fy * (1 - fx)
             + intensity[y0, x0 + 1] * (1 - fy) * fx
             + intensity[y0 + 1, x0 + 1] * fy * fx)
+
+
+def pattern_factors(l, astigmatism, k):
+    """(G^T, F) of lg_images' pattern product G^T F on the window k, G^T on its ky >= 0 half."""
+    _, _, binomial, unit, norm = _lg_factors(LGModeSpec(l), k, k)
+    f = binomial[:, None] * _moments(k, complex(1.0, -astigmatism), abs(l))
+    g = (unit * norm)[:, None] * _moments(k[len(k) // 2:], complex(1.0, astigmatism), abs(l))[::-1]
+    return g.T, f
 
 
 def reference_far_field(field, astigmatism):
@@ -407,17 +417,34 @@ class TestLgImages:
                                               (300, 301)])
     @pytest.mark.parametrize("l", [0, 1, -1, 5, -5, 16])
     def test_blocked_pattern_is_the_one_product_bit_for_bit(self, l, width, height):
-        # the row blocks and the in-place turn change no bit of |G^T F|^2 taken whole
+        # per row block, Re and Im of G^T F are one stacked real product, squared and added;
+        # the reused buffer and the in-place turn change no bit of it
         pattern = lg_images(l, 2.9, width, height, 6.0)[1]
         m = pattern.width
-        k = _k_window(m, pattern.extent)
-        _, _, binomial, unit, norm = _lg_factors(LGModeSpec(l), k, k)
-        f = binomial[:, None] * _moments(k, complex(1.0, -2.9), abs(l))
-        g = (unit * norm)[:, None] * _moments(k[m // 2:], complex(1.0, 2.9), abs(l))[::-1]
-        product = g.T @ f
-        upper = product.real ** 2 + product.imag ** 2
+        g, f = pattern_factors(l, 2.9, _k_window(m, pattern.extent))
+        g_re, g_im = np.hstack([g.real, -g.imag]), np.hstack([g.imag, g.real])
+        f_parts = np.vstack([f.real, f.imag])
+        blocks = []
+        for rows in _row_blocks(len(g)):
+            parts = np.vstack([g_re[rows], g_im[rows]]) @ f_parts
+            parts = parts * parts
+            blocks.append(parts[:len(parts) // 2] + parts[len(parts) // 2:])
+        upper = np.vstack(blocks)
         whole = np.concatenate([upper[::-1, ::-1][:m // 2], upper])
         assert np.array_equal(pattern.values, whole)
+
+    @pytest.mark.parametrize("width,height,extent", [*MIRROR_GRIDS, (129, 128, 6.0)])
+    @pytest.mark.parametrize("astigmatism", [0.5, 2.9, 6.0])
+    def test_real_products_are_the_complex_product_to_rounding(self, astigmatism, width,
+                                                                height, extent):
+        # the real GEMMs part from |G^T F|^2 taken whole, one complex product, by rounding only
+        for l in range(-MAX_ABS_CHARGE, MAX_ABS_CHARGE + 1):
+            pattern = lg_images(l, astigmatism, width, height, extent)[1]
+            m = pattern.width
+            g, f = pattern_factors(l, astigmatism, _k_window(m, pattern.extent))
+            upper = np.abs(g @ f) ** 2
+            whole = np.concatenate([upper[::-1, ::-1][:m // 2], upper])
+            assert np.abs(pattern.values - whole).max() <= 2e-14 * whole.max(), l
 
     @pytest.mark.parametrize("n", [1, 2, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2,
                                    4 * _BLOCK_ROWS + 1, 256, 257])
@@ -450,7 +477,28 @@ class TestLgImages:
         y = _pixel_axis(257, 6.0)
         amp_x, amp_y = _lg_factors(LGModeSpec(3), _pixel_axis(255, 6.0), y)[:2]
         assert not np.shares_memory(amp_x, amp_y)
-        assert np.array_equal(amp_y, y[:, None] ** np.arange(3, -1, -1) * np.exp(-y * y)[:, None])
+        assert np.array_equal(amp_y, _signed_powers(y, 3)[:, ::-1] * np.exp(-y * y)[:, None])
+
+    @pytest.mark.parametrize("order", [0, 5, 16])
+    def test_signed_powers_are_powers_of_the_modulus_signed(self, order):
+        t = np.array([-3.5, -1.0, -0.75, -0.0, 0.0, 1e-3, 0.5, 2.0, 6.0])
+        powers = np.arange(order + 1)
+        expected = np.abs(t)[:, None] ** powers
+        odd = powers % 2 == 1
+        expected[:, odd] = np.copysign(expected[:, odd], t[:, None])
+        result = _signed_powers(t, order)
+        assert result.tobytes() == expected.tobytes()
+        # exactly even or odd in t, signed zeros included
+        mirrored = _signed_powers(-t, order)
+        assert mirrored[:, ~odd].tobytes() == result[:, ~odd].tobytes()
+        assert mirrored[:, odd].tobytes() == (-result[:, odd]).tobytes()
+
+    def test_signed_powers_are_pow_within_one_ulp(self):
+        for n in range(2, 701):
+            t = _pixel_axis(n, 6.0)
+            exact = t[:, None] ** np.arange(MAX_ABS_CHARGE + 1)
+            assert np.all(np.abs(_signed_powers(t, MAX_ABS_CHARGE) - exact)
+                          <= np.spacing(np.abs(exact))), n
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(complex, hnp.array_shapes(max_dims=3, max_side=9),
@@ -650,17 +698,16 @@ class TestIntensityRule:
                                match=r"^intensity values must be finite and nonnegative$"):
                 entry_point(bad)
 
-    @pytest.mark.parametrize("render", [
-        lambda: tilted_lens_pattern(lg_field(LGModeSpec(1), 128, 128, 4.0), 2.0),
-        lambda: lg_images(1, 2.0, 128, 128, 4.0)], ids=["tilted_lens_pattern", "lg_images"])
-    def test_non_finite_computed_grid_is_numerical_error(self, render, monkeypatch):
+    @pytest.mark.parametrize("render,kernel,not_finite", [
+        (lambda: tilted_lens_pattern(lg_field(LGModeSpec(1), 128, 128, 4.0), 2.0),
+         "_squared_modulus", lambda z, out=None: np.full(z.shape, np.nan)),
+        (lambda: lg_images(1, 2.0, 128, 128, 4.0),
+         "_moments", lambda k, alpha, order: np.full((order + 1, len(k)), complex(np.nan)))],
+        ids=["tilted_lens_pattern", "lg_images"])
+    def test_non_finite_computed_grid_is_numerical_error(self, render, kernel, not_finite,
+                                                         monkeypatch):
         # a computed pattern that is not finite is the program's fault, not the caller's
-        def not_finite(z, out=None):
-            out = np.empty(z.shape) if out is None else out
-            out.fill(np.nan)
-            return out
-
-        monkeypatch.setattr(oamcv.modes, "_squared_modulus", not_finite)
+        monkeypatch.setattr(oamcv.modes, kernel, not_finite)
         with pytest.raises(NumericalError, match=r"^computed intensity values are not finite$"):
             render()
 
@@ -673,6 +720,44 @@ class TestIntensityRule:
                 write_pgm(tmp_path / name, source)
             assert (tmp_path / "grid.pgm").read_bytes() == (tmp_path / "raw.pgm").read_bytes()
             assert count_dark_stripes(grid) == count_dark_stripes(grid.values)
+
+    @pytest.mark.parametrize("width,height", [(512, 512), (255, 257), (129, 128)])
+    @pytest.mark.parametrize("astigmatism", [0.5, 2.0, 2.9, 6.0])
+    def test_mirror_route_counts_as_the_centroid_route(self, astigmatism, width, height):
+        # a pattern's mirror gives its centre and total; its raw values go through _centroid
+        for l in range(-MAX_ABS_CHARGE, MAX_ABS_CHARGE + 1):
+            pattern = lg_images(l, astigmatism, width, height, 6.0)[1]
+            assert count_dark_stripes(pattern) == count_dark_stripes(pattern.values), l
+
+    @pytest.mark.parametrize("width,height", [(512, 512), (255, 257)])
+    def test_centro_grid_reads_its_middle_and_its_total(self, width, height, monkeypatch):
+        # the profiles run through exactly the middle, and the contrast test reads the total
+        # of every row, the middle row of an odd height once, to rounding
+        pattern = lg_images(3, 2.0, width, height, 6.0)[1]
+        h, w = pattern.values.shape
+        centres, profile = [], oamcv.modes._diagonal_profile
+        monkeypatch.setattr(oamcv.modes, "_diagonal_profile", lambda arr, step, cy, cx:
+                            centres.append((cy, cx)) or profile(arr, step, cy, cx))
+        count_dark_stripes(pattern)
+        assert centres == [((h - 1) / 2.0, (w - 1) / 2.0)] * 2
+        contrast = pattern._peak / pattern.values.mean()
+        for factor, indeterminate in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+            monkeypatch.setattr(oamcv.modes, "MIN_CONTRAST", contrast * factor)
+            assert count_dark_stripes(pattern).indeterminate is indeterminate
+
+    def test_only_a_centro_mirror_skips_the_centroid(self, monkeypatch):
+        calls, centroid = [], oamcv.modes._centroid
+        monkeypatch.setattr(oamcv.modes, "_centroid",
+                            lambda *args: calls.append(1) or centroid(*args))
+        beam, pattern = lg_images(3, 2.0, 255, 257, 6.0)
+        count_dark_stripes(pattern)
+        assert calls == []
+        caller_built = IntensityGrid(pattern.width, pattern.height, pattern.extent,
+                                     pattern.values)
+        assert caller_built._mirror == (0, 1)
+        for intensity in (caller_built, pattern.values, beam):
+            count_dark_stripes(intensity)
+        assert len(calls) == 3
 
     def test_carried_peak_is_the_maximum(self):
         values = np.random.default_rng(3).random((8, 9))
@@ -749,3 +834,38 @@ class TestPgm:
         with pytest.raises(InputError, match=r"^intensity must be a 2-D grid of at least 1x1 "):
             write_pgm(path, np.zeros(shape))
         assert not path.exists()
+
+
+class TestWriteFile:
+    PARTS = (b"P5\n3 1\n65535\n", np.array([0, 258, 65535], dtype=">u2"), memoryview(b"end"))
+    CONTENT = b"P5\n3 1\n65535\n\x00\x00\x01\x02\xff\xffend"
+
+    def test_parts_are_the_whole_content(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"a longer file than the parts" * 10)
+        _write_file(path, *self.PARTS)
+        assert path.read_bytes() == self.CONTENT
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        real, sizes = os.write, []
+
+        def short_write(fd, data):
+            sizes.append(real(fd, bytes(data)[:4]))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "write", short_write)
+        _write_file(tmp_path / "out.bin", *self.PARTS)
+        assert (tmp_path / "out.bin").read_bytes() == self.CONTENT
+        assert sum(sizes) == len(self.CONTENT) and max(sizes) == 4
+
+    def test_mode_is_open_s(self, tmp_path):
+        with open(tmp_path / "opened", "wb") as file:
+            file.write(b"x")
+        _write_file(tmp_path / "written", b"x")
+        assert (tmp_path / "written").stat().st_mode == (tmp_path / "opened").stat().st_mode
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_bad_path_is_os_error(self, where, tmp_path):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "out.pgm"
+        with pytest.raises(OSError):
+            write_pgm(path, np.ones((8, 8)))
