@@ -20,15 +20,14 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import __version__
-from .channels import _channel_map, _check_source
-from .criteria import CriteriaArrays, _criteria, _death_etas, source_criteria
+from .criteria import CriteriaArrays, _block_criteria, _death_etas, source_criteria
 from .errors import InputError, NumericalError
-from .gaussian import (SqueezingSpec, _physical, as_spec, charges_from_keys, checked_charges,
-                       checked_delta, checked_eta, make_tmss, real_or_nan, symplectic_eigenvalues)
+from .gaussian import (SqueezingSpec, as_spec, charges_from_keys, checked_charges, checked_delta,
+                       checked_eta, real_or_nan)
 from .modes import (LGModeSpec, _write_file, checked_astigmatism, checked_bit_depth,
                     count_dark_stripes, lg_images, mode_image_filename, write_pgm)
-from .tomography import (SETTINGS, _reconstruct, _sampled_db, _stderr_db, _to_db, _variances,
-                         checked_sampling)
+from .tomography import (SETTINGS, _filled, _sampled_db, _six_numbers, _stderr_db, _to_db,
+                         _true_state, checked_sampling)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -313,33 +312,31 @@ def run_tomo(config: SweepConfig) -> dict:
     """Simulate-measure-reconstruct-classify at every (l, delta, eta) point.
 
     Only the draws run per point, each from a sub-seed that makes the point
-    reproducible on its own; the rest of an (l, delta) block is one stacked pass.
-    The true states are channel outputs of the source matrix, checked once per
-    distinct source (_check_source: a source beyond float resolution is a
-    numerical error) and drawn from unchecked; one source_criteria pass per
-    distinct source gives their criteria.  Only the reconstructions are
-    classified as matrices, with their physicality and criteria or error text.
+    reproducible on its own; the rest of an (l, delta) block is one stacked pass
+    on six numbers per state, with no matrix: the true criteria (source_criteria,
+    which exits where a state's invariants overflow, as in the sweep) and states
+    (_true_state), then each reconstruction's six numbers, their criteria,
+    physicality or error text (_block_criteria) and entry errors.
     """
     results = []
     etas = eta_grid(config)
     grid = np.array(etas)
 
     def block(spec, deltas):
-        source = _check_source(make_tmss(spec).entries)
-        return zip(map(CriteriaArrays._make, zip(*source_criteria(spec, grid, deltas))),
-                   [_channel_map(source, grid, delta) for delta in deltas])
+        criteria = map(CriteriaArrays._make, zip(*source_criteria(spec, grid, deltas)))
+        return zip(criteria, *_true_state(spec, grid, deltas))
 
-    for l, delta, (true_criteria, true_sigmas) in _source_blocks(config, block):
+    for l, delta, (true_criteria, truths, true_numbers) in _source_blocks(config, block):
         # a point's sub-seed comes from its index in the whole run
         seeds = [int(np.random.SeedSequence([config.seed, len(results) + i])
                      .generate_state(1, np.uint64)[0]) for i in range(len(etas))]
-        truths = _variances(true_sigmas).tolist()
+        truths = truths.tolist()
         measured = list(_sampled_db(truths, config.n_per_setting, seeds))
-        rec_sigmas = _reconstruct(measured)
-        physical = _physical(symplectic_eigenvalues(rec_sigmas)[:, 0]).tolist()
-        rec_criteria, rec_errors = _criteria(rec_sigmas)
-        entry_errors = rec_sigmas - true_sigmas
+        numbers = _six_numbers(measured)
+        rec_criteria, physical, rec_errors = _block_criteria(numbers)
+        entry_errors = _filled(numbers - true_numbers)
         max_errors = np.abs(entry_errors).max(axis=(1, 2)).tolist()
+        physical = physical.tolist()
         for i, (eta, seed, row) in enumerate(zip(etas, seeds, measured)):
             error = rec_errors.get(i)
             results.append({

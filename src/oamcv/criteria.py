@@ -32,8 +32,16 @@ forms of these four numbers (Serafini, Illuminati and De Siena, J. Phys. B
 
 source_criteria reads them over an eta grid, with no matrix.  It is the one
 source of the true criteria: the sweep prints them and tomo reports them as
-its truth.  The matrix routes classify tomo's reconstructions, and the tests
-hold them against source_criteria as its cross-check.
+its truth.  The tests hold the matrix routes against it as its cross-check.
+
+A reconstruction has no X-Y terms, so it is six numbers: an x block
+[[x_c, c_x], [c_x, x_p]] and a y block [[y_c, c_y], [c_y, y_p]].  Its
+invariants are det sigma = det X det Y, det A = x_c y_c, det B = x_p y_p and
+Dt = x_c y_c + x_p y_p - 2 c_x c_y (its least symplectic eigenvalue is the
+same closed form with + 2 c_x c_y).  _block_criteria classifies tomo's
+reconstructions from them, with no matrix: the matrix routes and it feed
+their invariants into one decision path, which gives a state the checks
+above from not PD on.
 
 The sudden-death thresholds are the same algebra, solved for eta: with
 a = (v + vp)/2 and s = (1 - v)(vp - 1), each correlation survives at eta
@@ -61,8 +69,8 @@ import numpy as np
 
 from .channels import _checked_etas
 from .errors import InputError, NumericalError, UnphysicalStateError
-from .gaussian import (_failures, _finite_check, _invariants, _raise_first, _well_formed, as_cm,
-                       as_spec, checked_delta, checked_matrices, symplectic_eigenvalues)
+from .gaussian import (_failures, _finite_check, _invariants, _physical, _raise_first, _well_formed,
+                       as_cm, as_spec, checked_delta, checked_matrices, symplectic_eigenvalues)
 
 TOL_DECISION = 1e-9
 STEERING_CLASSES = ("two-way", "one-way-AB", "one-way-BA", "none")
@@ -117,31 +125,41 @@ def _allowance(dt, det_sigma, s, denominator) -> np.ndarray:
 
 # the one error state of the PPT pass: its checks report overflow and NaN
 @np.errstate(all="ignore")
-def _ppt_nu(sigma: np.ndarray, invariants: tuple) -> tuple:
-    """PPT nu of each state by route ("nu", "closed", "eigen"), and the PPT checks in order."""
+def _ppt_nu(invariants: tuple, not_pd: np.ndarray, eigen=None) -> tuple:
+    """PPT nu of each state by route ("nu", "closed" and, given, "eigen"), and the PPT checks
+    in order: not PD (the mask not_pd), invariants not finite, the closed form's three, then,
+    given the eigen route, the agreement gate; without it, "nu" is the closed form."""
     dt, det_sigma = invariants[:2]
     closed, s, denominator, closed_checks = _closed_form(dt, det_sigma)
-    # the eigen route, symplectic_eigenvalues of P sigma P, is NaN if sigma is not PD
-    eigen = symplectic_eigenvalues(sigma * _PT_SIGNS)[:, 0]
+    checks = [(not_pd, lambda i: UnphysicalStateError(
+        "covariance matrix must be positive definite")), _finite_check(*invariants),
+        *closed_checks]
+    if eigen is None:
+        return {"nu": closed, "closed": closed}, checks
     gap, strict = np.abs(closed - eigen), 1e-9 * np.maximum(1.0, np.abs(closed))
     disagree = ~(gap <= strict)  # NaN fails the gate
     wide = np.flatnonzero(disagree)  # the allowance is needed only past the strict gate
     if wide.size:
         allowance = _allowance(dt[wide], det_sigma[wide], s[wide], denominator[wide])
         disagree[wide] = ~(gap[wide] <= strict[wide] + allowance)
-    not_pd = np.isnan(eigen), lambda i: UnphysicalStateError(
-        "covariance matrix must be positive definite")
-    checks = [not_pd, _finite_check(*invariants), *closed_checks,
-              (disagree, lambda i: NumericalError(
-                  f"PPT computation paths disagree: closed form {float(closed[i])!r} "
-                  f"vs eigen {float(eigen[i])!r}"))]
+    checks.append((disagree, lambda i: NumericalError(
+        f"PPT computation paths disagree: closed form {float(closed[i])!r} "
+        f"vs eigen {float(eigen[i])!r}")))
     return {"nu": np.where(gap <= strict, closed, eigen), "closed": closed, "eigen": eigen}, checks
+
+
+@np.errstate(all="ignore")
+def _eigen_route(sigma: np.ndarray) -> np.ndarray:
+    """The PPT nu of each matrix of a stack from symplectic_eigenvalues of P sigma P; NaN if
+    the matrix is not PD."""
+    return symplectic_eigenvalues(sigma * _PT_SIGNS)[:, 0]
 
 
 def _ppt_route(cm, route: str, reads: int) -> float:
     """One matrix's PPT nu by one route, after the first `reads` PPT checks."""
     sigma = as_cm(cm).entries[None]
-    routes, checks = _ppt_nu(sigma, _invariants(sigma))
+    eigen = _eigen_route(sigma)
+    routes, checks = _ppt_nu(_invariants(sigma), np.isnan(eigen), eigen)
     _raise_first(checks[:reads])
     return float(routes[route][0])
 
@@ -254,18 +272,43 @@ def _criteria(sigmas) -> tuple:
     A failing state's values are meaningless; its g are NaN.
     """
     sigma, malformed = _well_formed(checked_matrices(sigmas, 3))
-    invariants = dt, det_sigma, det_a, det_b = _invariants(sigma)
-    routes, ppt_checks = _ppt_nu(sigma, invariants)
-    nu = routes["nu"]
+    eigen = _eigen_route(sigma)
+    return _checked_criteria(_invariants(sigma), np.isnan(eigen), eigen, (malformed,))
+
+
+def _block_criteria(numbers: np.ndarray) -> tuple:
+    """The criteria, physicality and {i: error} of each row (x_c, y_c, x_p, y_p, c_x, c_y) of an
+    (N, 6) array, its first four positive: a state with no X-Y terms (the module docstring).
+
+    _criteria's decision path from the block invariants, with no matrix and no
+    eigen route.  PD is taken block by block, det X > 0 and det Y > 0: det sigma
+    > 0 does not tell, since both can be negative.
+    """
+    xc, yc, xp, yp, cx, cy = numbers.T
+    with np.errstate(all="ignore"):
+        det_x, det_y = xc * xp - cx * cx, yc * yp - cy * cy
+        det_sigma, det_a, det_b, det_c = det_x * det_y, xc * yc, xp * yp, cx * cy
+        pd = (det_x > 0.0) & (det_y > 0.0)
+        nu_min = _closed_form(det_a + det_b + 2.0 * det_c, det_sigma)[0]
+    arrays, failures = _checked_criteria((det_a + det_b - 2.0 * det_c, det_sigma, det_a, det_b),
+                                         ~pd)
+    return arrays, pd & _physical(nu_min), failures
+
+
+def _checked_criteria(invariants: tuple, not_pd: np.ndarray, eigen=None, leading=()) -> tuple:
+    """The arrays and {i: error} of states from their invariants (Dt, det sigma, det A, det B):
+    the checks of leading, then _ppt_nu's, then the determinants; a failing state's g are NaN."""
+    routes, ppt_checks = _ppt_nu(invariants, not_pd, eigen)
+    _, det_sigma, det_a, det_b = invariants
     determinants = ((det_sigma <= 0.0) | (det_a <= 0.0) | (det_b <= 0.0),
                     lambda i: UnphysicalStateError(f"state determinants must be positive, "
                                                    f"got det sigma = {float(det_sigma[i]):.3g}"))
-    failures = _failures([malformed, *ppt_checks, determinants])
+    failures = _failures([*leading, *ppt_checks, determinants])
     with np.errstate(all="ignore"):
         ratios = np.array([det_a, det_b]) / det_sigma
     if failures:  # NaN for the failing states, whose ratio math.log may reject
         ratios[:, list(failures)] = math.nan
-    return _decided(nu, *_steerability(ratios, 0.5)), failures
+    return _decided(routes["nu"], *_steerability(ratios, 0.5)), failures
 
 
 def _decided(nu: np.ndarray, g_ab: np.ndarray, g_ba: np.ndarray) -> CriteriaArrays:
@@ -289,6 +332,18 @@ def classify_many(sigmas) -> CriteriaArrays:
     for error in failures.values():
         raise error
     return arrays
+
+
+def _standard_form(spec, eta, delta) -> tuple:
+    """(a, b, c, d) of a checked spec through the probe channel at an array of checked eta and a
+    checked delta, or an array of them that broadcasts against eta (the module docstring).
+
+    a is a float.  a and c are taken as make_tmss takes them, each half before
+    the sum, so b and c are the channel outputs' entries bit for bit.
+    """
+    v, vp = spec.v, spec.vp
+    a, noise = v / 2.0 + vp / 2.0, (1.0 - eta) * (1.0 + delta)
+    return a, eta * a + noise, np.sqrt(eta) * (vp / 2.0 - v / 2.0), eta * v * vp + noise * a
 
 
 @np.errstate(all="ignore")
@@ -315,13 +370,7 @@ def source_criteria(spec, etas, delta) -> CriteriaArrays:
         delta = np.array([checked_delta(value) for value in delta])[:, None]
     else:
         delta = checked_delta(delta)
-    eta = _checked_etas(etas)
-    v, vp = spec.v, spec.vp
-    # a and c as make_tmss takes them: each half before the sum
-    a, noise = v / 2.0 + vp / 2.0, (1.0 - eta) * (1.0 + delta)
-    b = eta * a + noise
-    c = np.sqrt(eta) * (vp / 2.0 - v / 2.0)
-    d = eta * v * vp + noise * a
+    a, b, c, d = _standard_form(spec, _checked_etas(etas), delta)
     # raveled, so that a state's index runs over the deltas in their order
     _raise_first([_finite_check(*map(np.ravel, (a * a + b * b + 2.0 * c * c, d * d, a * a,
                                                 b * b)))])

@@ -442,9 +442,9 @@ def make_tmss(spec) -> CovarianceMatrix:
     so it is frozen without the CovarianceMatrix checks.
     The matrix's own v is the difference of those two stored entries, so it and every
     nu taken from it carry a relative error of about eps (v + vp)/(2 v): about 1e-15
-    for v = 0.47, vp = 4.11, but 5e-8 at r = 5, so past r ~ 4 the matrix routes (and
-    tomo's reconstructions) do not resolve all 9 digits of nu, and tomo, which checks
-    this matrix, exits 3 from r ~ 5.4.  The sweep reads nu from the spec, with no matrix.
+    for v = 0.47, vp = 4.11, but 5e-8 at r = 5, so past r ~ 4 the matrix routes do not
+    resolve all 9 digits of nu, and from r ~ 5.4 the channel API's source check refuses
+    this matrix.  No command builds it: the sweep and tomo read the spec's standard form.
     """
     # run the constructor's rules again, on fields that may have been overwritten
     spec = replace(as_spec(spec))

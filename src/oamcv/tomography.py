@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .criteria import _standard_form
 from .errors import InputError, NumericalError, UnphysicalStateError
 from .gaussian import (CovarianceMatrix, _db_linear, _frozen, _physical, _raise_first,
                        _well_formed, as_cm, checked_matrices, is_integer, real_array,
@@ -268,32 +269,55 @@ def covariance_from_difference(var_diff: float, var_i: float, var_j: float) -> f
     return -0.5 * (var_diff - var_i - var_j)
 
 
-def _reconstruct(db_rows) -> np.ndarray:
-    """reconstruct_cm's matrix of each row of six dB values in SETTINGS order, (N, 4, 4).
-
-    The diagonal holds the single-mode variances, X-X and Y-Y covariances come
-    from the difference and sum forms of the joint variances (de-normalized
-    from the two-mode SNL first), and the unmeasured X-Y terms are zero.
+def _six_numbers(db_rows) -> np.ndarray:
+    """The six numbers (x_c, y_c, x_p, y_p, c_x, c_y) of each row of six dB values in SETTINGS
+    order, (N, 6): the single-mode variances, and the X-X and Y-Y covariances from the
+    difference and sum forms of the joint variances (de-normalized from the two-mode SNL first).
     """
     # absolute_variance per element, whose scalar 10.0 ** the outputs depend on
     rows = [[_db_linear(db) * SNL_REFERENCE[s] for s, db in zip(SETTINGS, row)] for row in db_rows]
     xc, yc, xp, yp, xdiff, ysum = np.array(rows).reshape(-1, 6).T
-    m = np.zeros((len(xc), 4, 4))
+    return np.stack([xc, yc, xp, yp, covariance_from_difference(xdiff, xp, xc),
+                     covariance_from_sum(ysum, yp, yc)], axis=-1)
+
+
+def _filled(numbers: np.ndarray) -> np.ndarray:
+    """The (N, 4, 4) matrices of an (N, 6) array of six numbers; the unmeasured X-Y terms are 0."""
+    xc, yc, xp, yp, cx, cy = numbers.T
+    m = np.zeros((len(numbers), 4, 4))
     m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], m[:, 3, 3] = xc, yc, xp, yp
-    m[:, 0, 2] = m[:, 2, 0] = covariance_from_difference(xdiff, xp, xc)
-    m[:, 1, 3] = m[:, 3, 1] = covariance_from_sum(ysum, yp, yc)
+    m[:, 0, 2] = m[:, 2, 0] = cx
+    m[:, 1, 3] = m[:, 3, 1] = cy
     return m
 
 
+def _true_state(spec, etas: np.ndarray, deltas: list) -> tuple:
+    """The six true variances and six numbers of a checked source through the probe channel at
+    each delta of a list and each eta, two (K, N, 6) arrays; the states' invariants are finite.
+
+    The numbers are the standard form's (a, a, b, b, c, -c), the channel
+    matrices' entries bit for bit.  The variances are (a, a, b, b, j, j), the
+    joint variance j = b + a - 2c written without its cancellation as
+    [v (1 + sqrt(eta))^2 + vp m^2]/2 + (1 - eta)(1 + delta), m = (1 - eta)/(1 + sqrt(eta)).
+    """
+    delta = np.array(deltas)[:, None]
+    a, b, c, _ = _standard_form(spec, etas, delta)
+    root = np.sqrt(etas)
+    m = (1.0 - etas) / (1.0 + root)
+    joint = (spec.v * (1.0 + root) ** 2 + spec.vp * m * m) / 2.0 + (1.0 - etas) * (1.0 + delta)
+    return (np.stack(np.broadcast_arrays(a, a, b, b, joint, joint), axis=-1),
+            np.stack(np.broadcast_arrays(a, a, b, b, c, -c), axis=-1))
+
+
 def reconstruct_cm(vs: VarianceSet) -> CovarianceMatrix:
-    """Covariance matrix from the six measured variances: _reconstruct of one.
+    """Covariance matrix from the six measured variances: _filled of their _six_numbers.
 
     A result that fails validate() is reported with a ReconstructionWarning
     rather than an error, since measured data may be marginally unphysical.
     """
     if not isinstance(vs, VarianceSet):
         raise InputError(f"expected VarianceSet, got {type(vs).__name__}")
-    cm = CovarianceMatrix(_reconstruct([[vs.db(s) for s in SETTINGS]])[0])
+    cm = CovarianceMatrix(_filled(_six_numbers([[vs.db(s) for s in SETTINGS]]))[0])
     report = validate(cm)
     if not report.ok:
         warnings.warn(

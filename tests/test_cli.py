@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, MAX_ETA_PO
                        SWEEP_HEADER, SweepConfig, _config_from_args, _json_text, _render,
                        build_parser, eta_grid, main, run_modes, run_sweep, run_thresholds,
                        run_tomo)
-from oamcv.tomography import SETTINGS
-from conftest import V_REF, VP_REF
+from oamcv.tomography import SETTINGS, _six_numbers
+from conftest import V_REF, VP_REF, block_errors, exact_joint, exact_nu_min, exact_pd
 from test_golden import TOMO_ARGS, TOMO_ERRORS_ARGS
 
 
@@ -352,7 +353,7 @@ class TestRunSweep:
 
     def test_one_block_per_distinct_source(self, monkeypatch):
         # charges sharing a source share its blocks: criteria (sweep), or the
-        # channel outputs and their criteria (tomo)
+        # criteria and the true states (tomo)
         other = SqueezingSpec(0.3, 5.0)
         specs = {0: SPEC, 1: other, 2: SPEC}
         config = small_config(specs=specs, charges=(0, 1, 2), deltas=(0.5, 0.0), eta_step=0.25,
@@ -360,7 +361,7 @@ class TestRunSweep:
         alone = {l: run_sweep(small_config(specs={l: spec}, charges=(l,), deltas=(0.5, 0.0),
                                            eta_step=0.25))[1:] for l, spec in specs.items()}
         calls = []
-        for name in ("source_criteria", "_channel_map"):
+        for name in ("source_criteria", "_true_state"):
             real = getattr(oamcv.cli, name)
             monkeypatch.setattr(oamcv.cli, name,
                                 lambda *args, real=real, name=name: calls.append(name) or real(*args))
@@ -370,11 +371,10 @@ class TestRunSweep:
         assert rows[1:] == alone[0] + alone[1] + alone[2]
         calls.clear()
         run_tomo(config)
-        assert calls == ["source_criteria", "_channel_map", "_channel_map"] * 2
+        assert calls == ["source_criteria", "_true_state"] * 2
 
-    def test_each_source_checked_once_and_no_eta_again(self, monkeypatch):
-        # the config owns the grid and the deltas; tomo checks the source matrix it
-        # builds once per distinct source, not per delta; the sweep builds none
+    def test_no_eta_checked_again(self, monkeypatch):
+        # the config owns the grid and the deltas
         specs = {0: SPEC, 1: SqueezingSpec(0.3, 5.0), 2: SPEC}
         config = small_config(specs=specs, charges=(0, 1, 2), deltas=(0.5, 0.0, 1.0),
                               n_per_setting=20)
@@ -384,54 +384,69 @@ class TestRunSweep:
 
         for module in (oamcv.gaussian, oamcv.channels, oamcv.cli):
             monkeypatch.setattr(module, "checked_eta", refuse)
-        with monkeypatch.context() as patch:
-            patch.setattr(oamcv.cli, "make_tmss", refuse)
-            patch.setattr(oamcv.cli, "_check_source", refuse)
-            run_sweep(config)
-        checked = []
-        real = oamcv.cli._check_source
-        monkeypatch.setattr(oamcv.cli, "_check_source", lambda s: checked.append(s) or real(s))
+        run_sweep(config)
         run_tomo(config)
-        assert [s.tobytes() for s in checked] == [make_tmss(specs[l]).entries.tobytes()
-                                                  for l in (0, 1)]
+
+    def test_sweep_and_tomo_build_no_matrix(self, monkeypatch):
+        # both read the spec's standard form, and tomo classifies each reconstruction
+        # from its six numbers: no source matrix, channel map, eigen route or matrix
+        # criteria, on reconstructions of every kind (three samples per setting)
+        config = small_config(specs={0: SPEC, 1: SqueezingSpec(0.3, 5.0)}, charges=(0, 1),
+                              deltas=(0.0, 1.0), eta_step=0.1, seed=3, n_per_setting=3)
+        expected = run_sweep(config), json.dumps(run_tomo(config))
+        kinds = {(entry["reconstructed"]["criteria"] is None, entry["reconstructed"]["physical"])
+                 for entry in json.loads(expected[1])["results"]}
+        assert kinds == {(True, False), (False, False), (False, True)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep or tomo builds or classifies a matrix")
+
+        modules = [module for name, module in sys.modules.items()
+                   if name == "oamcv" or name.startswith("oamcv.")]
+        for name in ("make_tmss", "_check_source", "_channel_map", "symplectic_eigenvalues",
+                     "_criteria"):
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert (run_sweep(config), json.dumps(run_tomo(config))) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 354.0), st.floats(1.0, 4.0))
     @example(170.0, 4.0)
     @example(354.0, 4.0)
     def test_any_accepted_source_sweeps_or_overflows(self, r, m):
-        # the sweep reads the spec alone: exact rows, or invariants past the float range;
-        # tomo checks the matrix it builds and may refuse it, but only as a numerical error
+        # the sweep and tomo read the spec alone: a result per point, or invariants past
+        # the float range, and both alike
         spec = SqueezingSpec(m * math.exp(-2.0 * r), m * math.exp(2.0 * r))
         config = SweepConfig(specs={0: spec}, charges=(0,), deltas=(0.0, 1.0), n_per_setting=2)
-        try:
-            rows = run_sweep(config)
-        except NumericalError as exc:
-            assert str(exc).startswith("state invariants are not finite (")
-            assert r > 170.0
-        else:
-            assert len(rows) == 1 + 2 * len(eta_grid(config))
-        try:
-            run_tomo(config)
-        except NumericalError:
-            pass
+        counts = []
+        for run, count in ((run_sweep, lambda rows: len(rows) - 1),
+                           (run_tomo, lambda report: len(report["results"]))):
+            try:
+                counts.append(count(run(config)))
+            except NumericalError as exc:
+                assert str(exc).startswith("state invariants are not finite (")
+                assert r > 170.0
+                counts.append(None)
+        assert counts in ([2 * len(eta_grid(config))] * 2, [None, None])
 
     def test_tomo_draws_from_its_true_variances_without_a_second_check(self, monkeypatch):
-        # the channel outputs of a checked source are sampled as they are: no public
-        # sampling path, no _simulable and no VarianceSet, one _variances per block
+        # the true variances are sampled as they are: no public sampling path, no
+        # _simulable, no VarianceSet and no _variances, one _true_state per source
         def refuse(*args, **kwargs):
-            raise AssertionError("run_tomo checks or wraps its channel outputs again")
+            raise AssertionError("run_tomo checks or wraps its true variances again")
 
-        for name in ("sampled_variances", "_simulable", "VarianceSet"):
+        for name in ("sampled_variances", "_simulable", "VarianceSet", "_variances"):
             monkeypatch.setattr(oamcv.tomography, name, refuse)
             monkeypatch.setattr(oamcv.cli, name, refuse, raising=False)
         blocks = []
-        real = oamcv.cli._variances
-        monkeypatch.setattr(oamcv.cli, "_variances", lambda s: blocks.append(len(s)) or real(s))
+        real = oamcv.cli._true_state
+        monkeypatch.setattr(oamcv.cli, "_true_state",
+                            lambda *args: blocks.append(real(*args)[0].shape) or real(*args))
         config = small_config(charges=(0, 1), deltas=(0.0, 0.5), n_per_setting=20)
         report = run_tomo(config)
         points = len(eta_grid(config))
-        assert blocks == [points] * 4 and len(report["results"]) == 4 * points
+        assert blocks == [(2, points, 6)] and len(report["results"]) == 4 * points
 
     def test_noisy_sweep_flags_sudden_death(self):
         config = SweepConfig(deltas=(1.0,), charges=(0,), eta_step=0.01)
@@ -502,13 +517,16 @@ class TestRunTomo:
         assert np.allclose(rec, np.eye(4), atol=0.05)
 
     def test_every_entry_equals_the_scalar_chain(self):
-        # three samples per setting: many reconstructions are unphysical, most
-        # of those not PD; the scalar chain per point is the reference
+        # three samples per setting: many reconstructions are unphysical, most of those
+        # not PD; the scalar chain through the matrices per point is the reference.
+        # The chain's true joint variance is b + a - 2c of its matrix, rounded: the
+        # fields it reaches (the joint columns, c_x and c_y, nu, g, physical) are held
+        # to exact arithmetic and the chain's decisions, every other field to its bits
         config = small_config(deltas=(0.0, 1.0), eta_step=0.1, seed=3, n_per_setting=3)
         kinds = set()
         for entry in run_tomo(config)["results"]:
-            true_cm = apply_channel(make_tmss(config.specs[entry["l"]]),
-                                    ChannelParams(entry["eta"], entry["delta"]))
+            spec = config.specs[entry["l"]]
+            true_cm = apply_channel(make_tmss(spec), ChannelParams(entry["eta"], entry["delta"]))
             measured = sampled_variances(true_cm.entries[None], config.n_per_setting,
                                          [entry["seed"]])[0]
             with warnings.catch_warnings():
@@ -519,29 +537,54 @@ class TestRunTomo:
             except ToolkitError as exc:
                 criteria, error = None, str(exc)
             truth = expected_variances(true_cm)
-            errors = rec_cm.entries - true_cm.entries
-            true_criteria = source_criteria(config.specs[entry["l"]], [entry["eta"]],
+            true_criteria = source_criteria(spec, [entry["eta"]],
                                             entry["delta"]).report(0).to_json_dict()
-            assert entry["true"] == {"variances_db": {s: truth.db(s) for s in SETTINGS},
-                                     "criteria": true_criteria}
+            assert entry["true"]["criteria"] == true_criteria
             # the matrix criteria of the true state agree with its closed form
             matrix = classify(true_cm).to_json_dict()
             for key in ("nu", "gAB", "gBA"):
                 assert matrix[key] == pytest.approx(true_criteria[key], rel=1e-9, abs=1e-9)
             for key in ("entangled", "class"):
                 assert matrix[key] == true_criteria[key]
-            expected = {
-                "variances_db": {s: measured.db(s) for s in SETTINGS},
-                "stderr_db": {s: measured.stderr(s) for s in SETTINGS},
-                "criteria": criteria,
-                "physical": validate(rec_cm).ok,
-                "entry_errors": errors.tolist(),
-                "max_abs_entry_error": float(np.max(np.abs(errors))),
-            }
-            if error is not None:
-                expected["criteria_error"] = error
-            assert json.dumps(entry["reconstructed"]) == json.dumps(expected)
-            kinds.add((error is None, expected["physical"]))
+            # the single settings are the chain's bits; the true joint variance is exact
+            # to 4 eps, and each draw of a joint setting its chain draw's ratio to its truth
+            exact = exact_joint(spec.v, spec.vp, entry["eta"], entry["delta"])
+            rec = entry["reconstructed"]
+            for s in SETTINGS:
+                true_db, rec_db = entry["true"]["variances_db"][s], rec["variances_db"][s]
+                if s in ("Xdiff", "Ysum"):
+                    joint = 2.0 * 10.0 ** (true_db / 10.0)
+                    assert joint == pytest.approx(float(exact), rel=1e-14)
+                    assert rec_db - true_db == pytest.approx(
+                        measured.db(s) - truth.db(s), rel=0, abs=1e-13)
+                else:
+                    assert (true_db, rec_db) == (truth.db(s), measured.db(s))
+            assert rec["stderr_db"] == {s: measured.stderr(s) for s in SETTINGS}
+            # entry errors: the chain's bits, its covariances to the joint dB's rounding
+            errors, got = rec_cm.entries - true_cm.entries, np.array(rec["entry_errors"])
+            covariances = np.zeros((4, 4), dtype=bool)
+            covariances[[0, 2, 1, 3], [2, 0, 3, 1]] = True
+            assert got[~covariances].tobytes() == errors[~covariances].tobytes()
+            assert got[covariances] == pytest.approx(errors[covariances], rel=0,
+                                                      abs=1e-12 * np.abs(rec_cm.entries).max())
+            assert rec["max_abs_entry_error"] == float(np.max(np.abs(got)))
+            # the criteria: the chain's decisions and error texts, values within their
+            # bounds of exact arithmetic on the reported six numbers
+            numbers = _six_numbers([[rec["variances_db"][s] for s in SETTINGS]])[0].tolist()
+            assert rec.get("criteria_error") == error
+            assert rec["physical"] == validate(rec_cm).ok
+            assert set(rec) == {"variances_db", "stderr_db", "criteria", "physical",
+                                "entry_errors", "max_abs_entry_error",
+                                *(["criteria_error"] if error else [])}
+            if error is None:
+                ours = rec["criteria"]
+                assert (ours["entangled"], ours["class"]) == (criteria["entangled"],
+                                                              criteria["class"])
+                assert max(block_errors(numbers, ours["nu"], ours["gAB"], ours["gBA"])) <= 2.0
+                assert rec["physical"] == (exact_nu_min(numbers) >= 1 - Decimal("1e-6"))
+            else:
+                assert rec["criteria"] is None and not exact_pd(numbers)
+            kinds.add((error is None, rec["physical"]))
         assert kinds == {(False, False), (True, False), (True, True)}
 
     def test_builds_no_samples(self, monkeypatch):
@@ -864,13 +907,11 @@ class TestMain:
          "numerical error: state invariants are not finite (Dt = inf, det sigma = inf)\n"),
         # finite invariants: the sweep reads them from the spec, exit 0
         ("sweep", "1e-100", "1e100", EXIT_OK, ""),
-        # tomo checks the source matrix first: its determinants overflow, exit 3
+        # tomo takes its truth from the spec as the sweep does: the same error, exit 3
         ("tomo", "1e-200", "1e200", EXIT_NUMERICAL,
-         "numerical error: state invariants are not finite (Dt = inf, det sigma = 0.0)\n"),
-        # finite invariants, but singular in floating point: a float limit, exit 3
-        ("tomo", "1e-100", "1e100", EXIT_NUMERICAL,
-         "numerical error: input state is squeezed beyond float resolution (v = 0, "
-         "v' = 1e+100): its min symplectic eigenvalue nan is known only to +-4.44e+184\n"),
+         "numerical error: state invariants are not finite (Dt = inf, det sigma = inf)\n"),
+        # and the same exit 0 (its reconstructions fail their own checks, in the JSON)
+        ("tomo", "1e-100", "1e100", EXIT_OK, ""),
     ])
     def test_degenerate_source_stderr_is_one_line(self, command, v, vp, code, err):
         result = run_fresh(["-m", "oamcv.cli", command, "--v", v, "--vp", vp, "--charges", "0"])
@@ -878,14 +919,17 @@ class TestMain:
         assert (result.stdout == "") == (code != EXIT_OK)
 
     @pytest.mark.parametrize("r", [6.5, 6.8, 7, 8, 10, 15])
-    def test_source_beyond_float_resolution_is_numerical_error(self, r, tmp_path, capsys):
-        # pure sources the config accepts: rounding, not the user, decides the physicality
-        # of the matrix tomo builds (the sweep builds none and prints them exactly)
+    def test_source_beyond_float_resolution_runs_tomo(self, r, tmp_path, capsys):
+        # pure sources whose matrix rounding leaves unphysical: tomo builds none, and
+        # its truth at eta = 1 is the nu the sweep prints
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"r": r, "charges": [0], "eta_start": 1}))
-        assert main(["tomo", "--config", str(path)]) == EXIT_NUMERICAL
-        assert capsys.readouterr().err.startswith(
-            "numerical error: input state is squeezed beyond float resolution (v = ")
+        assert main(["sweep", "--config", str(path)]) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert main(["tomo", "--config", str(path), "--n", "1000"]) == EXIT_OK
+        truth = json.loads(capsys.readouterr().out)["results"][0]["true"]["criteria"]
+        assert f"{truth['nu']:.9g}" == row[3]
+        assert truth["nu"] == source_criteria(SqueezingSpec.from_r(r), [1.0], 0.0).nu[0]
 
     @pytest.mark.parametrize("r, nu", [(4, "0.000335462628"), (5, "4.53999298e-05"),
                                        (5.3, "2.49160097e-05"), (6.5, "2.26032941e-06"),
@@ -1032,7 +1076,7 @@ class TestMain:
 
     @pytest.mark.parametrize("command, name", [("sweep", "source_criteria"),
                                                ("tomo", "source_criteria"),
-                                               ("tomo", "_criteria")])
+                                               ("tomo", "_block_criteria")])
     def test_internal_fault_is_not_a_config_error(self, command, name, monkeypatch):
         def broken(*args):
             raise ValueError("injected fault")

@@ -1,6 +1,7 @@
 """PPT entanglement, Gaussian steering, and sudden-death thresholds."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from oamcv import (ChannelParams, InputError, NumericalError, SqueezingSpec, Too
                    classify_many, entanglement_death_eta, make_tmss, ppt_nu, ppt_nu_closed_form,
                    ppt_nu_eigen, source_criteria, steering, steering_death_eta,
                    steering_death_eta_ba_lossy, symplectic_eigenvalues)
-from oamcv.cli import PRESETS, SweepConfig, eta_grid
-from oamcv.criteria import ETA_LO, STEERING_CLASSES, TOL_DECISION
-from conftest import (V_REF, VP_REF, analytic_family_cm, deltas, eigvals_symplectic, etas,
-                      source_specs, squeezed_specs)
+from oamcv.cli import PRESETS, SweepConfig, _config_from_args, build_parser, eta_grid, run_tomo
+from oamcv.criteria import ETA_LO, STEERING_CLASSES, TOL_DECISION, _block_criteria, _criteria
+from oamcv.gaussian import _physical
+from oamcv.tomography import SETTINGS, _filled, _sampled_db, _six_numbers, _true_state
+from conftest import (V_REF, VP_REF, analytic_family_cm, block_errors, deltas, eigvals_symplectic,
+                      etas, exact_nu_min, exact_pd, source_specs, squeezed_specs)
+from test_golden import TOMO_ARGS, TOMO_ERRORS_ARGS
 
 REF_SPEC = SqueezingSpec(V_REF, VP_REF)
 
@@ -509,6 +513,70 @@ class TestSourceCriteria:
             source_criteria(REF_SPEC, [1.0, 0.0], 1e308)
         with pytest.raises(NumericalError, match=r"^state invariants are not finite \(Dt = inf, "):
             classify_many(apply_channel_grid(make_tmss(REF_SPEC), [1.0, 0.0], 1e308))
+
+
+@st.composite
+def reconstructions(draw):
+    """The six numbers of a sampled reconstruction of a source sent through the channel,
+    from 2 to 1e6 samples per setting: many of them not PD at small n."""
+    spec, eta, delta = draw(source_specs(r_max=3.0)), draw(etas), draw(deltas)
+    n = draw(st.sampled_from([2, 3, 10, 1000, 10 ** 5, 10 ** 6]))
+    variances = _true_state(spec, np.array([eta]), [delta])[0][0].tolist()
+    rows = _sampled_db(variances, n, [draw(st.integers(0, 2 ** 64 - 1))])
+    return _six_numbers(list(rows))[0].tolist()
+
+
+def _held_to_the_oracles(numbers: np.ndarray) -> None:
+    """_block_criteria of six numbers against exact arithmetic (block_errors within 2, twice
+    the worst measured) and the matrix routes on the filled matrices: their nu to 1e-9, and
+    their PD, physicality, entanglement, class and error texts equal."""
+    arrays, physical, failures = _block_criteria(numbers)
+    matrices = _filled(numbers)
+    matrix, matrix_failures = _criteria(matrices)
+    assert physical.tolist() == _physical(symplectic_eigenvalues(matrices)[:, 0]).tolist()
+    assert {i: str(e) for i, e in failures.items()} == \
+        {i: str(e) for i, e in matrix_failures.items()}
+    for i, row in enumerate(numbers.tolist()):
+        if not exact_pd(row):
+            assert i in failures and not physical[i]
+            continue
+        assert i not in failures
+        assert max(block_errors(row, arrays.nu[i], arrays.g_ab[i], arrays.g_ba[i])) <= 2.0
+        assert physical[i] == (exact_nu_min(row) >= 1 - Decimal("1e-6"))
+        assert abs(arrays.nu[i] - matrix.nu[i]) <= 1e-9 * max(1.0, matrix.nu[i])
+        for column in ("entangled", "steering_class"):
+            assert getattr(arrays, column)[i] == getattr(matrix, column)[i]
+
+
+class TestBlockCriteria:
+    """The reconstructions' criteria from their six numbers (_block_criteria)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(reconstructions(), min_size=1, max_size=6))
+    def test_sampled_reconstructions(self, rows):
+        _held_to_the_oracles(np.array(rows))
+
+    @pytest.mark.parametrize("argv", [TOMO_ARGS, TOMO_ERRORS_ARGS], ids=["TOMO", "TOMO_ERRORS"])
+    def test_tomo_grids(self, argv):
+        # the golden runs' reconstructions, and the report holds their criteria
+        results = run_tomo(_config_from_args(build_parser().parse_args(argv)))["results"]
+        numbers = _six_numbers([[entry["reconstructed"]["variances_db"][s] for s in SETTINGS]
+                                for entry in results])
+        _held_to_the_oracles(numbers)
+        arrays, physical, failures = _block_criteria(numbers)
+        for i, entry in enumerate(results):
+            rec = entry["reconstructed"]
+            assert rec["physical"] == physical[i]
+            assert rec["criteria"] == (None if i in failures else arrays.report(i).to_json_dict())
+
+    def test_pd_is_taken_per_block(self):
+        # both block determinants are -3: det sigma = det X det Y = 9 > 0, but the
+        # state is not PD, and not physical
+        numbers = np.array([[1.0, 1.0, 1.0, 1.0, 2.0, 2.0]])
+        _, physical, failures = _block_criteria(numbers)
+        assert str(failures[0]) == "covariance matrix must be positive definite"
+        assert physical.tolist() == [False]
+        _held_to_the_oracles(numbers)
 
 
 def _steerability_by_logs(ratios, scale):

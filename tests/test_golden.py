@@ -29,11 +29,12 @@ THRESHOLDS = {
     "fig3": "41753346393268beeec56fd6e72ad519d2f04e4fcda160a16f72717e94252fbc",
     "fig4": "0bca16ae8ee33069b198e92543dcf0b57132fc76afc4d626148f84d2aa618589",
 }
-TOMO = "0de12d420223d4b93353474275428050e9a3cfccd3b5a34265a0339061dbd9c6"
+TOMO = "dc63cad423803bffe2ba863f92689650e03dbfc70a33e204f1d80e1767a91bb6"
 TOMO_ARGS = ["tomo", "--eta-step", "0.5", "--n", "1000"]
 # three samples per setting: of the 84 reconstructions 56 are not positive
-# definite (criteria_error), 26 are unphysical with criteria, 2 are physical
-TOMO_ERRORS = "5235dc5a175cb5c8088bde57999fef362194b0dc65940e8b9db215379af4d772"
+# definite (criteria_error, det X or det Y not positive), 26 are unphysical
+# with criteria, 2 are physical
+TOMO_ERRORS = "e440c9bb17122165ea9fadc3a7ce490bd808e9950c6b500e54ac2a247c10846d"
 TOMO_ERRORS_ARGS = ["tomo", "--charges", "0,1", "--delta", "0,1", "--eta-step", "0.05",
                     "--n", "3", "--seed", "3"]
 MODES = {

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -12,16 +13,17 @@ from oamcv import (ChannelParams, InputError, NumericalError, ReconstructionWarn
                    SqueezingSpec, UnphysicalStateError, VarianceSet, apply_channel,
                    apply_channel_grid, db_to_linear, expected_variances, linear_to_db, make_tmss,
                    read_variances_csv, reconstruct_cm, sampled_variances, simulate_measurements,
-                   variances_from_batches, write_batch_csv, write_variances_csv)
+                   source_criteria, variances_from_batches, write_batch_csv, write_variances_csv)
 from oamcv.channels import _channel_map, _check_source
 from oamcv.cli import SweepConfig, run_tomo
 from oamcv.gaussian import PHYSICALITY_TOL
-from oamcv.tomography import (SETTINGS, SNL_REFERENCE, _reconstruct, _sampled_db, _simulable,
-                              _stderr_db, _variances, covariance_from_difference,
-                              covariance_from_sum, setting_variance)
-from conftest import INDEFINITE, V_REF, VP_REF, deltas, etas, source_specs
+from oamcv.tomography import (SETTINGS, SNL_REFERENCE, _filled, _sampled_db, _simulable,
+                              _six_numbers, _stderr_db, _true_state, _variances,
+                              covariance_from_difference, covariance_from_sum, setting_variance)
+from conftest import INDEFINITE, V_REF, VP_REF, deltas, etas, exact_joint, source_specs
 
 REF_CM = make_tmss(SqueezingSpec(V_REF, VP_REF))
+EPS = np.finfo(float).eps
 
 
 def checked_set(variances, n=None) -> VarianceSet:
@@ -279,11 +281,16 @@ class TestSampledVariances:
             sampled_variances(np.diag([1.7e308, 1.0, 1.0, 1.0])[None], 2, [seed])
 
     def test_tomo_point_reproducible_from_its_recorded_seed(self):
+        # the same draws: the single settings bit for bit, the joint ones to the
+        # channel matrix's rounding of their true variance, b + a - 2c
         config = SweepConfig(charges=(1,), deltas=(0.5,), eta_step=0.25, n_per_setting=50)
         for entry in run_tomo(config)["results"]:
             cm = apply_channel(make_tmss(config.specs[1]), ChannelParams(entry["eta"], 0.5))
             vs = sampled_variances(cm.entries[None], 50, [entry["seed"]])[0]
-            assert entry["reconstructed"]["variances_db"] == {s: vs.db(s) for s in SETTINGS}
+            measured = entry["reconstructed"]["variances_db"]
+            for s in SETTINGS:
+                assert measured[s] == pytest.approx(vs.db(s), rel=0, abs=1e-13)
+                assert s in ("Xdiff", "Ysum") or measured[s] == vs.db(s)
 
     @pytest.mark.parametrize("bad", [*INDEFINITE, np.diag([0.5, 0.5, 0.5, 0.5])])
     def test_rejects_state_not_pd_or_unphysical(self, bad):
@@ -334,15 +341,62 @@ TOMO_DELTAS = st.one_of(st.sampled_from([0.0, 0.15, 1.0, 1e3, 1e6]), deltas)
 
 
 class TestDrawCore:
-    """run_tomo draws with _sampled_db from _variances of its channel outputs, unchecked."""
+    """run_tomo draws with _sampled_db from the true variances of _true_state, unchecked."""
 
     @settings(max_examples=300, deadline=None)
     @given(accepted_sources(), st.lists(etas, max_size=16), TOMO_DELTAS)
     def test_channel_outputs_of_an_accepted_source_are_simulable(self, source, grid, delta):
-        # the guarantee run_tomo rests on: _simulable, kept as the oracle, never
-        # rejects these outputs and returns _variances of them bit for bit
+        # _simulable, kept as the oracle, never rejects these outputs and returns
+        # _variances of them bit for bit
         stack = _channel_map(source, np.array([0.0, *grid, 1.0]), delta)
         assert _simulable(stack).tobytes() == _variances(stack).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(source_specs(r_max=5.0), st.lists(etas, max_size=16),
+           st.lists(TOMO_DELTAS, min_size=1, max_size=3, unique=True),
+           st.lists(st.integers(0, 2 ** 64 - 1), min_size=18, max_size=18),
+           st.integers(2, 10 ** 6))
+    def test_true_state_is_the_channel_outputs(self, spec, grid, deltas, seeds, n):
+        # the six numbers are the channel outputs of the source matrix, hex for hex,
+        # and so are the single-mode variances and their draws; only the joint
+        # variances are taken another way (test_joint_variance_is_exact)
+        grid = np.array([0.0, *grid, 1.0])
+        variances, numbers = _true_state(spec, grid, deltas)
+        for k, delta in enumerate(deltas):
+            stack = _channel_map(make_tmss(spec).entries, grid, delta)
+            assert [x.hex() for x in _filled(numbers[k]).ravel().tolist()] == \
+                [x.hex() for x in stack.ravel().tolist()]
+            assert variances[k, :, :4].tobytes() == _variances(stack)[:, :4].tobytes()
+            draws = np.array(list(_sampled_db(variances[k].tolist(), n, seeds)))
+            matrix_draws = np.array(list(_sampled_db(_variances(stack).tolist(), n, seeds)))
+            assert draws[:, :4].tobytes() == matrix_draws[:, :4].tobytes()
+
+    @pytest.mark.parametrize("r", [0.5, 2, 4, 5, 5.3, 8, 15])
+    def test_joint_variance_is_exact(self, r):
+        # b + a - 2c of the channel outputs loses digits as the source is squeezed
+        # (7.7e5 eps at r = 4); the cancellation-free form read 3.02 eps at worst
+        spec = SqueezingSpec.from_r(r)
+        grid = np.linspace(0.0, 1.0, 1001)
+        variances = _true_state(spec, grid, [0.0, 1.0])[0]
+        for k, delta in enumerate((0.0, 1.0)):
+            assert np.array_equal(variances[k, :, 4], variances[k, :, 5])
+            for eta, joint in zip(grid.tolist(), variances[k, :, 4].tolist()):
+                exact = exact_joint(spec.v, spec.vp, eta, delta)
+                assert abs(float((Decimal(joint) - exact) / exact)) <= 4 * EPS, (eta, delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 177.0), st.floats(1.0, 4.0), st.lists(etas, max_size=16), TOMO_DELTAS)
+    def test_true_variances_of_any_finite_state_are_drawable(self, r, m, grid, delta):
+        # every true variance is positive and finite wherever the states'
+        # invariants are (source_criteria passes), however squeezed the source
+        spec = SqueezingSpec(m * math.exp(-2.0 * r), m * math.exp(2.0 * r))
+        grid = np.array([0.0, *grid, 1.0])
+        try:
+            source_criteria(spec, grid, delta)
+        except NumericalError:
+            assume(False)
+        variances = _true_state(spec, grid, [delta])[0]
+        assert ((variances > 0.0) & (variances < math.inf)).all()
 
     @settings(max_examples=100, deadline=None)
     @given(source_specs(), st.lists(st.tuples(etas, st.integers(0, 2 ** 64 - 1)), min_size=1,
@@ -359,9 +413,10 @@ class TestDrawCore:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ReconstructionWarning)
             for vs, row in zip(measured, rows):
-                assert reconstruct_cm(vs).entries.tobytes() == _reconstruct([row])[0].tobytes()
-        assert _reconstruct(rows).tobytes() == \
-            np.array([_reconstruct([row])[0] for row in rows]).tobytes()
+                assert reconstruct_cm(vs).entries.tobytes() == \
+                    _filled(_six_numbers([row]))[0].tobytes()
+        assert _six_numbers(rows).tobytes() == \
+            np.array([_six_numbers([row])[0] for row in rows]).tobytes()
 
 
 class TestReconstruct:
