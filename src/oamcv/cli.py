@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -180,55 +182,199 @@ def eta_grid(config: SweepConfig) -> list:
 # json's spelling of the floats whose repr is not JSON
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# Each JSON report has one text function, which gives json.dumps(report,
+# indent=2) + "\n" byte for byte for the report's shape.  A field is written by
+# its exact type: a float by repr (json's words for the non-finite ones), an int
+# by repr, a bool as true/false, None as null and a str by
+# encode_basestring_ascii.  Any other type (a numpy scalar, a bool for an int, a
+# tuple for a list) raises TypeError rather than being written some other way.
 
-def _float_text(value: float) -> str:
+
+def _type_error(value, kind: str) -> TypeError:
+    return TypeError(f"{type(value).__name__} is not a report {kind}")
+
+
+def _float_text(value) -> str:
+    if type(value) is not float:
+        raise _type_error(value, "float")
     text = repr(value)
     return _FLOAT_WORDS.get(text, text)
 
 
-_str_text = json.encoder.encode_basestring_ascii
-# the text of each scalar type a report holds, keyed by its exact type, as json
-# writes it: an exact int or float's repr is int.__repr__ or float.__repr__
-_SCALAR_TEXT = {str: _str_text, int: repr, float: _float_text,
-                bool: lambda value: "true" if value else "false", type(None): lambda _: "null"}
+def _optional_float_text(value) -> str:
+    return "null" if value is None else _float_text(value)
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2), byte for byte, for the types a report holds.
+def _int_text(value) -> str:
+    if type(value) is not int:
+        raise _type_error(value, "int")
+    return repr(value)
 
-    Those are dicts with str keys, lists, and the scalars of _SCALAR_TEXT,
-    each matched by its exact type: anything else (a tuple, a numpy scalar,
-    an int key) raises TypeError rather than being written some other way.
-    indent is the newline and indentation that precede value's closing bracket.
+
+def _bool_text(value) -> str:
+    if type(value) is not bool:
+        raise _type_error(value, "bool")
+    return "true" if value else "false"
+
+
+def _str_text(value) -> str:
+    if type(value) is not str:
+        raise _type_error(value, "str")
+    return json.encoder.encode_basestring_ascii(value)
+
+
+def _list(value) -> list:
+    if type(value) is not list:
+        raise _type_error(value, "list")
+    return value
+
+
+def _layout(skeleton, depth: int) -> tuple:
+    """The % template of a report part laid out as json.dumps(skeleton, indent=2), nested depth
+    levels deep, and the type of each of its slots.
+
+    Each leaf of skeleton is the type of its slot: float and int slots take those
+    numbers, str slots their text, already written.
     """
-    if text := _SCALAR_TEXT.get(type(value)):
-        return text(value)
-    inner = indent + "  "
-    if type(value) is dict:
-        if bad := [key for key in value if type(key) is not str]:
-            raise TypeError(f"JSON object keys must be str, got {bad[0]!r}")
-        items = [f"{_str_text(key)}: {_json_text(item, inner)}"
-                 for key, item in value.items()]
-        brackets = "{}"
-    elif type(value) is list:
-        items = [_json_text(item, inner) for item in value]
-        brackets = "[]"
-    else:
-        raise TypeError(f"{type(value).__name__} is not a JSON report value")
-    if not items:
-        return brackets
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{indent}{brackets[1]}"
+    types = []
+    # json writes each leaf it cannot encode, a type, as the None that default returns
+    text = json.dumps(skeleton, indent=2, default=types.append)
+    return text.replace("null", "%s").replace("\n", "\n" + "  " * depth), tuple(types)
 
 
-def _render(result) -> str:
-    """The output text of a result, for its file and for stdout.
+def _report_text(entries: list, head: str = "") -> str:
+    """The text of a report: its head field, if it has one, then its results list of entries.
 
-    CSV rows, or the JSON of a report as json.dumps(report, indent=2) writes
-    it (_json_text).  Either is ASCII.
+    The brackets join the first and last entries, so that the entries are
+    copied once, by the one join.
     """
-    if isinstance(result, list):
-        return "\n".join(result) + "\n"
-    return _json_text(result) + "\n"
+    start = "{\n" + (f"  {head},\n" if head else "") + '  "results": '
+    if not entries:
+        return start + "[]\n}\n"
+    entries[0] = start + "[\n    " + entries[0]
+    entries[-1] += "\n  ]\n}\n"
+    return ",\n    ".join(entries)
+
+
+_THRESHOLDS_ENTRY = _layout(dict.fromkeys(
+    ("l", "delta", "entanglement", "steering_AB", "steering_BA"), str), 2)[0]
+
+
+def _thresholds_text(report: dict) -> str:
+    """The text of a run_thresholds report, one template per entry."""
+    return _report_text([_THRESHOLDS_ENTRY % (
+        _int_text(entry["l"]), _float_text(entry["delta"]),
+        _optional_float_text(entry["entanglement"]), _optional_float_text(entry["steering_AB"]),
+        _optional_float_text(entry["steering_BA"])) for entry in _list(report["results"])])
+
+
+class _Shape(NamedTuple):
+    """A report part's template, its slots' types, and the getter of its (two or more) floats."""
+
+    template: str
+    types: tuple
+    floats: operator.itemgetter
+
+
+def _shape(skeleton, depth: int) -> _Shape:
+    template, types = _layout(skeleton, depth)
+    return _Shape(template, types,
+                  operator.itemgetter(*(i for i, kind in enumerate(types) if kind is float)))
+
+
+def _fill(shape: _Shape, fields: tuple) -> str:
+    """The shape's template filled with fields, each of its slot's exact type (a str slot
+    takes text already written).
+
+    A float fills its slot itself, since its %s is its repr, unless some float
+    is not finite (then neither is their sum): then each goes through _float_text.
+    """
+    if tuple(map(type, fields)) != shape.types:
+        for kind, value in zip(shape.types, fields):
+            if type(value) is not kind:
+                raise _type_error(value, kind.__name__)
+        raise TypeError(f"{len(fields)} report fields for {len(shape.types)} slots")
+    if not math.isfinite(sum(shape.floats(fields))):
+        fields = tuple(_float_text(x) if type(x) is float else x for x in fields)
+    return shape.template % fields
+
+
+_settings_of = operator.itemgetter(*SETTINGS)
+# a criteria dict's slots; its flag and class are filled as text
+_CRITERIA = {"nu": float, "entangled": str, "gAB": float, "gBA": float, "class": str}
+_TRUE_BLOCK = _shape({"variances_db": dict.fromkeys(SETTINGS, float), "criteria": _CRITERIA}, 3)
+_STDERR_BLOCK = _shape(dict.fromkeys(SETTINGS, float), 4)
+# a tomo entry's shape by whether it has reconstructed criteria and a criteria_error
+_TOMO_ENTRY = {(criteria, error): _shape({
+    "l": int, "eta": float, "delta": float, "seed": int, "true": str,
+    "reconstructed": {"variances_db": dict.fromkeys(SETTINGS, float), "stderr_db": str,
+                      "criteria": _CRITERIA if criteria else str, "physical": str,
+                      "entry_errors": [[float] * 4] * 4, "max_abs_entry_error": float,
+                      **({"criteria_error": str} if error else {})}}, 2)
+    for criteria in (True, False) for error in (True, False)}
+
+
+def _criteria_fields(criteria: dict) -> tuple:
+    return (criteria["nu"], _bool_text(criteria["entangled"]), criteria["gAB"], criteria["gBA"],
+            _str_text(criteria["class"]))
+
+
+def _true_text(true: dict) -> str:
+    return _fill(_TRUE_BLOCK, (*_settings_of(true["variances_db"]),
+                               *_criteria_fields(true["criteria"])))
+
+
+def _stderr_text(stderr: dict) -> str:
+    return _fill(_STDERR_BLOCK, _settings_of(stderr))
+
+
+def _tomo_text(report: dict) -> str:
+    """The text of a run_tomo report, one template per entry.
+
+    A true or stderr_db block is written once per dict: run_tomo's entries
+    share one stderr_db, and the charges of one source share their true blocks.
+    """
+    shared = {}  # the text of each block by its id; the report keeps every block alive
+
+    def block_text(block: dict, text) -> str:
+        if (key := id(block)) not in shared:
+            shared[key] = text(block)
+        return shared[key]
+
+    entries = []
+    for entry in _list(report["results"]):
+        rec = entry["reconstructed"]
+        rows = _list(rec["entry_errors"])
+        if tuple(map(type, rows)) != (list,) * 4 or tuple(map(len, rows)) != (4,) * 4:
+            raise TypeError("entry_errors must be a list of four lists of four")
+        criteria, error = rec["criteria"], "criteria_error" in rec
+        fields = (entry["l"], entry["eta"], entry["delta"], entry["seed"],
+                  block_text(entry["true"], _true_text), *_settings_of(rec["variances_db"]),
+                  block_text(rec["stderr_db"], _stderr_text),
+                  *(("null",) if criteria is None else _criteria_fields(criteria)),
+                  _bool_text(rec["physical"]), *rows[0], *rows[1], *rows[2], *rows[3],
+                  rec["max_abs_entry_error"],
+                  *((_str_text(rec["criteria_error"]),) if error else ()))
+        entries.append(_fill(_TOMO_ENTRY[criteria is not None, error], fields))
+    return _report_text(entries, f'"n_per_setting": {_int_text(report["n_per_setting"])}')
+
+
+_STRIPES_ENTRY = _layout(dict.fromkeys(
+    ("l", "stripes", "axis_sign", "beam_image", "tilted_image"), str), 2)[0]
+
+
+def _stripes_text(report: dict) -> str:
+    """The text of a run_modes report, stripes.json."""
+    entries = [_STRIPES_ENTRY % (
+        _int_text(entry["l"]), _int_text(entry["stripes"]), _int_text(entry["axis_sign"]),
+        _str_text(entry["beam_image"]), _str_text(entry["tilted_image"]))
+        for entry in _list(report["results"])]
+    return _report_text(entries, f'"astigmatism": {_float_text(report["astigmatism"])}')
+
+
+def _csv_text(rows: list) -> str:
+    """The text of the sweep's CSV rows."""
+    return "\n".join(rows) + "\n"
 
 
 def _write_text(path, text: str) -> None:
@@ -247,9 +393,11 @@ def _source_blocks(config: SweepConfig, block):
     deltas = sorted(config.deltas)
     by_source = {}
     for l in sorted(config.charges):
-        if (spec := config.specs[l]) not in by_source:
-            by_source[spec] = list(zip(deltas, block(spec, deltas)))
-        for delta, value in by_source[spec]:
+        spec = config.specs[l]
+        # keyed by the spec's fields: their tuple hashes in C, the dataclass in Python
+        if (values := by_source.get(key := (spec.v, spec.vp))) is None:
+            values = by_source[key] = list(zip(deltas, block(spec, deltas)))
+        for delta, value in values:
             yield l, delta, value
 
 
@@ -285,7 +433,7 @@ def run_sweep(config: SweepConfig) -> list:
         prefix = f"{l},"
         rows += [prefix + row for row in block]
     if config.out is not None:
-        _write_text(config.out, _render(rows))
+        _write_text(config.out, _csv_text(rows))
     return rows
 
 
@@ -293,18 +441,16 @@ def run_thresholds(config: SweepConfig) -> dict:
     """Sudden-death transmission thresholds per charge and noise level.
 
     Entries hold eta* for entanglement and for each steering direction,
-    with None where no transition occurs inside (0, 1].
+    with None where no transition occurs inside (0, 1].  The closed forms are
+    read once per distinct source and delta (_source_blocks).
     """
-    results = []
-    for l in sorted(config.charges):
-        spec = config.specs[l]
-        for delta in sorted(config.deltas):
-            entanglement, steering_ab, steering_ba = _death_etas(spec, delta)
-            results.append({"l": l, "delta": delta, "entanglement": entanglement,
-                            "steering_AB": steering_ab, "steering_BA": steering_ba})
+    results = [{"l": l, "delta": delta, "entanglement": entanglement,
+                "steering_AB": steering_ab, "steering_BA": steering_ba}
+               for l, delta, (entanglement, steering_ab, steering_ba) in _source_blocks(
+                   config, lambda spec, deltas: map(_death_etas, itertools.repeat(spec), deltas))]
     report = {"results": results}
     if config.out is not None:
-        _write_text(config.out, _render(report))
+        _write_text(config.out, _thresholds_text(report))
     return report
 
 
@@ -316,21 +462,30 @@ def run_tomo(config: SweepConfig) -> dict:
     on six numbers per state, with no matrix: the true criteria (source_criteria,
     which exits where a state's invariants overflow, as in the sweep) and states
     (_true_state), then each reconstruction's six numbers, their criteria,
-    physicality or error text (_block_criteria) and entry errors.
+    physicality or error text (_block_criteria) and entry errors.  Every entry
+    holds the same stderr_db dict, and the charges of one source the same
+    "true" dicts, so _tomo_text writes each of them once.
     """
     results = []
     etas = eta_grid(config)
     grid = np.array(etas)
+    stderr = dict.fromkeys(SETTINGS, _stderr_db(config.n_per_setting))
 
     def block(spec, deltas):
+        # each delta's true variances, six numbers and entry "true" blocks, which every
+        # charge of the source shares
         criteria = map(CriteriaArrays._make, zip(*source_criteria(spec, grid, deltas)))
-        return zip(criteria, *_true_state(spec, grid, deltas))
+        for true_criteria, truths, true_numbers in zip(criteria, *_true_state(spec, grid, deltas)):
+            truths = truths.tolist()
+            yield truths, true_numbers, [
+                {"variances_db": dict(zip(SETTINGS, _to_db(variances))),
+                 "criteria": true_criteria.report(i).to_json_dict()}
+                for i, variances in enumerate(truths)]
 
-    for l, delta, (true_criteria, truths, true_numbers) in _source_blocks(config, block):
+    for l, delta, (truths, true_numbers, trues) in _source_blocks(config, block):
         # a point's sub-seed comes from its index in the whole run
         seeds = [int(np.random.SeedSequence([config.seed, len(results) + i])
                      .generate_state(1, np.uint64)[0]) for i in range(len(etas))]
-        truths = truths.tolist()
         measured = list(_sampled_db(truths, config.n_per_setting, seeds))
         numbers = _six_numbers(measured)
         rec_criteria, physical, rec_errors = _block_criteria(numbers)
@@ -341,11 +496,10 @@ def run_tomo(config: SweepConfig) -> dict:
             error = rec_errors.get(i)
             results.append({
                 "l": l, "eta": eta, "delta": delta, "seed": seed,
-                "true": {"variances_db": dict(zip(SETTINGS, _to_db(truths[i]))),
-                         "criteria": true_criteria.report(i).to_json_dict()},
+                "true": trues[i],
                 "reconstructed": {
                     "variances_db": dict(zip(SETTINGS, row)),
-                    "stderr_db": dict.fromkeys(SETTINGS, _stderr_db(config.n_per_setting)),
+                    "stderr_db": stderr,
                     "criteria": None if error else rec_criteria.report(i).to_json_dict(),
                     "physical": physical[i],
                     "entry_errors": entry_errors[i].tolist(),
@@ -355,7 +509,7 @@ def run_tomo(config: SweepConfig) -> dict:
             })
     report = {"n_per_setting": config.n_per_setting, "results": results}
     if config.out is not None:
-        _write_text(config.out, _render(report))
+        _write_text(config.out, _tomo_text(report))
     return report
 
 
@@ -381,7 +535,7 @@ def run_modes(charges, astigmatism: float = DEFAULT_ASTIGMATISM, out_dir=".",
                    for spec in specs]
         report = {"astigmatism": astigmatism, "results": results}
         written.append(out_path / "stripes.json")
-        _write_text(written[-1], _render(report))
+        _write_text(written[-1], _stripes_text(report))
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -508,12 +662,12 @@ def main(argv=None) -> int:
             return EXIT_OK
         config = _config_from_args(args)
         # looked up per call: the runners are module globals a tracer may rebind
-        run, noun = {"sweep": (run_sweep, "rows"),
-                     "thresholds": (run_thresholds, "threshold entries"),
-                     "tomo": (run_tomo, "tomography entries")}[args.command]
+        run, text, noun = {"sweep": (run_sweep, _csv_text, "rows"),
+                           "thresholds": (run_thresholds, _thresholds_text, "threshold entries"),
+                           "tomo": (run_tomo, _tomo_text, "tomography entries")}[args.command]
         result = run(config)
         if config.out is None:
-            print(_render(result), end="")
+            print(text(result), end="")
         else:
             count = len(result) - 1 if isinstance(result, list) else len(result["results"])
             print(f"wrote {count} {noun} to {config.out}")

@@ -21,11 +21,12 @@ from oamcv import (ChannelParams, InputError, LGModeSpec, MultiplexedState, Nume
                    entanglement_death_eta, expected_variances, make_multiplexed, make_tmss,
                    reconstruct_cm, sampled_variances, source_criteria, validate)
 from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, MAX_ETA_POINTS, PRESETS,
-                       SWEEP_HEADER, SweepConfig, _config_from_args, _json_text, _render,
-                       build_parser, eta_grid, main, run_modes, run_sweep, run_thresholds,
-                       run_tomo)
+                       SWEEP_HEADER, SweepConfig, _config_from_args, _stripes_text,
+                       _thresholds_text, _tomo_text, build_parser, eta_grid, main, run_modes,
+                       run_sweep, run_thresholds, run_tomo)
 from oamcv.tomography import SETTINGS, _six_numbers
-from conftest import V_REF, VP_REF, block_errors, exact_joint, exact_nu_min, exact_pd
+from conftest import (V_REF, VP_REF, block_errors, deltas, exact_joint, exact_nu_min,
+                      exact_pd, source_specs)
 from test_golden import TOMO_ARGS, TOMO_ERRORS_ARGS
 
 
@@ -488,6 +489,26 @@ class TestRunThresholds:
         assert saved == json.loads(json.dumps(report))
         assert '"entanglement": null' in out.read_text()
 
+    def test_charges_of_one_source_share_its_solves(self, monkeypatch):
+        real, solves = oamcv.cli._death_etas, []
+
+        def counted(spec, delta):
+            solves.append((spec, delta))
+            return real(spec, delta)
+
+        other = SqueezingSpec(0.3, 5.0)
+        config = SweepConfig(specs={0: SPEC, 1: other, 2: SPEC}, charges=(2, 1, 0),
+                             deltas=(0.5, 0.0))
+        monkeypatch.setattr(oamcv.cli, "_death_etas", counted)
+        report = run_thresholds(config)
+        assert solves == [(SPEC, 0.0), (SPEC, 0.5), (other, 0.0), (other, 0.5)]
+        assert [(entry["l"], entry["delta"]) for entry in report["results"]] == \
+            [(l, delta) for l in (0, 1, 2) for delta in (0.0, 0.5)]
+        for entry in report["results"]:
+            spec = other if entry["l"] == 1 else SPEC
+            assert [entry[key] for key in ("entanglement", "steering_AB", "steering_BA")] == \
+                list(real(spec, entry["delta"]))
+
 
 class TestRunTomo:
     def test_reference_point_round_trip(self):
@@ -719,51 +740,118 @@ class TestRunModes:
         assert not out.exists()
 
 
-# JSON values of every type a report holds, with the text and floats json
-# escapes or spells specially
+# text and floats that json escapes or spells specially, for fields a run does
+# not fill with them itself
 JSON_STRINGS = st.text(max_size=8) | st.sampled_from(
-    ['"', "\\", "%", "%s", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", ""])
-JSON_SCALARS = (st.none() | st.booleans() | JSON_STRINGS
-                | st.integers() | st.integers(-2 ** 200, 2 ** 200) | st.floats()
-                | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]))
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(JSON_STRINGS, children,
-                                                                      max_size=4),
-    max_leaves=24)
+    ['"', "\\", "%", "%s", "nan", "inf", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", ""])
+JSON_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
 
 
-class TestJsonText:
-    @settings(max_examples=500, deadline=None)
-    @given(JSON_VALUES)
-    def test_is_json_dumps_with_indent_2(self, value):
-        assert _json_text(value) == json.dumps(value, indent=2)
-        report = {"value": value}
-        assert _json_text(report) + "\n" == _render(report) == json.dumps(report, indent=2) + "\n"
+def is_json_dumps(text_of, report) -> bool:
+    return text_of(report) == json.dumps(report, indent=2) + "\n"
 
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_thresholds_reports(self, preset):
-        report = run_thresholds(SweepConfig(deltas=PRESETS[preset]["deltas"]))
-        assert _render(report) == json.dumps(report, indent=2) + "\n"
+
+def small_tomo_report():
+    return run_tomo(small_config(charges=(0, 1), deltas=(0.0, 1.0), eta_step=0.5, n_per_setting=3,
+                                 seed=3))
+
+
+def stripes_report():
+    return {"astigmatism": 2.0, "results": [
+        {"l": l, "stripes": abs(l), "axis_sign": 1, "beam_image": f"mode_l{l}_beam.pgm",
+         "tilted_image": f"mode_l{l}_tilted.pgm"} for l in (-1, 0, 2)]}
+
+
+class TestReportText:
+    """Each JSON report's text function is json.dumps(report, indent=2) + newline."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(source_specs(), min_size=1, max_size=2), st.lists(deltas, max_size=2),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True), st.data())
+    def test_thresholds(self, specs, more_deltas, charges, data):
+        sources = {l: data.draw(st.sampled_from(specs)) for l in charges}
+        # a lossy channel never kills entanglement: delta = 0 gives None thresholds
+        report = run_thresholds(SweepConfig(specs=sources, charges=charges,
+                                            deltas=tuple({0.0, *more_deltas})))
+        assert any(entry["entanglement"] is None for entry in report["results"])
+        assert is_json_dumps(_thresholds_text, report)
+        entry = data.draw(st.sampled_from(report["results"]))
+        entry[data.draw(st.sampled_from(["delta", "entanglement", "steering_BA"]))] = \
+            data.draw(JSON_FLOATS)
+        assert is_json_dumps(_thresholds_text, report)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.sampled_from([3, 4, 1000]),
+           st.floats(0.0, 1.0), st.sampled_from([0.3, 0.5, 1.0]),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=2, unique=True), st.data())
+    def test_tomo(self, seed, n, start, step, charges, data):
+        # n = 3 leaves most reconstructions with a criteria_error, as in TOMO_ERRORS
+        report = run_tomo(small_config(charges=charges, deltas=(0.0, 1.0), eta_start=start,
+                                       eta_step=step, seed=seed, n_per_setting=n))
+        assert is_json_dumps(_tomo_text, report)
+        for entry in data.draw(st.lists(st.sampled_from(report["results"]), max_size=3)):
+            rec = entry["reconstructed"]
+            row = data.draw(st.sampled_from(rec["entry_errors"]))
+            row[data.draw(st.integers(0, 3))] = data.draw(JSON_FLOATS)
+            rec["max_abs_entry_error"] = data.draw(JSON_FLOATS)
+            # a block of its own, and each shape: criteria or not, criteria_error or not
+            rec["stderr_db"] = dict.fromkeys(SETTINGS, data.draw(JSON_FLOATS))
+            if data.draw(st.booleans()):
+                rec["criteria_error"] = data.draw(JSON_STRINGS)
+            if data.draw(st.booleans()):
+                rec["criteria"] = None
+        assert is_json_dumps(_tomo_text, report)
 
     @pytest.mark.parametrize("argv", [TOMO_ARGS, TOMO_ERRORS_ARGS], ids=["TOMO", "TOMO_ERRORS"])
-    def test_tomo_reports(self, argv):
+    def test_golden_tomo_reports(self, argv):
         report = run_tomo(_config_from_args(build_parser().parse_args(argv)))
-        assert _render(report) == json.dumps(report, indent=2) + "\n"
+        assert is_json_dumps(_tomo_text, report)
         if argv is TOMO_ERRORS_ARGS:
             assert any("criteria_error" in e["reconstructed"] for e in report["results"])
 
-    def test_modes_report_is_its_file(self, tmp_path):
-        report = run_modes((-1, 0, 2), out_dir=tmp_path)
+    def test_stripes_file(self, tmp_path):
+        report = run_modes(range(-5, 6), out_dir=tmp_path)
         assert (tmp_path / "stripes.json").read_bytes() == \
             (json.dumps(report, indent=2) + "\n").encode()
+        assert is_json_dumps(_stripes_text, report)
 
-    @pytest.mark.parametrize("value", [{1, 2}, b"bytes", np.float64(1.0), {1: 0}, (1, 2),
-                                       {"results": [{"nested": np.int64(3)}]}],
-                             ids=["set", "bytes", "np.float64", "int key", "tuple", "nested"])
-    def test_other_values_raise_type_error(self, value):
+    @settings(max_examples=100, deadline=None)
+    @given(JSON_FLOATS, st.lists(st.tuples(st.integers(), st.integers(), st.integers(-1, 1),
+                                           JSON_STRINGS, JSON_STRINGS), max_size=3))
+    def test_stripes_fields(self, astigmatism, rows):
+        keys = ("l", "stripes", "axis_sign", "beam_image", "tilted_image")
+        report = {"astigmatism": astigmatism, "results": [dict(zip(keys, row)) for row in rows]}
+        assert is_json_dumps(_stripes_text, report)
+
+    @pytest.mark.parametrize("text_of, report_of, change", [
+        (_thresholds_text, lambda: run_thresholds(small_config(deltas=(0.0, 0.5))),
+         lambda r: r["results"][1].update(delta=np.float64(0.5))),
+        (_thresholds_text, lambda: run_thresholds(small_config(deltas=(0.0, 0.5))),
+         lambda r: r["results"][0].update(l=True)),
+        (_thresholds_text, lambda: run_thresholds(small_config(deltas=(0.0, 0.5))),
+         lambda r: r.update(results=tuple(r["results"]))),
+        (_tomo_text, small_tomo_report, lambda r: r["results"][2].update(eta=np.float64(0.5))),
+        (_tomo_text, small_tomo_report, lambda r: r["results"][0].update(seed=np.uint64(7))),
+        (_tomo_text, small_tomo_report,
+         lambda r: r["results"][0]["reconstructed"].update(physical=np.True_)),
+        (_tomo_text, small_tomo_report,
+         lambda r: r["results"][0]["reconstructed"]["entry_errors"].__setitem__(1, (0.0,) * 4)),
+        (_tomo_text, small_tomo_report,
+         lambda r: r["results"][3]["true"]["criteria"].update(nu=np.float64(1.0))),
+        (_tomo_text, small_tomo_report, lambda r: r.update(n_per_setting=3.0)),
+        (_stripes_text, stripes_report, lambda r: r["results"][2].update(stripes=np.int64(2))),
+        (_stripes_text, stripes_report, lambda r: r["results"][0].update(beam_image=Path("b"))),
+        (_stripes_text, stripes_report, lambda r: r.update(astigmatism=np.float64(2.0))),
+    ], ids=["thresholds-np.float64", "thresholds-bool-charge", "thresholds-tuple",
+            "tomo-np.float64", "tomo-np.uint64", "tomo-np.bool", "tomo-tuple-row",
+            "tomo-true-np.float64", "tomo-float-n", "stripes-np.int64", "stripes-path",
+            "stripes-np.float64"])
+    def test_other_types_raise_type_error(self, text_of, report_of, change):
+        report = report_of()
+        assert is_json_dumps(text_of, report)
+        change(report)
         with pytest.raises(TypeError):
-            _json_text(value)
+            text_of(report)
 
 
 class TestMain:

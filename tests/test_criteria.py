@@ -17,7 +17,8 @@ from oamcv import (ChannelParams, InputError, NumericalError, SqueezingSpec, Too
                    ppt_nu_eigen, source_criteria, steering, steering_death_eta,
                    steering_death_eta_ba_lossy, symplectic_eigenvalues)
 from oamcv.cli import PRESETS, SweepConfig, _config_from_args, build_parser, eta_grid, run_tomo
-from oamcv.criteria import ETA_LO, STEERING_CLASSES, TOL_DECISION, _block_criteria, _criteria
+from oamcv.criteria import (ETA_LO, STEERING_CLASSES, TOL_DECISION, _block_criteria, _criteria,
+                            _death_eta)
 from oamcv.gaussian import _physical
 from oamcv.tomography import SETTINGS, _filled, _sampled_db, _six_numbers, _true_state
 from conftest import (V_REF, VP_REF, analytic_family_cm, block_errors, deltas, eigvals_symplectic,
@@ -732,6 +733,13 @@ class TestClosedFormThresholds:
         # the state sits on the boundary at every eta, where the oracle's
         # sign is rounding noise, so only the closed form is checked
         assert closed_death_eta(spec, delta, which) is None
+
+    def test_bracket_ends_are_exact(self):
+        # a line p + q*eta that is exactly 0.0 at an end of the bracket: dead at
+        # eta = 1 has no transition inside it, and a root at ETA_LO is inside it
+        assert -1.0 + 1.0 == 0.0 and -1e-6 + 1.0 * ETA_LO == 0.0
+        assert _death_eta(-1.0, 1.0) is None
+        assert _death_eta(-1e-6, 1.0) == ETA_LO
 
     def test_solvers_evaluate_no_state(self, monkeypatch):
         def refuse(*args, **kwargs):
