@@ -464,7 +464,10 @@ def run_tomo(config: SweepConfig) -> dict:
     (_true_state), then each reconstruction's six numbers, their criteria,
     physicality or error text (_block_criteria) and entry errors.  Every entry
     holds the same stderr_db dict, and the charges of one source the same
-    "true" dicts, so _tomo_text writes each of them once.
+    "true" dicts, so _tomo_text writes each of them once.  A point's seed
+    reproduces its draws through sampled_variances of its channel matrix: the
+    single settings bit for bit, the joint ones to that matrix's rounding of
+    b + a - 2c.  simulate_measurements draws the same law, but other values.
     """
     results = []
     etas = eta_grid(config)

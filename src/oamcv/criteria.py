@@ -9,10 +9,10 @@ its B->A counterpart; steering implies entanglement but not conversely.
 The criteria of a matrix have one implementation, vectorised over an
 (N, 4, 4) stack: classify_many runs it on a stack, and the other matrix
 entry points on a stack of one.  Each failing state gets the error of its
-first failing check, in the order malformed, not PD (a NaN eigen route),
-invariants not finite, PPT discriminant overflowing, then negative, PPT
-denominator, route agreement, determinants; classify_many raises the first
-failing state's.
+first failing check, in the order malformed, not PD (a NaN eigen route;
+an UnphysicalStateError at every entry point), invariants not finite, PPT
+discriminant overflowing, then negative, PPT denominator, route agreement,
+determinants; classify_many raises the first failing state's.
 
 A two-mode squeezed source (v, vp) sent through the probe channel (eta,
 delta) is a state in standard form (Duan et al., PRL 84, 2722 (2000);
@@ -282,7 +282,8 @@ def _block_criteria(numbers: np.ndarray) -> tuple:
 
     _criteria's decision path from the block invariants, with no matrix and no
     eigen route.  PD is taken block by block, det X > 0 and det Y > 0: det sigma
-    > 0 does not tell, since both can be negative.
+    > 0 does not tell, since both can be negative.  Near symplectic degeneracy
+    its nu keeps only about half its digits, as the matrix closed form's does.
     """
     xc, yc, xp, yp, cx, cy = numbers.T
     with np.errstate(all="ignore"):

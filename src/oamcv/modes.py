@@ -107,7 +107,8 @@ class FieldGrid:
         return float(np.sum(self.intensity()) * self.dx * self.dy)
 
     def intensity(self) -> np.ndarray:
-        """|amplitude|^2 per pixel; inf where it overflows, without a warning."""
+        """|amplitude|^2 per pixel, a new writable array on each call; inf where it overflows,
+        without a warning."""
         with np.errstate(over="ignore"):
             return np.abs(self.values) ** 2
 
@@ -370,7 +371,8 @@ def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
     quantises and from which count_dark_stripes reads the pattern's centre.
     Charge, grid and astigmatism follow the rules of lg_field and
     tilted_lens_pattern.  beam.extent is the grid half-width, pattern.extent
-    the k-space half-width.
+    the k-space half-width.  No accepted astigmatism overflows, but the
+    pattern's peak, at most 2 pi/a^2, underflows to 0 by a ~ 1e163.
 
     Both images are views of one float allocation, so keeping either grid
     keeps both alive.  No temporary is image-sized: the beam's y >= 0 rows

@@ -195,7 +195,8 @@ def variances_from_batches(batches: Iterable[SampleBatch]) -> VarianceSet:
 
     Accepts the batches in any order (one per setting).  Standard errors use
     Var(s^2) = 2 sigma^4/(n - 1) for Gaussian data, which propagates to a
-    variance-independent dB error of (10/ln 10) sqrt(2/(n - 1)).
+    variance-independent dB error of (10/ln 10) sqrt(2/(n - 1)).  A sample
+    variance that is zero or not finite is an InputError naming its setting.
     """
     by_setting = {}
     for batch in batches:

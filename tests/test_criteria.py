@@ -95,6 +95,18 @@ def bisected_death_eta(spec, delta, which, xtol=1e-9):
     return 0.5 * (dead + living), resolved
 
 
+def reference_closed_form(dt, det_sigma) -> tuple:
+    """The closed-form PPT nu through math.sqrt, and its degeneracy allowance: the noise
+    8 eps max(1, Dt^2) of the discriminant carried to the small root."""
+    s = math.sqrt(max(dt * dt - 4.0 * det_sigma, 0.0))
+    closed = math.sqrt(max(2.0 * det_sigma / (dt + s), 0.0))
+    noise = 8.0 * np.finfo(float).eps * max(1.0, dt * dt)
+    ds = math.sqrt(noise) if s * s <= noise else noise / (2.0 * s)
+    nu2 = max(2.0 * det_sigma / max(dt + s, np.finfo(float).tiny), 0.0)
+    allowance = math.sqrt(noise) if nu2 <= 0.0 else 4.0 * math.sqrt(nu2) * ds / (2.0 * (dt + s))
+    return closed, allowance
+
+
 def reference_classify(sigma):
     """Per-state reference of classify(), one state and one formula at a time.
 
@@ -106,13 +118,8 @@ def reference_classify(sigma):
     det_a, det_b, det_c, det_sigma = (float(np.linalg.det(m)) for m in (
         sigma[:2, :2], sigma[2:, 2:], sigma[:2, 2:], sigma))
     dt = det_a + det_b - 2.0 * det_c
-    s = math.sqrt(max(dt * dt - 4.0 * det_sigma, 0.0))
-    closed = math.sqrt(max(2.0 * det_sigma / (dt + s), 0.0))
+    closed, allowance = reference_closed_form(dt, det_sigma)
     eigen = float(symplectic_eigenvalues(_PT @ sigma @ _PT)[0])
-    noise = 8.0 * np.finfo(float).eps * max(1.0, dt * dt)
-    ds = math.sqrt(noise) if s * s <= noise else noise / (2.0 * s)
-    nu2 = max(2.0 * det_sigma / max(dt + s, np.finfo(float).tiny), 0.0)
-    allowance = math.sqrt(noise) if nu2 <= 0.0 else 4.0 * math.sqrt(nu2) * ds / (2.0 * (dt + s))
     gap, strict = abs(closed - eigen), 1e-9 * max(1.0, abs(closed))
     assert gap <= strict + allowance
     nu = closed if gap <= strict else eigen
@@ -166,6 +173,32 @@ class TestPptNu:
         exact = NEAR_DEGENERATE[2, 2]
         assert ppt_nu(NEAR_DEGENERATE) == pytest.approx(exact, rel=1e-12, abs=0.0)
         assert classify_many(NEAR_DEGENERATE[None]).nu[0] == ppt_nu(NEAR_DEGENERATE)
+
+
+class TestGateBounds:
+    """The negative-discriminant tolerance and the degeneracy allowance, each held at its value
+    from both sides."""
+
+    @pytest.mark.parametrize("excess, trips", [(5e-9, True), (5e-10, False)])
+    def test_negative_discriminant_tolerance_is_1e_9_of_dt_squared(self, excess, trips):
+        # Dt = 2 and det sigma = 1 + excess: the discriminant is -4 excess, the bound -4e-9
+        checks = oamcv.criteria._closed_form(np.array([2.0]), np.array([1.0 + excess]))[3]
+        mask, error = checks[1]
+        assert mask.tolist() == [trips]
+        assert str(error(0)).startswith("PPT discriminant is negative beyond tolerance")
+
+    @pytest.mark.parametrize("share, passes", [(0.8, True), (1.2, False)])
+    def test_degeneracy_allowance_is_8_eps_of_noise(self, share, passes):
+        # NEAR_DEGENERATE's invariants with an eigen route past the strict gate by a share of
+        # the reference allowance
+        invariants = oamcv.gaussian._invariants(NEAR_DEGENERATE[None])
+        closed, allowance = reference_closed_form(float(invariants[0][0]), float(invariants[1][0]))
+        eigen = closed + 1e-9 * max(1.0, closed) + share * allowance
+        routes, checks = oamcv.criteria._ppt_nu(invariants, np.array([False]), np.array([eigen]))
+        assert routes["closed"].tolist() == [closed]
+        mask, error = checks[-1]
+        assert mask.tolist() == [not passes]
+        assert str(error(0)).startswith("PPT computation paths disagree")
 
 
 class TestSteering:

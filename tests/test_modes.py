@@ -639,7 +639,17 @@ class TestMirror:
             tilted_lens_pattern(dark, 2.0)
 
 
+# the largest |l| whose stripes count right at each astigmatism; past it a charge may miscount
+STRIPE_RANGES = {0.5: 11, 1.0: 16, 2.0: 11, 2.9: 6, 4.0: 4, 6.0: 3}
+
+
 class TestCountDarkStripes:
+    @pytest.mark.parametrize("astigmatism, l", [(a, l) for a, top in STRIPE_RANGES.items()
+                                                for l in range(-top, top + 1)])
+    def test_counts_every_charge_in_the_stated_range(self, astigmatism, l):
+        result = count_dark_stripes(lg_images(l, astigmatism)[1])
+        assert result == StripeCount(abs(l), int(np.sign(l)), False)
+
     def test_uniform_is_indeterminate(self):
         result = count_dark_stripes(np.ones((64, 64)))
         assert result.indeterminate and result.count == 0
