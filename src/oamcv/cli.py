@@ -586,7 +586,7 @@ _parse_floats = functools.partial(_parse_list, float, "numbers")
 _parse_ints = functools.partial(_parse_list, int, "integers")
 
 
-def _add_sweep_options(sp: argparse.ArgumentParser) -> None:
+def _add_run_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON config file; flags override its values")
     sp.add_argument("--preset", choices=sorted(PRESETS),
                     help="parameter bundle for one of the decoherence scans")
@@ -596,15 +596,23 @@ def _add_sweep_options(sp: argparse.ArgumentParser) -> None:
                     help=f"anti-squeezed variance, given together with --v (default {DEFAULT_VP})")
     sp.add_argument("--delta", type=_parse_floats, dest="deltas", metavar="D[,D...]",
                     help="excess noise values in SNL units (default 0)")
+    sp.add_argument("--charges", type=_parse_ints, metavar="L[,L...]",
+                    help="topological charges (default 0,1,2)")
+    sp.add_argument("--out", help="output file (CSV for sweep, JSON otherwise)")
+
+
+def _add_grid_options(sp: argparse.ArgumentParser) -> None:
+    sp = sp.add_argument_group("transmission grid")
     sp.add_argument("--eta-start", type=float, help="first transmission efficiency (default 0)")
     sp.add_argument("--eta-stop", type=float, help="last transmission efficiency (default 1)")
     sp.add_argument("--eta-step", type=float, help="transmission grid step (default 0.01)")
-    sp.add_argument("--charges", type=_parse_ints, metavar="L[,L...]",
-                    help="topological charges (default 0,1,2)")
+
+
+def _add_draw_options(sp: argparse.ArgumentParser) -> None:
+    sp = sp.add_argument_group("tomography draws")
     sp.add_argument("--seed", type=int, help=f"master RNG seed (default {DEFAULT_SEED})")
     sp.add_argument("--n", type=int, dest="n_per_setting",
                     help=f"samples per tomography setting (default {DEFAULT_N_PER_SETTING})")
-    sp.add_argument("--out", help="output file (CSV for sweep, JSON otherwise)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -613,10 +621,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="OAM-multiplexed continuous-variable entanglement toolkit")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (("sweep", "criteria vs transmission efficiency, CSV output"),
-                       ("thresholds", "sudden-death transmission thresholds, JSON output"),
-                       ("tomo", "tomography round trips over the grid, JSON output")):
-        _add_sweep_options(sub.add_parser(name, help=text))
+    # each command takes the flags of the config fields its runner reads
+    for name, text, groups in (
+            ("sweep", "criteria vs transmission efficiency, CSV output", (_add_grid_options,)),
+            ("thresholds", "sudden-death transmission thresholds, JSON output", ()),
+            ("tomo", "tomography round trips over the grid, JSON output",
+             (_add_grid_options, _add_draw_options))):
+        sp = sub.add_parser(name, help=text)
+        for add_options in (_add_run_options, *groups):
+            add_options(sp)
     sp = sub.add_parser("modes", help="beam and tilted-lens images with stripe counts")
     sp.add_argument("--charges", type=_parse_ints, default=DEFAULT_CHARGES,
                     metavar="L[,L...]", help="topological charges (default 0,1,2)")
@@ -631,7 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> SweepConfig:
     """Defaults, then preset, then config file, then explicit flags, in one dict parsed once.
 
-    A source given by flags replaces the file's global v/vp/r as a whole.
+    A source given by flags replaces the file's whole source (specs, v, vp, r);
+    the charges then come from the flags, the file or the default.  The file
+    may hold every config key, each checked, whichever ones the command reads.
     The parsers report every malformed value as an InputError.
     """
     merged = dict(PRESETS[args.preset]) if args.preset else {}
@@ -647,7 +662,7 @@ def _config_from_args(args: argparse.Namespace) -> SweepConfig:
     flags = {key: value for key in (*_CONFIG_KEYS, *_GLOBAL_SPEC_KEYS)
              if (value := getattr(args, key, None)) is not None}
     if "v" in flags or "vp" in flags:
-        for key in _GLOBAL_SPEC_KEYS:
+        for key in ("specs", *_GLOBAL_SPEC_KEYS):
             merged.pop(key, None)
     merged.update(flags)
     return SweepConfig.from_json_dict(merged)

@@ -466,7 +466,8 @@ class MultiplexedState:
 
     The probe mode of entry l carries charge l and the conjugate carries -l
     (OAM conservation with an l = 0 pump).  Entries are mutually independent;
-    no cross-charge correlations are ever stored.  Charges: see checked_charges.
+    no cross-charge correlations are ever stored.  Charges: see checked_charges;
+    each value is a ModePair of a SqueezingSpec and a CovarianceMatrix.
     """
 
     pairs: Mapping[int, ModePair]
@@ -474,6 +475,11 @@ class MultiplexedState:
     def __post_init__(self):
         items = list(self.pairs.items() if isinstance(self.pairs, Mapping) else self.pairs)
         pairs = dict(zip(checked_charges(l for l, _ in items), (pair for _, pair in items)))
+        for l, pair in pairs.items():
+            if not (isinstance(pair, ModePair) and isinstance(pair.spec, SqueezingSpec)
+                    and isinstance(pair.cm, CovarianceMatrix)):
+                raise InputError(f"charge {l} needs a ModePair of a SqueezingSpec and a "
+                                 f"CovarianceMatrix, got {pair!r}")
         object.__setattr__(self, "pairs", MappingProxyType(pairs))
 
     @property
@@ -482,6 +488,9 @@ class MultiplexedState:
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    def __iter__(self):
+        return iter(self.pairs)
 
     def __contains__(self, l) -> bool:
         return l in self.pairs

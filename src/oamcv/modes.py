@@ -269,17 +269,6 @@ def _k_window(m: int, kmax: float) -> np.ndarray:
     return (np.arange(m) - (m - 1) / 2.0) * (2.0 * kmax / (m - 1))
 
 
-def _phasors(k: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i k t) as a (len(k), len(t)) table: cos(k t) and -sin(k t) written
-    into its real and imaginary views.  np.cos(kt) - 1j * np.sin(kt) gives the
-    same values but flips the sign of the zero imaginary parts at k t = 0."""
-    kt = np.outer(k, t)
-    table = np.empty(kt.shape, dtype=complex)
-    np.cos(kt, out=table.real)
-    np.negative(np.sin(kt, out=kt), out=table.imag)
-    return table
-
-
 def _k_max(astigmatism: float, rows: np.ndarray, cols: np.ndarray, x: np.ndarray,
            y: np.ndarray) -> float:
     """Far-field window half-width 2 (a + 1) (r + 2), r the rms radius of an intensity on
@@ -313,13 +302,12 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
 
     The k-space window k = (arange(m) - (m - 1)/2) 2 kmax/(m - 1),
     m = max(width, height), is sized from the beam's rms radius so the lobe
-    structure stays well resolved.  The pattern is |P_y chirped P_x^T|^2,
-    the dense DFT with P = exp(-i k t) (_phasors), one table per distinct
-    axis length, so a square grid builds one.  The chirped field is dropped
-    once transformed along y, so a square grid's peak is three m x m complex
-    buffers: the table and the two products (64 MiB each at 2048^2).  Each
-    product is one whole-grid GEMM, whose floats depend on the OpenBLAS
-    thread count.
+    structure stays well resolved.  The pattern is |P_y chirped P_x^T|^2, the
+    dense DFT with P = exp(-i k t), one table per distinct axis length, so a
+    square grid builds one.  The chirped field is dropped once transformed
+    along y, so a square grid's peak is three m x m complex buffers: the table
+    and the two products (64 MiB each at 2048^2).  Each product is one
+    whole-grid GEMM, whose floats depend on the OpenBLAS thread count.
     """
     if not isinstance(field, FieldGrid):
         raise InputError(f"expected FieldGrid, got {type(field).__name__}")
@@ -330,15 +318,15 @@ def tilted_lens_pattern(field: FieldGrid, astigmatism: float) -> IntensityGrid:
     kmax = _k_max(astigmatism, weights.sum(axis=1), weights.sum(axis=0), x, y)
     m = max(field.width, field.height)
     k = _k_window(m, kmax)
-    p_y = _phasors(k, y)
-    p_x = p_y if len(x) == len(y) else _phasors(k, x)
+    p_y = np.exp(-1j * np.outer(k, y))
+    p_x = p_y if len(x) == len(y) else np.exp(-1j * np.outer(k, x))
     chirped = field.values * (field.dx * field.dy * np.exp(-1j * astigmatism * y * y))[:, None]
     chirped *= np.exp(1j * astigmatism * x * x)
     along_y = p_y @ chirped
     del chirped
     far = along_y @ p_x.T
     del along_y
-    return _computed_grid(m, m, kmax, _squared_modulus(far))
+    return _computed_grid(m, m, kmax, far.real ** 2 + far.imag ** 2)
 
 
 def lg_images(spec, astigmatism: float, width: int = 512, height: int = 512,
@@ -455,18 +443,6 @@ def _moments(k: np.ndarray, alpha: complex, order: int) -> np.ndarray:
     for j in range(2, order + 1):
         out[j] = (j - 1) / (2.0 * alpha) * out[j - 2] - 1j * u * out[j - 1]
     return out
-
-
-def _squared_modulus(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """|z|^2 of a complex array as re^2 + im^2, into out if given: the grid route's.
-
-    z must be C-contiguous: its float view, re and im interleaved, is
-    squared in place in one contiguous pass, then its even columns (re^2)
-    and odd ones (im^2) are added.
-    """
-    parts = z.view(float)
-    parts *= parts
-    return np.add(parts[..., 0::2], parts[..., 1::2], out=out)
 
 
 @dataclass(frozen=True)

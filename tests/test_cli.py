@@ -21,13 +21,14 @@ from oamcv import (ChannelParams, InputError, LGModeSpec, MultiplexedState, Nume
                    entanglement_death_eta, expected_variances, make_multiplexed, make_tmss,
                    reconstruct_cm, sampled_variances, source_criteria, validate)
 from oamcv.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, MAX_ETA_POINTS, PRESETS,
-                       SWEEP_HEADER, SweepConfig, _config_from_args, _stripes_text,
-                       _thresholds_text, _tomo_text, build_parser, eta_grid, main, run_modes,
-                       run_sweep, run_thresholds, run_tomo)
+                       SWEEP_HEADER, SweepConfig, _config_from_args, _fill, _shape,
+                       _stripes_text, _thresholds_text, _tomo_text, build_parser, eta_grid, main,
+                       run_modes, run_sweep, run_thresholds, run_tomo)
 from oamcv.tomography import SETTINGS, _six_numbers
 from conftest import (V_REF, VP_REF, block_errors, deltas, exact_joint, exact_nu_min,
                       exact_pd, source_specs)
 from test_golden import TOMO_ARGS, TOMO_ERRORS_ARGS
+from test_readme import registered_flags
 
 
 SPEC = SqueezingSpec(V_REF, VP_REF)
@@ -163,6 +164,11 @@ def eta_grid_args(draw):
     span = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-9)))
     step = (span or 0.1) / draw(st.integers(1, 2000)) * draw(st.floats(0.5, 2.0))
     return start, min(1.0, start + span), step
+
+
+# a small run of each config command, through its own flags only
+SMALL_RUN = {"sweep": ["--charges", "0", "--eta-step", "0.5"], "thresholds": ["--charges", "0"],
+             "tomo": ["--charges", "0", "--eta-step", "0.5", "--n", "10"]}
 
 
 def small_config(**overrides):
@@ -853,6 +859,100 @@ class TestReportText:
         with pytest.raises(TypeError):
             text_of(report)
 
+    def test_field_count_is_checked(self):
+        # one float for two float slots: each field's type matches, the count does not
+        with pytest.raises(TypeError, match="^1 report fields for 2 slots$"):
+            _fill(_shape({"a": float, "b": float}, 0), (1.0,))
+
+
+class _ReadRecorder:
+    """A config that records the name of each field read from it."""
+
+    def __init__(self, config):
+        self.config, self.read = config, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.config, name)
+
+
+class TestCommandFlags:
+    """Each config command takes the flags of the config fields its runner reads, no others."""
+
+    @pytest.mark.parametrize("command, run", [("sweep", run_sweep),
+                                              ("thresholds", run_thresholds),
+                                              ("tomo", run_tomo)])
+    def test_each_commands_flags_are_what_its_runner_reads(self, command, run):
+        config = _ReadRecorder(small_config(charges=(0,), eta_step=0.5, n_per_setting=10))
+        run(config)
+        # --config and --preset choose sources of fields; --v and --vp give the specs
+        dests = set(registered_flags()[command].values()) - {"config", "preset"}
+        fields = {"specs" if dest in ("v", "vp") else dest for dest in dests}
+        assert config.read == fields
+
+    def test_flag_counts(self):
+        assert {command: len(flags) for command, flags in registered_flags().items()} == \
+            {"sweep": 10, "thresholds": 7, "tomo": 12, "modes": 4}
+
+    @pytest.mark.parametrize("argv", [["thresholds", "--eta-step", "0.5"],
+                                      ["thresholds", "--eta-start", "1"],
+                                      ["thresholds", "--seed", "1"], ["thresholds", "--n", "10"],
+                                      ["sweep", "--n", "10"], ["sweep", "--seed", "1"]])
+    def test_flag_a_command_does_not_read_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("file_charges, flags, charges", [
+        ({}, [], (0, 1, 2)), ({}, ["--charges", "0"], (0,)),
+        ({"charges": [0, 5]}, [], (0, 5)), ({"charges": [0, 5]}, ["--charges", "1"], (1,))])
+    @pytest.mark.parametrize("command", ["sweep", "thresholds", "tomo"])
+    def test_flag_source_replaces_file_specs(self, command, file_charges, flags, charges,
+                                             tmp_path):
+        # the flags' source drops the file's specs; the charges are the flag's, the file's
+        # or the default
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"specs": {"0": {"v": 0.5, "vp": 2.5}, "5": {"r": 0.3}},
+                                    **file_charges}))
+        argv = [command, "--config", str(path), "--v", "0.4", "--vp", "3", *flags]
+        config = _config_from_args(build_parser().parse_args(argv))
+        assert config.charges == charges
+        assert config.specs == dict.fromkeys(charges, SqueezingSpec(0.4, 3.0))
+
+    def test_flag_source_with_file_specs_runs(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"specs": {"0": {"v": 0.5, "vp": 2.5}}}))
+        assert main(["thresholds", "--config", str(path), "--v", "0.4", "--vp", "3"]) == EXIT_OK
+        printed = capsys.readouterr().out
+        config = SweepConfig(specs=dict.fromkeys((0, 1, 2), SqueezingSpec(0.4, 3.0)))
+        assert printed == _thresholds_text(run_thresholds(config))
+
+    @pytest.mark.parametrize("source", [{"specs": {"0": {"v": 0.5, "vp": 2.5}, "1": {"r": 0.3}}},
+                                        {"v": 0.5, "vp": 2.5}, {"r": 0.3}])
+    def test_one_config_file_serves_every_command(self, source, tmp_path, capsys):
+        # every config key, each read by some command, the rest checked and unused
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**source, "deltas": [0.0, 0.5], "eta_start": 0.5,
+                                    "eta_stop": 1.0, "eta_step": 0.25, "charges": [0, 1],
+                                    "out": None, "seed": 3, "n_per_setting": 100}))
+        for command in ("sweep", "thresholds", "tomo"):
+            assert main([command, "--config", str(path)]) == EXIT_OK, command
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("payload, err", [
+        ({"eta_step": 1e-7}, "gives more than 100001 grid points"),
+        ({"n_per_setting": 1}, "n_per_setting must be an integer >= 2, got 1"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1")])
+    def test_file_is_checked_whole(self, payload, err, tmp_path, capsys):
+        # thresholds reads neither the grid nor the draws, but one file serves every command
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert main(["thresholds", "--config", str(path)]) == EXIT_CONFIG
+        assert err in capsys.readouterr().err
+
 
 class TestMain:
     def test_import_leaves_scipy_unloaded(self):
@@ -875,8 +975,7 @@ class TestMain:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for flag in ("--config", "--v", "--vp", "--delta", "--eta-start",
-                     "--eta-stop", "--eta-step", "--charges", "--seed", "--n",
-                     "--out", "--preset"):
+                     "--eta-stop", "--eta-step", "--charges", "--out", "--preset"):
             assert flag in out
 
     @pytest.mark.parametrize("argv, noun", [
@@ -936,8 +1035,7 @@ class TestMain:
             blocker.write_text("")
             argv = ["modes", "--charges", "0", "--out", str(blocker / "images")]
         else:
-            argv = [command, "--charges", "0", "--eta-step", "0.5", "--n", "10",
-                    "--out", str(tmp_path / "nope" / "out")]
+            argv = [command, *SMALL_RUN[command], "--out", str(tmp_path / "nope" / "out")]
         assert main(argv) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1
@@ -950,8 +1048,7 @@ class TestMain:
             (tmp_path / "mode_l0_beam.pgm").mkdir()
             argv = ["modes", "--charges", "0", "--out", str(tmp_path)]
         else:
-            argv = [command, "--charges", "0", "--eta-step", "0.5", "--n", "10",
-                    "--out", str(tmp_path)]
+            argv = [command, *SMALL_RUN[command], "--out", str(tmp_path)]
         assert main(argv) == EXIT_IO
         assert capsys.readouterr().err.startswith("i/o error: ")
 
@@ -1154,6 +1251,19 @@ class TestMain:
             path.write_text(json.dumps(payload))
             assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_malformed_charges_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--charges", "1,x"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
+
+    def test_config_file_not_an_object_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: config file {path} must hold a JSON object\n"
+
     def test_flag_source_replaces_file_source(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"r": 0.3}))
@@ -1171,7 +1281,7 @@ class TestMain:
 
         monkeypatch.setattr(f"oamcv.cli.{name}", broken)
         with pytest.raises(ValueError, match="injected fault"):
-            main([command, "--charges", "0", "--eta-step", "0.5", "--n", "10"])
+            main([command, *SMALL_RUN[command]])
 
     def test_injected_parse_fault_is_not_a_config_error(self, monkeypatch):
         # a plain ValueError inside config parsing is a program fault, not bad input

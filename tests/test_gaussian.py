@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oamcv import (ChannelParams, CovarianceMatrix, Decibel, InputError, MultiplexedState,
-                   NumericalError, SqueezingSpec, UnphysicalStateError, apply_channel,
-                   apply_channel_grid, db_to_linear, entanglement_death_eta, linear_to_db,
+from oamcv import (ChannelParams, CovarianceMatrix, Decibel, InputError, ModePair,
+                   MultiplexedState, NumericalError, SqueezingSpec, UnphysicalStateError,
+                   apply_channel, apply_channel_grid, db_to_linear, entanglement_death_eta, linear_to_db,
                    make_multiplexed, make_tmss, steering_death_eta, symplectic_eigenvalues,
                    validate)
 from oamcv.cli import SweepConfig
@@ -116,6 +116,11 @@ class TestMakeTmss:
     def test_symmetric_state(self, spec):
         cm = make_tmss(spec)
         assert np.array_equal(cm.conj_block, cm.pr_block)
+
+    def test_cross_block_is_c_times_z(self):
+        cm = make_tmss(SqueezingSpec(0.5, 2.5))
+        assert np.array_equal(cm.cross_block, [[1.0, 0.0], [0.0, -1.0]])
+        assert np.array_equal(cm.cross_block, cm.entries[:2, 2:])
 
     @given(source_specs())
     def test_determinant_is_product_squared(self, spec):
@@ -437,6 +442,24 @@ class TestMultiplexed:
         ms = make_multiplexed({0: SqueezingSpec(V_REF, VP_REF)})
         with pytest.raises(TypeError):
             ms.pairs[3] = None
+
+    def test_is_a_mapping_of_its_charges(self):
+        spec = SqueezingSpec(V_REF, VP_REF)
+        for specs in ({0: spec, 1: spec, 5: spec}, {3: spec}, {}):
+            ms = make_multiplexed(specs)
+            assert list(ms) == list(specs) == list(ms.charges)
+            assert dict(ms.items()) == {l: ms[l] for l in ms}
+
+    @pytest.mark.parametrize("pair", [
+        "junk", None, (SqueezingSpec(V_REF, VP_REF), make_tmss(SqueezingSpec(V_REF, VP_REF))),
+        ModePair(SqueezingSpec(V_REF, VP_REF), make_tmss(SqueezingSpec(V_REF, VP_REF)).entries),
+        ModePair((V_REF, VP_REF), make_tmss(SqueezingSpec(V_REF, VP_REF)))],
+        ids=["text", "none", "tuple", "array-cm", "tuple-spec"])
+    def test_value_that_is_not_a_mode_pair_is_rejected(self, pair):
+        good = ModePair(SqueezingSpec(V_REF, VP_REF), make_tmss(SqueezingSpec(V_REF, VP_REF)))
+        with pytest.raises(InputError, match=r"^charge 7 needs a ModePair of a SqueezingSpec "
+                                             r"and a CovarianceMatrix, got "):
+            MultiplexedState({0: good, 7: pair})
 
     def test_charges_checked(self):
         with pytest.raises(InputError, match="charges must be integers, got True"):

@@ -83,12 +83,16 @@ def table(text: str, first_header: str) -> list:
 
 
 def documented_flags() -> dict:
-    """{command: {flag: its row}} from each '### `oamcv ...`' part of the Commands section."""
+    """{command: {flag: its row}} from each '### `oamcv ...`' part of the Commands section: a
+    row's commands are those its Commands column names, else every command of the heading."""
     flags = {}
     for part in readme_section("Commands").split("\n### ")[1:]:
         heading, body = part.split("\n", 1)
-        rows = {row["Flag"].strip("`").split()[0]: row for row in table(body, "Flag")}
-        flags.update(dict.fromkeys(re.findall(r"`oamcv (\w+)`", heading), rows))
+        for row in table(body, "Flag"):
+            commands = row["Commands"].split() if "Commands" in row else \
+                re.findall(r"`oamcv (\w+)`", heading)
+            for command in commands:
+                flags.setdefault(command, {})[row["Flag"].strip("`").split()[0]] = row
     return flags
 
 
@@ -148,7 +152,8 @@ def test_each_flags_config_key_is_its_dest():
     keys = {(command, flag): row["Config key"].strip("`")
             for command, rows in documented_flags().items()
             for flag, row in rows.items() if row.get("Config key")}
-    assert len(keys) == 3 * 10  # guard: ten flags with a key in each of three commands
+    # guard: the flags with a key of sweep, thresholds and tomo
+    assert len(keys) == 8 + 5 + 10
     assert keys == {(command, flag): registered[command][flag] for command, flag in keys}
 
 

@@ -139,6 +139,15 @@ class TestSimulateMeasurements:
             assert checked.samples.tobytes() == batch.samples.tobytes()
             assert type(batch.seed) is int and checked.seed == batch.seed
 
+    @pytest.mark.parametrize("samples, err", [
+        ([0.5], "a batch needs at least 2 scalar samples"),
+        ([[0.5, 0.1], [0.2, 0.3]], "a batch needs at least 2 scalar samples"),
+        ([0.5, np.nan, 0.1], "samples must be finite"),
+        ([0.5, -np.inf], "samples must be finite")])
+    def test_batch_rejects_short_or_non_finite_samples(self, samples, err):
+        with pytest.raises(InputError, match=f"^{err}$"):
+            SampleBatch("Xc", np.array(samples), seed=0)
+
     def test_overflowing_joint_variance_is_numerical_error(self):
         # the entries are physical, but Xdiff = s_pp + s_cc - 2 s_cp overflows
         m = np.diag([1e308] * 4)
@@ -167,6 +176,12 @@ class TestVariancesFromBatches:
     def test_order_independent(self):
         batches = simulate_measurements(REF_CM, 5_000, seed=5)
         assert variances_from_batches(batches) == variances_from_batches(batches[::-1])
+
+    def test_rejects_what_is_not_a_batch(self):
+        batches = list(simulate_measurements(REF_CM, 100, seed=6))
+        batches[3] = batches[3].samples
+        with pytest.raises(InputError, match=r"^expected SampleBatch, got ndarray$"):
+            variances_from_batches(batches)
 
     def test_degenerate_batch_rejected(self):
         batches = list(simulate_measurements(REF_CM, 100, seed=6))
@@ -440,6 +455,12 @@ class TestReconstruct:
         assert rec[0, 2] == pytest.approx(1.82, abs=0.01)
         assert rec[1, 3] == pytest.approx(-1.82, abs=0.01)
         assert rec[0, 1] == 0.0 and rec[0, 3] == 0.0 and rec[1, 2] == 0.0
+
+    @pytest.mark.parametrize("vs", [None, (0.0,) * 6, {s: 0.0 for s in SETTINGS}],
+                             ids=["None", "tuple", "dict"])
+    def test_rejects_what_is_not_a_variance_set(self, vs):
+        with pytest.raises(InputError, match=f"^expected VarianceSet, got {type(vs).__name__}$"):
+            reconstruct_cm(vs)
 
     def test_vacuum_reconstructs_identity(self):
         assert np.array_equal(reconstruct_cm(VarianceSet(0, 0, 0, 0, 0, 0)).entries, np.eye(4))
