@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -894,10 +895,26 @@ class TestCommandFlags:
         assert {command: len(flags) for command, flags in registered_flags().items()} == \
             {"sweep": 10, "thresholds": 7, "tomo": 12, "modes": 4}
 
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep", "--config --preset --v --vp --delta --charges --out "
+                  "--eta-start --eta-stop --eta-step"),
+        ("thresholds", "--config --preset --v --vp --delta --charges --out"),
+        ("tomo", "--config --preset --v --vp --delta --charges --out "
+                 "--eta-start --eta-stop --eta-step --seed --n"),
+        ("modes", "--charges --astigmatism --depth --out")],
+        ids=["sweep", "thresholds", "tomo", "modes"])
+    def test_help_lists_exactly_the_commands_flags(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert listed == flags.split()
+
     @pytest.mark.parametrize("argv", [["thresholds", "--eta-step", "0.5"],
                                       ["thresholds", "--eta-start", "1"],
                                       ["thresholds", "--seed", "1"], ["thresholds", "--n", "10"],
-                                      ["sweep", "--n", "10"], ["sweep", "--seed", "1"]])
+                                      ["sweep", "--n", "10"], ["sweep", "--seed", "1"],
+                                      ["thresholds", "--eta-stop", "0.5"]])
     def test_flag_a_command_does_not_read_exits_2(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -922,6 +939,19 @@ class TestCommandFlags:
         assert config.charges == charges
         assert config.specs == dict.fromkeys(charges, SqueezingSpec(0.4, 3.0))
 
+    @pytest.mark.parametrize("flags, given", [(["--v", "0.4"], "{'v': 0.4}"),
+                                              (["--vp", "3"], "{'vp': 3.0}")])
+    @pytest.mark.parametrize("source", [{}, {"v": 0.5, "vp": 2.5}, {"r": 0.3},
+                                        {"specs": {"0": {"v": 0.5, "vp": 2.5}}}])
+    def test_half_a_flag_source_borrows_nothing_from_the_file(self, source, flags, given,
+                                                              tmp_path, capsys):
+        # --v or --vp alone replaces the file's source too, so the other half is missing
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(source))
+        assert main(["thresholds", "--config", str(path), *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: spec needs keys v and vp, or r alone, got {given}\n"
+
     def test_flag_source_with_file_specs_runs(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"specs": {"0": {"v": 0.5, "vp": 2.5}}}))
@@ -945,7 +975,11 @@ class TestCommandFlags:
     @pytest.mark.parametrize("payload, err", [
         ({"eta_step": 1e-7}, "gives more than 100001 grid points"),
         ({"n_per_setting": 1}, "n_per_setting must be an integer >= 2, got 1"),
-        ({"seed": -1}, "seed must be a non-negative integer, got -1")])
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"eta_start": 2}, "eta must lie in [0, 1], got 2"),
+        ({"eta_start": 0.8, "eta_stop": 0.2}, "eta grid start 0.8 must not exceed its stop 0.2"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"n_per_setting": "x"}, "n_per_setting must be an integer >= 2, got 'x'")])
     def test_file_is_checked_whole(self, payload, err, tmp_path, capsys):
         # thresholds reads neither the grid nor the draws, but one file serves every command
         path = tmp_path / "config.json"
@@ -1257,10 +1291,31 @@ class TestMain:
         assert exc.value.code == EXIT_CONFIG
         assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, text, noun", [
+        ("--charges", "x", "integers"), ("--charges", "1.5", "integers"),
+        ("--charges", "1;2", "integers"), ("--delta", "0,a", "numbers"),
+        ("--delta", "x", "numbers")])
+    def test_malformed_list_flag_exits_2(self, flag, text, noun, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", flag, text, "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"argument {flag}: expected comma-separated {noun}, got {text!r}\n" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_not_an_object_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1]")
         assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: config file {path} must hold a JSON object\n"
+
+    @pytest.mark.parametrize("text", ["3", '"text"', "null", "true", "1.5"])
+    def test_config_file_of_another_json_type_is_config_error(self, text, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["thresholds", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == \
             f"config error: config file {path} must hold a JSON object\n"
 
